@@ -6,12 +6,12 @@ from .crossbar import (BiasAssignment, Crossbar, CrossbarConfig,
                        row_summed_voltage, two_layer_forward)
 from .mapping import (CompiledLayer, CompiledNet, ResistanceRange,
                       SynapseNominals, compensate_stuck, compile_network,
-                      discrete_weight_table, quantize_weight, quantize_weights,
-                      resistances_for_weight, symmetric_weight_states,
-                      w_max, weight_from_resistances)
+                      compile_weight_matrix, discrete_weight_table,
+                      quantize_weights, resistances_for_weight,
+                      symmetric_weight_states, w_max, weight_from_resistances)
 from .netmodel import (Activation, MlpParams, TrainConfig, TrainResult,
-                       classify, evaluate, forward, gradients, init_params,
-                       mse, p_err, train_discrete)
+                       classify, evaluate, forward, forward_stack, gradients,
+                       init_params, mse, p_err, train_discrete)
 from .dataset import (StimulusProfile, default_profile, default_splits,
                       make_split, synthesize_extraneous,
                       synthesize_stimulus_patterns, target_vector)

@@ -63,6 +63,7 @@ def load_config(args) -> RunConfig:
         cfg.trials = args.trials
     if args.threads is not None:
         cfg.threads = args.threads
+    cfg.check_counts()
     return cfg
 
 

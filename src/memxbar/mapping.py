@@ -63,23 +63,11 @@ def resistances_for_weight(
 ) -> SynapseNominals:
     """Pick a resistance pair realizing ``w``.
 
-    The opposing memristor is pinned at ``reference`` (the top of the range
-    by default, which maximizes the usable weight span) and the other one
-    carries the magnitude.  Negative weights mirror the pair.
+    The one-synapse case of :func:`compile_weight_matrix`.
     """
-    ref = rng.r_max if reference is None else reference
-    if not (rng.r_min <= ref <= rng.r_max):
-        raise ValueError(f"reference {ref} outside range [{rng.r_min}, {rng.r_max}]")
-    cap = r_f * (ref - rng.r_min) / (ref * rng.r_min)
-    if abs(w) > cap * (1 + 1e-12):
-        raise WeightOutOfRangeError(
-            f"|w|={abs(w):.4g} exceeds {cap:.4g} for reference {ref:.4g}"
-        )
-    r_prog = r_f / (abs(w) + r_f / ref)
-    r_prog = min(max(r_prog, rng.r_min), rng.r_max)
-    if w >= 0:
-        return SynapseNominals(r_f=r_f, r_m1=r_prog, r_m2=ref)
-    return SynapseNominals(r_f=r_f, r_m1=ref, r_m2=r_prog)
+    layer = compile_weight_matrix(np.array([[w]], dtype=float), r_f, rng,
+                                  reference)
+    return layer.synapse(0, 0)
 
 
 def discrete_weight_table(
@@ -118,24 +106,14 @@ def symmetric_weight_states(n_states: int, r_f: float, rng: ResistanceRange) -> 
     return sorted(set(float(v) for v in states))
 
 
-def quantize_weight(w: float, states) -> float:
-    """Nearest member of ``states``; midpoint ties go to the smaller magnitude."""
-    arr = np.asarray(states, dtype=float)
+def quantize_weights(w: np.ndarray, states) -> np.ndarray:
+    """Nearest member of ``states`` for every weight.
+
+    At a midpoint tie the smaller magnitude wins, then the smaller value.
+    """
+    arr = np.sort(np.asarray(states, dtype=float))
     if arr.size == 0:
         raise ValueError("states must be nonempty")
-    d = np.abs(arr - w)
-    dmin = d.min()
-    candidates = arr[d <= dmin * (1 + 1e-15)]
-    if candidates.size == 1:
-        return float(candidates[0])
-    # tie: prefer the smaller |value|, then the smaller value
-    order = np.lexsort((candidates, np.abs(candidates)))
-    return float(candidates[order[0]])
-
-
-def quantize_weights(w: np.ndarray, states) -> np.ndarray:
-    """Vectorized :func:`quantize_weight` over an array of weights."""
-    arr = np.sort(np.asarray(states, dtype=float))
     flat = np.asarray(w, dtype=float).ravel()
     idx = np.searchsorted(arr, flat)
     idx = np.clip(idx, 1, len(arr) - 1) if len(arr) > 1 else np.zeros_like(idx)
@@ -188,9 +166,17 @@ class CompiledNet:
 
 def compile_weight_matrix(w: np.ndarray, r_f: float, rng: ResistanceRange,
                           reference: float | None = None) -> CompiledLayer:
-    """Vectorized resistance pairs for a whole weight matrix."""
+    """Resistance pairs realizing every weight of a matrix.
+
+    For each synapse the opposing memristor is pinned at ``reference``
+    (the top of the range by default, which maximizes the usable weight
+    span) and the other one carries the magnitude.  Negative weights
+    mirror the pair.
+    """
     w = np.asarray(w, dtype=float)
     ref = rng.r_max if reference is None else reference
+    if not (rng.r_min <= ref <= rng.r_max):
+        raise ValueError(f"reference {ref} outside range [{rng.r_min}, {rng.r_max}]")
     cap = r_f * (ref - rng.r_min) / (ref * rng.r_min)
     worst = np.abs(w).max() if w.size else 0.0
     if worst > cap * (1 + 1e-12):
@@ -227,7 +213,7 @@ def compensate_stuck(
     free one is solved from the weight equation and clamped to the
     programmable range; ``achieved_w`` is what the clamped pair actually
     realizes.  With both stuck the weight is whatever their ratio gives and
-    ``fixed`` is True so training can freeze it.
+    ``fixed`` is True: no programming can change it.
     """
     if stuck_m1 is None and stuck_m2 is None:
         syn = resistances_for_weight(target_w, r_f, rng, reference=reference)

@@ -3,8 +3,9 @@
 A 16-8-4 network with a saturating linear activation, matching the
 transfer function of the analog chain.  Training runs full-batch
 adaptive-moment gradient descent; after every epoch the weights can be
-projected onto a discrete state set and stuck synapses are pinned, so the
-result stays realizable on the arrays.
+clamped and projected onto a discrete state set, so the result stays
+realizable on the arrays.  :func:`forward_stack` is the one forward pass:
+training, the hardening panel and the Monte Carlo trials all call it.
 """
 
 from __future__ import annotations
@@ -41,9 +42,11 @@ class Activation:
     def apply(self, z: np.ndarray) -> np.ndarray:
         return np.clip(self.slope * z, self.lower, self.upper)
 
-    def derivative(self, z: np.ndarray) -> np.ndarray:
+    def derivative(self, z: np.ndarray, leak: float = 0.0) -> np.ndarray:
+        """Slope inside the linear region, ``leak * slope`` where saturated."""
         v = self.slope * np.asarray(z, dtype=float)
-        return np.where((v >= self.lower) & (v <= self.upper), self.slope, 0.0)
+        return np.where((v >= self.lower) & (v <= self.upper), self.slope,
+                        leak * self.slope)
 
 
 @dataclass
@@ -113,14 +116,27 @@ def _as_batch(x: np.ndarray) -> tuple[np.ndarray, bool]:
     return x, False
 
 
+def forward_stack(activation: Activation, x: np.ndarray,
+                  w_hidden: np.ndarray, b_hidden: np.ndarray,
+                  w_out: np.ndarray, b_out: np.ndarray) -> np.ndarray:
+    """Output ``f(f(x @ w_hidden + b_hidden) @ w_out + b_out)``.
+
+    ``x`` is a batch (H, 16).  The weights are one realization, (16, 8)
+    and (8, 4), or a stack of T realizations, (T, 16, 8) and (T, 8, 4),
+    which gives a (T, H, 4) output.  Only the output is returned, so the
+    hidden activation is freed as soon as the output layer has used it.
+    """
+    return activation.apply(
+        activation.apply(x @ w_hidden + b_hidden) @ w_out + b_out)
+
+
 def forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
     """Network output for one pattern (16,) or a batch (H, 16)."""
     xb, single = _as_batch(x)
     if xb.shape[1] != N_INPUT:
         raise ShapeMismatchError(f"expected {N_INPUT} inputs, got {xb.shape[1]}")
-    f = params.activation
-    hidden = f.apply(xb @ params.w_hidden + params.b_hidden)
-    out = f.apply(hidden @ params.w_out + params.b_out)
+    out = forward_stack(params.activation, xb, params.w_hidden,
+                        params.b_hidden, params.w_out, params.b_out)
     return out[0] if single else out
 
 
@@ -152,8 +168,14 @@ def p_err(true_labels, pred_labels) -> float:
     return 100.0 * wrong / len(true_labels)
 
 
-def gradients(params: MlpParams, x: np.ndarray, y: np.ndarray):
-    """Analytic MSE gradients; saturated units pass zero sensitivity."""
+def gradients(params: MlpParams, x: np.ndarray, y: np.ndarray,
+              leak: float = 0.0):
+    """Analytic MSE gradients.
+
+    Saturated units pass ``leak`` times the slope; ``leak=0`` is the exact
+    gradient and a positive leak is the training surrogate (see
+    :class:`TrainConfig`).
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     f = params.activation
@@ -162,8 +184,8 @@ def gradients(params: MlpParams, x: np.ndarray, y: np.ndarray):
     a1 = f.apply(z1)
     z2 = a1 @ params.w_out + params.b_out
     a2 = f.apply(z2)
-    d2 = 2.0 * (a2 - y) / h * f.derivative(z2)
-    d1 = (d2 @ params.w_out.T) * f.derivative(z1)
+    d2 = 2.0 * (a2 - y) / h * f.derivative(z2, leak)
+    d1 = (d2 @ params.w_out.T) * f.derivative(z1, leak)
     return {
         "w_hidden": x.T @ d1,
         "b_hidden": d1.sum(axis=0),
@@ -200,7 +222,6 @@ class TrainConfig:
     eps: float = 1e-8
     leak: float = 0.05
     discrete_states: np.ndarray | None = None
-    stuck: dict | None = None          # ("hidden"|"out", in_idx, out_idx) -> value
     weight_limit: float | None = None
     weight_noise: float = 0.0          # relative sigma of the jitter
     noise_offset: float = 0.0          # fixed-branch term, weight units
@@ -228,14 +249,6 @@ class TrainResult:
         return float(self.curve[-1])
 
 
-def _pin_stuck(params: MlpParams, stuck: dict | None) -> None:
-    if not stuck:
-        return
-    for (layer, i, j), value in stuck.items():
-        matrix = params.w_hidden if layer == "hidden" else params.w_out
-        matrix[i, j] = value
-
-
 def _project(params: MlpParams, cfg: TrainConfig) -> None:
     if cfg.weight_limit is not None:
         np.clip(params.w_hidden, -cfg.weight_limit, cfg.weight_limit,
@@ -245,7 +258,6 @@ def _project(params: MlpParams, cfg: TrainConfig) -> None:
     if cfg.discrete_states is not None:
         params.w_hidden = quantize_weights(params.w_hidden, cfg.discrete_states)
         params.w_out = quantize_weights(params.w_out, cfg.discrete_states)
-    _pin_stuck(params, cfg.stuck)
 
 
 def _loss(params: MlpParams, x: np.ndarray, y: np.ndarray) -> float:
@@ -253,31 +265,6 @@ def _loss(params: MlpParams, x: np.ndarray, y: np.ndarray) -> float:
     if not np.isfinite(value):
         raise NonFiniteLossError(f"loss became {value}")
     return value
-
-
-def _leaky_gradients(params: MlpParams, x: np.ndarray, y: np.ndarray,
-                     leak: float):
-    """Training surrogate: saturated units keep a small derivative."""
-    f = params.activation
-    h = x.shape[0]
-
-    def deriv(z):
-        v = f.slope * z
-        inside = (v >= f.lower) & (v <= f.upper)
-        return np.where(inside, f.slope, leak * f.slope)
-
-    z1 = x @ params.w_hidden + params.b_hidden
-    a1 = f.apply(z1)
-    z2 = a1 @ params.w_out + params.b_out
-    a2 = f.apply(z2)
-    d2 = 2.0 * (a2 - y) / h * deriv(z2)
-    d1 = (d2 @ params.w_out.T) * deriv(z1)
-    return {
-        "w_hidden": x.T @ d1,
-        "b_hidden": d1.sum(axis=0),
-        "w_out": a1.T @ d2,
-        "b_out": d2.sum(axis=0),
-    }
 
 
 _PARAM_KEYS = ("w_hidden", "b_hidden", "w_out", "b_out")
@@ -300,14 +287,12 @@ def _draw_panel(params: MlpParams, cfg: TrainConfig,
 def _panel_score(params: MlpParams, panel: dict, cfg: TrainConfig,
                  x: np.ndarray, y: np.ndarray) -> float:
     """Worst exact-model loss over the frozen perturbation panel."""
-    f = params.activation
-    w1 = params.w_hidden[None] + panel["w_hidden"] * _noise_sigma(
-        params.w_hidden, cfg)[None]
-    w2 = params.w_out[None] + panel["w_out"] * _noise_sigma(
-        params.w_out, cfg)[None]
-    hidden = f.apply(np.einsum("hi,pio->pho", x, w1) + params.b_hidden)
-    out = f.apply(np.einsum("pho,poj->phj", hidden, w2) + params.b_out)
-    return float(((out - y[None]) ** 2).sum(axis=2).mean(axis=1).max())
+    w1 = params.w_hidden + panel["w_hidden"] * _noise_sigma(params.w_hidden,
+                                                             cfg)
+    w2 = params.w_out + panel["w_out"] * _noise_sigma(params.w_out, cfg)
+    out = forward_stack(params.activation, x, w1, params.b_hidden, w2,
+                        params.b_out)
+    return float(((out - y) ** 2).sum(axis=2).mean(axis=1).max())
 
 
 def train_discrete(params: MlpParams, x: np.ndarray, y: np.ndarray,
@@ -315,11 +300,10 @@ def train_discrete(params: MlpParams, x: np.ndarray, y: np.ndarray,
                    rng: np.random.Generator | None = None) -> TrainResult:
     """Full-batch adaptive-moment descent with projection every epoch.
 
-    After each update the weights are clamped to the realizable span,
-    quantized onto the discrete state set if one is given, and stuck
-    synapses are restored, so the trajectory never leaves what the arrays
-    can express.  The recorded curve is the exact-model loss of the
-    projected network.
+    After each update the weights are clamped to the realizable span and
+    quantized onto the discrete state set if one is given, so the
+    trajectory never leaves what the arrays can express.  The recorded
+    curve is the exact-model loss of the projected network.
 
     Without weight noise the returned params are the best-loss epoch and
     the loop stops once the loss target is met.  With ``cfg.weight_noise``
@@ -352,10 +336,7 @@ def train_discrete(params: MlpParams, x: np.ndarray, y: np.ndarray,
                 setattr(at, k, w + _noise_sigma(w, cfg) * jitter)
         else:
             at = work
-        grads = _leaky_gradients(at, x, y, cfg.leak)
-        if cfg.stuck:
-            for (layer, i, j) in cfg.stuck:
-                grads["w_hidden" if layer == "hidden" else "w_out"][i, j] = 0.0
+        grads = gradients(at, x, y, cfg.leak)
         for k in _PARAM_KEYS:
             g = grads[k]
             m[k] = cfg.beta1 * m[k] + (1 - cfg.beta1) * g

@@ -22,12 +22,14 @@ from . import dataset as ds
 from . import reports
 from .crossbar import Crossbar, CrossbarConfig, program_cell, save_crossbar_csv
 from .device import DeviceParams, MemristorCell
-from .errors import ConfigError, MissingArtifactError
+from .errors import ConfigError
 from .mapping import (CompiledLayer, CompiledNet, ResistanceRange,
                       compensate_stuck, compile_network, symmetric_weight_states,
                       w_max)
 from .netmodel import (MlpParams, TrainConfig, TrainResult, evaluate, forward,
                        init_params, mse, train_discrete)
+from .reports import require_artifact
+from .stats import subseed, substream
 from .tolerance import (ExperimentPlan, analyze_tolerances, synthesize_tolerances,
                         discrete_state_sweep, tolerance_set)
 
@@ -40,15 +42,13 @@ _STREAM = {"dataset": 10, "train": 11, "program": 13, "analyze": 14,
 _TRAIN_FIELDS = {"mse_target", "max_epochs", "step", "beta1", "beta2", "eps",
                  "leak"}
 
+# Smallest accepted value of each integer setting; weight_error_bounds
+# needs 1000 trials for a stable percentile.
+_INT_MINIMA = {"trials": 1, "bounds_trials": 1000, "plan_trials": 1,
+               "threads": 0, "restarts": 1, "harden_epochs": 0}
 
-def _stage_seed(master: int, stage: str, extra: int = 0) -> int:
-    ss = np.random.SeedSequence((master, _STREAM[stage], extra))
-    return int(ss.generate_state(1, np.uint64)[0])
-
-
-def _stage_rng(master: int, stage: str, extra: int = 0) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence((master, _STREAM[stage], extra))))
+# Settings that change how or where a run executes but not what it computes.
+_UNHASHED = ("out_dir", "threads")
 
 
 @dataclass
@@ -89,7 +89,8 @@ class RunConfig:
     threads: int = 1
 
     def __post_init__(self):
-        self.out_dir = Path(self.out_dir)
+        if not isinstance(self.out_dir, Path):   # re-parsing one is slow
+            self.out_dir = Path(self.out_dir)
         rr, dp = self.resistance_range, self.device
         if rr.r_min != dp.r_lrs_nominal or rr.r_max != dp.r_hrs_nominal:
             raise ConfigError(
@@ -110,6 +111,18 @@ class RunConfig:
         for spot in self.stuck:
             if spot.get("array") not in ("hidden", "out"):
                 raise ConfigError(f"stuck entry needs array hidden|out: {spot}")
+        self.check_counts()
+
+    def check_counts(self) -> None:
+        """Raise ConfigError unless every integer setting is in range.
+
+        Also called after command-line overrides replace fields.
+        """
+        for name, least in _INT_MINIMA.items():
+            value = getattr(self, name)
+            if type(value) is not int or value < least:
+                raise ConfigError(f"{name} must be an int >= {least}, "
+                                  f"got {value!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -173,30 +186,26 @@ class RunConfig:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
 
     def config_hash(self) -> str:
-        blob = json.dumps(self.to_dict(), sort_keys=True).encode()
+        """Digest of every setting that can change the results."""
+        d = self.to_dict()
+        for name in _UNHASHED:
+            del d[name]
+        blob = json.dumps(d, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
 
 
-def _require(path: Path, hint: str) -> Path:
-    if not path.exists():
-        raise MissingArtifactError(f"{path} (run the {hint} stage first)")
-    return path
-
-
 def _load_split(run_dir: Path, name: str):
-    x, labels = ds.load_dataset_csv(_require(run_dir / "dataset" / f"{name}.csv",
-                                             "dataset"))
-    return x, labels
+    return ds.load_dataset_csv(require_artifact(run_dir, f"dataset/{name}.csv"))
 
 
 def _load_params(run_dir: Path, name: str = "params.json") -> MlpParams:
-    path = _require(run_dir / "train" / name, "train")
+    path = require_artifact(run_dir, f"train/{name}")
     with open(path) as fh:
         return MlpParams.from_dict(json.load(fh))
 
 
 def _load_compiled(run_dir: Path) -> CompiledNet:
-    path = _require(run_dir / "compile" / "compiled.json", "compile")
+    path = require_artifact(run_dir, "compile/compiled.json")
     with open(path) as fh:
         d = json.load(fh)
     return CompiledNet(
@@ -217,7 +226,7 @@ def stage_dataset(cfg: RunConfig) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     profile = (ds.load_profile(cfg.profile_path) if cfg.profile_path
                else ds.default_profile())
-    rng = _stage_rng(cfg.seed, "dataset")
+    rng = substream(cfg.seed, _STREAM["dataset"], 0)
     (x_train, y_train), (x_test, y_test) = ds.default_splits(rng, profile)
     ds.save_dataset_csv(out / "train.csv", x_train, y_train)
     ds.save_dataset_csv(out / "test.csv", x_test, y_test)
@@ -268,7 +277,7 @@ def stage_train(cfg: RunConfig) -> dict:
     y_target = ds.target_matrix(y_train)
     best = None
     for restart in range(cfg.restarts):
-        rng = _stage_rng(cfg.seed, "train", restart)
+        rng = substream(cfg.seed, _STREAM["train"], restart)
         p0 = init_params(rng)
         cont = train_discrete(p0, x_train, y_target,
                               _train_config(cfg, "continuous"))
@@ -365,7 +374,7 @@ def stage_program(cfg: RunConfig) -> dict:
     compiled = _load_compiled(cfg.out_dir)
     params = _load_params(cfg.out_dir)
     x_test, y_test = _load_split(cfg.out_dir, "test")
-    rng = _stage_rng(cfg.seed, "program")
+    rng = substream(cfg.seed, _STREAM["program"], 0)
     log_rows: list = []
     xbar_h = _program_array(cfg, "hidden", compiled.hidden, rng, log_rows)
     xbar_o = _program_array(cfg, "out", compiled.out, rng, log_rows)
@@ -406,7 +415,7 @@ def stage_analyze(cfg: RunConfig) -> dict:
                           cfg.tolerances.get("limit_sigmas", 3.0))
     report = analyze_tolerances(params, compiled, specs, x_test, y_test,
                                 cfg.x_p, cfg.trials,
-                                _stage_seed(cfg.seed, "analyze"),
+                                subseed(cfg.seed, _STREAM["analyze"], 0),
                                 bounds_trials=cfg.bounds_trials,
                                 threads=cfg.threads)
     report.save_json(out / "report.json")
@@ -439,8 +448,9 @@ def stage_synthesize(cfg: RunConfig) -> dict:
     compiled = _load_compiled(cfg.out_dir)
     x_test, y_test = _load_split(cfg.out_dir, "test")
     plan = _default_plan(cfg)
+    seed = subseed(cfg.seed, _STREAM["synthesize"], 0)
     delta = synthesize_tolerances(params, compiled, x_test, y_test, cfg.x_p,
-                                  plan, _stage_seed(cfg.seed, "synthesize"))
+                                  plan, seed)
     payload = {"delta_star": delta, "x_p": cfg.x_p,
                "plan_trials": plan.trials, "plan_points": plan.points}
     _write_json(out / "result.json", payload)

@@ -159,10 +159,13 @@ def render_sweep(results: dict, x_p: float, path) -> None:
     fig.save(path)
 
 
-def _require(run_dir: Path, rel: str) -> Path:
-    path = run_dir / rel
+def require_artifact(run_dir, rel: str) -> Path:
+    """Path of the artifact ``rel`` under ``run_dir``; raises when it is
+    missing, naming the stage that writes it (the first path component)."""
+    path = Path(run_dir) / rel
     if not path.exists():
-        raise MissingArtifactError(str(path))
+        stage = Path(rel).parts[0]
+        raise MissingArtifactError(f"{path} (run the {stage} stage first)")
     return path
 
 
@@ -170,20 +173,20 @@ def emit_report(run_dir) -> list:
     """Re-render every chart from its CSV source; purely a read-render pass."""
     run_dir = Path(run_dir)
     written = []
-    curve = read_curve_csv(_require(run_dir, CURVE_CSV))
+    curve = read_curve_csv(require_artifact(run_dir, CURVE_CSV))
     render_learning_curve(curve, run_dir / CURVE_SVG)
     written.append(run_dir / CURVE_SVG)
-    trials = read_trials_csv(_require(run_dir, TRIALS_CSV))
+    trials = read_trials_csv(require_artifact(run_dir, TRIALS_CSV))
     if trials["overall"].size == 0:
         raise MissingArtifactError(f"{run_dir / TRIALS_CSV} holds no trials")
-    with open(_require(run_dir, REPORT_JSON)) as fh:
+    with open(require_artifact(run_dir, REPORT_JSON)) as fh:
         x_p = float(json.load(fh)["x_p"])
     render_p_err_box(trials, x_p, run_dir / BOX_SVG)
     written.append(run_dir / BOX_SVG)
-    rows = read_bounds_csv(_require(run_dir, BOUNDS_CSV))
+    rows = read_bounds_csv(require_artifact(run_dir, BOUNDS_CSV))
     render_weight_bounds(rows, run_dir / BOUNDS_SVG)
     written.append(run_dir / BOUNDS_SVG)
-    sweep = read_sweep_csv(_require(run_dir, SWEEP_CSV))
+    sweep = read_sweep_csv(require_artifact(run_dir, SWEEP_CSV))
     render_sweep(sweep, x_p, run_dir / SWEEP_SVG)
     written.append(run_dir / SWEEP_SVG)
     return written

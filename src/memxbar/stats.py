@@ -1,8 +1,22 @@
-"""Small sampling helpers shared by the dataset and tolerance code."""
+"""Small sampling helpers shared by the dataset, pipeline and tolerance code.
+
+:func:`substream` and :func:`subseed` are the only places where a key of
+nonnegative ints (master seed, stream id, counters) becomes a stream.
+"""
 
 from __future__ import annotations
 
 import numpy as np
+
+
+def substream(*key: int) -> np.random.Generator:
+    """Generator for the stream identified by ``key``."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
+
+
+def subseed(*key: int) -> int:
+    """64-bit integer seed for the stream identified by ``key``."""
+    return int(np.random.SeedSequence(key).generate_state(1, np.uint64)[0])
 
 
 def truncated_normal(rng: np.random.Generator, mean, sigma, limit_sigmas: float,

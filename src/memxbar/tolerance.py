@@ -11,7 +11,6 @@ reports are reproducible bit for bit and independent of evaluation order.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 
@@ -20,8 +19,9 @@ import numpy as np
 from .errors import NoPassingPointError
 from .mapping import (CompiledNet, ResistanceRange, SynapseNominals,
                       quantize_weights, symmetric_weight_states)
-from .netmodel import LABELS, MlpParams, evaluate
-from .stats import truncated_normal
+from .netmodel import LABELS, MlpParams, evaluate, forward_stack
+from .reports import write_trials_csv
+from .stats import subseed, substream, truncated_normal
 
 PERCENTILE_PAIR = (0.05, 99.95)
 
@@ -153,20 +153,8 @@ class MonteCarloReport:
             json.dump(self.to_dict(), fh, indent=2)
 
     def save_trials_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["trial", "p_err_percent", "p_err_sites_percent",
-                             "p_err_extraneous_percent"])
-            for t in range(self.trials):
-                writer.writerow([t, repr(float(self.p_err[t])),
-                                 repr(float(self.p_err_sites[t])),
-                                 repr(float(self.p_err_extraneous[t]))])
-
-
-def _master_seed(seed) -> int:
-    if isinstance(seed, np.random.Generator):
-        return int(seed.integers(0, 2 ** 63))
-    return int(seed)
+        write_trials_csv(path, self.p_err, self.p_err_sites,
+                         self.p_err_extraneous)
 
 
 def _label_codes(labels) -> np.ndarray:
@@ -184,8 +172,7 @@ def _trial_draws(compiled: CompiledNet, specs: dict, master: int, start: int,
                     "r_f_non": np.empty((count, shp[1]))}
              for name, shp in shapes.items()}
     for k in range(count):
-        rng = np.random.Generator(np.random.PCG64(
-            np.random.SeedSequence((master, _STREAM_TRIAL, start + k))))
+        rng = substream(master, _STREAM_TRIAL, start + k)
         for name, layer in compiled.layers():
             d = draws[name]
             d["r_m1"][k] = sample_perturbed(layer.r_m1, specs["r_m1"], rng)
@@ -213,9 +200,7 @@ def _batch_p_err(net: MlpParams, w1: np.ndarray, w2: np.ndarray,
     Returns overall, per-class, sites-subset (S1..S4 pooled) and
     extraneous-subset rates per trial, all in percent.
     """
-    f = net.activation
-    hidden = f.apply(np.einsum("hi,tio->tho", x, w1) + net.b_hidden)
-    out = f.apply(np.einsum("tho,toj->thj", hidden, w2) + net.b_out)
+    out = forward_stack(net.activation, x, w1, net.b_hidden, w2, net.b_out)
     best = out.argmax(axis=2)
     pred = np.where(out.max(axis=2) > 0, best, len(LABELS) - 1)
     wrong = pred != codes[None, :]
@@ -235,7 +220,7 @@ def _batch_p_err(net: MlpParams, w1: np.ndarray, w2: np.ndarray,
 
 def analyze_tolerances(net: MlpParams, compiled: CompiledNet, specs: dict,
                        x_test: np.ndarray, labels_test, x_p: float,
-                       trials: int, seed,
+                       trials: int, seed: int,
                        bounds_trials: int = 20000,
                        percentiles: tuple[float, float] = PERCENTILE_PAIR,
                        chunk: int = 250, threads: int = 1) -> MonteCarloReport:
@@ -248,7 +233,7 @@ def analyze_tolerances(net: MlpParams, compiled: CompiledNet, specs: dict,
     Trials use counter-derived substreams, so the report is identical for
     any ``threads`` setting (0 picks the CPU count).
     """
-    master = _master_seed(seed)
+    master = int(seed)
     codes = _label_codes(labels_test)
     x_test = np.asarray(x_test, dtype=float)
     p_err_all = np.empty(trials)
@@ -288,9 +273,8 @@ def analyze_tolerances(net: MlpParams, compiled: CompiledNet, specs: dict,
         band = np.empty((n_in, n_out, 2))
         for i in range(n_in):
             for j in range(n_out):
-                rng = np.random.Generator(np.random.PCG64(
-                    np.random.SeedSequence((master, _STREAM_BOUNDS,
-                                            0 if name == "hidden" else 1, i, j))))
+                rng = substream(master, _STREAM_BOUNDS,
+                                0 if name == "hidden" else 1, i, j)
                 b = weight_error_bounds(layer.synapse(i, j), specs,
                                         bounds_trials, rng, percentiles)
                 band[i, j] = b.as_tuple()
@@ -335,20 +319,19 @@ def _specs_from_deltas(deltas: dict, limit_sigmas: float = 3.0) -> dict:
 
 def synthesize_tolerances(net: MlpParams, compiled: CompiledNet,
                           x_test: np.ndarray, labels_test, x_p: float,
-                          plan: ExperimentPlan, seed) -> dict:
+                          plan: ExperimentPlan, seed: int) -> dict:
     """Widest error limits on the plan's ray that keep the worst trial passing.
 
     Walks the schedule until the first failure, then bisects between the
     last passing and first failing vectors down to the plan resolution.
     Raises when even unperturbed operation misses the error budget.
     """
-    master = _master_seed(seed)
+    master = int(seed)
     evaluations = [0]
 
     def passes(deltas: dict) -> bool:
         evaluations[0] += 1
-        child = np.random.SeedSequence((master, _STREAM_SYNTH, evaluations[0]))
-        eval_seed = int(child.generate_state(1, np.uint64)[0])
+        eval_seed = subseed(master, _STREAM_SYNTH, evaluations[0])
         report = analyze_tolerances(
             net, compiled, _specs_from_deltas(deltas), x_test, labels_test,
             x_p, plan.trials, eval_seed, bounds_trials=1000)

@@ -8,29 +8,12 @@ compiled resistances, or analysis artifacts reads from its directory.
 import time
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 
-from memxbar.crossbar import Crossbar
-from memxbar.mapping import compile_network
 from memxbar.pipeline import (STAGES, RunConfig, _load_compiled, _load_params,
                               _load_split, run_pipeline)
 
-DEFAULT_SEED = 20260826
-
-
-def ideal_crossbars(w_hidden, w_out, config, device, rrange):
-    """Two arrays holding exact synapse nominals for the given weights."""
-    net = compile_network(w_hidden, w_out, config.r_f, rrange)
-    xbars = []
-    for _, layer in net.layers():
-        n_in, n_out = layer.r_m1.shape
-        m = np.full((config.rows, config.cols), device.r_hrs_nominal)
-        for j in range(n_out):
-            m[2 * j, :n_in] = layer.r_m1[:, j]
-            m[2 * j + 1, :n_in] = layer.r_m2[:, j]
-        xbars.append(Crossbar.from_resistances(config, device, m))
-    return xbars
+from helpers import DEFAULT_SEED
 
 
 @pytest.fixture(scope="session")

@@ -21,7 +21,7 @@ from memxbar.pipeline import RunConfig, run_pipeline
 from memxbar.reports import read_sweep_csv
 from memxbar.tolerance import tolerance_set, weight_error_bounds
 
-from conftest import ideal_crossbars
+from helpers import ideal_crossbars
 
 X_P = 5.0
 

@@ -14,7 +14,7 @@ from memxbar.errors import (BiasViolationError, InputOverrangeError,
 from memxbar.mapping import ResistanceRange, compile_network
 from memxbar.netmodel import MlpParams, forward
 
-from conftest import ideal_crossbars
+from helpers import ideal_crossbars
 
 
 def small_xbar(matrix, **cfg_kw):

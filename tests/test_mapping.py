@@ -6,8 +6,8 @@ import pytest
 from memxbar.errors import WeightOutOfRangeError
 from memxbar.mapping import (ResistanceRange, compensate_stuck,
                              compile_network, compile_weight_matrix,
-                             discrete_weight_table, quantize_weight,
-                             quantize_weights, resistances_for_weight,
+                             discrete_weight_table, quantize_weights,
+                             resistances_for_weight,
                              symmetric_weight_states, w_max,
                              weight_from_resistances)
 
@@ -54,25 +54,22 @@ def test_zero_weight_parks_both_at_reference():
 
 def test_quantize_picks_nearest():
     states = [-1.0, 0.0, 1.0, 2.0]
-    assert quantize_weight(0.4, states) == 0.0
-    assert quantize_weight(0.6, states) == 1.0
-    assert quantize_weight(5.0, states) == 2.0
-    assert quantize_weight(-3.0, states) == -1.0
+    q = quantize_weights(np.array([0.4, 0.6, 5.0, -3.0]), states)
+    assert np.array_equal(q, [0.0, 1.0, 2.0, -1.0])
 
 
 def test_quantize_midpoint_prefers_smaller_magnitude():
-    states = [0.0, 1.0]
-    assert quantize_weight(0.5, states) == 0.0
-    assert quantize_weight(-0.5, [-1.0, 0.0]) == 0.0
+    assert np.array_equal(quantize_weights(np.array([0.5]), [0.0, 1.0]), [0.0])
+    assert np.array_equal(quantize_weights(np.array([-0.5]), [-1.0, 0.0]),
+                          [0.0])
 
 
-def test_quantize_weights_matches_scalar():
-    states = symmetric_weight_states(7, R_F, RANGE)
+def test_quantize_weights_matches_brute_force():
+    states = np.array(symmetric_weight_states(7, R_F, RANGE))
     rng = np.random.default_rng(9)
     w = rng.uniform(-9, 9, size=(16, 8))
-    q = quantize_weights(w, states)
-    for idx in np.ndindex(4, 4):
-        assert q[idx] == quantize_weight(float(w[idx]), states)
+    nearest = states[np.abs(w[..., None] - states).argmin(axis=-1)]
+    assert np.array_equal(quantize_weights(w, states), nearest)
 
 
 def test_symmetric_states_mirror():

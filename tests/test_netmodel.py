@@ -6,8 +6,8 @@ import pytest
 from memxbar.errors import ShapeMismatchError
 from memxbar.mapping import ResistanceRange, symmetric_weight_states
 from memxbar.netmodel import (Activation, MlpParams, TrainConfig, classify,
-                              evaluate, forward, gradients, init_params, mse,
-                              p_err, train_discrete)
+                              evaluate, forward, forward_stack, gradients,
+                              init_params, mse, p_err, train_discrete)
 
 
 def zero_params(**kw):
@@ -20,6 +20,13 @@ def test_activation_saturates():
     z = np.array([-3.0, -0.5, 0.0, 0.5, 3.0])
     assert np.array_equal(act.apply(z), [-1.0, -0.5, 0.0, 0.5, 1.0])
     assert np.array_equal(act.derivative(z), [0.0, 1.0, 1.0, 1.0, 0.0])
+
+
+def test_leaked_derivative_is_leak_times_slope_when_saturated():
+    act = Activation(slope=2.0)
+    z = np.array([-3.0, -0.25, 0.0, 0.25, 3.0])
+    assert np.array_equal(act.derivative(z, leak=0.05),
+                          [0.05 * 2.0, 2.0, 2.0, 2.0, 0.05 * 2.0])
 
 
 def test_params_shape_checked():
@@ -37,6 +44,20 @@ def test_forward_single_and_batch_agree():
     for h in range(5):
         # batched and single matmuls may differ in the last bit
         assert np.allclose(forward(params, x[h]), batch[h], atol=1e-14)
+
+
+def test_forward_stack_equals_loop_of_forward():
+    rng = np.random.default_rng(6)
+    params = init_params(rng)
+    x = rng.uniform(0, 1, size=(7, 16))
+    w1 = params.w_hidden + rng.normal(0, 0.1, size=(5, 16, 8))
+    w2 = params.w_out + rng.normal(0, 0.1, size=(5, 8, 4))
+    stacked = forward_stack(params.activation, x, w1, params.b_hidden, w2,
+                            params.b_out)
+    assert stacked.shape == (5, 7, 4)
+    for t in range(5):
+        one = MlpParams(w1[t], params.b_hidden, w2[t], params.b_out)
+        assert np.array_equal(stacked[t], forward(one, x))
 
 
 def test_classify_reject_rule():
@@ -83,6 +104,19 @@ def test_gradients_match_finite_differences():
             assert grads[name][idx] == pytest.approx(num, abs=1e-6)
 
 
+def test_leak_changes_nothing_where_no_unit_saturates():
+    rng = np.random.default_rng(4)
+    params = init_params(rng)
+    params.w_hidden *= 0.2
+    params.w_out *= 0.2
+    x = rng.uniform(0, 0.4, size=(6, 16))
+    y = rng.uniform(-0.5, 0.5, size=(6, 4))
+    exact = gradients(params, x, y)
+    leaky = gradients(params, x, y, leak=0.05)
+    for name in exact:
+        assert np.array_equal(exact[name], leaky[name])
+
+
 def test_training_fits_a_separable_toy_problem():
     rng = np.random.default_rng(12)
     x = rng.uniform(0, 1, size=(40, 16))
@@ -115,17 +149,6 @@ def test_training_projects_onto_state_ladder():
     result = train_discrete(init_params(rng), x, y, cfg)
     for w in (result.params.w_hidden, result.params.w_out):
         assert np.isin(w, states).all()
-
-
-def test_training_pins_stuck_synapses():
-    rng = np.random.default_rng(3)
-    x = rng.uniform(0, 1, size=(20, 16))
-    y = np.tile([-1.0, 1.0, -1.0, -1.0], (20, 1))
-    stuck = {("hidden", 2, 5): 0.123, ("out", 1, 0): -0.456}
-    cfg = TrainConfig(max_epochs=150, stuck=stuck, mse_target=0.0)
-    result = train_discrete(init_params(rng), x, y, cfg)
-    assert result.params.w_hidden[2, 5] == 0.123
-    assert result.params.w_out[1, 0] == -0.456
 
 
 def test_noisy_training_needs_rng():

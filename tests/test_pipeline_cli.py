@@ -13,7 +13,7 @@ from memxbar.errors import ConfigError
 from memxbar.mapping import ResistanceRange
 from memxbar.pipeline import RunConfig, run_pipeline
 
-from conftest import DEFAULT_SEED
+from helpers import DEFAULT_SEED
 
 
 def default_cfg(out, **kw):
@@ -33,6 +33,33 @@ def test_config_hash_tracks_content(tmp_path):
     a = default_cfg(tmp_path)
     b = default_cfg(tmp_path, x_p=4.0)
     assert a.config_hash() != b.config_hash()
+
+
+def test_config_hash_ignores_out_dir_and_threads(tmp_path):
+    a = default_cfg(tmp_path / "a")
+    assert default_cfg(tmp_path / "b").config_hash() == a.config_hash()
+    assert default_cfg(tmp_path / "a", threads=4).config_hash() == \
+        a.config_hash()
+
+
+@pytest.mark.parametrize("name, value", [
+    ("trials", 0), ("trials", -5), ("trials", "abc"), ("trials", 2.5),
+    ("threads", -3), ("bounds_trials", 999), ("plan_trials", 0),
+    ("restarts", 0), ("harden_epochs", -1), ("harden_epochs", True),
+])
+def test_bad_count_setting_exits_with_config_error(tmp_path, name, value):
+    """Checked in the constructor, in a config file and after a flag."""
+    with pytest.raises(ConfigError):
+        default_cfg(tmp_path, **{name: value})
+    config = default_cfg(tmp_path / "run").to_dict()
+    config[name] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main(["--config", str(path), "--stage", "analyze"]) == EXIT_CONFIG
+    if name in ("trials", "threads") and isinstance(value, int):
+        assert main(["--out", str(tmp_path / "run"), "--seed", "1",
+                     "--stage", "analyze", f"--{name}", str(value)]) \
+            == EXIT_CONFIG
 
 
 def test_config_rejects_window_mismatch(tmp_path):
@@ -80,11 +107,7 @@ def test_pipeline_is_deterministic(default_run, tmp_path):
     """Same seed and settings in a fresh directory: identical outputs."""
     out = tmp_path / "again"
     summary = run_pipeline(default_cfg(out), "all")
-    reference = dict(default_run.summary)
-    # the hash covers out_dir, which legitimately differs
-    for d in (summary, reference):
-        d.pop("config_hash")
-    assert summary == reference
+    assert summary == default_run.summary
     for rel in ("train/params.json", "analyze/trials.csv", "sweep/sweep.csv"):
         assert (out / rel).read_bytes() == \
             (default_run.run_dir / rel).read_bytes()
