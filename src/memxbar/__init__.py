@@ -15,10 +15,10 @@ from .netmodel import (Activation, MlpParams, TrainConfig, TrainResult,
 from .dataset import (StimulusProfile, default_profile, default_splits,
                       make_split, synthesize_extraneous,
                       synthesize_stimulus_patterns, target_vector)
-from .tolerance import (ExperimentPlan, MonteCarloReport, ToleranceSpec,
-                        analyze_tolerances, discrete_state_sweep,
+from .tolerance import (ExperimentPlan, MonteCarloReport, SynthesisResult,
+                        ToleranceSpec, analyze_tolerances, discrete_state_sweep,
                         sample_perturbed, synthesize_tolerances,
-                        tolerance_set, weight_error_bounds)
+                        tolerance_set, trial_draws, weight_error_bounds)
 from .pipeline import RunConfig, run_pipeline
 from .errors import MemxbarError
 

@@ -438,7 +438,8 @@ def _default_plan(cfg: RunConfig) -> ExperimentPlan:
     if points is None:
         points = [{"r_m1": d, "r_m2": d, "r_f": r_f}
                   for d in np.arange(0.05, 0.55, 0.05).round(2)]
-    return ExperimentPlan(points=points, trials=cfg.plan_trials)
+    return ExperimentPlan(points=points, trials=cfg.plan_trials,
+                          limit_sigmas=cfg.tolerances.get("limit_sigmas", 3.0))
 
 
 def stage_synthesize(cfg: RunConfig) -> dict:
@@ -449,10 +450,11 @@ def stage_synthesize(cfg: RunConfig) -> dict:
     x_test, y_test = _load_split(cfg.out_dir, "test")
     plan = _default_plan(cfg)
     seed = subseed(cfg.seed, _STREAM["synthesize"], 0)
-    delta = synthesize_tolerances(params, compiled, x_test, y_test, cfg.x_p,
-                                  plan, seed)
-    payload = {"delta_star": delta, "x_p": cfg.x_p,
-               "plan_trials": plan.trials, "plan_points": plan.points}
+    result = synthesize_tolerances(params, compiled, x_test, y_test, cfg.x_p,
+                                   plan, seed)
+    payload = {"delta_star": result.delta_star, "x_p": cfg.x_p,
+               "plan_trials": plan.trials, "plan_points": plan.points,
+               "probes": result.probes}
     _write_json(out / "result.json", payload)
     return payload
 

@@ -6,6 +6,8 @@ nonnegative ints (master seed, stream id, counters) becomes a stream.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -31,6 +33,38 @@ def truncated_normal(rng: np.random.Generator, mean, sigma, limit_sigmas: float,
         out[bad] = rng.normal(mean[bad], sigma[bad])
         bad = np.abs(out - mean) > bound
     return out
+
+
+def clopper_pearson_upper(k: int, n: int, confidence: float = 0.95) -> float:
+    """One-sided Clopper-Pearson upper bound on a binomial probability.
+
+    The p at which ``k`` or fewer events in ``n`` trials have probability
+    ``1 - confidence``, found by bisection on the binomial CDF.  For
+    ``k = 0`` it is ``1 - (1 - confidence) ** (1 / n)``.
+    """
+    if not 0 <= k <= n or n < 1:
+        raise ValueError(f"need 0 <= k <= n and n >= 1, got k={k}, n={n}")
+    if k == n:
+        return 1.0
+    alpha = 1.0 - confidence
+    i = np.arange(k + 1)
+    log_choose = np.array([math.lgamma(n + 1) - math.lgamma(j + 1)
+                           - math.lgamma(n - j + 1) for j in range(k + 1)])
+
+    def cdf(p: float) -> float:
+        terms = log_choose + i * math.log(p) + (n - i) * math.log1p(-p)
+        top = terms.max()
+        return math.exp(top) * float(np.exp(terms - top).sum())
+
+    lo, hi = 0.0, 1.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return hi
+        if cdf(mid) > alpha:
+            lo = mid
+        else:
+            hi = mid
 
 
 def quantize_half_up(values: np.ndarray, step: float) -> np.ndarray:

@@ -5,8 +5,19 @@ summing amplifier) are perturbed with truncated normal errors, weights are
 rebuilt from the perturbed values, and the error rate on a held-out set is
 evaluated per trial.  Analysis checks the worst trial against a permitted
 error level; synthesis searches for the widest error limits that still
-pass.  Every trial draws from its own counter-derived substream, so
-reports are reproducible bit for bit and independent of evaluation order.
+pass.
+
+Each trial draws its randomness once, in standard units: one truncated
+normal call on the trial's own counter-derived substream gives one value
+``z`` per perturbed part (344 for the 16-8-4 network), truncated at the
+part's ``limit_sigmas``, and the part's value is
+``nominal * (1 + spec.sigma * z)``.  So reports are reproducible bit for
+bit, independent of chunk size and thread count, and ``z`` does not
+depend on any error limit.  Synthesis draws ``z`` once and every probe
+reuses it (common random numbers), so probes at different limits score
+the same trials and the bisection compares limits, not noise.  A probe
+scores chunks in trial order, stops after the first chunk whose worst
+trial misses the budget, and computes no weight-error bands.
 """
 
 from __future__ import annotations
@@ -21,13 +32,12 @@ from .mapping import (CompiledNet, ResistanceRange, SynapseNominals,
                       quantize_weights, symmetric_weight_states)
 from .netmodel import LABELS, MlpParams, evaluate, forward_stack
 from .reports import write_trials_csv
-from .stats import subseed, substream, truncated_normal
+from .stats import clopper_pearson_upper, substream, truncated_normal
 
 PERCENTILE_PAIR = (0.05, 99.95)
 
 _STREAM_TRIAL = 0
 _STREAM_BOUNDS = 1
-_STREAM_SYNTH = 2
 
 
 @dataclass(frozen=True)
@@ -130,6 +140,11 @@ class MonteCarloReport:
         return float(self.p_err.max())
 
     @property
+    def failures(self) -> int:
+        """Trials whose error rate exceeds the budget."""
+        return int((self.p_err > self.x_p).sum())
+
+    @property
     def subset_max(self) -> dict:
         return {"sites": float(self.p_err_sites.max()),
                 "extraneous": float(self.p_err_extraneous.max())}
@@ -146,6 +161,8 @@ class MonteCarloReport:
             "mean_p_err": float(self.p_err.mean()),
             "weight_bounds": {k: v.tolist() for k, v in self.weight_bounds.items()},
             "passed": self.passed,
+            "failures": self.failures,
+            "p_fail_upper95": clopper_pearson_upper(self.failures, self.trials),
         }
 
     def save_json(self, path) -> None:
@@ -162,35 +179,60 @@ def _label_codes(labels) -> np.ndarray:
     return np.array([index[lb] for lb in labels], dtype=np.intp)
 
 
-def _trial_draws(compiled: CompiledNet, specs: dict, master: int, start: int,
-                 count: int):
-    """Stacked perturbed resistances for trials [start, start+count)."""
-    shapes = {name: layer.r_m1.shape for name, layer in compiled.layers()}
-    draws = {name: {"r_m1": np.empty((count,) + shp),
-                    "r_m2": np.empty((count,) + shp),
-                    "r_f_inv": np.empty((count, shp[1])),
-                    "r_f_non": np.empty((count, shp[1]))}
-             for name, shp in shapes.items()}
+def _columns(compiled: CompiledNet, specs: dict):
+    """Nominal value, sigma and truncation limit of every perturbed part.
+
+    Column order per layer: the r_m1 cells and the r_m2 cells (row-major),
+    then one feedback resistor per summing amplifier, i.e. per row, for
+    the inverting and for the non-inverting rows of the pairs.
+    """
+    blocks = []
+    for _, layer in compiled.layers():
+        n_out = layer.r_m1.shape[1]
+        blocks += [("r_m1", layer.r_m1.ravel()), ("r_m2", layer.r_m2.ravel()),
+                   ("r_f", np.full(n_out, layer.r_f)),
+                   ("r_f", np.full(n_out, layer.r_f))]
+    parts = [specs[comp] for comp, _ in blocks]
+    sizes = [values.size for _, values in blocks]
+    return (np.concatenate([values for _, values in blocks]),
+            np.repeat([spec.sigma for spec in parts], sizes),
+            np.repeat([spec.limit_sigmas for spec in parts], sizes))
+
+
+def trial_draws(compiled: CompiledNet, specs: dict, seed: int, start: int,
+                count: int) -> np.ndarray:
+    """Standard draws ``z`` of trials [start, start+count), one row each.
+
+    A row holds one value per perturbed part, in the column order of
+    ``_columns``, truncated at the part's ``limit_sigmas``; it comes from
+    one call on the trial's own substream and does not depend on any
+    ``delta``.
+    """
+    master = int(seed)
+    limit = _columns(compiled, specs)[2]
+    z = np.empty((count, limit.size))
     for k in range(count):
-        rng = substream(master, _STREAM_TRIAL, start + k)
-        for name, layer in compiled.layers():
-            d = draws[name]
-            d["r_m1"][k] = sample_perturbed(layer.r_m1, specs["r_m1"], rng)
-            d["r_m2"][k] = sample_perturbed(layer.r_m2, specs["r_m2"], rng)
-            # one feedback resistor per summing amplifier, i.e. per row;
-            # the inverting and non-inverting rows of a pair draw separately
-            n_out = layer.r_m1.shape[1]
-            d["r_f_inv"][k] = sample_perturbed(np.full(n_out, layer.r_f),
-                                               specs["r_f"], rng)
-            d["r_f_non"][k] = sample_perturbed(np.full(n_out, layer.r_f),
-                                               specs["r_f"], rng)
-    return draws
+        z[k] = truncated_normal(substream(master, _STREAM_TRIAL, start + k),
+                                0.0, 1.0, limit, limit.size)
+    return z
 
 
-def _perturbed_weights(draws: dict, name: str) -> np.ndarray:
-    d = draws[name]
-    return (d["r_f_inv"][:, None, :] / d["r_m1"]
-            - d["r_f_non"][:, None, :] / d["r_m2"])
+def _perturbed_weights(compiled: CompiledNet, specs: dict, z: np.ndarray):
+    """Hidden and output weight stacks of the trials whose draws are ``z``."""
+    nominal, sigma, _ = _columns(compiled, specs)
+    r = nominal * (1.0 + sigma * z)
+    stacks, col = [], 0
+    for _, layer in compiled.layers():
+        n_in, n_out = layer.r_m1.shape
+        cells = n_in * n_out
+        r_m1, r_m2, r_f_inv, r_f_non = np.split(
+            r[:, col:col + 2 * (cells + n_out)],
+            [cells, 2 * cells, 2 * cells + n_out], axis=1)
+        col += 2 * (cells + n_out)
+        shape = (len(z), n_in, n_out)
+        stacks.append(r_f_inv[:, None, :] / r_m1.reshape(shape)
+                      - r_f_non[:, None, :] / r_m2.reshape(shape))
+    return stacks
 
 
 def _batch_p_err(net: MlpParams, w1: np.ndarray, w2: np.ndarray,
@@ -218,22 +260,49 @@ def _batch_p_err(net: MlpParams, w1: np.ndarray, w2: np.ndarray,
     return overall, per_class, sites, extraneous
 
 
+def _weight_bands(compiled: CompiledNet, specs: dict, master: int,
+                  trials: int, percentiles: tuple[float, float]) -> dict:
+    """Per-synapse weight-error bands, layer -> (in, out, 2) array."""
+    bounds = {}
+    for name, layer in compiled.layers():
+        n_in, n_out = layer.r_m1.shape
+        band = np.empty((n_in, n_out, 2))
+        for i in range(n_in):
+            for j in range(n_out):
+                rng = substream(master, _STREAM_BOUNDS,
+                                0 if name == "hidden" else 1, i, j)
+                b = weight_error_bounds(layer.synapse(i, j), specs, trials,
+                                        rng, percentiles)
+                band[i, j] = b.as_tuple()
+        bounds[name] = band
+    return bounds
+
+
 def analyze_tolerances(net: MlpParams, compiled: CompiledNet, specs: dict,
                        x_test: np.ndarray, labels_test, x_p: float,
                        trials: int, seed: int,
                        bounds_trials: int = 20000,
                        percentiles: tuple[float, float] = PERCENTILE_PAIR,
-                       chunk: int = 250, threads: int = 1) -> MonteCarloReport:
+                       chunk: int = 250, threads: int = 1,
+                       probe_z: np.ndarray | None = None) -> MonteCarloReport:
     """Monte Carlo pass/fail of the compiled network against an error budget.
 
-    Every trial redraws all memristor and feedback resistances, rebuilds
+    Every trial perturbs all memristor and feedback resistances, rebuilds
     the weight matrices, and scores the test set.  The report carries the
     full trial distribution, per-class worst cases, and per-synapse weight
     error bands; ``passed`` compares the worst trial against ``x_p``.
     Trials use counter-derived substreams, so the report is identical for
-    any ``threads`` setting (0 picks the CPU count).
+    any ``threads`` setting (0 picks the CPU count) and chunk size.
+
+    A synthesis probe passes ``probe_z``, the ``trial_draws`` of all
+    ``trials`` trials, shared by every probe of one search.  It is scored
+    serially, chunk by chunk in trial order, and stops after the first
+    chunk whose worst trial exceeds ``x_p``; its report covers only the
+    trials scored and has no weight-error bands.
     """
     master = int(seed)
+    if probe_z is not None and len(probe_z) != trials:
+        raise ValueError(f"probe_z has {len(probe_z)} rows for {trials} trials")
     codes = _label_codes(labels_test)
     x_test = np.asarray(x_test, dtype=float)
     p_err_all = np.empty(trials)
@@ -242,11 +311,11 @@ def analyze_tolerances(net: MlpParams, compiled: CompiledNet, specs: dict,
     class_trials = {label: np.empty(trials) for label in LABELS}
     seen_classes = set()
 
-    def run_chunk(start: int) -> None:
+    def run_chunk(start: int) -> float:
         count = min(chunk, trials - start)
-        draws = _trial_draws(compiled, specs, master, start, count)
-        w1 = _perturbed_weights(draws, "hidden")
-        w2 = _perturbed_weights(draws, "out")
+        z = (trial_draws(compiled, specs, master, start, count)
+             if probe_z is None else probe_z[start:start + count])
+        w1, w2 = _perturbed_weights(compiled, specs, z)
         overall, per_class, sites, extraneous = _batch_p_err(
             net, w1, w2, x_test, codes)
         p_err_all[start:start + count] = overall
@@ -255,9 +324,18 @@ def analyze_tolerances(net: MlpParams, compiled: CompiledNet, specs: dict,
         for label, values in per_class.items():
             class_trials[label][start:start + count] = values
             seen_classes.add(label)
+        return float(overall.max())
 
     starts = range(0, trials, chunk)
-    if threads == 1:
+    if probe_z is not None:
+        for start in starts:
+            if run_chunk(start) > x_p:
+                trials = min(start + chunk, trials)
+                break
+        p_err_all, p_sites, p_extraneous = (
+            p_err_all[:trials], p_sites[:trials], p_extraneous[:trials])
+        class_trials = {k: v[:trials] for k, v in class_trials.items()}
+    elif threads == 1:
         for start in starts:
             run_chunk(start)
     else:
@@ -267,18 +345,8 @@ def analyze_tolerances(net: MlpParams, compiled: CompiledNet, specs: dict,
         with concurrent.futures.ThreadPoolExecutor(workers) as pool:
             list(pool.map(run_chunk, starts))
     lo, mid, hi = np.percentile(p_err_all, (percentiles[0], 50.0, percentiles[1]))
-    bounds = {}
-    for name, layer in compiled.layers():
-        n_in, n_out = layer.r_m1.shape
-        band = np.empty((n_in, n_out, 2))
-        for i in range(n_in):
-            for j in range(n_out):
-                rng = substream(master, _STREAM_BOUNDS,
-                                0 if name == "hidden" else 1, i, j)
-                b = weight_error_bounds(layer.synapse(i, j), specs,
-                                        bounds_trials, rng, percentiles)
-                band[i, j] = b.as_tuple()
-        bounds[name] = band
+    bounds = ({} if probe_z is not None else
+              _weight_bands(compiled, specs, master, bounds_trials, percentiles))
     return MonteCarloReport(
         trials=trials, x_p=x_p, master_seed=master, p_err=p_err_all,
         p_err_sites=p_sites, p_err_extraneous=p_extraneous,
@@ -298,6 +366,7 @@ class ExperimentPlan:
     points: list = field(default_factory=list)   # dicts component -> delta
     trials: int = 1000
     resolution: float = 0.01                     # finest delta step to resolve
+    limit_sigmas: float = 3.0                    # truncation of every probe
 
     def __post_init__(self):
         if not self.points:
@@ -309,32 +378,43 @@ class ExperimentPlan:
             if any(b[k] < a[k] for k in keys):
                 raise ValueError("points must be componentwise nondecreasing")
 
+    def specs(self, deltas: dict) -> dict:
+        """Specs of one probe: ``deltas`` per component, 0 where missing."""
+        return {comp: ToleranceSpec(comp, float(deltas.get(comp, 0.0)),
+                                    self.limit_sigmas)
+                for comp in ("r_m1", "r_m2", "r_f")}
 
-def _specs_from_deltas(deltas: dict, limit_sigmas: float = 3.0) -> dict:
-    out = {}
-    for comp in ("r_m1", "r_m2", "r_f"):
-        out[comp] = ToleranceSpec(comp, float(deltas.get(comp, 0.0)), limit_sigmas)
-    return out
+
+@dataclass
+class SynthesisResult:
+    """Widest passing error limits and the probes that found them."""
+
+    delta_star: dict
+    probes: list        # in order: deltas, trials scored, max_p_err, passed
 
 
 def synthesize_tolerances(net: MlpParams, compiled: CompiledNet,
                           x_test: np.ndarray, labels_test, x_p: float,
-                          plan: ExperimentPlan, seed: int) -> dict:
+                          plan: ExperimentPlan, seed: int) -> SynthesisResult:
     """Widest error limits on the plan's ray that keep the worst trial passing.
 
     Walks the schedule until the first failure, then bisects between the
     last passing and first failing vectors down to the plan resolution.
-    Raises when even unperturbed operation misses the error budget.
+    Every probe scores the same ``plan.trials`` trials, drawn once from
+    ``seed``.  Raises when even unperturbed operation misses the error
+    budget.
     """
     master = int(seed)
-    evaluations = [0]
+    z = trial_draws(compiled, plan.specs({}), master, 0, plan.trials)
+    probes = []
 
     def passes(deltas: dict) -> bool:
-        evaluations[0] += 1
-        eval_seed = subseed(master, _STREAM_SYNTH, evaluations[0])
         report = analyze_tolerances(
-            net, compiled, _specs_from_deltas(deltas), x_test, labels_test,
-            x_p, plan.trials, eval_seed, bounds_trials=1000)
+            net, compiled, plan.specs(deltas), x_test, labels_test, x_p,
+            plan.trials, master, probe_z=z)
+        probes.append({"deltas": dict(deltas), "trials": report.trials,
+                       "max_p_err": report.max_p_err,
+                       "passed": report.passed})
         return report.passed
 
     zero = {k: 0.0 for k in plan.points[0]}
@@ -351,7 +431,7 @@ def synthesize_tolerances(net: MlpParams, compiled: CompiledNet,
             failing = point
             break
     if failing is None:
-        return dict(best)
+        return SynthesisResult(dict(best), probes)
     a = {k: float(best[k]) for k in best}
     b = {k: float(failing[k]) for k in failing}
     while max(b[k] - a[k] for k in a) > plan.resolution:
@@ -360,7 +440,7 @@ def synthesize_tolerances(net: MlpParams, compiled: CompiledNet,
             a = mid
         else:
             b = mid
-    return a
+    return SynthesisResult(a, probes)
 
 
 def discrete_state_sweep(net: MlpParams, x_test: np.ndarray, labels_test,

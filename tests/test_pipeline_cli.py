@@ -113,6 +113,19 @@ def test_pipeline_is_deterministic(default_run, tmp_path):
             (default_run.run_dir / rel).read_bytes()
 
 
+def test_synthesis_records_its_probes(default_run):
+    with open(default_run.run_dir / "synthesize" / "result.json") as fh:
+        result = json.load(fh)
+    probes = result["probes"]
+    assert probes[0]["deltas"] == {k: 0.0 for k in result["delta_star"]}
+    assert all(p["passed"] == (p["max_p_err"] <= result["x_p"])
+               for p in probes)
+    passing = [p for p in probes if p["passed"]]
+    assert passing[-1]["deltas"] == result["delta_star"]
+    assert all(p["trials"] == result["plan_trials"] for p in passing)
+    assert all(1 <= p["trials"] <= result["plan_trials"] for p in probes)
+
+
 def test_stage_rerun_from_artifacts(default_run):
     """A single stage re-executed on persisted artifacts changes nothing."""
     before = (default_run.run_dir / "summary.json").read_text()

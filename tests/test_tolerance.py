@@ -3,14 +3,16 @@
 import numpy as np
 import pytest
 
+from memxbar import tolerance
 from memxbar.errors import NoPassingPointError
 from memxbar.mapping import ResistanceRange, SynapseNominals
 from memxbar.netmodel import evaluate
-from memxbar.pipeline import _load_params
+from memxbar.pipeline import RunConfig, _default_plan, _load_params
+from memxbar.stats import clopper_pearson_upper
 from memxbar.tolerance import (ExperimentPlan, ToleranceSpec,
                                analyze_tolerances, discrete_state_sweep,
                                sample_perturbed, synthesize_tolerances,
-                               tolerance_set, weight_error_bounds)
+                               tolerance_set, trial_draws, weight_error_bounds)
 
 
 def test_tolerance_spec_validation():
@@ -98,6 +100,13 @@ def test_analysis_is_thread_invariant(small_mc):
     assert serial.to_dict() == threaded.to_dict()
 
 
+def test_analysis_is_chunk_invariant(small_mc):
+    # 200 trials are one chunk of 200; 500 trials are chunks of 250 and 250
+    short = small_mc(trials=200)
+    long = small_mc(trials=500)
+    assert np.array_equal(short.p_err, long.p_err[:200])
+
+
 def test_analysis_zero_deltas_degenerate(small_mc, default_net,
                                          default_test_split):
     x_test, y_test = default_test_split
@@ -122,6 +131,63 @@ def test_wider_limits_hurt(small_mc):
     assert wide.max_p_err >= tight.max_p_err
 
 
+@pytest.fixture(scope="module")
+def probe(default_net, default_compiled, default_test_split):
+    """One synthesis probe at the small_mc seed."""
+    x_test, y_test = default_test_split
+
+    def run(specs, trials, seed=1234):
+        z = trial_draws(default_compiled, specs, seed, 0, trials)
+        return analyze_tolerances(default_net, default_compiled, specs,
+                                  x_test, y_test, x_p=5.0, trials=trials,
+                                  seed=seed, probe_z=z)
+
+    return run
+
+
+@pytest.mark.parametrize("r_m, passes", [(0.1, True), (0.63, False)])
+def test_probe_verdict_matches_full_analysis(small_mc, probe, r_m, passes):
+    specs = tolerance_set(r_m, 0.01)
+    full = small_mc(specs=specs, trials=500)
+    early = probe(specs, 500)
+    assert full.passed is early.passed is passes
+    assert np.array_equal(early.p_err, full.p_err[:early.trials])
+    assert early.weight_bounds == {}
+    if passes:
+        assert early.trials == 500
+    else:
+        # stopped after the first chunk of 250 with a failing trial
+        assert early.trials % 250 == 0 and early.trials <= 500
+        assert early.p_err[early.trials - 250:].max() > 5.0
+        assert early.p_err[:early.trials - 250].max(initial=0.0) <= 5.0
+
+
+def test_probes_at_same_deltas_are_identical(probe):
+    specs = tolerance_set(0.3, 0.01)
+    a, b = probe(specs, 300), probe(specs, 300)
+    assert np.array_equal(a.p_err, b.p_err)
+    assert a.to_dict() == b.to_dict()
+
+
+def test_probe_draws_must_cover_the_trials(default_net, default_compiled,
+                                           default_test_split):
+    x_test, y_test = default_test_split
+    z = trial_draws(default_compiled, tolerance_set(), 1, 0, 10)
+    with pytest.raises(ValueError):
+        analyze_tolerances(default_net, default_compiled, tolerance_set(),
+                           x_test, y_test, x_p=5.0, trials=20, seed=1,
+                           probe_z=z)
+
+
+def test_trial_draws_are_standard_and_truncated(default_compiled):
+    specs = tolerance_set(0.2, 0.01, limit_sigmas=2.0)
+    z = trial_draws(default_compiled, specs, 5, 0, 40)
+    assert z.shape == (40, 2 * (16 * 8 + 8 * 4) + 2 * (8 + 4))
+    assert np.abs(z).max() <= 2.0
+    assert np.array_equal(z[10:], trial_draws(default_compiled, specs, 5,
+                                              10, 30))
+
+
 def test_report_round_trip(small_mc, tmp_path):
     report = small_mc(trials=50)
     report.save_json(tmp_path / "report.json")
@@ -131,6 +197,9 @@ def test_report_round_trip(small_mc, tmp_path):
     assert loaded["max_p_err"] == report.max_p_err
     assert loaded["subset_max"] == report.subset_max
     assert set(loaded["per_class_max"]) == {"S1", "S2", "S3", "S4", "Sr"}
+    assert loaded["failures"] == int((report.p_err > 5.0).sum())
+    assert loaded["p_fail_upper95"] == clopper_pearson_upper(
+        loaded["failures"], 50)
 
 
 def test_experiment_plan_validation():
@@ -151,6 +220,27 @@ def test_synthesis_raises_when_budget_unreachable(default_net,
     with pytest.raises(NoPassingPointError):
         synthesize_tolerances(default_net, default_compiled, x_test, y_test,
                               x_p=0.0, plan=plan, seed=9)
+
+
+def test_synthesis_probes_use_configured_limit_sigmas(
+        monkeypatch, tmp_path, default_net, default_compiled,
+        default_test_split):
+    cfg = RunConfig(seed=3, out_dir=tmp_path, plan_trials=20,
+                    tolerances={"r_m": 0.2, "r_f": 0.01, "limit_sigmas": 2.0})
+    plan = _default_plan(cfg)
+    seen = []
+    real = tolerance.analyze_tolerances
+
+    def spy(net, compiled, specs, *args, **kwargs):
+        seen.append(specs)
+        return real(net, compiled, specs, *args, **kwargs)
+
+    monkeypatch.setattr(tolerance, "analyze_tolerances", spy)
+    x_test, y_test = default_test_split
+    result = synthesize_tolerances(default_net, default_compiled, x_test,
+                                   y_test, x_p=5.0, plan=plan, seed=3)
+    assert len(seen) == len(result.probes) > 1
+    assert {s.limit_sigmas for specs in seen for s in specs.values()} == {2.0}
 
 
 def test_sweep_many_states_matches_continuous(default_run, default_test_split):
