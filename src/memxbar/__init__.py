@@ -18,7 +18,7 @@ from .dataset import (StimulusProfile, default_profile, default_splits,
 from .tolerance import (ExperimentPlan, MonteCarloReport, SynthesisResult,
                         ToleranceSpec, analyze_tolerances, discrete_state_sweep,
                         sample_perturbed, synthesize_tolerances,
-                        tolerance_set, trial_draws, weight_error_bounds)
+                        tolerance_set, weight_error_bounds)
 from .pipeline import RunConfig, run_pipeline
 from .errors import MemxbarError
 

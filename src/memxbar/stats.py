@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 
+CP_ALPHA = 0.05         # clopper_pearson_upper gives a one-sided 95 % bound
+
 
 def substream(*key: int) -> np.random.Generator:
     """Generator for the stream identified by ``key``."""
@@ -35,18 +37,17 @@ def truncated_normal(rng: np.random.Generator, mean, sigma, limit_sigmas: float,
     return out
 
 
-def clopper_pearson_upper(k: int, n: int, confidence: float = 0.95) -> float:
-    """One-sided Clopper-Pearson upper bound on a binomial probability.
+def clopper_pearson_upper(k: int, n: int) -> float:
+    """One-sided 95 % Clopper-Pearson upper bound on a binomial probability.
 
     The p at which ``k`` or fewer events in ``n`` trials have probability
-    ``1 - confidence``, found by bisection on the binomial CDF.  For
-    ``k = 0`` it is ``1 - (1 - confidence) ** (1 / n)``.
+    ``CP_ALPHA``, found by bisection on the binomial CDF.  For ``k = 0`` it
+    is ``1 - CP_ALPHA ** (1 / n)``.
     """
     if not 0 <= k <= n or n < 1:
         raise ValueError(f"need 0 <= k <= n and n >= 1, got k={k}, n={n}")
     if k == n:
         return 1.0
-    alpha = 1.0 - confidence
     i = np.arange(k + 1)
     log_choose = np.array([math.lgamma(n + 1) - math.lgamma(j + 1)
                            - math.lgamma(n - j + 1) for j in range(k + 1)])
@@ -61,7 +62,7 @@ def clopper_pearson_upper(k: int, n: int, confidence: float = 0.95) -> float:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
             return hi
-        if cdf(mid) > alpha:
+        if cdf(mid) > CP_ALPHA:
             lo = mid
         else:
             hi = mid

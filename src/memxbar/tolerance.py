@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -179,8 +180,16 @@ def _label_codes(labels) -> np.ndarray:
     return np.array([index[lb] for lb in labels], dtype=np.intp)
 
 
-def _columns(compiled: CompiledNet, specs: dict):
-    """Nominal value, sigma and truncation limit of every perturbed part.
+class _Columns(NamedTuple):
+    """Nominal value, sigma and truncation limit of every perturbed part."""
+
+    nominal: np.ndarray
+    sigma: np.ndarray
+    limit: np.ndarray            # in standard deviations
+
+
+def _columns(compiled: CompiledNet, specs: dict) -> _Columns:
+    """Per-part values, one column per perturbed part.
 
     Column order per layer: the r_m1 cells and the r_m2 cells (row-major),
     then one feedback resistor per summing amplifier, i.e. per row, for
@@ -194,33 +203,38 @@ def _columns(compiled: CompiledNet, specs: dict):
                    ("r_f", np.full(n_out, layer.r_f))]
     parts = [specs[comp] for comp, _ in blocks]
     sizes = [values.size for _, values in blocks]
-    return (np.concatenate([values for _, values in blocks]),
-            np.repeat([spec.sigma for spec in parts], sizes),
-            np.repeat([spec.limit_sigmas for spec in parts], sizes))
+    return _Columns(np.concatenate([values for _, values in blocks]),
+                    np.repeat([spec.sigma for spec in parts], sizes),
+                    np.repeat([spec.limit_sigmas for spec in parts], sizes))
 
 
-def trial_draws(compiled: CompiledNet, specs: dict, seed: int, start: int,
-                count: int) -> np.ndarray:
+@dataclass(frozen=True)
+class TrialDraws:
+    """Standard draws of consecutive trials and the limits they obey."""
+
+    z: np.ndarray                # (trials, parts), one row per trial
+    limit: np.ndarray            # (parts,) truncation of each column
+
+
+def trial_draws(limit: np.ndarray, seed: int, start: int,
+                count: int) -> TrialDraws:
     """Standard draws ``z`` of trials [start, start+count), one row each.
 
-    A row holds one value per perturbed part, in the column order of
-    ``_columns``, truncated at the part's ``limit_sigmas``; it comes from
-    one call on the trial's own substream and does not depend on any
-    ``delta``.
+    Column ``j`` is truncated at ``limit[j]`` standard deviations, the
+    ``_columns`` limit of its part.  A row comes from one call on the
+    trial's own substream and does not depend on any ``delta``.
     """
     master = int(seed)
-    limit = _columns(compiled, specs)[2]
     z = np.empty((count, limit.size))
     for k in range(count):
         z[k] = truncated_normal(substream(master, _STREAM_TRIAL, start + k),
                                 0.0, 1.0, limit, limit.size)
-    return z
+    return TrialDraws(z, limit)
 
 
-def _perturbed_weights(compiled: CompiledNet, specs: dict, z: np.ndarray):
+def _perturbed_weights(compiled: CompiledNet, cols: _Columns, z: np.ndarray):
     """Hidden and output weight stacks of the trials whose draws are ``z``."""
-    nominal, sigma, _ = _columns(compiled, specs)
-    r = nominal * (1.0 + sigma * z)
+    r = cols.nominal * (1.0 + cols.sigma * z)
     stacks, col = [], 0
     for _, layer in compiled.layers():
         n_in, n_out = layer.r_m1.shape
@@ -284,7 +298,7 @@ def analyze_tolerances(net: MlpParams, compiled: CompiledNet, specs: dict,
                        bounds_trials: int = 20000,
                        percentiles: tuple[float, float] = PERCENTILE_PAIR,
                        chunk: int = 250, threads: int = 1,
-                       probe_z: np.ndarray | None = None) -> MonteCarloReport:
+                       probe: TrialDraws | None = None) -> MonteCarloReport:
     """Monte Carlo pass/fail of the compiled network against an error budget.
 
     Every trial perturbs all memristor and feedback resistances, rebuilds
@@ -294,15 +308,20 @@ def analyze_tolerances(net: MlpParams, compiled: CompiledNet, specs: dict,
     Trials use counter-derived substreams, so the report is identical for
     any ``threads`` setting (0 picks the CPU count) and chunk size.
 
-    A synthesis probe passes ``probe_z``, the ``trial_draws`` of all
-    ``trials`` trials, shared by every probe of one search.  It is scored
+    A synthesis probe passes ``probe``, the ``trial_draws`` of all
+    ``trials`` trials, shared by every probe of one search; they must have
+    been drawn at the truncation limits of ``specs``.  A probe is scored
     serially, chunk by chunk in trial order, and stops after the first
     chunk whose worst trial exceeds ``x_p``; its report covers only the
     trials scored and has no weight-error bands.
     """
     master = int(seed)
-    if probe_z is not None and len(probe_z) != trials:
-        raise ValueError(f"probe_z has {len(probe_z)} rows for {trials} trials")
+    cols = _columns(compiled, specs)
+    if probe is not None:
+        if len(probe.z) != trials:
+            raise ValueError(f"probe has {len(probe.z)} trials, not {trials}")
+        if not np.array_equal(probe.limit, cols.limit):
+            raise ValueError("probe was drawn at other limits than specs")
     codes = _label_codes(labels_test)
     x_test = np.asarray(x_test, dtype=float)
     p_err_all = np.empty(trials)
@@ -313,9 +332,9 @@ def analyze_tolerances(net: MlpParams, compiled: CompiledNet, specs: dict,
 
     def run_chunk(start: int) -> float:
         count = min(chunk, trials - start)
-        z = (trial_draws(compiled, specs, master, start, count)
-             if probe_z is None else probe_z[start:start + count])
-        w1, w2 = _perturbed_weights(compiled, specs, z)
+        z = (trial_draws(cols.limit, master, start, count).z
+             if probe is None else probe.z[start:start + count])
+        w1, w2 = _perturbed_weights(compiled, cols, z)
         overall, per_class, sites, extraneous = _batch_p_err(
             net, w1, w2, x_test, codes)
         p_err_all[start:start + count] = overall
@@ -327,7 +346,7 @@ def analyze_tolerances(net: MlpParams, compiled: CompiledNet, specs: dict,
         return float(overall.max())
 
     starts = range(0, trials, chunk)
-    if probe_z is not None:
+    if probe is not None:
         for start in starts:
             if run_chunk(start) > x_p:
                 trials = min(start + chunk, trials)
@@ -345,7 +364,7 @@ def analyze_tolerances(net: MlpParams, compiled: CompiledNet, specs: dict,
         with concurrent.futures.ThreadPoolExecutor(workers) as pool:
             list(pool.map(run_chunk, starts))
     lo, mid, hi = np.percentile(p_err_all, (percentiles[0], 50.0, percentiles[1]))
-    bounds = ({} if probe_z is not None else
+    bounds = ({} if probe is not None else
               _weight_bands(compiled, specs, master, bounds_trials, percentiles))
     return MonteCarloReport(
         trials=trials, x_p=x_p, master_seed=master, p_err=p_err_all,
@@ -405,13 +424,14 @@ def synthesize_tolerances(net: MlpParams, compiled: CompiledNet,
     budget.
     """
     master = int(seed)
-    z = trial_draws(compiled, plan.specs({}), master, 0, plan.trials)
+    draws = trial_draws(_columns(compiled, plan.specs({})).limit, master, 0,
+                        plan.trials)
     probes = []
 
     def passes(deltas: dict) -> bool:
         report = analyze_tolerances(
             net, compiled, plan.specs(deltas), x_test, labels_test, x_p,
-            plan.trials, master, probe_z=z)
+            plan.trials, master, probe=draws)
         probes.append({"deltas": dict(deltas), "trials": report.trials,
                        "max_p_err": report.max_p_err,
                        "passed": report.passed})

@@ -131,16 +131,21 @@ def test_wider_limits_hurt(small_mc):
     assert wide.max_p_err >= tight.max_p_err
 
 
+def limits(compiled, specs):
+    """Per-part truncation limits, the columns of the trial draws."""
+    return tolerance._columns(compiled, specs).limit
+
+
 @pytest.fixture(scope="module")
 def probe(default_net, default_compiled, default_test_split):
     """One synthesis probe at the small_mc seed."""
     x_test, y_test = default_test_split
 
     def run(specs, trials, seed=1234):
-        z = trial_draws(default_compiled, specs, seed, 0, trials)
+        draws = trial_draws(limits(default_compiled, specs), seed, 0, trials)
         return analyze_tolerances(default_net, default_compiled, specs,
                                   x_test, y_test, x_p=5.0, trials=trials,
-                                  seed=seed, probe_z=z)
+                                  seed=seed, probe=draws)
 
     return run
 
@@ -172,20 +177,34 @@ def test_probes_at_same_deltas_are_identical(probe):
 def test_probe_draws_must_cover_the_trials(default_net, default_compiled,
                                            default_test_split):
     x_test, y_test = default_test_split
-    z = trial_draws(default_compiled, tolerance_set(), 1, 0, 10)
+    draws = trial_draws(limits(default_compiled, tolerance_set()), 1, 0, 10)
     with pytest.raises(ValueError):
         analyze_tolerances(default_net, default_compiled, tolerance_set(),
                            x_test, y_test, x_p=5.0, trials=20, seed=1,
-                           probe_z=z)
+                           probe=draws)
+
+
+@pytest.mark.parametrize("drawn_at, specs_at", [(3.0, 2.0), (2.0, 3.0)])
+def test_probe_draws_must_match_the_specs_truncation(
+        default_net, default_compiled, default_test_split, drawn_at,
+        specs_at):
+    x_test, y_test = default_test_split
+    drawn = tolerance_set(0.2, 0.01, limit_sigmas=drawn_at)
+    draws = trial_draws(limits(default_compiled, drawn), 1, 0, 10)
+    with pytest.raises(ValueError):
+        analyze_tolerances(default_net, default_compiled,
+                           tolerance_set(0.2, 0.01, limit_sigmas=specs_at),
+                           x_test, y_test, x_p=5.0, trials=10, seed=1,
+                           probe=draws)
 
 
 def test_trial_draws_are_standard_and_truncated(default_compiled):
-    specs = tolerance_set(0.2, 0.01, limit_sigmas=2.0)
-    z = trial_draws(default_compiled, specs, 5, 0, 40)
+    limit = limits(default_compiled, tolerance_set(0.2, 0.01,
+                                                   limit_sigmas=2.0))
+    z = trial_draws(limit, 5, 0, 40).z
     assert z.shape == (40, 2 * (16 * 8 + 8 * 4) + 2 * (8 + 4))
     assert np.abs(z).max() <= 2.0
-    assert np.array_equal(z[10:], trial_draws(default_compiled, specs, 5,
-                                              10, 30))
+    assert np.array_equal(z[10:], trial_draws(limit, 5, 10, 30).z)
 
 
 def test_report_round_trip(small_mc, tmp_path):
