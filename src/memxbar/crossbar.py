@@ -1,11 +1,12 @@
 """Passive 16x16 crossbar plus its amplifier chain.
 
-Each row feeds an inverting summing amplifier (feedback resistor r_f);
-adjacent row pairs (2k, 2k+1) drive a differential stage realizing one
-signed synapse per column, followed by a saturating activation amplifier
-and an output divider.  Programming a cell uses bias-voltage maps that keep
-every half-selected device below the switching threshold, and reads the
-device back through the summing amplifier with a quantizing ADC.
+An array is a resistance matrix plus a stuck matrix.  Each row feeds an
+inverting summing amplifier (feedback resistor r_f); adjacent row pairs
+(2j, 2j+1) drive a differential stage realizing one signed synapse per
+column, followed by a saturating activation amplifier and an output
+divider.  Programming a cell uses bias-voltage maps, proven once per array,
+that keep every half-selected device below the switching threshold, and
+reads the device back through the summing amplifier with a quantizing ADC.
 """
 
 from __future__ import annotations
@@ -71,35 +72,34 @@ class CrossbarConfig:
 
 
 class Crossbar:
-    """Grid of memristor cells with the shared amplifier configuration."""
+    """Resistance matrix, stuck matrix (the frozen value of each stuck cell,
+    NaN elsewhere) and the shared amplifier configuration."""
 
     def __init__(self, config: CrossbarConfig, device: DeviceParams,
-                 grid: list[list[MemristorCell]] | None = None):
+                 resistance: np.ndarray | None = None,
+                 stuck: np.ndarray | None = None):
         self.config = config
         self.device = device
         if config.u_in_max >= device.v_threshold:
             raise ValueError("data-signal limit must stay below the device threshold")
-        if grid is None:
-            grid = [[MemristorCell(resistance=device.r_hrs_nominal)
-                     for _ in range(config.cols)] for _ in range(config.rows)]
-        if len(grid) != config.rows or any(len(r) != config.cols for r in grid):
-            raise ValueError("grid dimensions do not match config")
-        self.grid = grid
-
-    @classmethod
-    def from_resistances(cls, config: CrossbarConfig, device: DeviceParams,
-                         matrix: np.ndarray) -> "Crossbar":
-        matrix = np.asarray(matrix, dtype=float)
-        grid = [[MemristorCell(resistance=float(matrix[r, c]))
-                 for c in range(config.cols)] for r in range(config.rows)]
-        return cls(config, device, grid)
-
-    def resistance_matrix(self) -> np.ndarray:
-        return np.array([[cell.resistance for cell in row] for row in self.grid])
-
-    def copy(self) -> "Crossbar":
-        grid = [[cell.copy() for cell in row] for row in self.grid]
-        return Crossbar(self.config, self.device, grid)
+        shape = (config.rows, config.cols)
+        self.resistance = (np.full(shape, device.r_hrs_nominal)
+                           if resistance is None
+                           else np.array(resistance, dtype=float))
+        self.stuck = (np.full(shape, np.nan) if stuck is None
+                      else np.array(stuck, dtype=float))
+        if self.resistance.shape != shape or self.stuck.shape != shape:
+            raise ValueError("array dimensions do not match config")
+        frozen = ~np.isnan(self.stuck)
+        self.resistance[frozen] = self.stuck[frozen]
+        # A map's drop at a cell depends only on whether the cell shares the
+        # target's row or column, so every target's non-target drops are a
+        # permutation of those at (0, 0): one target proves the whole array.
+        check_bias(bias_assignment(self, (0, 0), "SET"), device.v_threshold)
+        check_bias(bias_assignment(self, (0, 0), "READ"), device.v_threshold)
+        for a in dev.ramp_amplitudes(device):
+            check_bias(bias_assignment(self, (0, 0), "RESET", amplitude=float(a)),
+                       device.v_threshold)
 
 
 @dataclass
@@ -176,12 +176,12 @@ def _check_inputs(inputs: np.ndarray, cfg: CrossbarConfig) -> np.ndarray:
     return inputs
 
 
-def row_summed_voltage(xbar: Crossbar, row: int, inputs: np.ndarray) -> float:
-    """Summing-amplifier output for one row, clipped at the amplifier swing."""
-    inputs = _check_inputs(inputs, xbar.config)
-    r = np.array([cell.resistance for cell in xbar.grid[row]])
-    u = -xbar.config.r_f * float(np.sum(inputs / r))
-    return float(np.clip(u, -xbar.config.u_rail, xbar.config.u_rail))
+def row_summed_voltage(xbar: Crossbar, inputs: np.ndarray) -> np.ndarray:
+    """Summing-amplifier output of every row, clipped at the amplifier swing."""
+    cfg = xbar.config
+    inputs = _check_inputs(inputs, cfg)
+    return np.clip(-cfg.r_f * (inputs[None, :] / xbar.resistance).sum(axis=1),
+                   -cfg.u_rail, cfg.u_rail)
 
 
 def layer_forward(xbar: Crossbar, inputs: np.ndarray,
@@ -195,10 +195,7 @@ def layer_forward(xbar: Crossbar, inputs: np.ndarray,
     cfg = xbar.config
     if cfg.rows % 2 != 0:
         raise OddRowCountError("differential pairing needs an even row count")
-    inputs = _check_inputs(inputs, cfg)
-    res = xbar.resistance_matrix()
-    sums = np.clip(-cfg.r_f * (inputs[None, :] / res).sum(axis=1),
-                   -cfg.u_rail, cfg.u_rail)
+    sums = row_summed_voltage(xbar, inputs)
     diff = cfg.k_diff * (sums[1::2] - sums[0::2])
     if bias is not None:
         bias = np.asarray(bias, dtype=float)
@@ -209,6 +206,13 @@ def layer_forward(xbar: Crossbar, inputs: np.ndarray,
     diff = np.clip(diff, -cfg.u_rail, cfg.u_rail)
     activated = np.clip(diff, -cfg.u_sat, cfg.u_sat)
     return cfg.k_scale * activated
+
+
+def synapse_weights(xbar: Crossbar, n_in: int, n_out: int) -> np.ndarray:
+    """The (n_in, n_out) weights of the row pairs: synapse (i, j) sits in
+    column i, its r_m1 in row 2j and its r_m2 in row 2j + 1."""
+    g = xbar.config.r_f / xbar.resistance[:2 * n_out, :n_in]
+    return (g[0::2] - g[1::2]).T
 
 
 def adc_quantize(u: float, step: float, full_scale: float) -> float:
@@ -254,24 +258,24 @@ def program_cell(xbar: Crossbar, target: tuple[int, int], target_r: float,
                  rng: np.random.Generator) -> ProgramLog:
     """Write-verify one cell in the array context.
 
-    Every bias map the pulse sequence will use is checked against the
-    switching threshold first, and the verify step goes through the
-    amplifier/ADC read path.  The tolerance band is tightened by the
-    read-back error bound so the true resistance lands inside the
-    requested band.
+    The bias maps were proven when the array was built, and the verify
+    step goes through the amplifier/ADC read path.  The tolerance band is
+    tightened by the read-back error bound so the true resistance lands
+    inside the requested band.
     """
     cfg, dp = xbar.config, xbar.device
     r, c = target
-    check_bias(bias_assignment(xbar, target, "SET"), dp.v_threshold)
-    check_bias(bias_assignment(xbar, target, "READ"), dp.v_threshold)
-    for a in dev.ramp_amplitudes(dp):
-        check_bias(bias_assignment(xbar, target, "RESET", amplitude=float(a)),
-                   dp.v_threshold)
+    if not (0 <= r < cfg.rows and 0 <= c < cfg.cols):
+        raise ValueError(f"target {target} outside {cfg.rows}x{cfg.cols} grid")
+    stuck = xbar.stuck[r, c]
+    cell = MemristorCell(resistance=float(xbar.resistance[r, c]),
+                         stuck=None if np.isnan(stuck) else float(stuck))
     margin = read_back_error_bound(target_r, cfg, dp) / target_r
     tol = max(dp.program_tolerance - margin, dp.program_tolerance / 2)
-    return dev.program_to(xbar.grid[r][c], target_r, dp, rng,
-                          read_resistance=_array_read(xbar),
-                          tolerance=tol)
+    log = dev.program_to(cell, target_r, dp, rng,
+                         read_resistance=_array_read(xbar), tolerance=tol)
+    xbar.resistance[r, c] = cell.resistance
+    return log
 
 
 def two_layer_forward(xbar1: Crossbar, xbar2: Crossbar, b_hidden: np.ndarray,
@@ -299,20 +303,33 @@ def save_crossbar_csv(xbar: Crossbar, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["row", "col", "resistance_ohm", "stuck_flag", "stuck_ohm"])
-        for r in range(xbar.config.rows):
-            for c in range(xbar.config.cols):
-                cell = xbar.grid[r][c]
-                writer.writerow([r, c, repr(cell.resistance),
-                                 int(cell.stuck is not None),
-                                 "" if cell.stuck is None else repr(cell.stuck)])
+        for (r, c), ohm in np.ndenumerate(xbar.resistance):
+            stuck = float(xbar.stuck[r, c])
+            frozen = not np.isnan(stuck)
+            writer.writerow([r, c, repr(float(ohm)), int(frozen),
+                             repr(stuck) if frozen else ""])
 
 
 def load_crossbar_csv(path, config: CrossbarConfig, device: DeviceParams) -> Crossbar:
-    xbar = Crossbar(config, device)
+    """Read an array that ``save_crossbar_csv`` wrote; every cell must be
+    listed exactly once."""
+    shape = (config.rows, config.cols)
+    resistance, stuck = np.full(shape, np.nan), np.full(shape, np.nan)
+    seen = np.zeros(shape, dtype=bool)
     with open(path, newline="") as fh:
         for rec in csv.DictReader(fh):
             r, c = int(rec["row"]), int(rec["col"])
-            stuck = float(rec["stuck_ohm"]) if int(rec["stuck_flag"]) else None
-            xbar.grid[r][c] = MemristorCell(resistance=float(rec["resistance_ohm"]),
-                                            stuck=stuck)
-    return xbar
+            if not (0 <= r < config.rows and 0 <= c < config.cols):
+                raise ShapeMismatchError(
+                    f"{path}: cell ({r}, {c}) outside the "
+                    f"{config.rows}x{config.cols} array")
+            if seen[r, c]:
+                raise ShapeMismatchError(f"{path}: cell ({r}, {c}) listed twice")
+            seen[r, c] = True
+            resistance[r, c] = float(rec["resistance_ohm"])
+            if int(rec["stuck_flag"]):
+                stuck[r, c] = float(rec["stuck_ohm"])
+    if not seen.all():
+        r, c = np.argwhere(~seen)[0]
+        raise ShapeMismatchError(f"{path}: cell ({r}, {c}) missing")
+    return Crossbar(config, device, resistance, stuck)

@@ -91,9 +91,6 @@ class MemristorCell:
         if self.stuck is not None:
             self.resistance = self.stuck
 
-    def copy(self) -> "MemristorCell":
-        return MemristorCell(resistance=self.resistance, stuck=self.stuck)
-
 
 @dataclass
 class ProgramLog:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -20,8 +21,9 @@ import numpy as np
 
 from . import dataset as ds
 from . import reports
-from .crossbar import Crossbar, CrossbarConfig, program_cell, save_crossbar_csv
-from .device import DeviceParams, MemristorCell
+from .crossbar import (Crossbar, CrossbarConfig, program_cell,
+                       save_crossbar_csv, synapse_weights)
+from .device import DeviceParams
 from .errors import ConfigError
 from .mapping import (CompiledLayer, CompiledNet, ResistanceRange,
                       compensate_stuck, compile_network, symmetric_weight_states,
@@ -108,9 +110,17 @@ class RunConfig:
         unknown = set(self.train) - _TRAIN_FIELDS
         if unknown:
             raise ConfigError(f"unknown training settings {sorted(unknown)}")
+        rows, cols = self.crossbar.rows, self.crossbar.cols
         for spot in self.stuck:
-            if spot.get("array") not in ("hidden", "out"):
+            if not isinstance(spot, dict) or spot.get("array") not in ("hidden", "out"):
                 raise ConfigError(f"stuck entry needs array hidden|out: {spot}")
+            row, col, ohm = spot.get("row"), spot.get("col"), spot.get("ohm")
+            if not (type(row) is int and 0 <= row < rows
+                    and type(col) is int and 0 <= col < cols):
+                raise ConfigError(f"stuck entry needs an int row in [0, {rows}) "
+                                  f"and col in [0, {cols}): {spot}")
+            if type(ohm) not in (int, float) or not 0 < ohm < math.inf:
+                raise ConfigError(f"stuck entry needs a positive finite ohm: {spot}")
         self.check_counts()
 
     def check_counts(self) -> None:
@@ -331,26 +341,22 @@ def stage_compile(cfg: RunConfig) -> dict:
     return {"synapses": int(net.hidden.r_m1.size + net.out.r_m1.size)}
 
 
-def _stuck_lookup(cfg: RunConfig, array: str) -> dict:
-    return {(s["row"], s["col"]): float(s["ohm"])
-            for s in cfg.stuck if s["array"] == array}
-
-
 def _program_array(cfg: RunConfig, name: str, layer: CompiledLayer,
                    rng: np.random.Generator, log_rows: list) -> Crossbar:
     """Program one layer's synapse pairs into a crossbar, compensating
     stuck devices by re-solving the opposing resistance."""
-    xbar = Crossbar(cfg.crossbar, cfg.device)
-    stuck = _stuck_lookup(cfg, name)
-    for (row, col), ohm in stuck.items():
-        xbar.grid[row][col] = MemristorCell(resistance=ohm, stuck=ohm)
+    stuck = np.full((cfg.crossbar.rows, cfg.crossbar.cols), np.nan)
+    for spot in cfg.stuck:
+        if spot["array"] == name:
+            stuck[spot["row"], spot["col"]] = spot["ohm"]
+    xbar = Crossbar(cfg.crossbar, cfg.device, stuck=stuck)
     n_in, n_out = layer.r_m1.shape
     weights = layer.weights()
     for j in range(n_out):
         for i in range(n_in):
             row1, row2 = 2 * j, 2 * j + 1
-            s1 = stuck.get((row1, i))
-            s2 = stuck.get((row2, i))
+            s1, s2 = (None if np.isnan(s) else float(s)
+                      for s in stuck[row1:row2 + 1, i])
             if s1 is None and s2 is None:
                 targets = ((row1, layer.r_m1[i, j]), (row2, layer.r_m2[i, j]))
             else:
@@ -385,16 +391,9 @@ def stage_program(cfg: RunConfig) -> dict:
         writer.writerow(["array", "row", "col", "target_ohm", "final_ohm",
                          "attempts", "pulses", "success"])
         writer.writerows(log_rows)
-    r_f = compiled.hidden.r_f
     achieved = params.copy()
-    res_h = xbar_h.resistance_matrix()
-    res_o = xbar_o.resistance_matrix()
-    n_in, n_out = compiled.hidden.r_m1.shape
-    achieved.w_hidden = (r_f / res_h[0:2 * n_out:2, :n_in]
-                         - r_f / res_h[1:2 * n_out:2, :n_in]).T
-    m_in, m_out = compiled.out.r_m1.shape
-    achieved.w_out = (r_f / res_o[0:2 * m_out:2, :m_in]
-                      - r_f / res_o[1:2 * m_out:2, :m_in]).T
+    achieved.w_hidden = synapse_weights(xbar_h, *compiled.hidden.r_m1.shape)
+    achieved.w_out = synapse_weights(xbar_o, *compiled.out.r_m1.shape)
     p = evaluate(achieved, x_test, y_test)
     payload = {"programmed_p_err": p,
                "cells_programmed": len(log_rows),

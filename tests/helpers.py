@@ -23,5 +23,5 @@ def ideal_crossbars(w_hidden, w_out, config, device, rrange):
         for j in range(n_out):
             m[2 * j, :n_in] = layer.r_m1[:, j]
             m[2 * j + 1, :n_in] = layer.r_m2[:, j]
-        xbars.append(Crossbar.from_resistances(config, device, m))
+        xbars.append(Crossbar(config, device, m))
     return xbars

@@ -7,8 +7,9 @@ from memxbar.crossbar import (Crossbar, CrossbarConfig, adc_quantize,
                               bias_assignment, check_bias, inferred_resistance,
                               layer_forward, load_crossbar_csv, program_cell,
                               row_summed_voltage, row_summed_voltage_for_read,
-                              save_crossbar_csv, two_layer_forward)
-from memxbar.device import DeviceParams
+                              save_crossbar_csv, synapse_weights,
+                              two_layer_forward)
+from memxbar.device import DeviceParams, ramp_amplitudes
 from memxbar.errors import (BiasViolationError, InputOverrangeError,
                             OddRowCountError, ShapeMismatchError)
 from memxbar.mapping import ResistanceRange, compile_network
@@ -21,18 +22,18 @@ def small_xbar(matrix, **cfg_kw):
     matrix = np.asarray(matrix, dtype=float)
     rows, cols = matrix.shape
     cfg = CrossbarConfig(rows=rows, cols=cols, **cfg_kw)
-    return Crossbar.from_resistances(cfg, DeviceParams(), matrix)
+    return Crossbar(cfg, DeviceParams(), matrix)
 
 
 def test_row_summed_voltage_matches_ohm_math():
     xbar = small_xbar([[100e3, 50e3], [200e3, 25e3]])
-    u = row_summed_voltage(xbar, 0, np.array([0.4, -0.2]))
+    u = row_summed_voltage(xbar, np.array([0.4, -0.2]))[0]
     assert u == pytest.approx(-100e3 * (0.4 / 100e3 - 0.2 / 50e3))
 
 
 def test_row_sum_clips_at_rail():
     xbar = small_xbar(np.full((2, 16), 10e3))
-    u = row_summed_voltage(xbar, 0, np.full(16, 1.0))
+    u = row_summed_voltage(xbar, np.full(16, 1.0))[0]
     assert u == -xbar.config.u_rail
 
 
@@ -148,14 +149,86 @@ def test_program_cell_lands_within_band():
     log = program_cell(xbar, (4, 9), 22e3, np.random.default_rng(2))
     assert log.success
     tol = xbar.device.program_tolerance
-    assert abs(xbar.grid[4][9].resistance - 22e3) <= tol * 22e3
+    assert abs(xbar.resistance[4, 9] - 22e3) <= tol * 22e3
+
+
+def test_program_cell_rejects_target_outside_array():
+    xbar = small_xbar(np.full((16, 16), 60e3))
+    for target in ((-1, 0), (0, -1), (16, 0), (0, 16)):
+        with pytest.raises(ValueError):
+            program_cell(xbar, target, 22e3, np.random.default_rng(2))
+
+
+def test_stuck_cell_holds_its_value():
+    stuck = np.full((16, 16), np.nan)
+    stuck[4, 9] = 40e3
+    xbar = Crossbar(CrossbarConfig(), DeviceParams(), stuck=stuck)
+    assert xbar.resistance[4, 9] == 40e3
+    log = program_cell(xbar, (4, 9), 38e3, np.random.default_rng(2))
+    assert (log.attempts, log.pulses) == (0, 0)
+    assert xbar.resistance[4, 9] == 40e3
+
+
+def test_bias_maps_are_proven_when_the_array_is_built():
+    # SET puts |v_set| - v_threshold = 2.5 V on half-selected cells
+    with pytest.raises(BiasViolationError):
+        Crossbar(CrossbarConfig(), DeviceParams(v_set=-4.0))
+
+
+def test_one_target_proves_every_bias_map():
+    """Every target's non-target drops are a permutation of those at (0, 0)."""
+    xbar = Crossbar(CrossbarConfig(), DeviceParams())
+    maps = [("SET", None), ("READ", None)] + [
+        ("RESET", float(a)) for a in ramp_amplitudes(xbar.device)]
+
+    def nontarget_drops(target, mode, amplitude):
+        drops = bias_assignment(xbar, target, mode, amplitude).drops()
+        keep = np.ones(drops.shape, dtype=bool)
+        keep[target] = False
+        return np.sort(drops[keep])
+
+    for mode, amplitude in maps:
+        first = nontarget_drops((0, 0), mode, amplitude)
+        for target in np.ndindex(16, 16):
+            assert np.array_equal(nontarget_drops(target, mode, amplitude),
+                                  first), (mode, amplitude, target)
+
+
+def test_synapse_weights_read_the_row_pairs():
+    rng = np.random.default_rng(4)
+    m = rng.uniform(10e3, 300e3, size=(16, 16))
+    xbar = small_xbar(m)
+    w = synapse_weights(xbar, 5, 3)
+    assert w.shape == (5, 3)
+    for i in range(5):
+        for j in range(3):
+            assert w[i, j] == 100e3 / m[2 * j, i] - 100e3 / m[2 * j + 1, i]
 
 
 def test_crossbar_csv_round_trip(tmp_path):
     rng = np.random.default_rng(6)
     m = rng.uniform(10e3, 60e3, size=(16, 16))
-    xbar = small_xbar(m)
+    stuck = np.full((16, 16), np.nan)
+    stuck[3, 5] = 45e3
+    xbar = Crossbar(CrossbarConfig(), DeviceParams(), m, stuck)
     path = tmp_path / "array.csv"
     save_crossbar_csv(xbar, path)
     back = load_crossbar_csv(path, xbar.config, xbar.device)
-    assert np.array_equal(back.resistance_matrix(), xbar.resistance_matrix())
+    assert np.array_equal(back.resistance, xbar.resistance)
+    assert np.array_equal(back.stuck, xbar.stuck, equal_nan=True)
+
+
+@pytest.mark.parametrize("edit, cell", [
+    (lambda lines: lines[:-1], r"\(15, 15\) missing"),
+    (lambda lines: lines + [lines[1]], r"\(0, 0\) listed twice"),
+    (lambda lines: [lines[0], lines[1].replace("0,0,", "-1,0,", 1)]
+     + lines[2:], r"\(-1, 0\) outside"),
+    (lambda lines: lines + ["16,0,30000.0,0,"], r"\(16, 0\) outside"),
+])
+def test_load_rejects_corrupt_array_file(tmp_path, edit, cell):
+    xbar = small_xbar(np.full((16, 16), 30e3))
+    path = tmp_path / "array.csv"
+    save_crossbar_csv(xbar, path)
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    with pytest.raises(ShapeMismatchError, match="array.csv: cell " + cell):
+        load_crossbar_csv(path, xbar.config, xbar.device)

@@ -1,5 +1,6 @@
 """Run configuration, stage orchestration, and the command-line interface."""
 
+import csv
 import json
 import shutil
 
@@ -84,6 +85,18 @@ def test_config_rejects_bad_stuck_entry(tmp_path):
                                       "col": 0, "ohm": 20e3}])
 
 
+@pytest.mark.parametrize("change", [
+    {"row": 16}, {"row": -1}, {"col": 16}, {"col": -1}, {"row": "3"},
+    {"row": 3.0}, {"col": True}, {"ohm": None}, {"ohm": 0.0}, {"ohm": -20e3},
+    {"ohm": "20e3"}, {"ohm": float("nan")}, {"ohm": float("inf")},
+])
+def test_config_rejects_stuck_entry_outside_array(tmp_path, change):
+    spot = {"array": "hidden", "row": 3, "col": 5, "ohm": 20e3, **change}
+    spot = {k: v for k, v in spot.items() if v is not None}
+    with pytest.raises(ConfigError):
+        default_cfg(tmp_path, stuck=[spot])
+
+
 def test_config_rejects_missing_profile(tmp_path):
     with pytest.raises(ConfigError):
         default_cfg(tmp_path, profile_path=str(tmp_path / "absent.json"))
@@ -111,6 +124,27 @@ def test_pipeline_is_deterministic(default_run, tmp_path):
     for rel in ("train/params.json", "analyze/trials.csv", "sweep/sweep.csv"):
         assert (out / rel).read_bytes() == \
             (default_run.run_dir / rel).read_bytes()
+
+
+def test_program_stage_keeps_stuck_cells(default_run, tmp_path):
+    """Stuck cells on a hidden and an out synapse row are not programmed;
+    one on an unused out row is only recorded."""
+    run = tmp_path / "stuck"
+    shutil.copytree(default_run.run_dir, run)
+    stuck = [{"array": "hidden", "row": 3, "col": 5, "ohm": 40e3},
+             {"array": "out", "row": 2, "col": 1, "ohm": 120e3},
+             {"array": "out", "row": 12, "col": 0, "ohm": 25e3}]
+    run_pipeline(default_cfg(run, stuck=stuck), "program")
+    with open(run / "program" / "program_log.csv", newline="") as fh:
+        assert len(list(csv.DictReader(fh))) == 318
+    for spot in stuck:
+        with open(run / "program" / f"{spot['array']}.csv", newline="") as fh:
+            rec = next(r for r in csv.DictReader(fh)
+                       if (int(r["row"]), int(r["col"]))
+                       == (spot["row"], spot["col"]))
+        assert rec["stuck_flag"] == "1"
+        assert float(rec["stuck_ohm"]) == spot["ohm"]
+        assert float(rec["resistance_ohm"]) == spot["ohm"]
 
 
 def test_synthesis_records_its_probes(default_run):
