@@ -244,7 +244,7 @@ def row_summed_voltage_for_read(resistance: float, cfg: CrossbarConfig,
                                 dp: DeviceParams) -> float:
     # single driven column, all others grounded: only the target cell conducts
     u = -cfg.r_f * dp.v_read / resistance
-    return float(np.clip(u, -cfg.u_rail, cfg.u_rail))
+    return float(min(max(u, -cfg.u_rail), cfg.u_rail))
 
 
 def read_back_error_bound(target: float, cfg: CrossbarConfig,

@@ -120,7 +120,7 @@ def _settle(cell: MemristorCell, value: float, params: DeviceParams) -> Memristo
     if cell.stuck is not None:
         cell.resistance = cell.stuck
         return cell
-    cell.resistance = float(np.clip(value, params.r_floor, params.r_hrs_nominal))
+    cell.resistance = float(min(max(value, params.r_floor), params.r_hrs_nominal))
     return cell
 
 

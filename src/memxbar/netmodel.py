@@ -4,8 +4,13 @@ A 16-8-4 network with a saturating linear activation, matching the
 transfer function of the analog chain.  Training runs full-batch
 adaptive-moment gradient descent; after every epoch the weights can be
 clamped and projected onto a discrete state set, so the result stays
-realizable on the arrays.  :func:`forward_stack` is the one forward pass:
-training, the hardening panel and the Monte Carlo trials all call it.
+realizable on the arrays.  :func:`forward_stack` is the forward pass of
+:func:`forward`, :func:`evaluate` and the Monte Carlo trials.  Training
+runs in unit-by-pattern buffers, (units, patterns), that one
+``train_discrete`` call allocates once: one pass gives the loss and the
+gradients, and the hardening panel is scored in the same buffers.  The
+tests keep that pass bit-equal to :func:`forward_stack`, :func:`mse` and
+the row-major gradient formulas.
 """
 
 from __future__ import annotations
@@ -168,30 +173,155 @@ def p_err(true_labels, pred_labels) -> float:
     return 100.0 * wrong / len(true_labels)
 
 
+class _TrainBatch:
+    """Training patterns and the work buffers of one ``train_discrete`` call.
+
+    Every pass writes into buffers allocated here, so an epoch allocates
+    no array of H elements.  The buffers are unit-by-pattern, (units, H),
+    so the elementwise loops and the sums over patterns run along
+    contiguous rows instead of rows of 8 or 4.
+
+    The results equal the row-major formulas bit for bit: the loss equals
+    ``mse(y, forward(params, x))``, the gradients the plain row-major
+    expressions, and the panel score the same score over
+    :func:`forward_stack`.  Two choices keep them equal.  OpenBLAS rounds
+    a product differently when its operands are laid out differently:
+    ``x.T @ d1.T`` and ``(d2_rows.T @ a1.T).T`` round like the row-major
+    ``x.T @ d1`` and ``a1.T @ d2``, while ``xT @ d1.T`` and ``a1 @ d2.T``
+    do not.  And the row-major bias gradient adds the patterns one after
+    another, which ``cumsum`` along a row does and the pairwise
+    ``sum(axis=1)`` does not.
+    """
+
+    def __init__(self, x: np.ndarray, y: np.ndarray, panel: int = 0):
+        self.x = x
+        self.xT = np.ascontiguousarray(x.T)
+        self.yT = np.ascontiguousarray(y.T)
+        h = x.shape[0]
+        units = (N_HIDDEN, N_OUTPUT)
+        # activation input slope * z, activation, derivative, delta
+        self.v = tuple(np.empty((n, h)) for n in units)
+        self.a = tuple(np.empty((n, h)) for n in units)
+        self.deriv = tuple(np.empty((n, h)) for n in units)
+        self.d = tuple(np.empty((n, h)) for n in units)
+        self.err = np.empty((N_OUTPUT, h))
+        self.d2_rows = np.empty((h, N_OUTPUT))
+        self.loss_row = np.empty(h)
+        if panel:
+            self.panel_hidden = np.empty((panel * N_HIDDEN, h))
+            self.panel_out = np.empty((panel, N_OUTPUT, h))
+
+    def _forward(self, params: MlpParams) -> None:
+        f = params.activation
+        (v1, v2), (a1, a2) = self.v, self.a
+        np.matmul(params.w_hidden.T, self.xT, out=v1)
+        v1 += params.b_hidden[:, None]
+        v1 *= f.slope
+        np.clip(v1, f.lower, f.upper, out=a1)
+        np.matmul(params.w_out.T, a1, out=v2)
+        v2 += params.b_out[:, None]
+        v2 *= f.slope
+        np.clip(v2, f.lower, f.upper, out=a2)
+
+    def _loss_from_err(self) -> float:
+        """Mean squared error from ``err = a2 - y``; squares ``err``."""
+        err, row = self.err, self.loss_row
+        err *= err
+        np.add(err[0], err[1], out=row)
+        for k in range(2, N_OUTPUT):
+            row += err[k]
+        return float(np.mean(row))
+
+    def loss(self, params: MlpParams) -> float:
+        """Exact-model loss, equal to ``mse(y, forward(params, x))``."""
+        self._forward(params)
+        np.subtract(self.a[1], self.yT, out=self.err)
+        return self._loss_from_err()
+
+    def _times_derivative(self, layer: int, f: Activation,
+                          leak: float) -> None:
+        """Multiply the layer's delta by ``f.derivative(z, leak)`` in place.
+
+        ``a == v`` exactly where ``lower <= v <= upper`` (NaN is
+        saturated), and for ``0 <= leak <= 1`` the maximum of that mask
+        times the slope and ``leak * slope`` is the slope or
+        ``leak * slope``: the factors of :meth:`Activation.derivative`.
+        """
+        g = self.deriv[layer]
+        np.equal(self.a[layer], self.v[layer], out=g)
+        g *= f.slope
+        np.maximum(g, leak * f.slope, out=g)
+        np.multiply(self.d[layer], g, out=self.d[layer])
+
+    def loss_and_gradients(self, params: MlpParams,
+                           leak: float) -> tuple[float, dict]:
+        """Exact-model loss and the MSE gradients at the same weights.
+
+        Saturated units pass ``leak`` times the slope to the gradients;
+        the loss never depends on ``leak``.
+        """
+        if not 0 <= leak <= 1:
+            raise ValueError(f"leak must lie in [0, 1], got {leak}")
+        f = params.activation
+        self._forward(params)
+        (v1, v2), (a1, a2), (d1, d2) = self.v, self.a, self.d
+        np.subtract(a2, self.yT, out=self.err)
+        np.multiply(self.err, 2.0, out=d2)
+        d2 /= self.x.shape[0]
+        self._times_derivative(1, f, leak)
+        np.matmul(params.w_out, d2, out=d1)
+        self._times_derivative(0, f, leak)
+        np.copyto(self.d2_rows, d2.T)
+        grads = {
+            "w_hidden": self.x.T @ d1.T,
+            "w_out": (self.d2_rows.T @ a1.T).T.copy(),
+            # sequential sums over patterns, into v, which is free now
+            "b_hidden": np.cumsum(d1, axis=1, out=v1)[:, -1].copy(),
+            "b_out": np.cumsum(d2, axis=1, out=v2)[:, -1].copy(),
+        }
+        return self._loss_from_err(), grads
+
+    def panel_score(self, params: MlpParams, panel: dict,
+                    cfg: TrainConfig) -> float:
+        """Worst exact-model loss over the frozen perturbation panel.
+
+        The hidden layer of every panel member is one (panel * 8, 16)
+        product and the output layer one stacked (panel, 4, 8) product.
+        """
+        f = params.activation
+        w1 = params.w_hidden + panel["w_hidden"] * _noise_sigma(
+            params.w_hidden, cfg)
+        w2 = params.w_out + panel["w_out"] * _noise_sigma(params.w_out, cfg)
+        hidden, out = self.panel_hidden, self.panel_out
+        n = out.shape[0]
+        np.matmul(w1.transpose(0, 2, 1).reshape(n * N_HIDDEN, N_INPUT),
+                  self.xT, out=hidden)
+        a1 = hidden.reshape(n, N_HIDDEN, -1)
+        a1 += params.b_hidden[:, None]
+        a1 *= f.slope
+        np.clip(a1, f.lower, f.upper, out=a1)
+        np.matmul(w2.transpose(0, 2, 1), a1, out=out)
+        out += params.b_out[:, None]
+        out *= f.slope
+        np.clip(out, f.lower, f.upper, out=out)
+        out -= self.yT
+        out *= out
+        total = out[:, 0]
+        for k in range(1, N_OUTPUT):
+            total += out[:, k]
+        return float(total.mean(axis=1).max())
+
+
 def gradients(params: MlpParams, x: np.ndarray, y: np.ndarray,
               leak: float = 0.0):
     """Analytic MSE gradients.
 
     Saturated units pass ``leak`` times the slope; ``leak=0`` is the exact
-    gradient and a positive leak is the training surrogate (see
-    :class:`TrainConfig`).
+    gradient and a positive leak, at most 1, is the training surrogate
+    (see :class:`TrainConfig`).
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    f = params.activation
-    h = x.shape[0]
-    z1 = x @ params.w_hidden + params.b_hidden
-    a1 = f.apply(z1)
-    z2 = a1 @ params.w_out + params.b_out
-    a2 = f.apply(z2)
-    d2 = 2.0 * (a2 - y) / h * f.derivative(z2, leak)
-    d1 = (d2 @ params.w_out.T) * f.derivative(z1, leak)
-    return {
-        "w_hidden": x.T @ d1,
-        "b_hidden": d1.sum(axis=0),
-        "w_out": a1.T @ d2,
-        "b_out": d2.sum(axis=0),
-    }
+    batch = _TrainBatch(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    return batch.loss_and_gradients(params, leak)[1]
 
 
 @dataclass
@@ -260,13 +390,6 @@ def _project(params: MlpParams, cfg: TrainConfig) -> None:
         params.w_out = quantize_weights(params.w_out, cfg.discrete_states)
 
 
-def _loss(params: MlpParams, x: np.ndarray, y: np.ndarray) -> float:
-    value = mse(y, forward(params, x))
-    if not np.isfinite(value):
-        raise NonFiniteLossError(f"loss became {value}")
-    return value
-
-
 _PARAM_KEYS = ("w_hidden", "b_hidden", "w_out", "b_out")
 _PANEL_STRIDE = 10
 
@@ -284,15 +407,17 @@ def _draw_panel(params: MlpParams, cfg: TrainConfig,
             "w_out": truncated_normal(rng, 0.0, 1.0, 3.0, shape_o)}
 
 
-def _panel_score(params: MlpParams, panel: dict, cfg: TrainConfig,
-                 x: np.ndarray, y: np.ndarray) -> float:
-    """Worst exact-model loss over the frozen perturbation panel."""
-    w1 = params.w_hidden + panel["w_hidden"] * _noise_sigma(params.w_hidden,
-                                                             cfg)
-    w2 = params.w_out + panel["w_out"] * _noise_sigma(params.w_out, cfg)
-    out = forward_stack(params.activation, x, w1, params.b_hidden, w2,
-                        params.b_out)
-    return float(((out - y) ** 2).sum(axis=2).mean(axis=1).max())
+def _measure(batch: _TrainBatch, work: MlpParams, cfg: TrainConfig,
+             noisy: bool) -> tuple[float, dict | None]:
+    """Loss of ``work`` and, in the clean phase, the gradients the next
+    epoch steps along, from the same pass."""
+    if noisy:
+        loss, grads = batch.loss(work), None
+    else:
+        loss, grads = batch.loss_and_gradients(work, cfg.leak)
+    if not np.isfinite(loss):
+        raise NonFiniteLossError(f"loss became {loss}")
+    return loss, grads
 
 
 def train_discrete(params: MlpParams, x: np.ndarray, y: np.ndarray,
@@ -316,13 +441,14 @@ def train_discrete(params: MlpParams, x: np.ndarray, y: np.ndarray,
     noisy = cfg.weight_noise > 0
     if noisy and rng is None:
         raise ValueError("weight_noise > 0 requires an rng")
+    batch = _TrainBatch(x, y, cfg.panel if noisy else 0)
     work = params.copy()
     _project(work, cfg)
-    loss = _loss(work, x, y)
+    loss, grads = _measure(batch, work, cfg, noisy)
     curve = [loss]
     panel = _draw_panel(work, cfg, rng) if noisy else None
-    best = work.copy()
-    best_score = _panel_score(work, panel, cfg, x, y) if noisy else loss
+    best, best_loss = work.copy(), loss
+    best_score = batch.panel_score(work, panel, cfg) if noisy else loss
     m = {k: 0.0 for k in _PARAM_KEYS}
     v = {k: 0.0 for k in _PARAM_KEYS}
     epoch = 0
@@ -334,9 +460,7 @@ def train_discrete(params: MlpParams, x: np.ndarray, y: np.ndarray,
                 w = getattr(work, k)
                 jitter = truncated_normal(rng, 0.0, 1.0, 3.0, w.shape)
                 setattr(at, k, w + _noise_sigma(w, cfg) * jitter)
-        else:
-            at = work
-        grads = gradients(at, x, y, cfg.leak)
+            grads = batch.loss_and_gradients(at, cfg.leak)[1]
         for k in _PARAM_KEYS:
             g = grads[k]
             m[k] = cfg.beta1 * m[k] + (1 - cfg.beta1) * g
@@ -346,18 +470,17 @@ def train_discrete(params: MlpParams, x: np.ndarray, y: np.ndarray,
             update = cfg.step * m_hat / (np.sqrt(v_hat) + cfg.eps)
             setattr(work, k, getattr(work, k) - update)
         _project(work, cfg)
-        loss = _loss(work, x, y)
+        loss, grads = _measure(batch, work, cfg, noisy)
         curve.append(loss)
         if noisy:
             if epoch % _PANEL_STRIDE == 0 or epoch == cfg.max_epochs:
-                score = _panel_score(work, panel, cfg, x, y)
+                score = batch.panel_score(work, panel, cfg)
                 if score < best_score:
-                    best_score, best = score, work.copy()
+                    best_score, best, best_loss = score, work.copy(), loss
         elif loss < best_score:
-            best_score, best = loss, work.copy()
-    final = _loss(best, x, y)
+            best_score, best, best_loss = loss, work.copy(), loss
     return TrainResult(params=best, curve=np.array(curve),
-                       converged=final <= cfg.mse_target, epochs=epoch)
+                       converged=best_loss <= cfg.mse_target, epochs=epoch)
 
 
 def evaluate(params: MlpParams, x: np.ndarray, labels) -> float:

@@ -41,8 +41,16 @@ STAGES = ("dataset", "train", "compile", "program", "analyze", "synthesize",
 _STREAM = {"dataset": 10, "train": 11, "program": 13, "analyze": 14,
            "synthesize": 15}
 
-_TRAIN_FIELDS = {"mse_target", "max_epochs", "step", "beta1", "beta2", "eps",
-                 "leak"}
+# Accepted values of each training setting; NaN fails every comparison.
+_TRAIN_RANGES = {
+    "max_epochs": ("an int >= 0", lambda v: type(v) is int and v >= 0),
+    "step": ("finite and > 0", lambda v: 0 < v < math.inf),
+    "eps": ("finite and > 0", lambda v: 0 < v < math.inf),
+    "mse_target": ("finite and >= 0", lambda v: 0 <= v < math.inf),
+    "leak": ("in [0, 1)", lambda v: 0 <= v < 1),
+    "beta1": ("in [0, 1)", lambda v: 0 <= v < 1),
+    "beta2": ("in [0, 1)", lambda v: 0 <= v < 1),
+}
 
 # Smallest accepted value of each integer setting; weight_error_bounds
 # needs 1000 trials for a stable percentile.
@@ -107,9 +115,15 @@ class RunConfig:
             )
         if self.profile_path is not None and not Path(self.profile_path).exists():
             raise ConfigError(f"profile file not found: {self.profile_path}")
-        unknown = set(self.train) - _TRAIN_FIELDS
-        if unknown:
-            raise ConfigError(f"unknown training settings {sorted(unknown)}")
+        if not isinstance(self.train, dict):
+            raise ConfigError(f"train must map settings to values: {self.train!r}")
+        for name, value in self.train.items():   # one pass: configs are built often
+            rule = _TRAIN_RANGES.get(name)
+            if rule is None:
+                unknown = sorted(set(self.train) - set(_TRAIN_RANGES))
+                raise ConfigError(f"unknown training settings {unknown}")
+            if type(value) not in (int, float) or not rule[1](value):
+                raise ConfigError(f"train.{name} must be {rule[0]}, got {value!r}")
         rows, cols = self.crossbar.rows, self.crossbar.cols
         for spot in self.stuck:
             if not isinstance(spot, dict) or spot.get("array") not in ("hidden", "out"):

@@ -1,13 +1,18 @@
 """Informational model: forward pass, metrics, gradients, training."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from memxbar.errors import ShapeMismatchError
-from memxbar.mapping import ResistanceRange, symmetric_weight_states
-from memxbar.netmodel import (Activation, MlpParams, TrainConfig, classify,
-                              evaluate, forward, forward_stack, gradients,
-                              init_params, mse, p_err, train_discrete)
+from memxbar.mapping import (ResistanceRange, quantize_weights,
+                             symmetric_weight_states)
+from memxbar.netmodel import (Activation, MlpParams, TrainConfig, TrainResult,
+                              _TrainBatch, classify, evaluate, forward,
+                              forward_stack, gradients, init_params, mse,
+                              p_err, train_discrete)
+from memxbar.stats import truncated_normal
 
 
 def zero_params(**kw):
@@ -117,6 +122,14 @@ def test_leak_changes_nothing_where_no_unit_saturates():
         assert np.array_equal(exact[name], leaky[name])
 
 
+@pytest.mark.parametrize("leak", [-0.05, 1.5])
+def test_gradients_reject_leak_outside_unit_interval(leak):
+    rng = np.random.default_rng(4)
+    x = rng.uniform(0, 1, size=(6, 16))
+    with pytest.raises(ValueError):
+        gradients(init_params(rng), x, np.zeros((6, 4)), leak=leak)
+
+
 def test_training_fits_a_separable_toy_problem():
     rng = np.random.default_rng(12)
     x = rng.uniform(0, 1, size=(40, 16))
@@ -191,3 +204,202 @@ def test_train_config_validation():
         TrainConfig(weight_noise=-0.1)
     with pytest.raises(ValueError):
         TrainConfig(panel=0)
+
+
+# Reference formulas: the row-major training step the unit-by-pattern
+# buffers must reproduce bit for bit.
+
+def reference_gradients(params, x, y, leak):
+    f = params.activation
+    h = x.shape[0]
+    z1 = x @ params.w_hidden + params.b_hidden
+    a1 = f.apply(z1)
+    z2 = a1 @ params.w_out + params.b_out
+    a2 = f.apply(z2)
+    d2 = 2.0 * (a2 - y) / h * f.derivative(z2, leak)
+    d1 = (d2 @ params.w_out.T) * f.derivative(z1, leak)
+    return {"w_hidden": x.T @ d1, "b_hidden": d1.sum(axis=0),
+            "w_out": a1.T @ d2, "b_out": d2.sum(axis=0)}
+
+
+def reference_sigma(w, cfg):
+    c = cfg.noise_offset
+    return cfg.weight_noise * np.sqrt((np.abs(w) + c) ** 2 + c ** 2)
+
+
+def reference_panel_score(params, panel, cfg, x, y):
+    w1 = params.w_hidden + panel["w_hidden"] * reference_sigma(
+        params.w_hidden, cfg)
+    w2 = params.w_out + panel["w_out"] * reference_sigma(params.w_out, cfg)
+    out = forward_stack(params.activation, x, w1, params.b_hidden, w2,
+                        params.b_out)
+    return float(((out - y) ** 2).sum(axis=2).mean(axis=1).max())
+
+
+def reference_project(params, cfg):
+    if cfg.weight_limit is not None:
+        params.w_hidden = np.clip(params.w_hidden, -cfg.weight_limit,
+                                  cfg.weight_limit)
+        params.w_out = np.clip(params.w_out, -cfg.weight_limit,
+                               cfg.weight_limit)
+    if cfg.discrete_states is not None:
+        params.w_hidden = quantize_weights(params.w_hidden, cfg.discrete_states)
+        params.w_out = quantize_weights(params.w_out, cfg.discrete_states)
+
+
+def reference_train(params, x, y, cfg, rng=None):
+    """Loss from a separate forward pass, gradient from the row-major
+    formulas, panel score over forward_stack."""
+    keys = ("w_hidden", "b_hidden", "w_out", "b_out")
+    noisy = cfg.weight_noise > 0
+    work = params.copy()
+    reference_project(work, cfg)
+    loss = mse(y, forward(work, x))
+    curve = [loss]
+    panel = None
+    if noisy:
+        panel = {k: truncated_normal(rng, 0.0, 1.0, 3.0,
+                                     (cfg.panel,) + getattr(work, k).shape)
+                 for k in ("w_hidden", "w_out")}
+    best = work.copy()
+    best_score = (reference_panel_score(work, panel, cfg, x, y) if noisy
+                  else loss)
+    m = {k: 0.0 for k in keys}
+    v = {k: 0.0 for k in keys}
+    epoch = 0
+    while epoch < cfg.max_epochs and (noisy or loss > cfg.mse_target):
+        epoch += 1
+        at = work.copy()
+        if noisy:
+            for k in ("w_hidden", "w_out"):
+                w = getattr(work, k)
+                jitter = truncated_normal(rng, 0.0, 1.0, 3.0, w.shape)
+                setattr(at, k, w + reference_sigma(w, cfg) * jitter)
+        grads = reference_gradients(at, x, y, cfg.leak)
+        for k in keys:
+            g = grads[k]
+            m[k] = cfg.beta1 * m[k] + (1 - cfg.beta1) * g
+            v[k] = cfg.beta2 * v[k] + (1 - cfg.beta2) * g * g
+            m_hat = m[k] / (1 - cfg.beta1 ** epoch)
+            v_hat = v[k] / (1 - cfg.beta2 ** epoch)
+            update = cfg.step * m_hat / (np.sqrt(v_hat) + cfg.eps)
+            setattr(work, k, getattr(work, k) - update)
+        reference_project(work, cfg)
+        loss = mse(y, forward(work, x))
+        curve.append(loss)
+        if noisy:
+            if epoch % 10 == 0 or epoch == cfg.max_epochs:
+                score = reference_panel_score(work, panel, cfg, x, y)
+                if score < best_score:
+                    best_score, best = score, work.copy()
+        elif loss < best_score:
+            best_score, best = loss, work.copy()
+    final = mse(y, forward(best, x))
+    return TrainResult(params=best, curve=np.array(curve),
+                       converged=final <= cfg.mse_target, epochs=epoch)
+
+
+def saturating_problem(n=40, seed=21):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0, 1, size=(n, 16))
+    y = np.where(rng.uniform(size=(n, 4)) < 0.25, 1.0, -1.0)
+    params = init_params(rng)
+    params.w_hidden *= 2.0
+    params.b_hidden = rng.uniform(-0.5, 0.5, 8)
+    params.b_out = rng.uniform(-0.5, 0.5, 4)
+    return params, x, y
+
+
+def test_problem_saturates_units():
+    params, x, _ = saturating_problem()
+    z1 = x @ params.w_hidden + params.b_hidden
+    z2 = params.activation.apply(z1) @ params.w_out + params.b_out
+    for z in (z1, z2):
+        saturated = np.abs(z) > 1.0
+        assert saturated.any() and not saturated.all()
+
+
+SLOPED = Activation(1.5, -0.5, 0.8)
+
+
+@pytest.mark.parametrize("activation", [Activation(), SLOPED])
+@pytest.mark.parametrize("leak", [0.0, 0.05])
+def test_training_pass_equals_row_major_formulas(leak, activation):
+    params, x, y = saturating_problem()
+    params.activation = activation
+    loss, grads = _TrainBatch(x, y).loss_and_gradients(params, leak)
+    assert loss == mse(y, forward(params, x))
+    ref = reference_gradients(params, x, y, leak)
+    for name in ref:
+        assert grads[name].flags.c_contiguous
+        assert np.array_equal(grads[name], ref[name]), name
+    assert _TrainBatch(x, y).loss(params) == loss
+
+
+@pytest.mark.parametrize("activation", [Activation(), SLOPED])
+def test_panel_score_equals_forward_stack(activation):
+    params, x, y = saturating_problem()
+    params.activation = activation
+    cfg = TrainConfig(weight_noise=0.1, noise_offset=1 / 3, panel=5)
+    rng = np.random.default_rng(3)
+    panel = {"w_hidden": truncated_normal(rng, 0.0, 1.0, 3.0, (5, 16, 8)),
+             "w_out": truncated_normal(rng, 0.0, 1.0, 3.0, (5, 8, 4))}
+    batch = _TrainBatch(x, y, cfg.panel)
+    assert batch.panel_score(params, panel, cfg) == \
+        reference_panel_score(params, panel, cfg, x, y)
+
+
+def test_training_passes_allocate_no_pattern_sized_array():
+    params, x, y = saturating_problem(n=6000)
+    cfg = TrainConfig(weight_noise=0.1, noise_offset=1 / 3)
+    rng = np.random.default_rng(3)
+    panel = {"w_hidden": truncated_normal(rng, 0.0, 1.0, 3.0, (8, 16, 8)),
+             "w_out": truncated_normal(rng, 0.0, 1.0, 3.0, (8, 8, 4))}
+    batch = _TrainBatch(x, y, cfg.panel)
+    passes = (lambda: batch.loss_and_gradients(params, 0.05),
+              lambda: batch.loss(params),
+              lambda: batch.panel_score(params, panel, cfg))
+    for run in passes:
+        run()
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < x.shape[0] * x.itemsize
+
+
+def phase_configs():
+    states = np.array(symmetric_weight_states(
+        7, 100e3, ResistanceRange(10e3, 300e3)))
+    noisy = {"weight_noise": 0.05, "noise_offset": 1 / 3, "panel": 4,
+             "max_epochs": 50}
+    return {
+        "clean": TrainConfig(weight_limit=0.8, max_epochs=50),
+        "noisy": TrainConfig(weight_limit=0.8, **noisy),
+        "discrete": TrainConfig(weight_limit=0.8, discrete_states=states,
+                                **noisy),
+    }
+
+
+@pytest.mark.parametrize("phase", ["clean", "noisy", "discrete"])
+def test_train_discrete_equals_reference_loop(phase):
+    params, x, y = saturating_problem()
+    cfg = phase_configs()[phase]
+    if phase == "clean":
+        # a target the loop meets part way, so the stop rule is exercised
+        probe = reference_train(params, x, y, TrainConfig(
+            weight_limit=0.8, max_epochs=50, mse_target=0.0))
+        cfg.mse_target = float(probe.curve[30])
+    got = train_discrete(params, x, y, cfg, np.random.default_rng(9))
+    ref = reference_train(params, x, y, cfg, np.random.default_rng(9))
+    if phase == "clean":
+        assert got.converged and got.epochs <= 30
+    else:
+        assert got.epochs == 50
+    assert (got.epochs, got.converged) == (ref.epochs, ref.converged)
+    assert np.array_equal(got.curve, ref.curve)
+    for name in ("w_hidden", "b_hidden", "w_out", "b_out"):
+        assert np.array_equal(getattr(got.params, name),
+                              getattr(ref.params, name)), name

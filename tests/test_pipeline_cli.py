@@ -63,6 +63,26 @@ def test_bad_count_setting_exits_with_config_error(tmp_path, name, value):
             == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("name, value", [
+    ("step", 0), ("step", -0.02), ("step", float("nan")),
+    ("step", float("inf")), ("step", "abc"), ("eps", 0.0),
+    ("max_epochs", "abc"), ("max_epochs", -1), ("max_epochs", 10.0),
+    ("max_epochs", True), ("mse_target", -1e-4),
+    ("mse_target", float("inf")), ("mse_target", float("nan")),
+    ("leak", 1.0), ("leak", -0.05), ("beta1", 1), ("beta2", 1.5),
+    ("beta2", True),
+])
+def test_bad_train_setting_exits_with_config_error(tmp_path, name, value):
+    """Checked in the constructor and in a config file."""
+    with pytest.raises(ConfigError, match=f"train.{name}"):
+        default_cfg(tmp_path, train={name: value})
+    config = default_cfg(tmp_path / "run").to_dict()
+    config["train"] = {name: value}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main(["--config", str(path), "--stage", "train"]) == EXIT_CONFIG
+
+
 def test_config_rejects_window_mismatch(tmp_path):
     with pytest.raises(ConfigError):
         RunConfig(seed=1, out_dir=tmp_path,
@@ -77,6 +97,12 @@ def test_config_rejects_sweep_outside_window(tmp_path):
 def test_config_rejects_unknown_train_key(tmp_path):
     with pytest.raises(ConfigError):
         default_cfg(tmp_path, train={"learning_rate": 0.1})
+
+
+@pytest.mark.parametrize("train", [[], "step", None])
+def test_config_rejects_train_settings_that_are_not_a_mapping(tmp_path, train):
+    with pytest.raises(ConfigError):
+        default_cfg(tmp_path, train=train)
 
 
 def test_config_rejects_bad_stuck_entry(tmp_path):
