@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
+import os
 import sys
+from pathlib import Path
 
 from .errors import ConfigError, MemxbarError
 from .pipeline import STAGES, RunConfig, run_pipeline
@@ -13,6 +16,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_STAGE = 3
 EXIT_ENFORCE = 4
+
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -57,7 +62,6 @@ def load_config(args) -> RunConfig:
     if args.seed is not None:
         cfg.seed = args.seed
     if args.out is not None:
-        from pathlib import Path
         cfg.out_dir = Path(args.out)
     if args.trials is not None:
         cfg.trials = args.trials
@@ -67,7 +71,42 @@ def load_config(args) -> RunConfig:
     return cfg
 
 
+def openblas_function(name: str):
+    """``openblas_<name>`` of the OpenBLAS bundled with numpy, or None.
+
+    The wheel's library lives in ``numpy.libs`` and may carry the
+    ``scipy_`` prefix and the ``64_`` suffix of its 64-bit-integer build.
+    """
+    import numpy as np
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs")
+                  .glob("*openblas*.so*"))
+    for lib in libs:
+        handle = ctypes.CDLL(str(lib))
+        for symbol in (f"scipy_openblas_{name}64_", f"openblas_{name}64_",
+                       f"openblas_{name}"):
+            fn = getattr(handle, symbol, None)
+            if fn is not None:
+                return fn
+    return None
+
+
+def limit_blas_threads(environ=os.environ) -> None:
+    """Keep OpenBLAS to one thread unless the user chose a thread count.
+
+    memxbar's products are too small to gain from a thread pool, whose
+    spinning threads only burn CPU.  A value set in
+    ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` wins.
+    """
+    if any(environ.get(name) for name in BLAS_THREAD_VARIABLES):
+        return
+    set_threads = openblas_function("set_num_threads")
+    if set_threads is not None:
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        set_threads(1)
+
+
 def main(argv=None) -> int:
+    limit_blas_threads()
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args)

@@ -5,12 +5,13 @@ transfer function of the analog chain.  Training runs full-batch
 adaptive-moment gradient descent; after every epoch the weights can be
 clamped and projected onto a discrete state set, so the result stays
 realizable on the arrays.  :func:`forward_stack` is the forward pass of
-:func:`forward`, :func:`evaluate` and the Monte Carlo trials.  Training
-runs in unit-by-pattern buffers, (units, patterns), that one
-``train_discrete`` call allocates once: one pass gives the loss and the
-gradients, and the hardening panel is scored in the same buffers.  The
-tests keep that pass bit-equal to :func:`forward_stack`, :func:`mse` and
-the row-major gradient formulas.
+:func:`forward` and :func:`evaluate`.  Training runs in unit-by-pattern
+buffers, (units, patterns), that one ``train_discrete`` call allocates
+once: one pass gives the loss and the gradients.  Stacks of weight
+realizations, the hardening panel and the Monte Carlo trials, run through
+one kernel, :func:`forward_stack_into`, in buffers their caller owns.
+The tests keep these passes bit-equal to :func:`forward_stack`,
+:func:`mse` and the row-major gradient formulas.
 """
 
 from __future__ import annotations
@@ -133,6 +134,37 @@ def forward_stack(activation: Activation, x: np.ndarray,
     """
     return activation.apply(
         activation.apply(x @ w_hidden + b_hidden) @ w_out + b_out)
+
+
+def forward_stack_into(activation: Activation, xT: np.ndarray,
+                       w_hidden: np.ndarray, b_hidden: np.ndarray,
+                       w_out: np.ndarray, b_out: np.ndarray,
+                       hidden: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """:func:`forward_stack` of T realizations in caller-owned buffers.
+
+    ``xT`` is the batch unit by pattern, (16, H), and the weights are
+    stacks (T, 16, 8) and (T, 8, 4).  ``hidden`` (at least T * 8 rows of
+    H) and ``out`` (at least T blocks of (4, H)) are work buffers; the
+    result is the view ``out[:T]``, (T, 4, H).  The hidden layer is one
+    (T * 8, 16) @ (16, H) product and the output layer one stacked
+    (T, 4, 8) @ (T, 8, H) product; bias, slope and clip act in place.
+    """
+    f = activation
+    n = len(w_hidden)
+    hidden, out = hidden[:n * N_HIDDEN], out[:n]
+    np.matmul(w_hidden.transpose(0, 2, 1).reshape(n * N_HIDDEN, N_INPUT),
+              xT, out=hidden)
+    a1 = hidden.reshape(n, N_HIDDEN, -1)
+    a1 += b_hidden[:, None]
+    if f.slope != 1.0:           # a product with 1.0 changes no bit
+        a1 *= f.slope
+    np.clip(a1, f.lower, f.upper, out=a1)
+    np.matmul(w_out.transpose(0, 2, 1), a1, out=out)
+    out += b_out[:, None]
+    if f.slope != 1.0:
+        out *= f.slope
+    np.clip(out, f.lower, f.upper, out=out)
+    return out
 
 
 def forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
@@ -283,27 +315,13 @@ class _TrainBatch:
 
     def panel_score(self, params: MlpParams, panel: dict,
                     cfg: TrainConfig) -> float:
-        """Worst exact-model loss over the frozen perturbation panel.
-
-        The hidden layer of every panel member is one (panel * 8, 16)
-        product and the output layer one stacked (panel, 4, 8) product.
-        """
-        f = params.activation
+        """Worst exact-model loss over the frozen perturbation panel."""
         w1 = params.w_hidden + panel["w_hidden"] * _noise_sigma(
             params.w_hidden, cfg)
         w2 = params.w_out + panel["w_out"] * _noise_sigma(params.w_out, cfg)
-        hidden, out = self.panel_hidden, self.panel_out
-        n = out.shape[0]
-        np.matmul(w1.transpose(0, 2, 1).reshape(n * N_HIDDEN, N_INPUT),
-                  self.xT, out=hidden)
-        a1 = hidden.reshape(n, N_HIDDEN, -1)
-        a1 += params.b_hidden[:, None]
-        a1 *= f.slope
-        np.clip(a1, f.lower, f.upper, out=a1)
-        np.matmul(w2.transpose(0, 2, 1), a1, out=out)
-        out += params.b_out[:, None]
-        out *= f.slope
-        np.clip(out, f.lower, f.upper, out=out)
+        out = forward_stack_into(params.activation, self.xT, w1,
+                                 params.b_hidden, w2, params.b_out,
+                                 self.panel_hidden, self.panel_out)
         out -= self.yT
         out *= out
         total = out[:, 0]

@@ -23,16 +23,34 @@ def subseed(*key: int) -> int:
     return int(np.random.SeedSequence(key).generate_state(1, np.uint64)[0])
 
 
+def _at(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """``values`` broadcast to ``mask`` and taken where it is set; a
+    scalar stands for every entry as it is."""
+    return values if values.ndim == 0 else np.broadcast_to(values,
+                                                           mask.shape)[mask]
+
+
 def truncated_normal(rng: np.random.Generator, mean, sigma, limit_sigmas: float,
                      size) -> np.ndarray:
-    """Normal draws redrawn until within +/- limit_sigmas standard deviations."""
-    mean = np.broadcast_to(np.asarray(mean, dtype=float), size).copy()
-    sigma = np.broadcast_to(np.asarray(sigma, dtype=float), size).copy()
-    out = rng.normal(mean, sigma)
+    """Normal draws redrawn until within +/- limit_sigmas standard deviations.
+
+    ``mean``, ``sigma`` and ``limit_sigmas`` broadcast to ``size``.  numpy
+    forms ``rng.normal(mean, sigma)`` as ``mean + sigma * g`` from one
+    standard normal ``g`` per entry, in order, so the draws equal
+    ``rng.normal`` bit for bit, with only the rejected entries redrawn.
+    """
+    mean = np.asarray(mean, dtype=float)
+    sigma = np.asarray(sigma, dtype=float)
+    out = rng.standard_normal(size)
+    out *= sigma
+    out += mean
     bound = limit_sigmas * sigma
     bad = np.abs(out - mean) > bound
-    while np.any(bad):
-        out[bad] = rng.normal(mean[bad], sigma[bad])
+    while bad.any():
+        redraw = rng.standard_normal(np.count_nonzero(bad))
+        redraw *= _at(sigma, bad)
+        redraw += _at(mean, bad)
+        out[bad] = redraw
         bad = np.abs(out - mean) > bound
     return out
 

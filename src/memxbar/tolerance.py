@@ -18,11 +18,24 @@ reuses it (common random numbers), so probes at different limits score
 the same trials and the bisection compares limits, not noise.  A probe
 scores chunks in trial order, stops after the first chunk whose worst
 trial misses the budget, and computes no weight-error bands.
+
+Each analysis scores its trials in unit-by-pattern buffers that it
+allocates once, one set per scoring thread, in blocks of trials small
+enough to stay in a core's cache: a block runs through the stacked
+forward kernel that training shares,
+:func:`~memxbar.netmodel.forward_stack_into`, and one product of the
+misclassification matrix with a one-hot class matrix gives every
+per-class error count.  The buffers are freed before the weight-error
+bands are computed.  The bands of all synapses come from one shared draw
+of the r_f, r_m1 and r_m2 factors on their own substream: a synapse
+enters its band only through ``r_f / r_m1`` and ``r_f / r_m2``, so each
+band has the distribution of an independent per-synapse draw.
 """
 
 from __future__ import annotations
 
 import json
+import queue
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -31,7 +44,8 @@ import numpy as np
 from .errors import NoPassingPointError
 from .mapping import (CompiledNet, ResistanceRange, SynapseNominals,
                       quantize_weights, symmetric_weight_states)
-from .netmodel import LABELS, MlpParams, evaluate, forward_stack
+from .netmodel import (LABELS, N_HIDDEN, N_OUTPUT, MlpParams, evaluate,
+                       forward_stack_into)
 from .reports import write_trials_csv
 from .stats import clopper_pearson_upper, substream, truncated_normal
 
@@ -39,6 +53,8 @@ PERCENTILE_PAIR = (0.05, 99.95)
 
 _STREAM_TRIAL = 0
 _STREAM_BOUNDS = 1
+_BAND_BLOCK = 32                 # synapses per block of band temporaries
+_SCORE_BYTES = 1 << 20           # hidden layer of one block of scored trials
 
 
 @dataclass(frozen=True)
@@ -92,6 +108,37 @@ class WeightErrorBounds:
         return (self.low, self.high)
 
 
+def _draw_factors(specs: dict, trials: int, rng: np.random.Generator):
+    """Relative factors ``1 + e`` of r_f, r_m1 and r_m2, in that order."""
+    if trials < 1000:
+        raise ValueError("trials must be >= 1000 for a stable percentile")
+    return tuple(sample_perturbed(np.ones(trials), specs[comp], rng)
+                 for comp in ("r_f", "r_m1", "r_m2"))
+
+
+def _band_edges(g1: np.ndarray, g2: np.ndarray, factors,
+                percentiles: tuple[float, float]):
+    """Weight-error bands, (m, 2), of m synapses on shared factor draws.
+
+    A synapse enters only through ``g1 = r_f / r_m1`` and
+    ``g2 = r_f / r_m2``: its perturbed weight is
+    ``e_f * (g1 / e_1 - g2 / e_2)`` for the factors ``(e_f, e_1, e_2)``.
+    The error is in percent of the nominal weight magnitude, or in
+    absolute weight units where the nominal weight is zero; the second
+    result says which, per synapse.
+    """
+    e_f, e_1, e_2 = factors
+    w0 = g1 - g2
+    relative = w0 != 0
+    err = g1[:, None] / e_1
+    err -= g2[:, None] / e_2
+    err *= e_f
+    err -= w0[:, None]
+    err *= np.where(relative, 100.0, 1.0)[:, None]
+    err /= np.where(relative, np.abs(w0), 1.0)[:, None]
+    return np.percentile(err, percentiles, axis=1).T, relative
+
+
 def weight_error_bounds(syn: SynapseNominals, specs: dict, trials: int,
                         rng: np.random.Generator,
                         percentiles: tuple[float, float] = PERCENTILE_PAIR
@@ -101,19 +148,11 @@ def weight_error_bounds(syn: SynapseNominals, specs: dict, trials: int,
     Relative error in percent of the nominal weight magnitude; a zero
     nominal weight switches the band to absolute weight units.
     """
-    if trials < 1000:
-        raise ValueError("trials must be >= 1000 for a stable percentile")
-    r_f = sample_perturbed(np.full(trials, syn.r_f), specs["r_f"], rng)
-    r_m1 = sample_perturbed(np.full(trials, syn.r_m1), specs["r_m1"], rng)
-    r_m2 = sample_perturbed(np.full(trials, syn.r_m2), specs["r_m2"], rng)
-    w = r_f / r_m1 - r_f / r_m2
-    w0 = syn.r_f / syn.r_m1 - syn.r_f / syn.r_m2
-    if w0 == 0:
-        lo, hi = np.percentile(w - w0, percentiles)
-        return WeightErrorBounds(float(lo), float(hi), relative=False)
-    err = 100.0 * (w - w0) / abs(w0)
-    lo, hi = np.percentile(err, percentiles)
-    return WeightErrorBounds(float(lo), float(hi), relative=True)
+    (band,), (relative,) = _band_edges(
+        np.array([syn.r_f / syn.r_m1]), np.array([syn.r_f / syn.r_m2]),
+        _draw_factors(specs, trials, rng), percentiles)
+    return WeightErrorBounds(float(band[0]), float(band[1]),
+                             relative=bool(relative))
 
 
 @dataclass
@@ -249,46 +288,160 @@ def _perturbed_weights(compiled: CompiledNet, cols: _Columns, z: np.ndarray):
     return stacks
 
 
-def _batch_p_err(net: MlpParams, w1: np.ndarray, w2: np.ndarray,
-                 x: np.ndarray, codes: np.ndarray):
-    """Error rates for a stack of weight realizations.
+class _Buffers(NamedTuple):
+    """Work buffers of one scoring thread, for a block of b trials."""
 
-    Returns overall, per-class, sites-subset (S1..S4 pooled) and
-    extraneous-subset rates per trial, all in percent.
+    hidden: np.ndarray           # (b * 8, H) hidden layer
+    out: np.ndarray              # (b, 4, H) output layer
+    best: np.ndarray             # (b, H) running maximum output
+    pred: np.ndarray             # (b, H) predicted class code
+    wrong: np.ndarray            # (b, H) 1.0 where misclassified
+    mask: np.ndarray             # (b, H) bool
+
+
+class _ScoreBatch:
+    """Test patterns and the scoring buffers of one analysis.
+
+    Trials are scored in blocks whose hidden layer, about
+    ``_SCORE_BYTES``, stays in a core's cache: each block runs through
+    :func:`forward_stack_into` into unit-by-pattern buffers, so scoring
+    allocates no array of trials * H elements.  Each scoring thread takes
+    a buffer set of its own from a pool; a set is made the first time no
+    free one is left.
+
+    The prediction equals the first maximal output, or the reject class
+    where that maximum is not positive: passes from the last output row
+    to the first keep the running maximum and, by ``>=``, hand ties to the
+    earlier row.  One ``wrong @ onehot`` product counts the errors of
+    every class.
     """
-    out = forward_stack(net.activation, x, w1, net.b_hidden, w2, net.b_out)
-    best = out.argmax(axis=2)
-    pred = np.where(out.max(axis=2) > 0, best, len(LABELS) - 1)
-    wrong = pred != codes[None, :]
-    overall = wrong.mean(axis=1) * 100.0
-    per_class = {}
-    for k, label in enumerate(LABELS):
-        mask = codes == k
-        if mask.any():
-            per_class[label] = wrong[:, mask].mean(axis=1) * 100.0
-    site_mask = codes < len(LABELS) - 1
-    sites = (wrong[:, site_mask].mean(axis=1) * 100.0 if site_mask.any()
-             else np.zeros(wrong.shape[0]))
-    extraneous = (wrong[:, ~site_mask].mean(axis=1) * 100.0
-                  if (~site_mask).any() else np.zeros(wrong.shape[0]))
-    return overall, per_class, sites, extraneous
+
+    def __init__(self, net: MlpParams, x: np.ndarray, codes: np.ndarray):
+        self.net = net
+        self.xT = np.ascontiguousarray(x.T)
+        self.codes = codes.astype(np.int8)
+        self.onehot = (codes[:, None] == np.arange(len(LABELS))).astype(float)
+        h = self.xT.shape[1]
+        self.block = max(1, _SCORE_BYTES // (N_HIDDEN * h * self.xT.itemsize))
+        self._free = queue.SimpleQueue()
+
+    def _buffers(self) -> _Buffers:
+        try:
+            return self._free.get_nowait()
+        except queue.Empty:
+            b, h = self.block, self.xT.shape[1]
+            return _Buffers(np.empty((b * N_HIDDEN, h)),
+                            np.empty((b, N_OUTPUT, h)), np.empty((b, h)),
+                            np.empty((b, h), dtype=np.int8), np.empty((b, h)),
+                            np.empty((b, h), dtype=bool))
+
+    def errors(self, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
+        """Misclassified patterns per trial and class, (T, 5)."""
+        counts = np.empty((len(w1), len(LABELS)))
+        buf = self._buffers()
+        try:
+            for start in range(0, len(w1), self.block):
+                rows = slice(start, start + self.block)
+                self._score_block(buf, w1[rows], w2[rows], counts[rows])
+        finally:
+            self._free.put(buf)
+        return counts
+
+    def _score_block(self, buf: _Buffers, w1: np.ndarray, w2: np.ndarray,
+                     counts: np.ndarray) -> None:
+        n, net = len(w1), self.net
+        out = forward_stack_into(net.activation, self.xT, w1, net.b_hidden,
+                                 w2, net.b_out, buf.hidden, buf.out)
+        best, pred, wrong, mask = (buf.best[:n], buf.pred[:n],
+                                   buf.wrong[:n], buf.mask[:n])
+        np.copyto(best, out[:, N_OUTPUT - 1])
+        pred.fill(N_OUTPUT - 1)
+        for k in range(N_OUTPUT - 2, -1, -1):
+            np.greater_equal(out[:, k], best, out=mask)
+            np.copyto(pred, k, where=mask)
+            np.maximum(best, out[:, k], out=best)
+        np.greater(best, 0.0, out=mask)
+        np.logical_not(mask, out=mask)
+        np.copyto(pred, len(LABELS) - 1, where=mask)
+        np.not_equal(pred, self.codes, out=wrong)
+        np.matmul(wrong, self.onehot, out=counts)
+
+
+def _percent(count: np.ndarray, size: int) -> np.ndarray:
+    return count / size * 100.0
+
+
+def _rates(counts: np.ndarray, sizes: np.ndarray):
+    """Overall, per-class, sites (S1..S4 pooled) and extraneous error
+    rates in percent, from the per-class error counts, (trials, 5), and
+    the class sizes.  Per-class rates cover the classes present."""
+    def pooled(classes: slice) -> np.ndarray:
+        size = sizes[classes].sum()
+        if not size:
+            return np.zeros(len(counts))
+        return _percent(counts[:, classes].sum(axis=1), size)
+
+    per_class = {label: _percent(counts[:, k], sizes[k])
+                 for k, label in enumerate(LABELS) if sizes[k]}
+    return (pooled(slice(None)), per_class, pooled(slice(None, -1)),
+            pooled(slice(-1, None)))
+
+
+def _score_trials(net: MlpParams, compiled: CompiledNet, cols: _Columns,
+                  x: np.ndarray, codes: np.ndarray, trials: int, master: int,
+                  chunk: int, threads: int, probe: TrialDraws | None,
+                  x_p: float) -> np.ndarray:
+    """Per-class error counts, (trials scored, 5), of consecutive trials.
+
+    The scoring buffers live only as long as this call.
+    """
+    batch = _ScoreBatch(net, x, codes)
+    sizes = np.bincount(codes, minlength=len(LABELS))
+    counts = np.empty((trials, len(LABELS)))
+
+    def run_chunk(start: int) -> float:
+        count = min(chunk, trials - start)
+        z = (trial_draws(cols.limit, master, start, count).z
+             if probe is None else probe.z[start:start + count])
+        rows = counts[start:start + count]
+        rows[...] = batch.errors(*_perturbed_weights(compiled, cols, z))
+        return float(_rates(rows, sizes)[0].max())
+
+    starts = range(0, trials, chunk)
+    if probe is not None:
+        for start in starts:
+            if run_chunk(start) > x_p:
+                return counts[:start + chunk]
+    elif threads == 1:
+        for start in starts:
+            run_chunk(start)
+    else:
+        import concurrent.futures
+        import os
+        workers = threads if threads > 0 else (os.cpu_count() or 1)
+        with concurrent.futures.ThreadPoolExecutor(workers) as pool:
+            list(pool.map(run_chunk, starts))
+    return counts
 
 
 def _weight_bands(compiled: CompiledNet, specs: dict, master: int,
                   trials: int, percentiles: tuple[float, float]) -> dict:
-    """Per-synapse weight-error bands, layer -> (in, out, 2) array."""
+    """Per-synapse weight-error bands, layer -> (in, out, 2) array.
+
+    Every synapse is scored on one shared draw of the r_f, r_m1 and r_m2
+    factors, in blocks of ``_BAND_BLOCK`` synapses.
+    """
+    factors = _draw_factors(specs, trials, substream(master, _STREAM_BOUNDS))
     bounds = {}
     for name, layer in compiled.layers():
-        n_in, n_out = layer.r_m1.shape
-        band = np.empty((n_in, n_out, 2))
-        for i in range(n_in):
-            for j in range(n_out):
-                rng = substream(master, _STREAM_BOUNDS,
-                                0 if name == "hidden" else 1, i, j)
-                b = weight_error_bounds(layer.synapse(i, j), specs, trials,
-                                        rng, percentiles)
-                band[i, j] = b.as_tuple()
-        bounds[name] = band
+        g1 = (layer.r_f / layer.r_m1).ravel()
+        g2 = (layer.r_f / layer.r_m2).ravel()
+        band = np.empty((g1.size, 2))
+        for i in range(0, g1.size, _BAND_BLOCK):
+            block = slice(i, i + _BAND_BLOCK)
+            band[block] = _band_edges(g1[block], g2[block], factors,
+                                      percentiles)[0]
+        bounds[name] = band.reshape(layer.r_m1.shape + (2,))
     return bounds
 
 
@@ -323,46 +476,12 @@ def analyze_tolerances(net: MlpParams, compiled: CompiledNet, specs: dict,
         if not np.array_equal(probe.limit, cols.limit):
             raise ValueError("probe was drawn at other limits than specs")
     codes = _label_codes(labels_test)
-    x_test = np.asarray(x_test, dtype=float)
-    p_err_all = np.empty(trials)
-    p_sites = np.empty(trials)
-    p_extraneous = np.empty(trials)
-    class_trials = {label: np.empty(trials) for label in LABELS}
-    seen_classes = set()
-
-    def run_chunk(start: int) -> float:
-        count = min(chunk, trials - start)
-        z = (trial_draws(cols.limit, master, start, count).z
-             if probe is None else probe.z[start:start + count])
-        w1, w2 = _perturbed_weights(compiled, cols, z)
-        overall, per_class, sites, extraneous = _batch_p_err(
-            net, w1, w2, x_test, codes)
-        p_err_all[start:start + count] = overall
-        p_sites[start:start + count] = sites
-        p_extraneous[start:start + count] = extraneous
-        for label, values in per_class.items():
-            class_trials[label][start:start + count] = values
-            seen_classes.add(label)
-        return float(overall.max())
-
-    starts = range(0, trials, chunk)
-    if probe is not None:
-        for start in starts:
-            if run_chunk(start) > x_p:
-                trials = min(start + chunk, trials)
-                break
-        p_err_all, p_sites, p_extraneous = (
-            p_err_all[:trials], p_sites[:trials], p_extraneous[:trials])
-        class_trials = {k: v[:trials] for k, v in class_trials.items()}
-    elif threads == 1:
-        for start in starts:
-            run_chunk(start)
-    else:
-        import concurrent.futures
-        import os
-        workers = threads if threads > 0 else (os.cpu_count() or 1)
-        with concurrent.futures.ThreadPoolExecutor(workers) as pool:
-            list(pool.map(run_chunk, starts))
+    counts = _score_trials(net, compiled, cols,
+                           np.asarray(x_test, dtype=float), codes, trials,
+                           master, chunk, threads, probe, x_p)
+    trials = len(counts)
+    p_err_all, per_class, p_sites, p_extraneous = _rates(
+        counts, np.bincount(codes, minlength=len(LABELS)))
     lo, mid, hi = np.percentile(p_err_all, (percentiles[0], 50.0, percentiles[1]))
     bounds = ({} if probe is not None else
               _weight_bands(compiled, specs, master, bounds_trials, percentiles))
@@ -371,8 +490,8 @@ def analyze_tolerances(net: MlpParams, compiled: CompiledNet, specs: dict,
         p_err_sites=p_sites, p_err_extraneous=p_extraneous,
         percentiles={f"p{percentiles[0]:g}": float(lo), "p50": float(mid),
                      f"p{percentiles[1]:g}": float(hi)},
-        per_class_max={label: float(class_trials[label].max())
-                       for label in LABELS if label in seen_classes},
+        per_class_max={label: float(rates.max())
+                       for label, rates in per_class.items()},
         weight_bounds=bounds,
         passed=bool(p_err_all.max() <= x_p),
     )

@@ -10,8 +10,8 @@ from memxbar.mapping import (ResistanceRange, quantize_weights,
                              symmetric_weight_states)
 from memxbar.netmodel import (Activation, MlpParams, TrainConfig, TrainResult,
                               _TrainBatch, classify, evaluate, forward,
-                              forward_stack, gradients, init_params, mse,
-                              p_err, train_discrete)
+                              forward_stack, forward_stack_into, gradients,
+                              init_params, mse, p_err, train_discrete)
 from memxbar.stats import truncated_normal
 
 
@@ -347,6 +347,24 @@ def test_panel_score_equals_forward_stack(activation):
     batch = _TrainBatch(x, y, cfg.panel)
     assert batch.panel_score(params, panel, cfg) == \
         reference_panel_score(params, panel, cfg, x, y)
+
+
+@pytest.mark.parametrize("activation", [Activation(), SLOPED])
+def test_forward_stack_into_equals_forward_stack(activation):
+    params, x, _ = saturating_problem()
+    rng = np.random.default_rng(5)
+    w1 = params.w_hidden + 0.3 * rng.standard_normal((6, 16, 8))
+    w2 = params.w_out + 0.3 * rng.standard_normal((6, 8, 4))
+    # buffers for more trials than are passed: only the leading ones count
+    hidden = np.full((9 * 8, len(x)), np.nan)
+    out = np.full((9, 4, len(x)), np.nan)
+    got = forward_stack_into(activation, np.ascontiguousarray(x.T), w1,
+                             params.b_hidden, w2, params.b_out, hidden, out)
+    ref = forward_stack(activation, x, w1, params.b_hidden, w2, params.b_out)
+    assert got.shape == (6, 4, len(x))
+    assert np.shares_memory(got, out)
+    assert np.array_equal(got, ref.transpose(0, 2, 1))
+    assert np.isnan(out[6:]).all()
 
 
 def test_training_passes_allocate_no_pattern_sized_array():

@@ -2,13 +2,19 @@
 
 import csv
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from memxbar.cli import (EXIT_CONFIG, EXIT_ENFORCE, EXIT_OK, EXIT_STAGE,
-                         build_parser, load_config, main)
+import memxbar
+from memxbar.cli import (BLAS_THREAD_VARIABLES, EXIT_CONFIG, EXIT_ENFORCE,
+                         EXIT_OK, EXIT_STAGE, build_parser, load_config,
+                         main)
 from memxbar.device import DeviceParams
 from memxbar.errors import ConfigError
 from memxbar.mapping import ResistanceRange
@@ -259,3 +265,39 @@ def test_enforce_passes_on_good_run(default_run, capsys):
     path.write_text(json.dumps(config))
     code = main(["--config", str(path), "--stage", "report", "--enforce"])
     assert code == EXIT_OK
+
+
+BLAS_PROBE = """
+import ctypes
+from memxbar import cli
+get = cli.openblas_function("get_num_threads")
+if get is None:
+    print("no bundled OpenBLAS")
+    raise SystemExit(0)
+get.argtypes, get.restype = [], ctypes.c_int
+before = get()
+cli.main(["--seed", "1"])   # refused for the missing --out, before any stage
+print(before, get())
+"""
+
+
+@pytest.mark.parametrize("env, threads", [
+    ({}, 1), ({"OPENBLAS_NUM_THREADS": "2"}, 2), ({"OMP_NUM_THREADS": "2"}, 2),
+])
+def test_cli_keeps_blas_to_one_thread_unless_set(env, threads):
+    environ = {k: v for k, v in os.environ.items()
+               if k not in BLAS_THREAD_VARIABLES}
+    environ.update(env)
+    src = str(Path(memxbar.__file__).resolve().parents[1])
+    environ["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", BLAS_PROBE], env=environ,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    last = done.stdout.strip().splitlines()[-1]
+    if last == "no bundled OpenBLAS":
+        pytest.skip(last)
+    before, after = map(int, last.split())
+    assert after == threads
+    if env:
+        assert before == threads

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from memxbar.stats import clopper_pearson_upper
+from memxbar.stats import clopper_pearson_upper, truncated_normal
 
 
 def test_clopper_pearson_zero_failures_is_closed_form():
@@ -28,3 +28,51 @@ def test_clopper_pearson_rejects_impossible_counts():
     for k, n in ((-1, 10), (11, 10), (0, 0)):
         with pytest.raises(ValueError):
             clopper_pearson_upper(k, n)
+
+
+def reference_truncated_normal(rng, mean, sigma, limit_sigmas, size):
+    """Whole-array ``rng.normal`` draws, the rejected ones redrawn; also
+    the number of redraw rounds."""
+    mean = np.broadcast_to(np.asarray(mean, dtype=float), size).copy()
+    sigma = np.broadcast_to(np.asarray(sigma, dtype=float), size).copy()
+    out = rng.normal(mean, sigma)
+    bound = limit_sigmas * sigma
+    bad = np.abs(out - mean) > bound
+    rounds = 0
+    while np.any(bad):
+        out[bad] = rng.normal(mean[bad], sigma[bad])
+        bad = np.abs(out - mean) > bound
+        rounds += 1
+    return out, rounds
+
+
+SHAPE = (3, 4, 5)
+ARRAY_MEAN = np.linspace(-2.0, 3.0, 5)
+ARRAY_SIGMA = np.linspace(0.1, 2.0, 60).reshape(SHAPE)
+ARRAY_LIMIT = np.array([0.4, 1.0, 2.0, 3.0, 0.2])
+
+
+@pytest.mark.parametrize("mean", [0.0, 7.5, ARRAY_MEAN])
+@pytest.mark.parametrize("sigma", [1.0, 0.3, ARRAY_SIGMA])
+@pytest.mark.parametrize("limit", [3.0, 0.25, ARRAY_LIMIT])
+def test_truncated_normal_equals_whole_array_normal_draws(mean, sigma, limit):
+    for seed in range(5):
+        got = truncated_normal(np.random.default_rng(seed), mean, sigma,
+                               limit, SHAPE)
+        ref, _ = reference_truncated_normal(np.random.default_rng(seed),
+                                            mean, sigma, limit, SHAPE)
+        assert got.shape == SHAPE
+        assert np.array_equal(got, ref)
+        assert np.all(np.abs(got - mean) <= limit * np.asarray(sigma))
+
+
+def test_truncated_normal_low_limit_takes_several_rounds():
+    # at 0.25 sigma about four draws in five are redrawn, round after round
+    rng = np.random.default_rng(8)
+    got = truncated_normal(rng, 1.0, 2.0, 0.25, 50)
+    tail = np.random.default_rng(8)
+    ref, rounds = reference_truncated_normal(tail, 1.0, 2.0, 0.25, 50)
+    assert rounds >= 5
+    assert np.array_equal(got, ref)
+    # both leave the generator at the same place
+    assert rng.standard_normal() == tail.standard_normal()

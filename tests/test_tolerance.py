@@ -1,15 +1,20 @@
 """Monte Carlo tolerance analysis, synthesis, and the state-count sweep."""
 
+import os
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from memxbar import tolerance
 from memxbar.errors import NoPassingPointError
-from memxbar.mapping import ResistanceRange, SynapseNominals
-from memxbar.netmodel import evaluate
+from memxbar.mapping import (CompiledLayer, CompiledNet, ResistanceRange,
+                             SynapseNominals)
+from memxbar.netmodel import LABELS, MlpParams, evaluate, forward_stack
 from memxbar.pipeline import RunConfig, _default_plan, _load_params
 from memxbar.stats import clopper_pearson_upper
-from memxbar.tolerance import (ExperimentPlan, ToleranceSpec,
+from memxbar.tolerance import (PERCENTILE_PAIR, ExperimentPlan, ToleranceSpec,
                                analyze_tolerances, discrete_state_sweep,
                                sample_perturbed, synthesize_tolerances,
                                tolerance_set, trial_draws, weight_error_bounds)
@@ -278,3 +283,161 @@ def test_sweep_rejects_degenerate_counts(default_net, default_test_split):
     with pytest.raises(ValueError):
         discrete_state_sweep(default_net, x_test, y_test, (1,),
                              ResistanceRange(10e3, 60e3), 100e3)
+
+
+def reference_rates(net, w1, w2, x, codes):
+    """Error rates by argmax over ``forward_stack``, reject where the
+    maximum output is <= 0, and masked means over the patterns."""
+    out = forward_stack(net.activation, x, w1, net.b_hidden, w2, net.b_out)
+    best = out.argmax(axis=2)
+    pred = np.where(out.max(axis=2) > 0, best, len(LABELS) - 1)
+    wrong = pred != codes[None, :]
+    per_class = {label: wrong[:, codes == k].mean(axis=1) * 100.0
+                 for k, label in enumerate(LABELS) if (codes == k).any()}
+    site_mask = codes < len(LABELS) - 1
+    return (wrong.mean(axis=1) * 100.0, per_class,
+            wrong[:, site_mask].mean(axis=1) * 100.0,
+            wrong[:, ~site_mask].mean(axis=1) * 100.0)
+
+
+def scorer_problem():
+    """Seven trials whose outputs tie, are all negative or peak at 0.
+
+    Trial 1 repeats output column 0 in column 1 (ties at any value),
+    trial 2 saturates outputs 2 and 3 at the upper rail, trial 3 drives
+    every output to the lower rail and trial 4 leaves outputs 0, 1 and 3
+    at exactly 0 and output 2 at the lower rail.  No pattern is labelled
+    S3.
+    """
+    rng = np.random.default_rng(4)
+    x = rng.uniform(0.0, 1.0, (60, 16))
+    codes = rng.choice([0, 1, 3, 4], size=60)
+    net = MlpParams(rng.uniform(-0.5, 0.5, (16, 8)),
+                    rng.uniform(-0.3, 0.3, 8),
+                    rng.uniform(-0.6, 0.4, (8, 4)),
+                    np.array([0.0, 0.0, 0.05, 0.0]))
+    w1 = net.w_hidden + 0.3 * rng.standard_normal((7, 16, 8))
+    w2 = net.w_out + 0.3 * rng.standard_normal((7, 8, 4))
+    w2[1, :, 1] = w2[1, :, 0]
+    w1[2] = np.abs(w1[2]) + 0.1
+    w2[2, :, 2:] = 50.0
+    w2[3] = -50.0
+    w1[4] = np.abs(w1[4]) + 0.1
+    w2[4] = 0.0
+    w2[4, :, 2] = -50.0
+    return net, x, codes, w1, w2
+
+
+def test_scorer_problem_has_ties_negatives_and_zeros():
+    net, x, codes, w1, w2 = scorer_problem()
+    out = forward_stack(net.activation, x, w1, net.b_hidden, w2, net.b_out)
+    top = out.max(axis=2, keepdims=True)
+    ties = (out == top).sum(axis=2) > 1
+    assert ties[1].any() and ties[2].all() and ties[3].all()
+    assert (top[3] < 0).all() and (top[4] == 0).all()
+    assert (top[1] > 0).any() and (top[1] < 0).any()
+    assert 2 not in codes
+
+
+@pytest.mark.parametrize("block", [1, 2, 64])
+def test_scorer_equals_forward_stack_classification(block):
+    net, x, codes, w1, w2 = scorer_problem()
+    batch = tolerance._ScoreBatch(net, x, codes)
+    batch.block = block
+    # chunks of 3, 3 and 1 trials; blocks of 2 leave one trial over
+    counts = np.concatenate([batch.errors(w1[s:s + 3], w2[s:s + 3])
+                             for s in range(0, 7, 3)])
+    overall, per_class, sites, extraneous = tolerance._rates(
+        counts, np.bincount(codes, minlength=len(LABELS)))
+    ref = reference_rates(net, w1, w2, x, codes)
+    assert np.array_equal(overall, ref[0])
+    assert per_class.keys() == ref[1].keys() == {"S1", "S2", "S4", "Sr"}
+    for label in per_class:
+        assert np.array_equal(per_class[label], ref[1][label]), label
+    assert np.array_equal(sites, ref[2])
+    assert np.array_equal(extraneous, ref[3])
+
+
+def test_scoring_allocates_no_chunk_sized_array():
+    rng = np.random.default_rng(6)
+    x = rng.uniform(0.0, 1.0, (2000, 16))
+    codes = rng.integers(0, len(LABELS), 2000)
+    net = MlpParams(rng.uniform(-0.5, 0.5, (16, 8)), np.zeros(8),
+                    rng.uniform(-0.5, 0.5, (8, 4)), np.zeros(4))
+    w1 = net.w_hidden + 0.1 * rng.standard_normal((50, 16, 8))
+    w2 = net.w_out + 0.1 * rng.standard_normal((50, 8, 4))
+    batch = tolerance._ScoreBatch(net, x, codes)
+    first = batch.errors(w1, w2)
+    tracemalloc.start()
+    try:
+        again = batch.errors(w1, w2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(first, again)
+    assert peak < len(w1) * len(x) * x.itemsize
+
+
+BAND_LAYER = CompiledLayer(r_m1=np.array([[20e3, 300e3, 45e3, 300e3]]),
+                           r_m2=np.array([[300e3, 20e3, 300e3, 300e3]]),
+                           r_f=100e3)
+
+
+def reference_band(syn, specs, trials, rng):
+    """Percentile band of ``r_f / r_m1 - r_f / r_m2`` over perturbed
+    resistances, in percent of |w0|, or absolute where w0 = 0."""
+    r_f, r_m1, r_m2 = (sample_perturbed(np.full(trials, value), specs[comp],
+                                        rng)
+                       for comp, value in (("r_f", syn.r_f),
+                                           ("r_m1", syn.r_m1),
+                                           ("r_m2", syn.r_m2)))
+    w0 = syn.r_f / syn.r_m1 - syn.r_f / syn.r_m2
+    err = r_f / r_m1 - r_f / r_m2 - w0
+    if w0:
+        err = 100.0 * err / abs(w0)
+    return np.percentile(err, PERCENTILE_PAIR)
+
+
+@pytest.mark.parametrize("r_m, r_f", [(0.2, 0.01), (0.01, 0.2)])
+def test_shared_draw_bands_match_per_synapse_draws(r_m, r_f):
+    # positive, negative, small and zero weights; the zero one is absolute
+    compiled = CompiledNet(hidden=BAND_LAYER, out=BAND_LAYER)
+    specs = tolerance_set(r_m, r_f)
+    bands = tolerance._weight_bands(compiled, specs, 11, 200000,
+                                    PERCENTILE_PAIR)
+    assert np.array_equal(bands["hidden"], bands["out"])
+    for j in range(4):
+        syn = BAND_LAYER.synapse(0, j)
+        ref = reference_band(syn, specs, 200000, np.random.default_rng(77))
+        own = weight_error_bounds(syn, specs, 200000,
+                                  np.random.default_rng(78))
+        assert own.relative is (j != 3)
+        # criterion 09's gap for percent bands; 2 % of the band otherwise
+        tol = 1.0 if own.relative else 0.02 * (ref[1] - ref[0])
+        for band in (bands["hidden"][0, j], own.as_tuple()):
+            assert band[0] < 0 < band[1]
+            assert np.abs(np.subtract(band, ref)).max() <= tol
+
+
+def test_analysis_ignores_threads_and_chunk_size(default_net,
+                                                 default_compiled,
+                                                 default_test_split):
+    x_test, y_test = default_test_split
+
+    def run(chunk, threads):
+        return analyze_tolerances(default_net, default_compiled,
+                                  tolerance_set(), x_test, y_test, x_p=5.0,
+                                  trials=120, seed=1234, bounds_trials=1000,
+                                  chunk=chunk, threads=threads)
+
+    serial = run(250, 1)
+    # more scoring threads than cores, switching often, share one buffer pool
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        others = [run(50, 2), run(7, (os.cpu_count() or 1) + 2), run(16, 1)]
+    finally:
+        sys.setswitchinterval(interval)
+    for report in others:
+        assert np.array_equal(report.p_err, serial.p_err)
+        assert report.to_dict() == serial.to_dict()
