@@ -24,6 +24,7 @@ from .errors import (
     OddRowCountError,
     ShapeMismatchError,
 )
+from .reports import write_csv
 
 Mode = str  # "SET" | "RESET" | "READ"
 
@@ -42,7 +43,6 @@ class CrossbarConfig:
     u_sat: float = 1.0       # activation amplifier saturation
     u_rail: float = 15.0     # summing/differential stage supply swing
     u_in_max: float = 1.0
-    resistor_tolerance: float = 0.01
     adc_step: float = 0.0025
     adc_range: float = 5.0
 
@@ -300,14 +300,11 @@ def two_layer_forward(xbar1: Crossbar, xbar2: Crossbar, b_hidden: np.ndarray,
 
 
 def save_crossbar_csv(xbar: Crossbar, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row", "col", "resistance_ohm", "stuck_flag", "stuck_ohm"])
-        for (r, c), ohm in np.ndenumerate(xbar.resistance):
-            stuck = float(xbar.stuck[r, c])
-            frozen = not np.isnan(stuck)
-            writer.writerow([r, c, repr(float(ohm)), int(frozen),
-                             repr(stuck) if frozen else ""])
+    write_csv(path, ["row", "col", "resistance_ohm", "stuck_flag", "stuck_ohm"],
+              ((r, c, ohm) + ((0, "") if np.isnan(stuck) else (1, stuck))
+               for r, (ohms, stucks) in enumerate(zip(xbar.resistance.tolist(),
+                                                      xbar.stuck.tolist()))
+               for c, (ohm, stuck) in enumerate(zip(ohms, stucks))))
 
 
 def load_crossbar_csv(path, config: CrossbarConfig, device: DeviceParams) -> Crossbar:

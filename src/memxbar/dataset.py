@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import CountMismatchError
 from .netmodel import LABELS, N_OUTPUT, OUTPUT_LABELS, REJECT_LABEL
+from .reports import replacing, write_csv
 from .stats import quantize_half_up, truncated_normal
 
 N_CHANNELS = 4
@@ -67,7 +68,7 @@ class StimulusProfile:
 
 
 def save_profile(profile: StimulusProfile, path) -> None:
-    with open(path, "w") as fh:
+    with replacing(path) as fh:
         json.dump(profile.to_dict(), fh, indent=2)
 
 
@@ -186,11 +187,8 @@ def save_dataset_csv(path, x: np.ndarray, labels) -> None:
     x = np.asarray(x, dtype=float)
     if x.shape[0] != len(labels):
         raise CountMismatchError(f"{x.shape[0]} rows vs {len(labels)} labels")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{i}" for i in range(x.shape[1])] + ["label"])
-        for row, label in zip(x, labels):
-            writer.writerow([repr(float(v)) for v in row] + [label])
+    write_csv(path, [f"x{i}" for i in range(x.shape[1])] + ["label"],
+              (row.tolist() + [label] for row, label in zip(x, labels)))
 
 
 def load_dataset_csv(path) -> tuple[np.ndarray, list]:

@@ -33,11 +33,9 @@ class DeviceParams:
     r_hrs_nominal: float = 60e3
     v_threshold: float = 1.5
     v_set: float = -3.0
-    i_limit_set: float = 300e-6
     ramp_range: tuple[float, float] = (1.5, 3.0)
     ramp_step: float | None = None
     ramp_gamma: float = 1.0
-    pulse_width: float = 1e-3
     v_read: float = 0.5
     program_tolerance: float = 0.15
     response_noise_sigma: float = 0.05

@@ -391,10 +391,7 @@ class TrainResult:
     curve: np.ndarray                  # index 0 is the starting loss
     converged: bool
     epochs: int
-
-    @property
-    def final_mse(self) -> float:
-        return float(self.curve[-1])
+    final_mse: float                   # exact-model loss of ``params``
 
 
 def _project(params: MlpParams, cfg: TrainConfig) -> None:
@@ -498,7 +495,8 @@ def train_discrete(params: MlpParams, x: np.ndarray, y: np.ndarray,
         elif loss < best_score:
             best_score, best, best_loss = loss, work.copy(), loss
     return TrainResult(params=best, curve=np.array(curve),
-                       converged=best_loss <= cfg.mse_target, epochs=epoch)
+                       converged=best_loss <= cfg.mse_target, epochs=epoch,
+                       final_mse=float(best_loss))
 
 
 def evaluate(params: MlpParams, x: np.ndarray, labels) -> float:

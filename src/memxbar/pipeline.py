@@ -1,16 +1,16 @@
 """End-to-end orchestration: dataset, training, compilation, programming,
 stress analysis, tolerance synthesis, state sweep.
 
-Each stage writes its artifacts under a stage-named subdirectory of the
-run directory and later stages reload them from disk, so any stage can be
-re-run in isolation.  All randomness derives from the master seed through
-fixed per-stage substreams; an identical configuration reproduces every
-artifact byte for byte.
+Each stage writes its artifacts, each replaced whole by ``reports.replacing``,
+into the stage-named directory that ``run_pipeline`` makes in the run
+directory; later stages reload them from disk, so any stage can be re-run
+in isolation.  All randomness derives from the master seed through fixed
+per-stage substreams; an identical configuration reproduces every artifact
+byte for byte.
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import math
@@ -28,9 +28,9 @@ from .errors import ConfigError
 from .mapping import (CompiledLayer, CompiledNet, ResistanceRange,
                       compensate_stuck, compile_network, symmetric_weight_states,
                       w_max)
-from .netmodel import (MlpParams, TrainConfig, TrainResult, evaluate, forward,
-                       init_params, mse, train_discrete)
-from .reports import require_artifact
+from .netmodel import (MlpParams, TrainConfig, evaluate, init_params,
+                       train_discrete)
+from .reports import replacing, require_artifact
 from .stats import subseed, substream
 from .tolerance import (ExperimentPlan, analyze_tolerances, synthesize_tolerances,
                         discrete_state_sweep, tolerance_set)
@@ -60,6 +60,19 @@ _INT_MINIMA = {"trials": 1, "bounds_trials": 1000, "plan_trials": 1,
 # Settings that change how or where a run executes but not what it computes.
 _UNHASHED = ("out_dir", "threads")
 
+# Error limits of the memristors and the feedback resistors (fractions) and
+# the truncation of their distributions, in sigmas; the defaults of
+# ``RunConfig.tolerances`` and of any setting it leaves out.
+_TOLERANCES = {"r_m": 0.2, "r_f": 0.01, "limit_sigmas": 3.0}
+_TOLERANCE_RANGES = {
+    "r_m": ("in [0, 1)", lambda v: 0 <= v < 1),
+    "r_f": ("in [0, 1)", lambda v: 0 <= v < 1),
+    "limit_sigmas": ("finite and > 0", lambda v: 0 < v < math.inf),
+}
+
+# Components a synthesis plan point can set an error limit for.
+_PLAN_PARTS = ("r_m1", "r_m2", "r_f")
+
 
 @dataclass
 class RunConfig:
@@ -80,8 +93,7 @@ class RunConfig:
     resistance_range: ResistanceRange = field(
         default_factory=lambda: ResistanceRange(10e3, 300e3, n_states=7))
     train: dict = field(default_factory=dict)
-    tolerances: dict = field(
-        default_factory=lambda: {"r_m": 0.2, "r_f": 0.01, "limit_sigmas": 3.0})
+    tolerances: dict = field(default_factory=lambda: dict(_TOLERANCES))
     profile_path: str | None = None
     stuck: list = field(default_factory=list)
     x_p: float = 5.0
@@ -147,6 +159,50 @@ class RunConfig:
             if type(value) is not int or value < least:
                 raise ConfigError(f"{name} must be an int >= {least}, "
                                   f"got {value!r}")
+
+    def check_experiment(self) -> None:
+        """Raise ConfigError unless the tolerance, error-budget, sweep and
+        synthesis-plan settings are usable.
+
+        ``run_pipeline`` calls it before any stage runs; the constructor
+        does not, because configs are built far more often than run.
+        """
+        tol = self.tolerances
+        if not isinstance(tol, dict) or set(tol) - set(_TOLERANCES):
+            raise ConfigError(f"tolerances must map some of {list(_TOLERANCES)} "
+                              f"to values: {tol!r}")
+        for name, value in tol.items():
+            rule = _TOLERANCE_RANGES[name]
+            if not (_is_real(value) and rule[1](value)):
+                raise ConfigError(f"tolerances.{name} must be {rule[0]}, "
+                                  f"got {value!r}")
+        if not (_is_real(self.x_p) and 0 < self.x_p <= 100):
+            raise ConfigError(f"x_p must be a percentage in (0, 100], "
+                              f"got {self.x_p!r}")
+        counts = self.sweep_counts
+        if (not isinstance(counts, (tuple, list)) or not counts
+                or any(type(n) is not int or n < 2 for n in counts)):
+            raise ConfigError(f"sweep_counts must be ints >= 2, got {counts!r}")
+        points = self.plan_points
+        if points is None:
+            return
+        if not isinstance(points, list) or not points:
+            raise ConfigError(f"plan_points must be a nonempty list, got {points!r}")
+        for k, point in enumerate(points):
+            if (not isinstance(point, dict) or not point
+                    or set(point) - set(_PLAN_PARTS) or set(point) != set(points[0])
+                    or not all(_is_limit(v) for v in point.values())):
+                raise ConfigError(
+                    f"plan_points[{k}] must map the components of the first "
+                    f"point, some of {list(_PLAN_PARTS)}, to limits in [0, 1): "
+                    f"{point!r}")
+            if k and any(point[c] < points[k - 1][c] for c in point):
+                raise ConfigError("plan_points must be componentwise "
+                                  f"nondecreasing: {points[k - 1]!r} then {point!r}")
+
+    def tolerance_settings(self) -> dict:
+        """``tolerances`` with the default of every setting it leaves out."""
+        return {**_TOLERANCES, **self.tolerances}
 
     def to_dict(self) -> dict:
         return {
@@ -218,6 +274,15 @@ class RunConfig:
         return hashlib.sha256(blob).hexdigest()
 
 
+def _is_real(value) -> bool:
+    return type(value) in (int, float)
+
+
+def _is_limit(value) -> bool:
+    """An error limit: a fraction in [0, 1); NaN fails the comparison."""
+    return _is_real(value) and 0 <= value < 1
+
+
 def _load_split(run_dir: Path, name: str):
     return ds.load_dataset_csv(require_artifact(run_dir, f"dataset/{name}.csv"))
 
@@ -240,14 +305,7 @@ def _load_compiled(run_dir: Path) -> CompiledNet:
     )
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-
-
-def stage_dataset(cfg: RunConfig) -> dict:
-    out = cfg.out_dir / "dataset"
-    out.mkdir(parents=True, exist_ok=True)
+def stage_dataset(cfg: RunConfig, out: Path) -> dict:
     profile = (ds.load_profile(cfg.profile_path) if cfg.profile_path
                else ds.default_profile())
     rng = substream(cfg.seed, _STREAM["dataset"], 0)
@@ -256,14 +314,9 @@ def stage_dataset(cfg: RunConfig) -> dict:
     ds.save_dataset_csv(out / "test.csv", x_test, y_test)
     counts = {"train": {lb: y_train.count(lb) for lb in ds.LABELS},
               "test": {lb: y_test.count(lb) for lb in ds.LABELS}}
-    _write_json(out / "split.json", {"seed": cfg.seed, **counts})
+    with replacing(out / "split.json") as fh:
+        json.dump({"seed": cfg.seed, **counts}, fh, indent=2, sort_keys=True)
     return counts
-
-
-def _final_loss(result: TrainResult, x: np.ndarray, y: np.ndarray) -> float:
-    """Exact-model loss of the returned params (noisy phases select by a
-    panel score, so the curve tail can belong to a different epoch)."""
-    return mse(y, forward(result.params, x))
 
 
 def _train_config(cfg: RunConfig, phase: str) -> TrainConfig:
@@ -281,9 +334,9 @@ def _train_config(cfg: RunConfig, phase: str) -> TrainConfig:
         states = symmetric_weight_states(n, cfg.crossbar.r_f,
                                          cfg.resistance_range)
     if phase in ("harden", "discrete"):
-        sig = cfg.tolerances.get("limit_sigmas", 3.0)
-        sigma_m = cfg.tolerances.get("r_m", 0.2) / sig
-        sigma_f = cfg.tolerances.get("r_f", 0.01) / sig
+        tol = cfg.tolerance_settings()
+        sigma_m = tol["r_m"] / tol["limit_sigmas"]
+        sigma_f = tol["r_f"] / tol["limit_sigmas"]
         opts["weight_noise"] = cfg.harden_boost * float(
             np.hypot(sigma_m, sigma_f))
         opts["noise_offset"] = cfg.crossbar.r_f / cfg.resistance_range.r_max
@@ -293,9 +346,7 @@ def _train_config(cfg: RunConfig, phase: str) -> TrainConfig:
                        **opts)
 
 
-def stage_train(cfg: RunConfig) -> dict:
-    out = cfg.out_dir / "train"
-    out.mkdir(parents=True, exist_ok=True)
+def stage_train(cfg: RunConfig, out: Path) -> dict:
     x_train, y_train = _load_split(cfg.out_dir, "train")
     x_test, y_test = _load_split(cfg.out_dir, "test")
     y_target = ds.target_matrix(y_train)
@@ -320,27 +371,27 @@ def stage_train(cfg: RunConfig) -> dict:
         if best is None or entry[:2] < best[:2]:
             best = entry
     test_p, _, restart, result, cont, phases = best
-    _write_json(out / "params.json", result.params.to_dict())
-    _write_json(out / "params_continuous.json", cont.params.to_dict())
+    for name, kept in (("params.json", result), ("params_continuous.json", cont)):
+        with replacing(out / name) as fh:
+            json.dump(kept.params.to_dict(), fh, indent=2, sort_keys=True)
     curve = np.concatenate([phases[0][1].curve]
                            + [r.curve[1:] for _, r in phases[1:]])
     reports.write_curve_csv(out / "curve.csv", curve)
     reports.render_learning_curve(curve, cfg.out_dir / reports.CURVE_SVG)
     meta = {"test_p_err": test_p,
-            "final_mse": float(_final_loss(result, x_train, y_target)),
+            "final_mse": result.final_mse,
             "epochs": int(sum(r.epochs for _, r in phases)),
             "converged": result.converged, "restart": restart,
             "phases": {name: {"epochs": r.epochs,
-                              "mse": float(_final_loss(r, x_train, y_target)),
+                              "mse": r.final_mse,
                               "test_p_err": evaluate(r.params, x_test, y_test)}
                        for name, r in phases}}
-    _write_json(out / "train.json", meta)
+    with replacing(out / "train.json") as fh:
+        json.dump(meta, fh, indent=2, sort_keys=True)
     return meta
 
 
-def stage_compile(cfg: RunConfig) -> dict:
-    out = cfg.out_dir / "compile"
-    out.mkdir(parents=True, exist_ok=True)
+def stage_compile(cfg: RunConfig, out: Path) -> dict:
     params = _load_params(cfg.out_dir)
     net = compile_network(params.w_hidden, params.w_out, cfg.crossbar.r_f,
                           cfg.resistance_range)
@@ -351,7 +402,8 @@ def stage_compile(cfg: RunConfig) -> dict:
                    "r_m2": net.hidden.r_m2.tolist()},
         "out": {"r_m1": net.out.r_m1.tolist(), "r_m2": net.out.r_m2.tolist()},
     }
-    _write_json(out / "compiled.json", payload)
+    with replacing(out / "compiled.json") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
     return {"synapses": int(net.hidden.r_m1.size + net.out.r_m1.size)}
 
 
@@ -388,9 +440,7 @@ def _program_array(cfg: RunConfig, name: str, layer: CompiledLayer,
     return xbar
 
 
-def stage_program(cfg: RunConfig) -> dict:
-    out = cfg.out_dir / "program"
-    out.mkdir(parents=True, exist_ok=True)
+def stage_program(cfg: RunConfig, out: Path) -> dict:
     compiled = _load_compiled(cfg.out_dir)
     params = _load_params(cfg.out_dir)
     x_test, y_test = _load_split(cfg.out_dir, "test")
@@ -400,11 +450,9 @@ def stage_program(cfg: RunConfig) -> dict:
     xbar_o = _program_array(cfg, "out", compiled.out, rng, log_rows)
     save_crossbar_csv(xbar_h, out / "hidden.csv")
     save_crossbar_csv(xbar_o, out / "out.csv")
-    with open(out / "program_log.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["array", "row", "col", "target_ohm", "final_ohm",
-                         "attempts", "pulses", "success"])
-        writer.writerows(log_rows)
+    reports.write_csv(out / "program_log.csv",
+                      ["array", "row", "col", "target_ohm", "final_ohm",
+                       "attempts", "pulses", "success"], log_rows)
     achieved = params.copy()
     achieved.w_hidden = synapse_weights(xbar_h, *compiled.hidden.r_m1.shape)
     achieved.w_out = synapse_weights(xbar_o, *compiled.out.r_m1.shape)
@@ -413,19 +461,16 @@ def stage_program(cfg: RunConfig) -> dict:
                "cells_programmed": len(log_rows),
                "total_pulses": int(sum(r[6] for r in log_rows)),
                "achieved": achieved.to_dict()}
-    _write_json(out / "programmed.json", payload)
+    with replacing(out / "programmed.json") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
     return {"programmed_p_err": p, "cells_programmed": len(log_rows)}
 
 
-def stage_analyze(cfg: RunConfig) -> dict:
-    out = cfg.out_dir / "analyze"
-    out.mkdir(parents=True, exist_ok=True)
+def stage_analyze(cfg: RunConfig, out: Path) -> dict:
     params = _load_params(cfg.out_dir)
     compiled = _load_compiled(cfg.out_dir)
     x_test, y_test = _load_split(cfg.out_dir, "test")
-    specs = tolerance_set(cfg.tolerances.get("r_m", 0.2),
-                          cfg.tolerances.get("r_f", 0.01),
-                          cfg.tolerances.get("limit_sigmas", 3.0))
+    specs = tolerance_set(**cfg.tolerance_settings())
     report = analyze_tolerances(params, compiled, specs, x_test, y_test,
                                 cfg.x_p, cfg.trials,
                                 subseed(cfg.seed, _STREAM["analyze"], 0),
@@ -446,18 +491,16 @@ def stage_analyze(cfg: RunConfig) -> dict:
 
 
 def _default_plan(cfg: RunConfig) -> ExperimentPlan:
-    r_f = cfg.tolerances.get("r_f", 0.01)
+    tol = cfg.tolerance_settings()
     points = cfg.plan_points
     if points is None:
-        points = [{"r_m1": d, "r_m2": d, "r_f": r_f}
+        points = [{"r_m1": d, "r_m2": d, "r_f": tol["r_f"]}
                   for d in np.arange(0.05, 0.55, 0.05).round(2)]
     return ExperimentPlan(points=points, trials=cfg.plan_trials,
-                          limit_sigmas=cfg.tolerances.get("limit_sigmas", 3.0))
+                          limit_sigmas=tol["limit_sigmas"])
 
 
-def stage_synthesize(cfg: RunConfig) -> dict:
-    out = cfg.out_dir / "synthesize"
-    out.mkdir(parents=True, exist_ok=True)
+def stage_synthesize(cfg: RunConfig, out: Path) -> dict:
     params = _load_params(cfg.out_dir)
     compiled = _load_compiled(cfg.out_dir)
     x_test, y_test = _load_split(cfg.out_dir, "test")
@@ -468,13 +511,12 @@ def stage_synthesize(cfg: RunConfig) -> dict:
     payload = {"delta_star": result.delta_star, "x_p": cfg.x_p,
                "plan_trials": plan.trials, "plan_points": plan.points,
                "probes": result.probes}
-    _write_json(out / "result.json", payload)
+    with replacing(out / "result.json") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
     return payload
 
 
-def stage_sweep(cfg: RunConfig) -> dict:
-    out = cfg.out_dir / "sweep"
-    out.mkdir(parents=True, exist_ok=True)
+def stage_sweep(cfg: RunConfig, out: Path) -> dict:
     params = _load_params(cfg.out_dir, "params_continuous.json")
     x_test, y_test = _load_split(cfg.out_dir, "test")
     results = discrete_state_sweep(params, x_test, y_test, cfg.sweep_counts,
@@ -502,7 +544,8 @@ def write_summary(cfg: RunConfig) -> dict:
         summary["mc_max_p_err"] = rep["max_p_err"]
         summary["mc_subset_max"] = rep["subset_max"]
         summary["passed"] = rep["passed"]
-    _write_json(cfg.out_dir / "summary.json", summary)
+    with replacing(cfg.out_dir / "summary.json") as fh:
+        json.dump(summary, fh, indent=2, sort_keys=True)
     return summary
 
 
@@ -519,6 +562,7 @@ _STAGE_FUNCS = {
 
 def run_pipeline(cfg: RunConfig, stage: str = "all") -> dict:
     """Execute one stage, or the whole chain, and refresh the summary."""
+    cfg.check_experiment()
     if stage == "report":
         reports.emit_report(cfg.out_dir)
         return write_summary(cfg)
@@ -528,8 +572,10 @@ def run_pipeline(cfg: RunConfig, stage: str = "all") -> dict:
         raise ConfigError(f"unknown stage {sorted(unknown)}; "
                           f"choose from {', '.join(STAGES + ('report', 'all'))}")
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(cfg.out_dir / "manifest.json",
-                {"config": cfg.to_dict(), "hash": cfg.config_hash()})
+    with replacing(cfg.out_dir / "manifest.json") as fh:
+        json.dump({"config": cfg.to_dict(), "hash": cfg.config_hash()}, fh,
+                  indent=2, sort_keys=True)
     for name in names:
-        _STAGE_FUNCS[name](cfg)
+        (cfg.out_dir / name).mkdir(exist_ok=True)
+        _STAGE_FUNCS[name](cfg, cfg.out_dir / name)
     return write_summary(cfg)

@@ -4,12 +4,16 @@ The chart set mirrors the standard result figures: training curve, error
 rate distribution under perturbation, per-synapse weight-error bands, and
 the discrete-state sweep.  Every chart is rebuilt purely from its CSV
 source, so re-emission is byte-identical.
+
+Every artifact of a run, in any module, is written through :func:`replacing`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -28,12 +32,30 @@ SWEEP_CSV = "sweep/sweep.csv"
 SWEEP_SVG = "sweep/sweep.svg"
 
 
-def write_curve_csv(path, curve) -> None:
-    with open(path, "w", newline="") as fh:
+@contextlib.contextmanager
+def replacing(path, newline=None):
+    """Text file written as ``<path>.part`` that replaces ``path`` whole when
+    the block completes; on an error ``path`` keeps its old bytes."""
+    part = Path(f"{path}.part")
+    try:
+        with open(part, "w", newline=newline) as fh:
+            yield fh
+        os.replace(part, path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
+
+
+def write_csv(path, header, rows) -> None:
+    """``header``, then each row of the iterable ``rows`` (floats as repr)."""
+    with replacing(path, newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["epoch", "mse"])
-        for epoch, value in enumerate(curve):
-            writer.writerow([epoch, repr(float(value))])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_curve_csv(path, curve) -> None:
+    write_csv(path, ["epoch", "mse"], enumerate(curve.tolist()))
 
 
 def read_curve_csv(path) -> np.ndarray:
@@ -50,17 +72,15 @@ def render_learning_curve(curve, path) -> None:
     fig.set_limits((0.0, max(len(curve) - 1, 1)),
                    (floor * 0.5, float(curve.max()) * 2.0))
     fig.polyline(np.arange(len(curve)), np.maximum(curve, floor))
-    fig.save(path)
+    with replacing(path) as fh:
+        fh.write(fig.render())
 
 
 def write_trials_csv(path, p_err, sites, extraneous) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["trial", "p_err_percent", "p_err_sites_percent",
-                         "p_err_extraneous_percent"])
-        for t in range(len(p_err)):
-            writer.writerow([t, repr(float(p_err[t])), repr(float(sites[t])),
-                             repr(float(extraneous[t]))])
+    write_csv(path, ["trial", "p_err_percent", "p_err_sites_percent",
+                     "p_err_extraneous_percent"],
+              zip(range(len(p_err)), p_err.tolist(), sites.tolist(),
+                  extraneous.tolist()))
 
 
 def read_trials_csv(path) -> dict:
@@ -88,20 +108,16 @@ def render_p_err_box(trials: dict, x_p: float, path) -> None:
         fig.box(float(k), float(values.min()), float(q1), float(median),
                 float(q3), float(values.max()), 0.3)
         fig.label(float(k), top * 0.03, name)
-    fig.save(path)
+    with replacing(path) as fh:
+        fh.write(fig.render())
 
 
 def write_bounds_csv(path, bounds: dict) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["layer", "in_idx", "out_idx", "low_percent",
-                         "high_percent"])
-        for layer, band in bounds.items():
-            n_in, n_out, _ = band.shape
-            for i in range(n_in):
-                for j in range(n_out):
-                    writer.writerow([layer, i, j, repr(float(band[i, j, 0])),
-                                     repr(float(band[i, j, 1]))])
+    write_csv(path, ["layer", "in_idx", "out_idx", "low_percent",
+                     "high_percent"],
+              ((layer, i, j, low, high) for layer, band in bounds.items()
+               for i, cells in enumerate(band.tolist())
+               for j, (low, high) in enumerate(cells)))
 
 
 def read_bounds_csv(path):
@@ -127,15 +143,13 @@ def render_weight_bounds(rows, path) -> None:
     fig.polyline(xs, lows, color="#2a7fc1", width=1.0)
     fig.polyline(xs, highs, color="#2a7fc1", width=1.0)
     fig.hline(0.0, color="#666666", dash="2,3")
-    fig.save(path)
+    with replacing(path) as fh:
+        fh.write(fig.render())
 
 
 def write_sweep_csv(path, results: dict) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n_states", "p_err_percent"])
-        for n in sorted(results):
-            writer.writerow([n, repr(float(results[n]))])
+    write_csv(path, ["n_states", "p_err_percent"],
+              ((n, float(results[n])) for n in sorted(results)))
 
 
 def read_sweep_csv(path) -> dict:
@@ -156,7 +170,8 @@ def render_sweep(results: dict, x_p: float, path) -> None:
     fig.hline(x_p)
     fig.polyline(ns, ys)
     fig.markers(ns, ys)
-    fig.save(path)
+    with replacing(path) as fh:
+        fh.write(fig.render())
 
 
 def require_artifact(run_dir, rel: str) -> Path:

@@ -46,7 +46,7 @@ def _tick_label(v: float) -> str:
 
 
 class SvgFigure:
-    """One chart: configure ranges, add glyphs, save."""
+    """One chart: configure ranges, add glyphs, render."""
 
     def __init__(self, width: int = 640, height: int = 420, title: str = "",
                  xlabel: str = "", ylabel: str = "", y_log: bool = False):
@@ -187,7 +187,3 @@ class SvgFigure:
             f'<rect width="{self.width}" height="{self.height}" fill="#ffffff"/>\n'
             f"{body}\n</svg>\n"
         )
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.render())

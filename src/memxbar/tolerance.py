@@ -46,7 +46,7 @@ from .mapping import (CompiledNet, ResistanceRange, SynapseNominals,
                       quantize_weights, symmetric_weight_states)
 from .netmodel import (LABELS, N_HIDDEN, N_OUTPUT, MlpParams, evaluate,
                        forward_stack_into)
-from .reports import write_trials_csv
+from .reports import replacing, write_trials_csv
 from .stats import clopper_pearson_upper, substream, truncated_normal
 
 PERCENTILE_PAIR = (0.05, 99.95)
@@ -206,7 +206,7 @@ class MonteCarloReport:
         }
 
     def save_json(self, path) -> None:
-        with open(path, "w") as fh:
+        with replacing(path) as fh:
             json.dump(self.to_dict(), fh, indent=2)
 
     def save_trials_csv(self, path) -> None:

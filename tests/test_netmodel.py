@@ -296,7 +296,8 @@ def reference_train(params, x, y, cfg, rng=None):
             best_score, best = loss, work.copy()
     final = mse(y, forward(best, x))
     return TrainResult(params=best, curve=np.array(curve),
-                       converged=final <= cfg.mse_target, epochs=epoch)
+                       converged=final <= cfg.mse_target, epochs=epoch,
+                       final_mse=final)
 
 
 def saturating_problem(n=40, seed=21):
@@ -388,6 +389,18 @@ def test_training_passes_allocate_no_pattern_sized_array():
         assert peak < x.shape[0] * x.itemsize
 
 
+@pytest.mark.parametrize("step, noise", [(0.2, 0.0), (0.02, 0.3)])
+def test_final_mse_is_the_loss_of_the_returned_params(step, noise):
+    """Not the last epoch's loss: in both cases an earlier epoch is kept."""
+    params, x, y = saturating_problem()
+    cfg = TrainConfig(weight_limit=0.8, max_epochs=50, step=step,
+                      mse_target=0.0, weight_noise=noise,
+                      noise_offset=1 / 3 if noise else 0.0, panel=4)
+    got = train_discrete(params, x, y, cfg, np.random.default_rng(9))
+    assert got.final_mse != got.curve[-1]
+    assert got.final_mse == mse(y, forward(got.params, x))
+
+
 def phase_configs():
     states = np.array(symmetric_weight_states(
         7, 100e3, ResistanceRange(10e3, 300e3)))
@@ -417,6 +430,7 @@ def test_train_discrete_equals_reference_loop(phase):
     else:
         assert got.epochs == 50
     assert (got.epochs, got.converged) == (ref.epochs, ref.converged)
+    assert got.final_mse == ref.final_mse
     assert np.array_equal(got.curve, ref.curve)
     for name in ("w_hidden", "b_hidden", "w_out", "b_out"):
         assert np.array_equal(getattr(got.params, name),

@@ -15,10 +15,13 @@ import memxbar
 from memxbar.cli import (BLAS_THREAD_VARIABLES, EXIT_CONFIG, EXIT_ENFORCE,
                          EXIT_OK, EXIT_STAGE, build_parser, load_config,
                          main)
+from memxbar.dataset import target_matrix
 from memxbar.device import DeviceParams
 from memxbar.errors import ConfigError
-from memxbar.mapping import ResistanceRange
-from memxbar.pipeline import RunConfig, run_pipeline
+from memxbar.mapping import ResistanceRange, symmetric_weight_states
+from memxbar.netmodel import forward, mse
+from memxbar.pipeline import (RunConfig, _load_params, _load_split,
+                              run_pipeline)
 
 from helpers import DEFAULT_SEED
 
@@ -87,6 +90,74 @@ def test_bad_train_setting_exits_with_config_error(tmp_path, name, value):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
     assert main(["--config", str(path), "--stage", "train"]) == EXIT_CONFIG
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("name, value", [
+    ("tolerances", {"r_m": 1.5}), ("tolerances", {"r_m": -0.1}),
+    ("tolerances", {"r_f": 1.0}), ("tolerances", {"r_m": NAN}),
+    ("tolerances", {"r_m": "0.2"}), ("tolerances", {"r_f": True}),
+    ("tolerances", {"limit_sigmas": 0}), ("tolerances", {"limit_sigmas": -1}),
+    ("tolerances", {"limit_sigmas": INF}), ("tolerances", {"limit_sigmas": NAN}),
+    ("tolerances", {"rm": 0.2}), ("tolerances", [0.2, 0.01, 3.0]),
+    ("x_p", 0), ("x_p", -1.0), ("x_p", 100.5), ("x_p", NAN), ("x_p", INF),
+    ("x_p", "5"), ("x_p", True), ("x_p", None),
+    ("sweep_counts", [1, 2]), ("sweep_counts", []), ("sweep_counts", [2, 2.5]),
+    ("sweep_counts", ["3"]), ("sweep_counts", [True, 3]),
+    ("plan_points", []), ("plan_points", "r_m1"), ("plan_points", [0.1]),
+    ("plan_points", [{}]), ("plan_points", [{"r_m": 0.1}]),
+    ("plan_points", [{"r_m1": 1.0}]), ("plan_points", [{"r_m1": "0.1"}]),
+    ("plan_points", [{"r_m1": 0.2}, {"r_m1": 0.1}]),
+    ("plan_points", [{"r_m1": 0.1, "r_f": 0.02}, {"r_m1": 0.2, "r_f": 0.01}]),
+    ("plan_points", [{"r_m1": 0.1}, {"r_m2": 0.2}]),
+    ("plan_points", [{"r_m1": 0.1}, {"r_m1": 0.2, "r_m2": 0.2}]),
+])
+def test_bad_experiment_setting_exits_before_any_stage(tmp_path, name, value):
+    """Checked when the pipeline starts, before it writes anything."""
+    out = tmp_path / "run"
+    with pytest.raises(ConfigError, match=name):
+        run_pipeline(default_cfg(out, **{name: value}), "dataset")
+    config = default_cfg(out).to_dict()
+    config[name] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main(["--config", str(path), "--stage", "dataset"]) == EXIT_CONFIG
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, value", [
+    ("tolerances", {}), ("tolerances", {"r_m": 0, "limit_sigmas": 2}),
+    ("x_p", 100), ("x_p", 0.01), ("sweep_counts", [3]),
+    ("plan_points", [{"r_m1": 0.0}]),
+    ("plan_points", [{"r_m1": 0.1, "r_f": 0.01}, {"r_m1": 0.1, "r_f": 0.02}]),
+])
+def test_usable_experiment_setting_passes_the_check(tmp_path, name, value):
+    default_cfg(tmp_path, **{name: value}).check_experiment()
+
+
+@pytest.mark.parametrize("section, name", [
+    ("crossbar", "resistor_tolerance"), ("device", "i_limit_set"),
+    ("device", "pulse_width"),
+])
+def test_config_rejects_removed_setting(tmp_path, section, name):
+    """Settings that no code read are unknown keys, like any other."""
+    config = default_cfg(tmp_path / "run").to_dict()
+    config[section][name] = 0.01
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    with pytest.raises(ConfigError, match=name):
+        RunConfig.from_json(path)
+    assert main(["--config", str(path), "--stage", "dataset"]) == EXIT_CONFIG
+
+
+def test_tolerance_settings_fill_in_defaults(tmp_path):
+    cfg = default_cfg(tmp_path, tolerances={"r_m": 0.1})
+    assert cfg.tolerance_settings() == {"r_m": 0.1, "r_f": 0.01,
+                                        "limit_sigmas": 3.0}
+    assert default_cfg(tmp_path).tolerance_settings() == \
+        default_cfg(tmp_path).tolerances
 
 
 def test_config_rejects_window_mismatch(tmp_path):
@@ -177,6 +248,32 @@ def test_program_stage_keeps_stuck_cells(default_run, tmp_path):
         assert rec["stuck_flag"] == "1"
         assert float(rec["stuck_ohm"]) == spot["ohm"]
         assert float(rec["resistance_ohm"]) == spot["ohm"]
+
+
+def test_train_stage_with_restarts_and_discrete_phase(tmp_path):
+    """Two restarts with the discrete phase, at a small size: the kept
+    weights lie on the state ladder, the better restart wins, and
+    ``final_mse`` is the loss of the params written."""
+    metas = {}
+    for restarts in (1, 2):
+        cfg = default_cfg(tmp_path / f"restarts{restarts}", restarts=restarts,
+                          discrete=True, harden_epochs=30,
+                          train={"mse_target": 0.0, "max_epochs": 60})
+        run_pipeline(cfg, "dataset")
+        run_pipeline(cfg, "train")
+        metas[restarts] = json.loads(
+            (cfg.out_dir / "train" / "train.json").read_text())
+    meta = metas[2]
+    assert set(meta["phases"]) == {"continuous", "harden", "discrete"}
+    assert meta["test_p_err"] <= metas[1]["test_p_err"]
+    params = _load_params(cfg.out_dir)
+    states = symmetric_weight_states(cfg.resistance_range.n_states,
+                                     cfg.crossbar.r_f, cfg.resistance_range)
+    for w in (params.w_hidden, params.w_out):
+        assert np.isin(w, states).all()
+    x, labels = _load_split(cfg.out_dir, "train")
+    assert meta["final_mse"] == mse(target_matrix(labels), forward(params, x))
+    assert meta["phases"]["discrete"]["mse"] == meta["final_mse"]
 
 
 def test_synthesis_records_its_probes(default_run):

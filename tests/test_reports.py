@@ -1,15 +1,18 @@
-"""CSV round trips and deterministic SVG emission."""
+"""CSV round trips, atomic artifact writes and deterministic SVG emission."""
 
+import ast
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import memxbar
 from memxbar.errors import MissingArtifactError
 from memxbar.reports import (emit_report, read_bounds_csv, read_curve_csv,
-                             read_sweep_csv, read_trials_csv, write_bounds_csv,
-                             write_curve_csv, write_sweep_csv,
-                             write_trials_csv)
+                             read_sweep_csv, read_trials_csv, replacing,
+                             write_bounds_csv, write_csv, write_curve_csv,
+                             write_sweep_csv, write_trials_csv)
 
 
 def test_curve_csv_round_trip(tmp_path):
@@ -68,3 +71,101 @@ def test_emit_report_is_byte_identical(default_run):
 def test_emit_report_requires_artifacts(tmp_path):
     with pytest.raises(MissingArtifactError):
         emit_report(tmp_path)
+
+
+def test_interrupted_csv_write_keeps_the_old_artifact(tmp_path):
+    path = tmp_path / "trials.csv"
+    write_csv(path, ["trial", "value"], [(0, 1.5), (1, 2.5)])
+    before = path.read_bytes()
+
+    def rows():
+        yield (0, 9.0)
+        yield (1, 9.5)
+        raise RuntimeError("interrupted")
+
+    with pytest.raises(RuntimeError, match="interrupted"):
+        write_csv(path, ["trial", "value"], rows())
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["trials.csv"]
+
+
+def test_replacing_swaps_the_file_in_only_when_the_block_completes(tmp_path):
+    path = tmp_path / "chart.svg"
+    path.write_text("old\n")
+    with replacing(path) as fh:
+        fh.write("new\n")
+        fh.flush()
+        assert path.read_text() == "old\n"
+        assert (tmp_path / "chart.svg.part").read_text() == "new\n"
+    assert path.read_text() == "new\n"
+    assert not (tmp_path / "chart.svg.part").exists()
+
+
+def test_interrupted_first_write_leaves_no_file(tmp_path):
+    path = tmp_path / "report.json"
+    with pytest.raises(KeyboardInterrupt):
+        with replacing(path) as fh:
+            fh.write("{")
+            raise KeyboardInterrupt
+    assert list(tmp_path.iterdir()) == []
+
+
+# Calls that write a file: ``open`` (builtin, a module's or a ``Path``'s)
+# with a mode that can write, or a mode this scan cannot read.
+_WRITE_METHODS = ("write_text", "write_bytes")
+_OPEN_MODULES = ("io", "gzip", "bz2", "lzma", "codecs")
+
+
+def _file_writes(source: str) -> list:
+    """Line numbers of the calls in ``source`` that open a file for writing."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+        if name in _WRITE_METHODS:
+            found.append(node.lineno)
+        elif name == "open":
+            # the mode follows the path, except in ``Path.open(mode)``
+            on_path = (isinstance(func, ast.Attribute)
+                       and getattr(func.value, "id", None) not in _OPEN_MODULES)
+            mode = [kw.value for kw in node.keywords if kw.arg == "mode"]
+            mode += node.args[0 if on_path else 1:][:1]
+            if mode and not (isinstance(mode[0], ast.Constant)
+                             and isinstance(mode[0].value, str)
+                             and not set(mode[0].value) & set("wax+")):
+                found.append(node.lineno)
+    return found
+
+
+@pytest.mark.parametrize("source, writes", [
+    ("open(p, 'w')", 1), ("open(p, mode='a', newline='')", 1),
+    ("open(p, 'xb')", 1), ("open(p, 'r+')", 1), ("io.open(p, 'w')", 1),
+    ("gzip.open(p, 'wt')", 1), ("p.open('w')", 1), ("p.open(mode='w')", 1),
+    ("open(p, m)", 1), ("p.write_text(s)", 1), ("p.write_bytes(b)", 1),
+    ("open(p)", 0), ("open(p, newline='')", 0), ("open(p, 'rb')", 0),
+    ("p.open()", 0), ("p.open('r')", 0), ("gzip.open(p)", 0),
+    ("io.open(p, 'r')", 0), ("fh.write(s)", 0),
+])
+def test_write_scan_finds_every_kind_of_write(source, writes):
+    assert len(_file_writes(source)) == writes
+
+
+def test_only_the_atomic_writer_opens_files_for_writing():
+    """Every artifact goes through ``reports.replacing``."""
+    package = Path(memxbar.__file__).parent
+    offenders = {}
+    for module in sorted(package.glob("*.py")):
+        source = module.read_text()
+        lines = _file_writes(source)
+        if module.name == "reports.py":
+            tree = ast.parse(source)
+            writer = next(node for node in ast.walk(tree)
+                          if isinstance(node, ast.FunctionDef)
+                          and node.name == "replacing")
+            lines = [n for n in lines
+                     if not writer.lineno <= n <= writer.end_lineno]
+        if lines:
+            offenders[module.name] = lines
+    assert offenders == {}
