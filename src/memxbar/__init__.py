@@ -10,8 +10,8 @@ from .mapping import (CompiledLayer, CompiledNet, ResistanceRange,
                       quantize_weights, resistances_for_weight,
                       symmetric_weight_states, w_max, weight_from_resistances)
 from .netmodel import (Activation, MlpParams, TrainConfig, TrainResult,
-                       classify, evaluate, forward, forward_stack, gradients,
-                       init_params, mse, p_err, train_discrete)
+                       evaluate, forward, forward_stack, gradients,
+                       init_params, mse, train_discrete)
 from .dataset import (StimulusProfile, default_profile, default_splits,
                       make_split, synthesize_extraneous,
                       synthesize_stimulus_patterns, target_vector)

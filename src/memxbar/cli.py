@@ -34,8 +34,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="pipeline stage to execute")
     parser.add_argument("--trials", type=int,
                         help="Monte Carlo trial count override")
-    parser.add_argument("--threads", type=int,
-                        help="trial-pool threads (0 = auto)")
     parser.add_argument("--out", help="run output directory override")
     parser.add_argument("--enforce", action="store_true",
                         help="exit nonzero when the analysis misses the "
@@ -65,8 +63,6 @@ def load_config(args) -> RunConfig:
         cfg.out_dir = Path(args.out)
     if args.trials is not None:
         cfg.trials = args.trials
-    if args.threads is not None:
-        cfg.threads = args.threads
     cfg.check_counts()
     return cfg
 
@@ -110,6 +106,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args)
+        cfg.check_experiment()
     except ConfigError as exc:
         return _fail("config", exc, EXIT_CONFIG)
     try:

@@ -15,7 +15,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import CountMismatchError
+from .errors import CountMismatchError, ShapeMismatchError
 from .netmodel import LABELS, N_OUTPUT, OUTPUT_LABELS, REJECT_LABEL
 from .reports import replacing, write_csv
 from .stats import quantize_half_up, truncated_normal
@@ -192,12 +192,22 @@ def save_dataset_csv(path, x: np.ndarray, labels) -> None:
 
 
 def load_dataset_csv(path) -> tuple[np.ndarray, list]:
+    """Patterns and labels of a dataset file; a row of the wrong width or
+    with a label outside ``LABELS`` is refused."""
     rows, labels = [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
         n = len(header) - 1
         for rec in reader:
+            if len(rec) != len(header):
+                raise ShapeMismatchError(
+                    f"{path} line {reader.line_num}: {len(rec)} fields, "
+                    f"the header has {len(header)}")
+            if rec[n] not in LABELS:
+                raise CountMismatchError(
+                    f"{path} line {reader.line_num}: label {rec[n]!r} is not "
+                    f"one of {LABELS}")
             rows.append([float(v) for v in rec[:n]])
             labels.append(rec[n])
     return np.array(rows), labels

@@ -5,13 +5,15 @@ transfer function of the analog chain.  Training runs full-batch
 adaptive-moment gradient descent; after every epoch the weights can be
 clamped and projected onto a discrete state set, so the result stays
 realizable on the arrays.  :func:`forward_stack` is the forward pass of
-:func:`forward` and :func:`evaluate`.  Training runs in unit-by-pattern
-buffers, (units, patterns), that one ``train_discrete`` call allocates
-once: one pass gives the loss and the gradients.  Stacks of weight
-realizations, the hardening panel and the Monte Carlo trials, run through
-one kernel, :func:`forward_stack_into`, in buffers their caller owns.
-The tests keep these passes bit-equal to :func:`forward_stack`,
-:func:`mse` and the row-major gradient formulas.
+:func:`forward`.  Training runs in unit-by-pattern buffers, (units,
+patterns), that one ``train_discrete`` call allocates once: one pass
+gives the loss and the gradients.  Stacks of weight realizations, the
+hardening panel, the Monte Carlo trials, the quantized nets of the state
+sweep and the single net that :func:`evaluate` scores, run through one
+kernel, :func:`forward_stack_into`, in buffers their caller owns; every
+error rate comes from one classifier, :class:`ScoreBatch`.  The tests
+keep these passes bit-equal to :func:`forward_stack`, :func:`mse` and the
+row-major gradient formulas.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ N_OUTPUT = 4
 LABELS = ("S1", "S2", "S3", "S4", "Sr")
 OUTPUT_LABELS = LABELS[:N_OUTPUT]
 REJECT_LABEL = LABELS[-1]
+
+_SCORE_BYTES = 1 << 20           # hidden layer of one block of scored stacks
 
 
 @dataclass(frozen=True)
@@ -167,6 +171,81 @@ def forward_stack_into(activation: Activation, xT: np.ndarray,
     return out
 
 
+def label_codes(labels) -> np.ndarray:
+    """Index of each label in ``LABELS``."""
+    index = {lb: k for k, lb in enumerate(LABELS)}
+    return np.array([index[lb] for lb in labels], dtype=np.intp)
+
+
+class ScoreBatch:
+    """Labelled patterns and their scoring buffers: the one classifier of
+    every network the toolkit scores.
+
+    A stack of T weight realizations is scored in blocks of at most
+    ``trials`` realizations whose hidden layer, about ``_SCORE_BYTES``,
+    stays in a core's cache: each block runs through
+    :func:`forward_stack_into` into unit-by-pattern buffers allocated
+    once, here, so scoring allocates no array of T * H elements.
+
+    The prediction is the first maximal output, or the reject class where
+    that maximum is not positive (a NaN maximum also rejects): passes
+    from the last output row to the first keep the running maximum and,
+    by ``>=``, hand ties to the earlier row.  One ``wrong @ onehot``
+    product counts the errors of every class.
+    """
+
+    def __init__(self, net: MlpParams, x: np.ndarray, codes: np.ndarray,
+                 trials: int):
+        x = np.asarray(x, dtype=float)
+        if x.shape != (len(codes), N_INPUT):
+            raise ShapeMismatchError(f"need ({len(codes)}, {N_INPUT}) patterns "
+                                     f"for {len(codes)} labels, got {x.shape}")
+        self.net = net
+        self.xT = np.ascontiguousarray(x.T)
+        self.codes = codes.astype(np.int8)
+        self.onehot = (codes[:, None] == np.arange(len(LABELS))).astype(float)
+        h = len(x)
+        fit = _SCORE_BYTES // (N_HIDDEN * h * x.itemsize)
+        b = self.block = max(1, min(trials, fit))
+        self.hidden = np.empty((b * N_HIDDEN, h))
+        self.out = np.empty((b, N_OUTPUT, h))
+        self.best = np.empty((b, h))                 # running maximum output
+        self.pred = np.empty((b, h), dtype=np.int8)  # predicted class code
+        self.wrong = np.empty((b, h))                # 1.0 where misclassified
+        self.mask = np.empty((b, h), dtype=bool)
+
+    def errors(self, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
+        """Misclassified patterns per realization and class, (T, 5)."""
+        counts = np.empty((len(w1), len(LABELS)))
+        for start in range(0, len(w1), self.block):
+            rows = slice(start, start + self.block)
+            self._score_block(w1[rows], w2[rows], counts[rows])
+        return counts
+
+    def error_rates(self, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
+        """Share of misclassified patterns per realization, in percent."""
+        return 100.0 * self.errors(w1, w2).sum(axis=1) / len(self.codes)
+
+    def _score_block(self, w1: np.ndarray, w2: np.ndarray,
+                     counts: np.ndarray) -> None:
+        n, net = len(w1), self.net
+        out = forward_stack_into(net.activation, self.xT, w1, net.b_hidden,
+                                 w2, net.b_out, self.hidden, self.out)
+        best, pred, wrong, mask = (self.best[:n], self.pred[:n],
+                                   self.wrong[:n], self.mask[:n])
+        np.copyto(best, out[:, N_OUTPUT - 1])
+        pred.fill(N_OUTPUT - 1)
+        for k in range(N_OUTPUT - 2, -1, -1):
+            np.greater_equal(out[:, k], best, out=mask)
+            np.copyto(pred, k, where=mask)
+            np.maximum(best, out[:, k], out=best)
+        np.greater(best, 0.0, out=mask)
+        np.logical_not(mask, out=mask)
+        np.copyto(pred, len(LABELS) - 1, where=mask)
+        np.not_equal(pred, self.codes, out=wrong)
+        np.matmul(wrong, self.onehot, out=counts)
+
+
 def forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
     """Network output for one pattern (16,) or a batch (H, 16)."""
     xb, single = _as_batch(x)
@@ -186,23 +265,6 @@ def mse(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     if y_true.ndim == 1:
         return float(np.sum((y_true - y_pred) ** 2))
     return float(np.mean(np.sum((y_true - y_pred) ** 2, axis=1)))
-
-
-def classify(outputs: np.ndarray) -> str | list[str]:
-    """Label of the strongest output; reject when none is positive."""
-    out, single = _as_batch(outputs)
-    best = np.argmax(out, axis=1)
-    labels = [REJECT_LABEL if out[h, best[h]] <= 0 else OUTPUT_LABELS[best[h]]
-              for h in range(out.shape[0])]
-    return labels[0] if single else labels
-
-
-def p_err(true_labels, pred_labels) -> float:
-    """Share of misclassified patterns, in percent."""
-    if len(true_labels) != len(pred_labels):
-        raise ShapeMismatchError(f"{len(true_labels)} vs {len(pred_labels)}")
-    wrong = sum(t != p for t, p in zip(true_labels, pred_labels))
-    return 100.0 * wrong / len(true_labels)
 
 
 class _TrainBatch:
@@ -501,4 +563,6 @@ def train_discrete(params: MlpParams, x: np.ndarray, y: np.ndarray,
 
 def evaluate(params: MlpParams, x: np.ndarray, labels) -> float:
     """Error rate of the network on labelled patterns, in percent."""
-    return p_err(list(labels), classify(forward(params, x)))
+    scorer = ScoreBatch(params, x, label_codes(labels), 1)
+    return float(scorer.error_rates(params.w_hidden[None],
+                                    params.w_out[None])[0])

@@ -32,8 +32,9 @@ from .netmodel import (MlpParams, TrainConfig, evaluate, init_params,
                        train_discrete)
 from .reports import replacing, require_artifact
 from .stats import subseed, substream
-from .tolerance import (ExperimentPlan, analyze_tolerances, synthesize_tolerances,
-                        discrete_state_sweep, tolerance_set)
+from .tolerance import (COMPONENTS, ExperimentPlan, analyze_tolerances,
+                        discrete_state_sweep, synthesize_tolerances,
+                        tolerance_set)
 
 STAGES = ("dataset", "train", "compile", "program", "analyze", "synthesize",
           "sweep")
@@ -55,10 +56,7 @@ _TRAIN_RANGES = {
 # Smallest accepted value of each integer setting; weight_error_bounds
 # needs 1000 trials for a stable percentile.
 _INT_MINIMA = {"trials": 1, "bounds_trials": 1000, "plan_trials": 1,
-               "threads": 0, "restarts": 1, "harden_epochs": 0}
-
-# Settings that change how or where a run executes but not what it computes.
-_UNHASHED = ("out_dir", "threads")
+               "restarts": 1, "harden_epochs": 0}
 
 # Error limits of the memristors and the feedback resistors (fractions) and
 # the truncation of their distributions, in sigmas; the defaults of
@@ -69,9 +67,6 @@ _TOLERANCE_RANGES = {
     "r_f": ("in [0, 1)", lambda v: 0 <= v < 1),
     "limit_sigmas": ("finite and > 0", lambda v: 0 < v < math.inf),
 }
-
-# Components a synthesis plan point can set an error limit for.
-_PLAN_PARTS = ("r_m1", "r_m2", "r_f")
 
 
 @dataclass
@@ -108,7 +103,6 @@ class RunConfig:
     discrete: bool = False
     harden_epochs: int = 3000
     harden_boost: float = 1.3
-    threads: int = 1
 
     def __post_init__(self):
         if not isinstance(self.out_dir, Path):   # re-parsing one is slow
@@ -190,11 +184,11 @@ class RunConfig:
             raise ConfigError(f"plan_points must be a nonempty list, got {points!r}")
         for k, point in enumerate(points):
             if (not isinstance(point, dict) or not point
-                    or set(point) - set(_PLAN_PARTS) or set(point) != set(points[0])
+                    or set(point) - set(COMPONENTS) or set(point) != set(points[0])
                     or not all(_is_limit(v) for v in point.values())):
                 raise ConfigError(
                     f"plan_points[{k}] must map the components of the first "
-                    f"point, some of {list(_PLAN_PARTS)}, to limits in [0, 1): "
+                    f"point, some of {list(COMPONENTS)}, to limits in [0, 1): "
                     f"{point!r}")
             if k and any(point[c] < points[k - 1][c] for c in point):
                 raise ConfigError("plan_points must be componentwise "
@@ -229,7 +223,6 @@ class RunConfig:
             "discrete": self.discrete,
             "harden_epochs": self.harden_epochs,
             "harden_boost": self.harden_boost,
-            "threads": self.threads,
         }
 
     @classmethod
@@ -266,10 +259,10 @@ class RunConfig:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
 
     def config_hash(self) -> str:
-        """Digest of every setting that can change the results."""
+        """Digest of every setting that can change the results: all but
+        ``out_dir``."""
         d = self.to_dict()
-        for name in _UNHASHED:
-            del d[name]
+        del d["out_dir"]
         blob = json.dumps(d, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
 
@@ -474,8 +467,7 @@ def stage_analyze(cfg: RunConfig, out: Path) -> dict:
     report = analyze_tolerances(params, compiled, specs, x_test, y_test,
                                 cfg.x_p, cfg.trials,
                                 subseed(cfg.seed, _STREAM["analyze"], 0),
-                                bounds_trials=cfg.bounds_trials,
-                                threads=cfg.threads)
+                                bounds_trials=cfg.bounds_trials)
     report.save_json(out / "report.json")
     report.save_trials_csv(out / "trials.csv")
     reports.write_bounds_csv(out / "weight_bounds.csv", report.weight_bounds)

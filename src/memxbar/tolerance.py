@@ -12,30 +12,31 @@ normal call on the trial's own counter-derived substream gives one value
 ``z`` per perturbed part (344 for the 16-8-4 network), truncated at the
 part's ``limit_sigmas``, and the part's value is
 ``nominal * (1 + spec.sigma * z)``.  So reports are reproducible bit for
-bit, independent of chunk size and thread count, and ``z`` does not
-depend on any error limit.  Synthesis draws ``z`` once and every probe
-reuses it (common random numbers), so probes at different limits score
-the same trials and the bisection compares limits, not noise.  A probe
-scores chunks in trial order, stops after the first chunk whose worst
-trial misses the budget, and computes no weight-error bands.
+bit, independent of chunk size, and ``z`` does not depend on any error
+limit.  Synthesis draws ``z`` once and every probe reuses it (common
+random numbers), so probes at different limits score the same trials and
+the bisection compares limits, not noise.  A probe scores chunks in
+trial order, stops after the first chunk whose worst trial misses the
+budget, and computes no weight-error bands.
 
-Each analysis scores its trials in unit-by-pattern buffers that it
-allocates once, one set per scoring thread, in blocks of trials small
-enough to stay in a core's cache: a block runs through the stacked
-forward kernel that training shares,
-:func:`~memxbar.netmodel.forward_stack_into`, and one product of the
-misclassification matrix with a one-hot class matrix gives every
-per-class error count.  The buffers are freed before the weight-error
-bands are computed.  The bands of all synapses come from one shared draw
-of the r_f, r_m1 and r_m2 factors on their own substream: a synapse
-enters its band only through ``r_f / r_m1`` and ``r_f / r_m2``, so each
-band has the distribution of an independent per-synapse draw.
+Trials are scored serially, chunk by chunk, by the network's one
+classifier, :class:`~memxbar.netmodel.ScoreBatch`, in unit-by-pattern
+buffers that each analysis allocates once: blocks of trials small enough
+to stay in a core's cache run through the stacked forward kernel that
+training shares, and one product of the misclassification matrix with a
+one-hot class matrix gives every per-class error count.  The per-trial
+draws run in Python under the interpreter lock, so a pool of scoring
+workers gains too little to keep (on a 2-core host, less than the
+run-to-run spread).  The buffers are freed before the weight-error bands
+are computed.  The bands of all synapses come from one shared draw of
+the r_f, r_m1 and r_m2 factors on their own substream: a synapse enters
+its band only through ``r_f / r_m1`` and ``r_f / r_m2``, so each band
+has the distribution of an independent per-synapse draw.
 """
 
 from __future__ import annotations
 
 import json
-import queue
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -44,17 +45,19 @@ import numpy as np
 from .errors import NoPassingPointError
 from .mapping import (CompiledNet, ResistanceRange, SynapseNominals,
                       quantize_weights, symmetric_weight_states)
-from .netmodel import (LABELS, N_HIDDEN, N_OUTPUT, MlpParams, evaluate,
-                       forward_stack_into)
+from .netmodel import LABELS, MlpParams, ScoreBatch, label_codes
 from .reports import replacing, write_trials_csv
 from .stats import clopper_pearson_upper, substream, truncated_normal
 
-PERCENTILE_PAIR = (0.05, 99.95)
+PERCENTILE_PAIR = (0.05, 99.95)   # weight-band and report percentiles
+
+# Components a synthesis plan point can set an error limit for.
+COMPONENTS = ("r_m1", "r_m2", "r_f")
 
 _STREAM_TRIAL = 0
 _STREAM_BOUNDS = 1
+_CHUNK = 250                     # trials drawn and scored at a time
 _BAND_BLOCK = 32                 # synapses per block of band temporaries
-_SCORE_BYTES = 1 << 20           # hidden layer of one block of scored trials
 
 
 @dataclass(frozen=True)
@@ -116,8 +119,7 @@ def _draw_factors(specs: dict, trials: int, rng: np.random.Generator):
                  for comp in ("r_f", "r_m1", "r_m2"))
 
 
-def _band_edges(g1: np.ndarray, g2: np.ndarray, factors,
-                percentiles: tuple[float, float]):
+def _band_edges(g1: np.ndarray, g2: np.ndarray, factors):
     """Weight-error bands, (m, 2), of m synapses on shared factor draws.
 
     A synapse enters only through ``g1 = r_f / r_m1`` and
@@ -136,13 +138,11 @@ def _band_edges(g1: np.ndarray, g2: np.ndarray, factors,
     err -= w0[:, None]
     err *= np.where(relative, 100.0, 1.0)[:, None]
     err /= np.where(relative, np.abs(w0), 1.0)[:, None]
-    return np.percentile(err, percentiles, axis=1).T, relative
+    return np.percentile(err, PERCENTILE_PAIR, axis=1).T, relative
 
 
 def weight_error_bounds(syn: SynapseNominals, specs: dict, trials: int,
-                        rng: np.random.Generator,
-                        percentiles: tuple[float, float] = PERCENTILE_PAIR
-                        ) -> WeightErrorBounds:
+                        rng: np.random.Generator) -> WeightErrorBounds:
     """Monte Carlo percentile band of one synapse's weight error.
 
     Relative error in percent of the nominal weight magnitude; a zero
@@ -150,7 +150,7 @@ def weight_error_bounds(syn: SynapseNominals, specs: dict, trials: int,
     """
     (band,), (relative,) = _band_edges(
         np.array([syn.r_f / syn.r_m1]), np.array([syn.r_f / syn.r_m2]),
-        _draw_factors(specs, trials, rng), percentiles)
+        _draw_factors(specs, trials, rng))
     return WeightErrorBounds(float(band[0]), float(band[1]),
                              relative=bool(relative))
 
@@ -212,11 +212,6 @@ class MonteCarloReport:
     def save_trials_csv(self, path) -> None:
         write_trials_csv(path, self.p_err, self.p_err_sites,
                          self.p_err_extraneous)
-
-
-def _label_codes(labels) -> np.ndarray:
-    index = {lb: k for k, lb in enumerate(LABELS)}
-    return np.array([index[lb] for lb in labels], dtype=np.intp)
 
 
 class _Columns(NamedTuple):
@@ -288,85 +283,6 @@ def _perturbed_weights(compiled: CompiledNet, cols: _Columns, z: np.ndarray):
     return stacks
 
 
-class _Buffers(NamedTuple):
-    """Work buffers of one scoring thread, for a block of b trials."""
-
-    hidden: np.ndarray           # (b * 8, H) hidden layer
-    out: np.ndarray              # (b, 4, H) output layer
-    best: np.ndarray             # (b, H) running maximum output
-    pred: np.ndarray             # (b, H) predicted class code
-    wrong: np.ndarray            # (b, H) 1.0 where misclassified
-    mask: np.ndarray             # (b, H) bool
-
-
-class _ScoreBatch:
-    """Test patterns and the scoring buffers of one analysis.
-
-    Trials are scored in blocks whose hidden layer, about
-    ``_SCORE_BYTES``, stays in a core's cache: each block runs through
-    :func:`forward_stack_into` into unit-by-pattern buffers, so scoring
-    allocates no array of trials * H elements.  Each scoring thread takes
-    a buffer set of its own from a pool; a set is made the first time no
-    free one is left.
-
-    The prediction equals the first maximal output, or the reject class
-    where that maximum is not positive: passes from the last output row
-    to the first keep the running maximum and, by ``>=``, hand ties to the
-    earlier row.  One ``wrong @ onehot`` product counts the errors of
-    every class.
-    """
-
-    def __init__(self, net: MlpParams, x: np.ndarray, codes: np.ndarray):
-        self.net = net
-        self.xT = np.ascontiguousarray(x.T)
-        self.codes = codes.astype(np.int8)
-        self.onehot = (codes[:, None] == np.arange(len(LABELS))).astype(float)
-        h = self.xT.shape[1]
-        self.block = max(1, _SCORE_BYTES // (N_HIDDEN * h * self.xT.itemsize))
-        self._free = queue.SimpleQueue()
-
-    def _buffers(self) -> _Buffers:
-        try:
-            return self._free.get_nowait()
-        except queue.Empty:
-            b, h = self.block, self.xT.shape[1]
-            return _Buffers(np.empty((b * N_HIDDEN, h)),
-                            np.empty((b, N_OUTPUT, h)), np.empty((b, h)),
-                            np.empty((b, h), dtype=np.int8), np.empty((b, h)),
-                            np.empty((b, h), dtype=bool))
-
-    def errors(self, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
-        """Misclassified patterns per trial and class, (T, 5)."""
-        counts = np.empty((len(w1), len(LABELS)))
-        buf = self._buffers()
-        try:
-            for start in range(0, len(w1), self.block):
-                rows = slice(start, start + self.block)
-                self._score_block(buf, w1[rows], w2[rows], counts[rows])
-        finally:
-            self._free.put(buf)
-        return counts
-
-    def _score_block(self, buf: _Buffers, w1: np.ndarray, w2: np.ndarray,
-                     counts: np.ndarray) -> None:
-        n, net = len(w1), self.net
-        out = forward_stack_into(net.activation, self.xT, w1, net.b_hidden,
-                                 w2, net.b_out, buf.hidden, buf.out)
-        best, pred, wrong, mask = (buf.best[:n], buf.pred[:n],
-                                   buf.wrong[:n], buf.mask[:n])
-        np.copyto(best, out[:, N_OUTPUT - 1])
-        pred.fill(N_OUTPUT - 1)
-        for k in range(N_OUTPUT - 2, -1, -1):
-            np.greater_equal(out[:, k], best, out=mask)
-            np.copyto(pred, k, where=mask)
-            np.maximum(best, out[:, k], out=best)
-        np.greater(best, 0.0, out=mask)
-        np.logical_not(mask, out=mask)
-        np.copyto(pred, len(LABELS) - 1, where=mask)
-        np.not_equal(pred, self.codes, out=wrong)
-        np.matmul(wrong, self.onehot, out=counts)
-
-
 def _percent(count: np.ndarray, size: int) -> np.ndarray:
     return count / size * 100.0
 
@@ -389,43 +305,27 @@ def _rates(counts: np.ndarray, sizes: np.ndarray):
 
 def _score_trials(net: MlpParams, compiled: CompiledNet, cols: _Columns,
                   x: np.ndarray, codes: np.ndarray, trials: int, master: int,
-                  chunk: int, threads: int, probe: TrialDraws | None,
-                  x_p: float) -> np.ndarray:
+                  probe: TrialDraws | None, x_p: float) -> np.ndarray:
     """Per-class error counts, (trials scored, 5), of consecutive trials.
 
     The scoring buffers live only as long as this call.
     """
-    batch = _ScoreBatch(net, x, codes)
+    batch = ScoreBatch(net, x, codes, min(_CHUNK, trials))
     sizes = np.bincount(codes, minlength=len(LABELS))
     counts = np.empty((trials, len(LABELS)))
-
-    def run_chunk(start: int) -> float:
-        count = min(chunk, trials - start)
+    for start in range(0, trials, _CHUNK):
+        count = min(_CHUNK, trials - start)
         z = (trial_draws(cols.limit, master, start, count).z
              if probe is None else probe.z[start:start + count])
         rows = counts[start:start + count]
         rows[...] = batch.errors(*_perturbed_weights(compiled, cols, z))
-        return float(_rates(rows, sizes)[0].max())
-
-    starts = range(0, trials, chunk)
-    if probe is not None:
-        for start in starts:
-            if run_chunk(start) > x_p:
-                return counts[:start + chunk]
-    elif threads == 1:
-        for start in starts:
-            run_chunk(start)
-    else:
-        import concurrent.futures
-        import os
-        workers = threads if threads > 0 else (os.cpu_count() or 1)
-        with concurrent.futures.ThreadPoolExecutor(workers) as pool:
-            list(pool.map(run_chunk, starts))
+        if probe is not None and _rates(rows, sizes)[0].max() > x_p:
+            return counts[:start + count]
     return counts
 
 
 def _weight_bands(compiled: CompiledNet, specs: dict, master: int,
-                  trials: int, percentiles: tuple[float, float]) -> dict:
+                  trials: int) -> dict:
     """Per-synapse weight-error bands, layer -> (in, out, 2) array.
 
     Every synapse is scored on one shared draw of the r_f, r_m1 and r_m2
@@ -439,8 +339,7 @@ def _weight_bands(compiled: CompiledNet, specs: dict, master: int,
         band = np.empty((g1.size, 2))
         for i in range(0, g1.size, _BAND_BLOCK):
             block = slice(i, i + _BAND_BLOCK)
-            band[block] = _band_edges(g1[block], g2[block], factors,
-                                      percentiles)[0]
+            band[block] = _band_edges(g1[block], g2[block], factors)[0]
         bounds[name] = band.reshape(layer.r_m1.shape + (2,))
     return bounds
 
@@ -449,8 +348,6 @@ def analyze_tolerances(net: MlpParams, compiled: CompiledNet, specs: dict,
                        x_test: np.ndarray, labels_test, x_p: float,
                        trials: int, seed: int,
                        bounds_trials: int = 20000,
-                       percentiles: tuple[float, float] = PERCENTILE_PAIR,
-                       chunk: int = 250, threads: int = 1,
                        probe: TrialDraws | None = None) -> MonteCarloReport:
     """Monte Carlo pass/fail of the compiled network against an error budget.
 
@@ -458,15 +355,14 @@ def analyze_tolerances(net: MlpParams, compiled: CompiledNet, specs: dict,
     the weight matrices, and scores the test set.  The report carries the
     full trial distribution, per-class worst cases, and per-synapse weight
     error bands; ``passed`` compares the worst trial against ``x_p``.
-    Trials use counter-derived substreams, so the report is identical for
-    any ``threads`` setting (0 picks the CPU count) and chunk size.
+    Trials use counter-derived substreams and are scored serially in
+    chunks of ``_CHUNK``; the report does not depend on the chunk size.
 
     A synthesis probe passes ``probe``, the ``trial_draws`` of all
     ``trials`` trials, shared by every probe of one search; they must have
-    been drawn at the truncation limits of ``specs``.  A probe is scored
-    serially, chunk by chunk in trial order, and stops after the first
-    chunk whose worst trial exceeds ``x_p``; its report covers only the
-    trials scored and has no weight-error bands.
+    been drawn at the truncation limits of ``specs``.  A probe stops after
+    the first chunk whose worst trial exceeds ``x_p``; its report covers
+    only the trials scored and has no weight-error bands.
     """
     master = int(seed)
     cols = _columns(compiled, specs)
@@ -475,21 +371,21 @@ def analyze_tolerances(net: MlpParams, compiled: CompiledNet, specs: dict,
             raise ValueError(f"probe has {len(probe.z)} trials, not {trials}")
         if not np.array_equal(probe.limit, cols.limit):
             raise ValueError("probe was drawn at other limits than specs")
-    codes = _label_codes(labels_test)
-    counts = _score_trials(net, compiled, cols,
-                           np.asarray(x_test, dtype=float), codes, trials,
-                           master, chunk, threads, probe, x_p)
+    codes = label_codes(labels_test)
+    counts = _score_trials(net, compiled, cols, x_test, codes, trials,
+                           master, probe, x_p)
     trials = len(counts)
     p_err_all, per_class, p_sites, p_extraneous = _rates(
         counts, np.bincount(codes, minlength=len(LABELS)))
-    lo, mid, hi = np.percentile(p_err_all, (percentiles[0], 50.0, percentiles[1]))
+    low, high = PERCENTILE_PAIR
+    lo, mid, hi = np.percentile(p_err_all, (low, 50.0, high))
     bounds = ({} if probe is not None else
-              _weight_bands(compiled, specs, master, bounds_trials, percentiles))
+              _weight_bands(compiled, specs, master, bounds_trials))
     return MonteCarloReport(
         trials=trials, x_p=x_p, master_seed=master, p_err=p_err_all,
         p_err_sites=p_sites, p_err_extraneous=p_extraneous,
-        percentiles={f"p{percentiles[0]:g}": float(lo), "p50": float(mid),
-                     f"p{percentiles[1]:g}": float(hi)},
+        percentiles={f"p{low:g}": float(lo), "p50": float(mid),
+                     f"p{high:g}": float(hi)},
         per_class_max={label: float(rates.max())
                        for label, rates in per_class.items()},
         weight_bounds=bounds,
@@ -510,6 +406,10 @@ class ExperimentPlan:
         if not self.points:
             raise ValueError("plan needs at least one point")
         keys = set(self.points[0])
+        unknown = keys - set(COMPONENTS)
+        if unknown:
+            raise ValueError(f"unknown components {sorted(unknown)}; a point "
+                             f"sets some of {COMPONENTS}")
         for a, b in zip(self.points, self.points[1:]):
             if set(b) != keys:
                 raise ValueError("all points must perturb the same components")
@@ -520,7 +420,7 @@ class ExperimentPlan:
         """Specs of one probe: ``deltas`` per component, 0 where missing."""
         return {comp: ToleranceSpec(comp, float(deltas.get(comp, 0.0)),
                                     self.limit_sigmas)
-                for comp in ("r_m1", "r_m2", "r_f")}
+                for comp in COMPONENTS}
 
 
 @dataclass
@@ -589,15 +489,15 @@ def discrete_state_sweep(net: MlpParams, x_test: np.ndarray, labels_test,
     For each requested state count, resistance levels are spread evenly
     over the range, converted to the symmetric weight set, and the
     continuous weights are snapped to it.  Biases stay continuous (they
-    are digital in the target system).
+    are digital in the target system).  The quantized nets are scored as
+    one stack.
     """
-    results = {}
-    for n in counts:
-        if n < 2:
-            raise ValueError("state counts must be >= 2")
-        states = symmetric_weight_states(int(n), r_f, rrange)
-        q = net.copy()
-        q.w_hidden = quantize_weights(q.w_hidden, states)
-        q.w_out = quantize_weights(q.w_out, states)
-        results[int(n)] = evaluate(q, x_test, labels_test)
-    return results
+    if any(n < 2 for n in counts):
+        raise ValueError("state counts must be >= 2")
+    counts = [int(n) for n in counts]
+    ladders = [symmetric_weight_states(n, r_f, rrange) for n in counts]
+    w1 = np.stack([quantize_weights(net.w_hidden, s) for s in ladders])
+    w2 = np.stack([quantize_weights(net.w_out, s) for s in ladders])
+    rates = ScoreBatch(net, x_test, label_codes(labels_test),
+                       len(counts)).error_rates(w1, w2)
+    return dict(zip(counts, rates.tolist()))

@@ -5,8 +5,13 @@ have a ``conftest.py`` of their own, so ``from conftest import ...`` is
 ambiguous when both directories are collected in one session.
 """
 
-import numpy as np
+import ctypes
+from contextlib import contextmanager
 
+import numpy as np
+import pytest
+
+from memxbar.cli import openblas_function
 from memxbar.crossbar import Crossbar
 from memxbar.mapping import compile_network
 
@@ -25,3 +30,21 @@ def ideal_crossbars(w_hidden, w_out, config, device, rrange):
             m[2 * j + 1, :n_in] = layer.r_m2[:, j]
         xbars.append(Crossbar(config, device, m))
     return xbars
+
+
+@contextmanager
+def blas_threads(count):
+    """Run the block with the bundled OpenBLAS at ``count`` threads, then
+    restore the thread count; skip the test without a bundled OpenBLAS."""
+    get = openblas_function("get_num_threads")
+    set_ = openblas_function("set_num_threads")
+    if get is None or set_ is None:
+        pytest.skip("no bundled OpenBLAS")
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    before = get()
+    set_(count)
+    try:
+        yield
+    finally:
+        set_(before)

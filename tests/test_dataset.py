@@ -10,7 +10,7 @@ from memxbar.dataset import (TEST_COUNTS, TRAIN_COUNTS, StimulusProfile,
                              save_profile, synthesize_extraneous,
                              synthesize_pool, synthesize_stimulus_patterns,
                              target_matrix, target_vector)
-from memxbar.errors import CountMismatchError
+from memxbar.errors import CountMismatchError, ShapeMismatchError
 
 
 def test_default_profile_covers_all_sites():
@@ -146,3 +146,20 @@ def test_dataset_csv_round_trip(tmp_path):
     x2, labels2 = load_dataset_csv(path)
     assert np.array_equal(x, x2)
     assert labels == labels2
+
+
+@pytest.mark.parametrize("edit, error", [
+    (lambda f: f[:-1] + ["S9"], CountMismatchError),
+    (lambda f: f[:-1] + [""], CountMismatchError),
+    (lambda f: f[1:], ShapeMismatchError),
+    (lambda f: f + ["0.5"], ShapeMismatchError),
+])
+def test_dataset_csv_refuses_a_bad_row(tmp_path, edit, error):
+    path = tmp_path / "test.csv"
+    x = np.random.default_rng(0).uniform(0.0, 1.0, (4, 16))
+    save_dataset_csv(path, x, ["S1", "S2", "Sr", "S4"])
+    lines = path.read_text().splitlines()
+    lines[3] = ",".join(edit(lines[3].split(",")))
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(error, match="line 4"):
+        load_dataset_csv(path)

@@ -8,11 +8,13 @@ import pytest
 from memxbar.errors import ShapeMismatchError
 from memxbar.mapping import (ResistanceRange, quantize_weights,
                              symmetric_weight_states)
-from memxbar.netmodel import (Activation, MlpParams, TrainConfig, TrainResult,
-                              _TrainBatch, classify, evaluate, forward,
+from memxbar.netmodel import (Activation, MlpParams, ScoreBatch, TrainConfig,
+                              TrainResult, _TrainBatch, evaluate, forward,
                               forward_stack, forward_stack_into, gradients,
-                              init_params, mse, p_err, train_discrete)
+                              init_params, label_codes, mse, train_discrete)
 from memxbar.stats import truncated_normal
+
+from helpers import blas_threads
 
 
 def zero_params(**kw):
@@ -65,18 +67,47 @@ def test_forward_stack_equals_loop_of_forward():
         assert np.array_equal(stacked[t], forward(one, x))
 
 
+def passthrough(outputs):
+    """A net whose four outputs are the first four inputs, and patterns
+    that make it output the rows of ``outputs``."""
+    net = MlpParams(np.eye(16, 8), np.zeros(8), np.eye(8, 4), np.zeros(4))
+    x = np.zeros((len(outputs), 16))
+    x[:, :4] = outputs
+    return net, x
+
+
 def test_classify_reject_rule():
-    assert classify(np.array([-0.2, -0.1, -0.9, -0.4])) == "Sr"
-    assert classify(np.array([-0.2, 0.3, 0.1, -0.4])) == "S2"
-    labels = classify(np.array([[0.5, 0.1, 0.0, 0.0],
-                                [-1.0, -1.0, -1.0, -1.0]]))
-    assert labels == ["S1", "Sr"]
+    # the strongest output wins; none positive, or a maximum of 0, rejects
+    net, x = passthrough([[-0.2, -0.1, -0.9, -0.4], [-0.2, 0.3, 0.1, -0.4],
+                          [0.5, 0.1, 0.0, 0.0], [-1.0, -1.0, -1.0, -1.0],
+                          [0.0, -0.5, 0.0, 0.0]])
+    assert evaluate(net, x, ["Sr", "S2", "S1", "Sr", "Sr"]) == 0.0
+    for wrong in ("S1", "S3", "S4"):
+        assert evaluate(net, x[1:2], [wrong]) == 100.0
+    # ties go to the earlier output
+    net, x = passthrough([[0.3, 0.3, 0.1, 0.0], [0.1, 0.2, 0.2, 0.2],
+                          [1.0, 1.0, 1.0, 1.0], [0.0, 0.0, 0.4, 0.4]])
+    assert evaluate(net, x, ["S1", "S2", "S1", "S3"]) == 0.0
 
 
 def test_p_err_counts_mismatches():
-    assert p_err(["S1", "S2", "Sr"], ["S1", "S3", "Sr"]) == pytest.approx(
-        100.0 / 3)
-    assert p_err(["S1"], ["S1"]) == 0.0
+    net, x = passthrough([[0.5, 0.0, 0.0, 0.0], [0.0, 0.0, 0.5, 0.0],
+                          [-0.1, -0.1, -0.1, -0.1]])
+    labels = ["S1", "S2", "Sr"]
+    assert evaluate(net, x, labels) == pytest.approx(100.0 / 3)
+    assert evaluate(net, x[:1], ["S1"]) == 0.0
+    # the S2 pattern, read as S3, is the one error
+    one = (net.w_hidden[None], net.w_out[None])
+    counts = ScoreBatch(net, x, label_codes(labels), 1).errors(*one)
+    assert np.array_equal(counts, [[0.0, 1.0, 0.0, 0.0, 0.0]])
+
+
+def test_scoring_rejects_a_label_count_mismatch():
+    net, x = passthrough([[0.5, 0.0, 0.0, 0.0], [0.0, 0.5, 0.0, 0.0]])
+    with pytest.raises(ShapeMismatchError):
+        evaluate(net, x, ["S1"])
+    with pytest.raises(ShapeMismatchError):
+        evaluate(net, x[:, :8], ["S1", "S2"])
 
 
 def test_mse_sums_components_means_patterns():
@@ -185,6 +216,25 @@ def test_noisy_training_is_seed_deterministic():
                                    np.random.default_rng(11)))
     assert np.array_equal(runs[0].params.w_hidden, runs[1].params.w_hidden)
     assert np.array_equal(runs[0].curve, runs[1].curve)
+
+
+def test_training_is_blas_thread_invariant():
+    rng = np.random.default_rng(8)
+    x = rng.uniform(0, 1, size=(3000, 16))
+    y = np.where(rng.random((3000, 4)) < 0.25, 1.0, -1.0)
+    cfg = TrainConfig(max_epochs=200, mse_target=0.0, weight_noise=0.05,
+                      noise_offset=1 / 3, panel=4)
+    runs = []
+    for threads in (1, 2):
+        with blas_threads(threads):
+            runs.append(train_discrete(init_params(np.random.default_rng(3)),
+                                       x, y, cfg, np.random.default_rng(4)))
+    one, two = runs
+    assert np.array_equal(one.curve, two.curve)
+    assert one.final_mse == two.final_mse
+    for name in ("w_hidden", "b_hidden", "w_out", "b_out"):
+        assert np.array_equal(getattr(one.params, name),
+                              getattr(two.params, name)), name
 
 
 def test_evaluate_scores_labels():

@@ -31,7 +31,7 @@ def default_cfg(out, **kw):
 
 
 def test_config_dict_round_trip(tmp_path):
-    cfg = default_cfg(tmp_path, trials=123, threads=2,
+    cfg = default_cfg(tmp_path, trials=123,
                       stuck=[{"array": "hidden", "row": 1, "col": 2,
                               "ohm": 20e3}])
     back = RunConfig.from_dict(cfg.to_dict())
@@ -45,16 +45,14 @@ def test_config_hash_tracks_content(tmp_path):
     assert a.config_hash() != b.config_hash()
 
 
-def test_config_hash_ignores_out_dir_and_threads(tmp_path):
+def test_config_hash_ignores_out_dir(tmp_path):
     a = default_cfg(tmp_path / "a")
     assert default_cfg(tmp_path / "b").config_hash() == a.config_hash()
-    assert default_cfg(tmp_path / "a", threads=4).config_hash() == \
-        a.config_hash()
 
 
 @pytest.mark.parametrize("name, value", [
     ("trials", 0), ("trials", -5), ("trials", "abc"), ("trials", 2.5),
-    ("threads", -3), ("bounds_trials", 999), ("plan_trials", 0),
+    ("bounds_trials", 999), ("plan_trials", 0),
     ("restarts", 0), ("harden_epochs", -1), ("harden_epochs", True),
 ])
 def test_bad_count_setting_exits_with_config_error(tmp_path, name, value):
@@ -66,7 +64,7 @@ def test_bad_count_setting_exits_with_config_error(tmp_path, name, value):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
     assert main(["--config", str(path), "--stage", "analyze"]) == EXIT_CONFIG
-    if name in ("trials", "threads") and isinstance(value, int):
+    if name == "trials" and isinstance(value, int):
         assert main(["--out", str(tmp_path / "run"), "--seed", "1",
                      "--stage", "analyze", f"--{name}", str(value)]) \
             == EXIT_CONFIG
@@ -114,8 +112,10 @@ NAN, INF = float("nan"), float("inf")
     ("plan_points", [{"r_m1": 0.1}, {"r_m2": 0.2}]),
     ("plan_points", [{"r_m1": 0.1}, {"r_m1": 0.2, "r_m2": 0.2}]),
 ])
-def test_bad_experiment_setting_exits_before_any_stage(tmp_path, name, value):
-    """Checked when the pipeline starts, before it writes anything."""
+def test_bad_experiment_setting_exits_before_any_stage(tmp_path, capsys,
+                                                      name, value):
+    """Checked when the pipeline starts, before it writes anything; the
+    command line reports it as a config error, whatever the stage."""
     out = tmp_path / "run"
     with pytest.raises(ConfigError, match=name):
         run_pipeline(default_cfg(out, **{name: value}), "dataset")
@@ -123,7 +123,11 @@ def test_bad_experiment_setting_exits_before_any_stage(tmp_path, name, value):
     config[name] = value
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
-    assert main(["--config", str(path), "--stage", "dataset"]) == EXIT_CONFIG
+    for stage in ("dataset", "analyze", "all"):
+        assert main(["--config", str(path), "--stage", stage]) == EXIT_CONFIG
+        message = json.loads(capsys.readouterr().out)
+        assert message["error"] == "ConfigError"
+        assert message["stage"] == "config"
     assert not out.exists()
 
 
@@ -139,12 +143,12 @@ def test_usable_experiment_setting_passes_the_check(tmp_path, name, value):
 
 @pytest.mark.parametrize("section, name", [
     ("crossbar", "resistor_tolerance"), ("device", "i_limit_set"),
-    ("device", "pulse_width"),
+    ("device", "pulse_width"), (None, "threads"),
 ])
 def test_config_rejects_removed_setting(tmp_path, section, name):
     """Settings that no code read are unknown keys, like any other."""
     config = default_cfg(tmp_path / "run").to_dict()
-    config[section][name] = 0.01
+    (config[section] if section else config)[name] = 1
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
     with pytest.raises(ConfigError, match=name):
@@ -323,12 +327,18 @@ def test_cli_flags_override_config(tmp_path):
     path.write_text(json.dumps(cfg.to_dict()))
     args = build_parser().parse_args(
         ["--config", str(path), "--seed", "99", "--trials", "321",
-         "--threads", "3", "--out", str(tmp_path / "b")])
+         "--out", str(tmp_path / "b")])
     loaded = load_config(args)
     assert loaded.seed == 99
     assert loaded.trials == 321
-    assert loaded.threads == 3
     assert str(loaded.out_dir) == str(tmp_path / "b")
+
+
+def test_cli_has_no_threads_flag(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["--out", str(tmp_path / "run"), "--seed", "1", "--threads", "2"])
+    assert exc.value.code == EXIT_CONFIG
+    assert not (tmp_path / "run").exists()
 
 
 def test_cli_stage_failure_is_reported(tmp_path, capsys):
@@ -339,6 +349,31 @@ def test_cli_stage_failure_is_reported(tmp_path, capsys):
     message = json.loads(capsys.readouterr().out.strip())
     assert message["error"] == "MissingArtifactError"
     assert message["stage"] == "analyze"
+
+
+@pytest.mark.parametrize("row, stage", [
+    ("S9", "analyze"), ("S9", "sweep"), ("width", "analyze"),
+    ("width", "sweep"),
+])
+def test_cli_refuses_an_edited_test_set(default_run, tmp_path, capsys, row,
+                                        stage):
+    """A label outside the classes or a row of the wrong width stops the
+    stage with one JSON line, instead of a traceback or a silent error."""
+    run = tmp_path / "edited"
+    shutil.copytree(default_run.run_dir, run)
+    path = run / "dataset" / "test.csv"
+    lines = path.read_text().splitlines()
+    fields = lines[5].split(",")
+    lines[5] = ",".join(fields[:-1] + ["S9"] if row == "S9" else fields[1:])
+    path.write_text("\n".join(lines) + "\n")
+    code = main(["--out", str(run), "--seed", str(DEFAULT_SEED),
+                 "--stage", stage])
+    assert code == EXIT_STAGE
+    message = json.loads(capsys.readouterr().out)
+    assert message["error"] == ("CountMismatchError" if row == "S9"
+                                else "ShapeMismatchError")
+    assert message["stage"] == stage
+    assert "line 6" in message["message"]
 
 
 def test_cli_enforce_flags_budget_miss(default_run, tmp_path, capsys):

@@ -1,7 +1,5 @@
 """Monte Carlo tolerance analysis, synthesis, and the state-count sweep."""
 
-import os
-import sys
 import tracemalloc
 
 import numpy as np
@@ -10,14 +8,18 @@ import pytest
 from memxbar import tolerance
 from memxbar.errors import NoPassingPointError
 from memxbar.mapping import (CompiledLayer, CompiledNet, ResistanceRange,
-                             SynapseNominals)
-from memxbar.netmodel import LABELS, MlpParams, evaluate, forward_stack
+                             SynapseNominals, quantize_weights,
+                             symmetric_weight_states)
+from memxbar.netmodel import (LABELS, MlpParams, ScoreBatch, evaluate,
+                              forward_stack)
 from memxbar.pipeline import RunConfig, _default_plan, _load_params
 from memxbar.stats import clopper_pearson_upper
 from memxbar.tolerance import (PERCENTILE_PAIR, ExperimentPlan, ToleranceSpec,
                                analyze_tolerances, discrete_state_sweep,
                                sample_perturbed, synthesize_tolerances,
                                tolerance_set, trial_draws, weight_error_bounds)
+
+from helpers import blas_threads
 
 
 def test_tolerance_spec_validation():
@@ -81,11 +83,11 @@ def small_mc(default_net, default_compiled, default_test_split):
     """A 200-trial analysis reused by the distribution-property tests."""
     x_test, y_test = default_test_split
 
-    def run(specs=None, trials=200, seed=1234, threads=1):
+    def run(specs=None, trials=200, seed=1234):
         return analyze_tolerances(
             default_net, default_compiled, specs or tolerance_set(),
             x_test, y_test, x_p=5.0, trials=trials, seed=seed,
-            bounds_trials=1000, threads=threads)
+            bounds_trials=1000)
 
     return run
 
@@ -98,8 +100,10 @@ def test_analysis_is_seed_deterministic(small_mc):
 
 
 def test_analysis_is_thread_invariant(small_mc):
-    serial = small_mc(threads=1)
-    threaded = small_mc(threads=4)
+    with blas_threads(1):
+        serial = small_mc(trials=500)
+    with blas_threads(2):
+        threaded = small_mc(trials=500)
     assert np.array_equal(serial.p_err, threaded.p_err)
     assert np.array_equal(serial.p_err_sites, threaded.p_err_sites)
     assert serial.to_dict() == threaded.to_dict()
@@ -235,6 +239,15 @@ def test_experiment_plan_validation():
         ExperimentPlan(points=[{"r_m1": 0.1}, {"r_f": 0.2}])
 
 
+def test_experiment_plan_rejects_unknown_component():
+    # "r_m" is a config setting, not a plan component: probing it would
+    # leave every part unperturbed
+    with pytest.raises(ValueError, match="r_m"):
+        ExperimentPlan(points=[{"r_m": 0.3}, {"r_m": 0.5}])
+    with pytest.raises(ValueError, match="rf"):
+        ExperimentPlan(points=[{"r_m1": 0.1, "rf": 0.01}])
+
+
 def test_synthesis_raises_when_budget_unreachable(default_net,
                                                   default_compiled,
                                                   default_test_split):
@@ -276,6 +289,22 @@ def test_sweep_many_states_matches_continuous(default_run, default_test_split):
     continuous = evaluate(net, x_test, y_test)
     assert abs(results[4096] - continuous) <= 0.5
     assert results[2] > results[12]
+
+
+def test_sweep_equals_evaluate_of_each_quantized_net(default_net,
+                                                    default_test_split):
+    x_test, y_test = default_test_split
+    rrange = ResistanceRange(10e3, 60e3)
+    counts = (2, 3, 5, 7, 12, 40, 2, 9, 4, 6)    # more than one block
+    results = discrete_state_sweep(default_net, x_test, y_test, counts,
+                                   rrange, 100e3)
+    assert list(results) == [2, 3, 5, 7, 12, 40, 9, 4, 6]
+    for n, rate in results.items():
+        states = symmetric_weight_states(n, 100e3, rrange)
+        q = default_net.copy()
+        q.w_hidden = quantize_weights(q.w_hidden, states)
+        q.w_out = quantize_weights(q.w_out, states)
+        assert rate == evaluate(q, x_test, y_test), n
 
 
 def test_sweep_rejects_degenerate_counts(default_net, default_test_split):
@@ -342,8 +371,7 @@ def test_scorer_problem_has_ties_negatives_and_zeros():
 @pytest.mark.parametrize("block", [1, 2, 64])
 def test_scorer_equals_forward_stack_classification(block):
     net, x, codes, w1, w2 = scorer_problem()
-    batch = tolerance._ScoreBatch(net, x, codes)
-    batch.block = block
+    batch = ScoreBatch(net, x, codes, block)
     # chunks of 3, 3 and 1 trials; blocks of 2 leave one trial over
     counts = np.concatenate([batch.errors(w1[s:s + 3], w2[s:s + 3])
                              for s in range(0, 7, 3)])
@@ -366,7 +394,7 @@ def test_scoring_allocates_no_chunk_sized_array():
                     rng.uniform(-0.5, 0.5, (8, 4)), np.zeros(4))
     w1 = net.w_hidden + 0.1 * rng.standard_normal((50, 16, 8))
     w2 = net.w_out + 0.1 * rng.standard_normal((50, 8, 4))
-    batch = tolerance._ScoreBatch(net, x, codes)
+    batch = ScoreBatch(net, x, codes, len(w1))
     first = batch.errors(w1, w2)
     tracemalloc.start()
     try:
@@ -403,8 +431,7 @@ def test_shared_draw_bands_match_per_synapse_draws(r_m, r_f):
     # positive, negative, small and zero weights; the zero one is absolute
     compiled = CompiledNet(hidden=BAND_LAYER, out=BAND_LAYER)
     specs = tolerance_set(r_m, r_f)
-    bands = tolerance._weight_bands(compiled, specs, 11, 200000,
-                                    PERCENTILE_PAIR)
+    bands = tolerance._weight_bands(compiled, specs, 11, 200000)
     assert np.array_equal(bands["hidden"], bands["out"])
     for j in range(4):
         syn = BAND_LAYER.synapse(0, j)
@@ -419,25 +446,11 @@ def test_shared_draw_bands_match_per_synapse_draws(r_m, r_f):
             assert np.abs(np.subtract(band, ref)).max() <= tol
 
 
-def test_analysis_ignores_threads_and_chunk_size(default_net,
-                                                 default_compiled,
-                                                 default_test_split):
-    x_test, y_test = default_test_split
+@pytest.mark.parametrize("chunk", [50, 7, 16, 500])
+def test_analysis_ignores_chunk_size(monkeypatch, small_mc, chunk):
+    whole = small_mc(trials=120)
+    monkeypatch.setattr(tolerance, "_CHUNK", chunk)
+    report = small_mc(trials=120)
+    assert np.array_equal(report.p_err, whole.p_err)
+    assert report.to_dict() == whole.to_dict()
 
-    def run(chunk, threads):
-        return analyze_tolerances(default_net, default_compiled,
-                                  tolerance_set(), x_test, y_test, x_p=5.0,
-                                  trials=120, seed=1234, bounds_trials=1000,
-                                  chunk=chunk, threads=threads)
-
-    serial = run(250, 1)
-    # more scoring threads than cores, switching often, share one buffer pool
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        others = [run(50, 2), run(7, (os.cpu_count() or 1) + 2), run(16, 1)]
-    finally:
-        sys.setswitchinterval(interval)
-    for report in others:
-        assert np.array_equal(report.p_err, serial.p_err)
-        assert report.to_dict() == serial.to_dict()
