@@ -60,6 +60,9 @@ class StimulusProfile:
 
     @classmethod
     def from_dict(cls, d: dict) -> "StimulusProfile":
+        if not isinstance(d, dict) or not isinstance(d.get("means"), dict):
+            raise ValueError("profile needs a 'means' object mapping each "
+                             "class to its (4, 4) mean spike times")
         return cls(means={k: np.array(v) for k, v in d["means"].items()},
                    window_ms=d.get("window_ms", 50.0),
                    jitter_fraction=d.get("jitter_fraction", 0.3),
@@ -192,8 +195,9 @@ def save_dataset_csv(path, x: np.ndarray, labels) -> None:
 
 
 def load_dataset_csv(path) -> tuple[np.ndarray, list]:
-    """Patterns and labels of a dataset file; a row of the wrong width or
-    with a label outside ``LABELS`` is refused."""
+    """Patterns and labels of a dataset file; a row of the wrong width, with
+    a value that is not a number or with a label outside ``LABELS`` is
+    refused."""
     rows, labels = [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -208,6 +212,10 @@ def load_dataset_csv(path) -> tuple[np.ndarray, list]:
                 raise CountMismatchError(
                     f"{path} line {reader.line_num}: label {rec[n]!r} is not "
                     f"one of {LABELS}")
-            rows.append([float(v) for v in rec[:n]])
+            try:
+                rows.append([float(v) for v in rec[:n]])
+            except ValueError as exc:
+                raise ShapeMismatchError(
+                    f"{path} line {reader.line_num}: {exc}") from exc
             labels.append(rec[n])
     return np.array(rows), labels

@@ -18,13 +18,14 @@ row-major gradient formulas.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import NonFiniteLossError, ShapeMismatchError
 from .mapping import quantize_weights
-from .stats import truncated_normal
+from .stats import is_real, truncated_normal
 
 N_INPUT = 16
 N_HIDDEN = 8
@@ -404,6 +405,29 @@ def gradients(params: MlpParams, x: np.ndarray, y: np.ndarray,
     return batch.loss_and_gradients(params, leak)[1]
 
 
+# Accepted values of each optimizer setting; NaN fails every comparison.
+_TRAIN_RANGES = {
+    "max_epochs": ("an int >= 0", lambda v: type(v) is int and v >= 0),
+    "step": ("finite and > 0", lambda v: 0 < v < math.inf),
+    "eps": ("finite and > 0", lambda v: 0 < v < math.inf),
+    "mse_target": ("finite and >= 0", lambda v: 0 <= v < math.inf),
+    "leak": ("in [0, 1)", lambda v: 0 <= v < 1),
+    "beta1": ("in [0, 1)", lambda v: 0 <= v < 1),
+    "beta2": ("in [0, 1)", lambda v: 0 <= v < 1),
+}
+
+
+def check_train_settings(settings: dict) -> None:
+    """Raise ValueError, naming the setting first, unless each entry of
+    ``settings`` is an optimizer setting of :class:`TrainConfig` in range."""
+    for name, value in settings.items():
+        if name not in _TRAIN_RANGES:
+            raise ValueError(f"{name} is not a training setting")
+        rule, accepts = _TRAIN_RANGES[name]
+        if not (is_real(value) and accepts(value)):
+            raise ValueError(f"{name} must be {rule}, got {value!r}")
+
+
 @dataclass
 class TrainConfig:
     """Optimizer settings and realizability constraints.
@@ -422,6 +446,10 @@ class TrainConfig:
     units).  The returned network is then the epoch with the lowest
     worst-case loss over a frozen panel of perturbations rather than the
     lowest clean loss, which favors wide minima over sharp ones.
+
+    The constructor refuses, with ValueError, an optimizer setting out of
+    the range :func:`check_train_settings` gives it, a negative noise
+    setting and a panel of fewer than one perturbation.
     """
 
     mse_target: float = 1e-4
@@ -438,8 +466,8 @@ class TrainConfig:
     panel: int = 8                     # panel size for worst-case selection
 
     def __post_init__(self):
-        if self.step <= 0 or not 0 <= self.leak < 1:
-            raise ValueError("need step > 0 and 0 <= leak < 1")
+        check_train_settings({name: getattr(self, name)
+                              for name in _TRAIN_RANGES})
         if self.weight_noise < 0 or self.noise_offset < 0 or self.panel < 1:
             raise ValueError("noise settings must be nonnegative, panel >= 1")
         if self.discrete_states is not None:

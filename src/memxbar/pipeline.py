@@ -28,11 +28,12 @@ from .errors import ConfigError
 from .mapping import (CompiledLayer, CompiledNet, ResistanceRange,
                       compensate_stuck, compile_network, symmetric_weight_states,
                       w_max)
-from .netmodel import (MlpParams, TrainConfig, evaluate, init_params,
-                       train_discrete)
+from .netmodel import (MlpParams, TrainConfig, check_train_settings, evaluate,
+                       init_params, train_discrete)
 from .reports import replacing, require_artifact
-from .stats import subseed, substream
-from .tolerance import (COMPONENTS, ExperimentPlan, analyze_tolerances,
+from .stats import is_real, subseed, substream
+from .tolerance import (MIN_BAND_TRIALS, TOLERANCE_DEFAULTS, ExperimentPlan,
+                        analyze_tolerances, check_state_counts,
                         discrete_state_sweep, synthesize_tolerances,
                         tolerance_set)
 
@@ -42,31 +43,9 @@ STAGES = ("dataset", "train", "compile", "program", "analyze", "synthesize",
 _STREAM = {"dataset": 10, "train": 11, "program": 13, "analyze": 14,
            "synthesize": 15}
 
-# Accepted values of each training setting; NaN fails every comparison.
-_TRAIN_RANGES = {
-    "max_epochs": ("an int >= 0", lambda v: type(v) is int and v >= 0),
-    "step": ("finite and > 0", lambda v: 0 < v < math.inf),
-    "eps": ("finite and > 0", lambda v: 0 < v < math.inf),
-    "mse_target": ("finite and >= 0", lambda v: 0 <= v < math.inf),
-    "leak": ("in [0, 1)", lambda v: 0 <= v < 1),
-    "beta1": ("in [0, 1)", lambda v: 0 <= v < 1),
-    "beta2": ("in [0, 1)", lambda v: 0 <= v < 1),
-}
-
-# Smallest accepted value of each integer setting; weight_error_bounds
-# needs 1000 trials for a stable percentile.
-_INT_MINIMA = {"trials": 1, "bounds_trials": 1000, "plan_trials": 1,
+# Smallest accepted value of each integer setting.
+_INT_MINIMA = {"trials": 1, "bounds_trials": MIN_BAND_TRIALS, "plan_trials": 1,
                "restarts": 1, "harden_epochs": 0}
-
-# Error limits of the memristors and the feedback resistors (fractions) and
-# the truncation of their distributions, in sigmas; the defaults of
-# ``RunConfig.tolerances`` and of any setting it leaves out.
-_TOLERANCES = {"r_m": 0.2, "r_f": 0.01, "limit_sigmas": 3.0}
-_TOLERANCE_RANGES = {
-    "r_m": ("in [0, 1)", lambda v: 0 <= v < 1),
-    "r_f": ("in [0, 1)", lambda v: 0 <= v < 1),
-    "limit_sigmas": ("finite and > 0", lambda v: 0 < v < math.inf),
-}
 
 
 @dataclass
@@ -88,7 +67,7 @@ class RunConfig:
     resistance_range: ResistanceRange = field(
         default_factory=lambda: ResistanceRange(10e3, 300e3, n_states=7))
     train: dict = field(default_factory=dict)
-    tolerances: dict = field(default_factory=lambda: dict(_TOLERANCES))
+    tolerances: dict = field(default_factory=lambda: dict(TOLERANCE_DEFAULTS))
     profile_path: str | None = None
     stuck: list = field(default_factory=list)
     x_p: float = 5.0
@@ -123,13 +102,10 @@ class RunConfig:
             raise ConfigError(f"profile file not found: {self.profile_path}")
         if not isinstance(self.train, dict):
             raise ConfigError(f"train must map settings to values: {self.train!r}")
-        for name, value in self.train.items():   # one pass: configs are built often
-            rule = _TRAIN_RANGES.get(name)
-            if rule is None:
-                unknown = sorted(set(self.train) - set(_TRAIN_RANGES))
-                raise ConfigError(f"unknown training settings {unknown}")
-            if type(value) not in (int, float) or not rule[1](value):
-                raise ConfigError(f"train.{name} must be {rule[0]}, got {value!r}")
+        try:            # only the keys given: configs are built often
+            check_train_settings(self.train)
+        except ValueError as exc:
+            raise ConfigError(f"train.{exc}") from exc
         rows, cols = self.crossbar.rows, self.crossbar.cols
         for spot in self.stuck:
             if not isinstance(spot, dict) or spot.get("array") not in ("hidden", "out"):
@@ -155,48 +131,38 @@ class RunConfig:
                                   f"got {value!r}")
 
     def check_experiment(self) -> None:
-        """Raise ConfigError unless the tolerance, error-budget, sweep and
-        synthesis-plan settings are usable.
+        """Raise ConfigError unless the tolerance, error-budget, sweep,
+        synthesis-plan and stimulus-profile settings are usable.
 
+        The types that use these settings own their rules; this builds or
+        checks them and turns their ValueError, or a profile file that
+        cannot be read, into a ConfigError that names the setting.
         ``run_pipeline`` calls it before any stage runs; the constructor
         does not, because configs are built far more often than run.
         """
         tol = self.tolerances
-        if not isinstance(tol, dict) or set(tol) - set(_TOLERANCES):
-            raise ConfigError(f"tolerances must map some of {list(_TOLERANCES)} "
-                              f"to values: {tol!r}")
-        for name, value in tol.items():
-            rule = _TOLERANCE_RANGES[name]
-            if not (_is_real(value) and rule[1](value)):
-                raise ConfigError(f"tolerances.{name} must be {rule[0]}, "
-                                  f"got {value!r}")
-        if not (_is_real(self.x_p) and 0 < self.x_p <= 100):
+        if not isinstance(tol, dict) or set(tol) - set(TOLERANCE_DEFAULTS):
+            raise ConfigError("tolerances must map some of "
+                              f"{list(TOLERANCE_DEFAULTS)} to values: {tol!r}")
+        if not (is_real(self.x_p) and 0 < self.x_p <= 100):
             raise ConfigError(f"x_p must be a percentage in (0, 100], "
                               f"got {self.x_p!r}")
-        counts = self.sweep_counts
-        if (not isinstance(counts, (tuple, list)) or not counts
-                or any(type(n) is not int or n < 2 for n in counts)):
-            raise ConfigError(f"sweep_counts must be ints >= 2, got {counts!r}")
-        points = self.plan_points
-        if points is None:
-            return
-        if not isinstance(points, list) or not points:
-            raise ConfigError(f"plan_points must be a nonempty list, got {points!r}")
-        for k, point in enumerate(points):
-            if (not isinstance(point, dict) or not point
-                    or set(point) - set(COMPONENTS) or set(point) != set(points[0])
-                    or not all(_is_limit(v) for v in point.values())):
-                raise ConfigError(
-                    f"plan_points[{k}] must map the components of the first "
-                    f"point, some of {list(COMPONENTS)}, to limits in [0, 1): "
-                    f"{point!r}")
-            if k and any(point[c] < points[k - 1][c] for c in point):
-                raise ConfigError("plan_points must be componentwise "
-                                  f"nondecreasing: {points[k - 1]!r} then {point!r}")
+        owners = {
+            "tolerances": lambda: tolerance_set(**self.tolerance_settings()),
+            "sweep_counts": lambda: check_state_counts(self.sweep_counts),
+            "plan_points": lambda: _default_plan(self),
+            "profile_path": lambda: (self.profile_path
+                                     and ds.load_profile(self.profile_path)),
+        }
+        for name, check in owners.items():
+            try:
+                check()
+            except (OSError, ValueError) as exc:
+                raise ConfigError(f"{name}: {exc}") from exc
 
     def tolerance_settings(self) -> dict:
         """``tolerances`` with the default of every setting it leaves out."""
-        return {**_TOLERANCES, **self.tolerances}
+        return {**TOLERANCE_DEFAULTS, **self.tolerances}
 
     def to_dict(self) -> dict:
         return {
@@ -267,15 +233,6 @@ class RunConfig:
         return hashlib.sha256(blob).hexdigest()
 
 
-def _is_real(value) -> bool:
-    return type(value) in (int, float)
-
-
-def _is_limit(value) -> bool:
-    """An error limit: a fraction in [0, 1); NaN fails the comparison."""
-    return _is_real(value) and 0 <= value < 1
-
-
 def _load_split(run_dir: Path, name: str):
     return ds.load_dataset_csv(require_artifact(run_dir, f"dataset/{name}.csv"))
 
@@ -298,7 +255,7 @@ def _load_compiled(run_dir: Path) -> CompiledNet:
     )
 
 
-def stage_dataset(cfg: RunConfig, out: Path) -> dict:
+def stage_dataset(cfg: RunConfig, out: Path) -> None:
     profile = (ds.load_profile(cfg.profile_path) if cfg.profile_path
                else ds.default_profile())
     rng = substream(cfg.seed, _STREAM["dataset"], 0)
@@ -309,7 +266,6 @@ def stage_dataset(cfg: RunConfig, out: Path) -> dict:
               "test": {lb: y_test.count(lb) for lb in ds.LABELS}}
     with replacing(out / "split.json") as fh:
         json.dump({"seed": cfg.seed, **counts}, fh, indent=2, sort_keys=True)
-    return counts
 
 
 def _train_config(cfg: RunConfig, phase: str) -> TrainConfig:
@@ -339,7 +295,7 @@ def _train_config(cfg: RunConfig, phase: str) -> TrainConfig:
                        **opts)
 
 
-def stage_train(cfg: RunConfig, out: Path) -> dict:
+def stage_train(cfg: RunConfig, out: Path) -> None:
     x_train, y_train = _load_split(cfg.out_dir, "train")
     x_test, y_test = _load_split(cfg.out_dir, "test")
     y_target = ds.target_matrix(y_train)
@@ -381,10 +337,9 @@ def stage_train(cfg: RunConfig, out: Path) -> dict:
                        for name, r in phases}}
     with replacing(out / "train.json") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
-    return meta
 
 
-def stage_compile(cfg: RunConfig, out: Path) -> dict:
+def stage_compile(cfg: RunConfig, out: Path) -> None:
     params = _load_params(cfg.out_dir)
     net = compile_network(params.w_hidden, params.w_out, cfg.crossbar.r_f,
                           cfg.resistance_range)
@@ -397,7 +352,6 @@ def stage_compile(cfg: RunConfig, out: Path) -> dict:
     }
     with replacing(out / "compiled.json") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
-    return {"synapses": int(net.hidden.r_m1.size + net.out.r_m1.size)}
 
 
 def _program_array(cfg: RunConfig, name: str, layer: CompiledLayer,
@@ -433,7 +387,7 @@ def _program_array(cfg: RunConfig, name: str, layer: CompiledLayer,
     return xbar
 
 
-def stage_program(cfg: RunConfig, out: Path) -> dict:
+def stage_program(cfg: RunConfig, out: Path) -> None:
     compiled = _load_compiled(cfg.out_dir)
     params = _load_params(cfg.out_dir)
     x_test, y_test = _load_split(cfg.out_dir, "test")
@@ -456,10 +410,9 @@ def stage_program(cfg: RunConfig, out: Path) -> dict:
                "achieved": achieved.to_dict()}
     with replacing(out / "programmed.json") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
-    return {"programmed_p_err": p, "cells_programmed": len(log_rows)}
 
 
-def stage_analyze(cfg: RunConfig, out: Path) -> dict:
+def stage_analyze(cfg: RunConfig, out: Path) -> None:
     params = _load_params(cfg.out_dir)
     compiled = _load_compiled(cfg.out_dir)
     x_test, y_test = _load_split(cfg.out_dir, "test")
@@ -478,8 +431,6 @@ def stage_analyze(cfg: RunConfig, out: Path) -> dict:
     reports.render_weight_bounds(
         reports.read_bounds_csv(out / "weight_bounds.csv"),
         cfg.out_dir / reports.BOUNDS_SVG)
-    return {"max_p_err": report.max_p_err, "subset_max": report.subset_max,
-            "passed": report.passed}
 
 
 def _default_plan(cfg: RunConfig) -> ExperimentPlan:
@@ -492,7 +443,7 @@ def _default_plan(cfg: RunConfig) -> ExperimentPlan:
                           limit_sigmas=tol["limit_sigmas"])
 
 
-def stage_synthesize(cfg: RunConfig, out: Path) -> dict:
+def stage_synthesize(cfg: RunConfig, out: Path) -> None:
     params = _load_params(cfg.out_dir)
     compiled = _load_compiled(cfg.out_dir)
     x_test, y_test = _load_split(cfg.out_dir, "test")
@@ -505,17 +456,15 @@ def stage_synthesize(cfg: RunConfig, out: Path) -> dict:
                "probes": result.probes}
     with replacing(out / "result.json") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
-    return payload
 
 
-def stage_sweep(cfg: RunConfig, out: Path) -> dict:
+def stage_sweep(cfg: RunConfig, out: Path) -> None:
     params = _load_params(cfg.out_dir, "params_continuous.json")
     x_test, y_test = _load_split(cfg.out_dir, "test")
     results = discrete_state_sweep(params, x_test, y_test, cfg.sweep_counts,
                                    cfg.sweep_range, cfg.crossbar.r_f)
     reports.write_sweep_csv(out / "sweep.csv", results)
     reports.render_sweep(results, cfg.x_p, cfg.out_dir / reports.SWEEP_SVG)
-    return {str(n): v for n, v in results.items()}
 
 
 def write_summary(cfg: RunConfig) -> dict:

@@ -23,6 +23,11 @@ def subseed(*key: int) -> int:
     return int(np.random.SeedSequence(key).generate_state(1, np.uint64)[0])
 
 
+def is_real(value) -> bool:
+    """An int or a float, numpy floats included; a bool is not a number."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _at(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """``values`` broadcast to ``mask`` and taken where it is set; a
     scalar stands for every entry as it is."""

@@ -37,6 +37,7 @@ has the distribution of an independent per-synapse draw.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -47,12 +48,18 @@ from .mapping import (CompiledNet, ResistanceRange, SynapseNominals,
                       quantize_weights, symmetric_weight_states)
 from .netmodel import LABELS, MlpParams, ScoreBatch, label_codes
 from .reports import replacing, write_trials_csv
-from .stats import clopper_pearson_upper, substream, truncated_normal
+from .stats import clopper_pearson_upper, is_real, substream, truncated_normal
 
 PERCENTILE_PAIR = (0.05, 99.95)   # weight-band and report percentiles
 
 # Components a synthesis plan point can set an error limit for.
 COMPONENTS = ("r_m1", "r_m2", "r_f")
+
+# Defaults of ``tolerance_set``: the error limits of the memristors and the
+# feedback resistors (fractions) and the truncation of their distributions,
+# in sigmas.
+TOLERANCE_DEFAULTS = {"r_m": 0.2, "r_f": 0.01, "limit_sigmas": 3.0}
+MIN_BAND_TRIALS = 1000           # trials for a stable weight-band percentile
 
 _STREAM_TRIAL = 0
 _STREAM_BOUNDS = 1
@@ -62,25 +69,44 @@ _BAND_BLOCK = 32                 # synapses per block of band temporaries
 
 @dataclass(frozen=True)
 class ToleranceSpec:
-    """Relative error limit for one component class."""
+    """Relative error limit for one component class.
+
+    The constructor refuses, with ValueError, a ``delta`` that is not a
+    number in [0, 1) and a ``limit_sigmas`` that is not a finite number
+    > 0; a bool is not a number.
+    """
 
     component: str               # "r_f" | "r_m1" | "r_m2"
     delta: float                 # fraction; distribution truncated at +/- delta
-    limit_sigmas: float = 3.0    # delta expressed in standard deviations
+    limit_sigmas: float = TOLERANCE_DEFAULTS["limit_sigmas"]   # delta in sigmas
 
     def __post_init__(self):
-        if not 0 <= self.delta < 1:
-            raise ValueError(f"delta must be in [0, 1), got {self.delta}")
-        if self.limit_sigmas <= 0:
-            raise ValueError("limit_sigmas must be > 0")
+        if not _is_limit(self.delta):
+            raise ValueError(f"{self.component} limit must be a number in "
+                             f"[0, 1), got {self.delta!r}")
+        if not _is_positive(self.limit_sigmas):
+            raise ValueError("limit_sigmas must be finite and > 0, "
+                             f"got {self.limit_sigmas!r}")
 
     @property
     def sigma(self) -> float:
         return self.delta / self.limit_sigmas
 
 
-def tolerance_set(r_m: float = 0.2, r_f: float = 0.01,
-                  limit_sigmas: float = 3.0) -> dict:
+def _is_limit(value) -> bool:
+    """An error limit: a number in [0, 1); NaN fails the comparison."""
+    return is_real(value) and 0 <= value < 1
+
+
+def _is_positive(value) -> bool:
+    """A finite number > 0."""
+    return is_real(value) and 0 < value < math.inf
+
+
+def tolerance_set(r_m: float = TOLERANCE_DEFAULTS["r_m"],
+                  r_f: float = TOLERANCE_DEFAULTS["r_f"],
+                  limit_sigmas: float = TOLERANCE_DEFAULTS["limit_sigmas"]
+                  ) -> dict:
     """The usual spec bundle: common memristor limit, feedback-resistor limit."""
     return {
         "r_m1": ToleranceSpec("r_m1", r_m, limit_sigmas),
@@ -113,8 +139,9 @@ class WeightErrorBounds:
 
 def _draw_factors(specs: dict, trials: int, rng: np.random.Generator):
     """Relative factors ``1 + e`` of r_f, r_m1 and r_m2, in that order."""
-    if trials < 1000:
-        raise ValueError("trials must be >= 1000 for a stable percentile")
+    if trials < MIN_BAND_TRIALS:
+        raise ValueError(f"trials must be >= {MIN_BAND_TRIALS} for a stable "
+                         "percentile")
     return tuple(sample_perturbed(np.ones(trials), specs[comp], rng)
                  for comp in ("r_f", "r_m1", "r_m2"))
 
@@ -395,26 +422,41 @@ def analyze_tolerances(net: MlpParams, compiled: CompiledNet, specs: dict,
 
 @dataclass
 class ExperimentPlan:
-    """Ascending schedule of error-limit vectors to probe."""
+    """Ascending schedule of error-limit vectors to probe.
+
+    The constructor refuses, with ValueError, a plan that synthesis could
+    not run to the end: ``points`` that is not a nonempty list; a point
+    that does not map the components of the first point, some of
+    ``COMPONENTS``, to limits in [0, 1); points that decrease in any
+    component; ``trials`` that is not an int >= 1; and a ``resolution``
+    or ``limit_sigmas`` that is not a finite number > 0.
+    """
 
     points: list = field(default_factory=list)   # dicts component -> delta
     trials: int = 1000
     resolution: float = 0.01                     # finest delta step to resolve
-    limit_sigmas: float = 3.0                    # truncation of every probe
+    limit_sigmas: float = TOLERANCE_DEFAULTS["limit_sigmas"]   # of every probe
 
     def __post_init__(self):
-        if not self.points:
-            raise ValueError("plan needs at least one point")
-        keys = set(self.points[0])
-        unknown = keys - set(COMPONENTS)
-        if unknown:
-            raise ValueError(f"unknown components {sorted(unknown)}; a point "
-                             f"sets some of {COMPONENTS}")
-        for a, b in zip(self.points, self.points[1:]):
-            if set(b) != keys:
-                raise ValueError("all points must perturb the same components")
-            if any(b[k] < a[k] for k in keys):
-                raise ValueError("points must be componentwise nondecreasing")
+        points = self.points
+        if not isinstance(points, list) or not points:
+            raise ValueError(f"points must be a nonempty list, got {points!r}")
+        for k, point in enumerate(points):
+            if (not isinstance(point, dict) or not point
+                    or set(point) - set(COMPONENTS) or set(point) != set(points[0])
+                    or not all(_is_limit(v) for v in point.values())):
+                raise ValueError(
+                    f"point {k} must map the components of the first point, "
+                    f"some of {list(COMPONENTS)}, to limits in [0, 1): {point!r}")
+            if k and any(point[c] < points[k - 1][c] for c in point):
+                raise ValueError("points must be componentwise nondecreasing: "
+                                 f"{points[k - 1]!r} then {point!r}")
+        if type(self.trials) is not int or self.trials < 1:
+            raise ValueError(f"trials must be an int >= 1, got {self.trials!r}")
+        for name in ("resolution", "limit_sigmas"):
+            if not _is_positive(getattr(self, name)):
+                raise ValueError(f"{name} must be finite and > 0, "
+                                 f"got {getattr(self, name)!r}")
 
     def specs(self, deltas: dict) -> dict:
         """Specs of one probe: ``deltas`` per component, 0 where missing."""
@@ -482,6 +524,14 @@ def synthesize_tolerances(net: MlpParams, compiled: CompiledNet,
     return SynthesisResult(a, probes)
 
 
+def check_state_counts(counts) -> None:
+    """Raise ValueError unless ``counts`` is a nonempty list or tuple of
+    state counts, each an int >= 2."""
+    if (not isinstance(counts, (tuple, list)) or not counts
+            or any(type(n) is not int or n < 2 for n in counts)):
+        raise ValueError(f"state counts must be ints >= 2, got {counts!r}")
+
+
 def discrete_state_sweep(net: MlpParams, x_test: np.ndarray, labels_test,
                          counts, rrange: ResistanceRange, r_f: float) -> dict:
     """Test error after quantizing weights onto n-state ladders.
@@ -490,11 +540,10 @@ def discrete_state_sweep(net: MlpParams, x_test: np.ndarray, labels_test,
     over the range, converted to the symmetric weight set, and the
     continuous weights are snapped to it.  Biases stay continuous (they
     are digital in the target system).  The quantized nets are scored as
-    one stack.
+    one stack.  Raises ValueError, before any scoring, unless ``counts``
+    passes :func:`check_state_counts`.
     """
-    if any(n < 2 for n in counts):
-        raise ValueError("state counts must be >= 2")
-    counts = [int(n) for n in counts]
+    check_state_counts(counts)
     ladders = [symmetric_weight_states(n, r_f, rrange) for n in counts]
     w1 = np.stack([quantize_weights(net.w_hidden, s) for s in ladders])
     w2 = np.stack([quantize_weights(net.w_out, s) for s in ladders])

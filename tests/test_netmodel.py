@@ -245,6 +245,17 @@ def test_evaluate_scores_labels():
     assert evaluate(params, x, ["S1", "Sr", "Sr"]) == pytest.approx(100 / 3)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("max_epochs", -1), ("max_epochs", 2.5), ("max_epochs", True),
+    ("step", float("nan")), ("step", float("inf")), ("step", "0.02"),
+    ("eps", 0.0), ("mse_target", -1e-4), ("mse_target", float("nan")),
+    ("leak", -0.05), ("beta1", 1.0), ("beta2", 1.5), ("beta2", None),
+])
+def test_train_config_refuses_bad_optimizer_setting(name, value):
+    with pytest.raises(ValueError, match=name):
+        TrainConfig(**{name: value})
+
+
 def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(step=0.0)

@@ -15,7 +15,7 @@ import memxbar
 from memxbar.cli import (BLAS_THREAD_VARIABLES, EXIT_CONFIG, EXIT_ENFORCE,
                          EXIT_OK, EXIT_STAGE, build_parser, load_config,
                          main)
-from memxbar.dataset import target_matrix
+from memxbar.dataset import default_profile, target_matrix
 from memxbar.device import DeviceParams
 from memxbar.errors import ConfigError
 from memxbar.mapping import ResistanceRange, symmetric_weight_states
@@ -209,6 +209,38 @@ def test_config_rejects_missing_profile(tmp_path):
         default_cfg(tmp_path, profile_path=str(tmp_path / "absent.json"))
 
 
+@pytest.mark.parametrize("edit", [
+    "missing class", "missing means", "invalid JSON", "mean shape",
+])
+def test_bad_profile_exits_before_any_stage(tmp_path, capsys, edit):
+    """The profile file is read when the pipeline starts; one that the
+    profile type refuses is a config error, and nothing is written."""
+    profile = default_profile().to_dict()
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(profile))
+    if edit == "missing class":
+        del profile["means"]["S2"]
+    elif edit == "missing means":
+        del profile["means"]
+    elif edit == "mean shape":
+        profile["means"]["S1"] = profile["means"]["S1"][:3]
+    path = tmp_path / "profile.json"
+    path.write_text("{not json" if edit == "invalid JSON"
+                    else json.dumps(profile))
+    out = tmp_path / "run"
+    default_cfg(out, profile_path=str(good)).check_experiment()
+    with pytest.raises(ConfigError, match="profile_path"):
+        run_pipeline(default_cfg(out, profile_path=str(path)), "dataset")
+    config = default_cfg(out, profile_path=str(path)).to_dict()
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps(config))
+    assert main(["--config", str(config_path), "--stage", "all"]) == EXIT_CONFIG
+    message = json.loads(capsys.readouterr().out)
+    assert message["error"] == "ConfigError"
+    assert message["stage"] == "config"
+    assert not out.exists()
+
+
 def test_config_from_json_errors(tmp_path):
     with pytest.raises(ConfigError):
         RunConfig.from_json(tmp_path / "missing.json")
@@ -353,18 +385,20 @@ def test_cli_stage_failure_is_reported(tmp_path, capsys):
 
 @pytest.mark.parametrize("row, stage", [
     ("S9", "analyze"), ("S9", "sweep"), ("width", "analyze"),
-    ("width", "sweep"),
+    ("width", "sweep"), ("abc", "sweep"),
 ])
 def test_cli_refuses_an_edited_test_set(default_run, tmp_path, capsys, row,
                                         stage):
-    """A label outside the classes or a row of the wrong width stops the
-    stage with one JSON line, instead of a traceback or a silent error."""
+    """A label outside the classes, a row of the wrong width or a value
+    that is not a number stops the stage with one JSON line, instead of a
+    traceback or a silent error."""
     run = tmp_path / "edited"
     shutil.copytree(default_run.run_dir, run)
     path = run / "dataset" / "test.csv"
     lines = path.read_text().splitlines()
     fields = lines[5].split(",")
-    lines[5] = ",".join(fields[:-1] + ["S9"] if row == "S9" else fields[1:])
+    lines[5] = ",".join({"S9": fields[:-1] + ["S9"], "width": fields[1:],
+                         "abc": fields[:3] + ["abc"] + fields[4:]}[row])
     path.write_text("\n".join(lines) + "\n")
     code = main(["--out", str(run), "--seed", str(DEFAULT_SEED),
                  "--stage", stage])

@@ -11,15 +11,18 @@ from memxbar.mapping import (CompiledLayer, CompiledNet, ResistanceRange,
                              SynapseNominals, quantize_weights,
                              symmetric_weight_states)
 from memxbar.netmodel import (LABELS, MlpParams, ScoreBatch, evaluate,
-                              forward_stack)
+                              forward_stack, init_params)
 from memxbar.pipeline import RunConfig, _default_plan, _load_params
 from memxbar.stats import clopper_pearson_upper
 from memxbar.tolerance import (PERCENTILE_PAIR, ExperimentPlan, ToleranceSpec,
-                               analyze_tolerances, discrete_state_sweep,
+                               analyze_tolerances, check_state_counts,
+                               discrete_state_sweep,
                                sample_perturbed, synthesize_tolerances,
                                tolerance_set, trial_draws, weight_error_bounds)
 
 from helpers import blas_threads
+
+NAN, INF = float("nan"), float("inf")
 
 
 def test_tolerance_spec_validation():
@@ -30,6 +33,17 @@ def test_tolerance_spec_validation():
     with pytest.raises(ValueError):
         ToleranceSpec("r_f", 0.1, limit_sigmas=0)
     assert ToleranceSpec("r_m1", 0.2).sigma == pytest.approx(0.2 / 3)
+
+
+@pytest.mark.parametrize("delta, limit_sigmas", [
+    (1.0, 3.0), (1.5, 3.0), (-0.1, 3.0), (NAN, 3.0), ("0.2", 3.0),
+    (True, 3.0), (None, 3.0), (0.2, 0.0), (0.2, -1.0), (0.2, INF),
+    (0.2, NAN), (0.2, True), (0.2, "3"),
+])
+def test_tolerance_spec_refuses_bad_settings(delta, limit_sigmas):
+    # an infinite limit_sigmas would give sigma 0: an unperturbed analysis
+    with pytest.raises(ValueError):
+        ToleranceSpec("r_m1", delta, limit_sigmas)
 
 
 def test_tolerance_set_bundle():
@@ -248,6 +262,27 @@ def test_experiment_plan_rejects_unknown_component():
         ExperimentPlan(points=[{"r_m1": 0.1, "rf": 0.01}])
 
 
+PLAN_POINTS = [{"r_m1": 0.1, "r_m2": 0.1, "r_f": 0.01}]
+
+
+@pytest.mark.parametrize("change", [
+    {"points": [{"r_m1": NAN}]}, {"points": [{"r_m1": 1.5}]},
+    {"points": [{"r_m1": 0.1}, {"r_m1": NAN}]},
+    {"points": [{"r_m1": "0.1"}]}, {"points": [{"r_m1": True}]},
+    {"points": "r_m1"}, {"points": [0.1]}, {"points": [{}]},
+    {"points": [{"r_m1": 0.1}, {"r_m1": 0.2, "r_m2": 0.2}]},
+    {"limit_sigmas": 0}, {"limit_sigmas": -3.0}, {"limit_sigmas": INF},
+    {"limit_sigmas": NAN}, {"resolution": 0.0}, {"resolution": -0.01},
+    {"resolution": NAN}, {"resolution": INF}, {"resolution": "0.01"},
+    {"trials": 0}, {"trials": 2.5}, {"trials": True}, {"trials": "1000"},
+])
+def test_experiment_plan_refuses_bad_settings(change):
+    """Refused when the plan is built, not at the probe that reaches the
+    bad value; a zero resolution would bisect forever."""
+    with pytest.raises(ValueError):
+        ExperimentPlan(**{"points": PLAN_POINTS, **change})
+
+
 def test_synthesis_raises_when_budget_unreachable(default_net,
                                                   default_compiled,
                                                   default_test_split):
@@ -305,6 +340,19 @@ def test_sweep_equals_evaluate_of_each_quantized_net(default_net,
         q.w_hidden = quantize_weights(q.w_hidden, states)
         q.w_out = quantize_weights(q.w_out, states)
         assert rate == evaluate(q, x_test, y_test), n
+
+
+@pytest.mark.parametrize("counts", [
+    [2.5, 3], (1,), (2, 1), [], (True, 3), ["3"], 5, None,
+])
+def test_state_counts_are_refused_by_the_check_and_the_sweep(counts):
+    assert check_state_counts((2, 2, 4096)) is None
+    with pytest.raises(ValueError):
+        check_state_counts(counts)
+    net = init_params(np.random.default_rng(0))
+    with pytest.raises(ValueError):
+        discrete_state_sweep(net, np.zeros((2, 16)), ["S1", "Sr"], counts,
+                             ResistanceRange(10e3, 60e3), 100e3)
 
 
 def test_sweep_rejects_degenerate_counts(default_net, default_test_split):
