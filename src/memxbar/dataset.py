@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -18,7 +19,7 @@ import numpy as np
 from .errors import CountMismatchError, ShapeMismatchError
 from .netmodel import LABELS, N_OUTPUT, OUTPUT_LABELS, REJECT_LABEL
 from .reports import replacing, write_csv
-from .stats import quantize_half_up, truncated_normal
+from .stats import check_ranges, quantize_half_up, truncated_normal
 
 N_CHANNELS = 4
 N_SPIKES = 4
@@ -27,9 +28,23 @@ TRAIN_COUNTS = {"S1": 735, "S2": 760, "S3": 724, "S4": 754, "Sr": 3027}
 TEST_COUNTS = {"S1": 265, "S2": 240, "S3": 276, "S4": 246, "Sr": 973}
 
 
+# Accepted values of each scalar profile setting; NaN fails every comparison.
+_PROFILE_RANGES = {
+    "window_ms": ("finite and > 0", lambda v: 0 < v < math.inf),
+    "jitter_fraction": ("finite and >= 0", lambda v: 0 <= v < math.inf),
+    "jitter_sigmas": ("finite and > 0", lambda v: 0 < v < math.inf),
+    "dac_step": ("finite and > 0", lambda v: 0 < v < math.inf),
+}
+
+
 @dataclass
 class StimulusProfile:
-    """Mean spike times per signal class, plus jitter and encoding settings."""
+    """Mean spike times per signal class, plus jitter and encoding settings.
+
+    The constructor refuses, with ValueError, a scalar setting that is not
+    a number in its range and a class whose means are missing, of the
+    wrong shape or outside the window.
+    """
 
     means: dict = field(default_factory=dict)  # label -> (4, 4) ms array
     window_ms: float = 50.0
@@ -38,6 +53,8 @@ class StimulusProfile:
     dac_step: float = 0.0025
 
     def __post_init__(self):
+        check_ranges({name: getattr(self, name) for name in _PROFILE_RANGES},
+                     _PROFILE_RANGES)
         for label in OUTPUT_LABELS:
             if label not in self.means:
                 raise ValueError(f"profile is missing class {label}")

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import NonFiniteLossError, ShapeMismatchError
 from .mapping import quantize_weights
-from .stats import is_real, truncated_normal
+from .stats import check_ranges, truncated_normal
 
 N_INPUT = 16
 N_HIDDEN = 8
@@ -277,15 +277,16 @@ class _TrainBatch:
     contiguous rows instead of rows of 8 or 4.
 
     The results equal the row-major formulas bit for bit: the loss equals
-    ``mse(y, forward(params, x))``, the gradients the plain row-major
-    expressions, and the panel score the same score over
-    :func:`forward_stack`.  Two choices keep them equal.  OpenBLAS rounds
-    a product differently when its operands are laid out differently:
-    ``x.T @ d1.T`` and ``(d2_rows.T @ a1.T).T`` round like the row-major
-    ``x.T @ d1`` and ``a1.T @ d2``, while ``xT @ d1.T`` and ``a1 @ d2.T``
-    do not.  And the row-major bias gradient adds the patterns one after
-    another, which ``cumsum`` along a row does and the pairwise
-    ``sum(axis=1)`` does not.
+    ``mse(y, forward(params, x))``, the weight gradients the plain
+    row-major expressions, and the panel score the same score over
+    :func:`forward_stack`.  OpenBLAS rounds a product differently when
+    its operands are laid out differently: ``x.T @ d1.T`` and
+    ``(d2_rows.T @ a1.T).T`` round like the row-major ``x.T @ d1`` and
+    ``a1.T @ d2``, while ``xT @ d1.T`` and ``a1 @ d2.T`` do not.  The
+    bias gradients are numpy's pairwise sums along the contiguous rows of
+    the deltas, ``d.sum(axis=1)``: they call no BLAS, so no thread count
+    changes them, and their error bound is smaller than that of adding
+    the patterns one after another.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray, panel: int = 0):
@@ -311,11 +312,13 @@ class _TrainBatch:
         (v1, v2), (a1, a2) = self.v, self.a
         np.matmul(params.w_hidden.T, self.xT, out=v1)
         v1 += params.b_hidden[:, None]
-        v1 *= f.slope
+        if f.slope != 1.0:           # a product with 1.0 changes no bit
+            v1 *= f.slope
         np.clip(v1, f.lower, f.upper, out=a1)
         np.matmul(params.w_out.T, a1, out=v2)
         v2 += params.b_out[:, None]
-        v2 *= f.slope
+        if f.slope != 1.0:
+            v2 *= f.slope
         np.clip(v2, f.lower, f.upper, out=a2)
 
     def _loss_from_err(self) -> float:
@@ -344,7 +347,8 @@ class _TrainBatch:
         """
         g = self.deriv[layer]
         np.equal(self.a[layer], self.v[layer], out=g)
-        g *= f.slope
+        if f.slope != 1.0:
+            g *= f.slope
         np.maximum(g, leak * f.slope, out=g)
         np.multiply(self.d[layer], g, out=self.d[layer])
 
@@ -359,7 +363,7 @@ class _TrainBatch:
             raise ValueError(f"leak must lie in [0, 1], got {leak}")
         f = params.activation
         self._forward(params)
-        (v1, v2), (a1, a2), (d1, d2) = self.v, self.a, self.d
+        (a1, a2), (d1, d2) = self.a, self.d
         np.subtract(a2, self.yT, out=self.err)
         np.multiply(self.err, 2.0, out=d2)
         d2 /= self.x.shape[0]
@@ -370,9 +374,8 @@ class _TrainBatch:
         grads = {
             "w_hidden": self.x.T @ d1.T,
             "w_out": (self.d2_rows.T @ a1.T).T.copy(),
-            # sequential sums over patterns, into v, which is free now
-            "b_hidden": np.cumsum(d1, axis=1, out=v1)[:, -1].copy(),
-            "b_out": np.cumsum(d2, axis=1, out=v2)[:, -1].copy(),
+            "b_hidden": d1.sum(axis=1),
+            "b_out": d2.sum(axis=1),
         }
         return self._loss_from_err(), grads
 
@@ -417,15 +420,25 @@ _TRAIN_RANGES = {
 }
 
 
+# Every checked TrainConfig field: the optimizer settings plus the noise and
+# realizability settings, which the pipeline derives per phase and which the
+# `train` section of a run config may not set.
+_CONFIG_RANGES = {
+    **_TRAIN_RANGES,
+    "weight_noise": ("finite and >= 0", lambda v: 0 <= v < math.inf),
+    "noise_offset": ("finite and >= 0", lambda v: 0 <= v < math.inf),
+    "panel": ("an int >= 1", lambda v: type(v) is int and v >= 1),
+    "weight_limit": ("None or finite and > 0", lambda v: 0 < v < math.inf),
+}
+
+
 def check_train_settings(settings: dict) -> None:
     """Raise ValueError, naming the setting first, unless each entry of
     ``settings`` is an optimizer setting of :class:`TrainConfig` in range."""
-    for name, value in settings.items():
+    for name in settings:
         if name not in _TRAIN_RANGES:
             raise ValueError(f"{name} is not a training setting")
-        rule, accepts = _TRAIN_RANGES[name]
-        if not (is_real(value) and accepts(value)):
-            raise ValueError(f"{name} must be {rule}, got {value!r}")
+    check_ranges(settings, _TRAIN_RANGES)
 
 
 @dataclass
@@ -448,8 +461,9 @@ class TrainConfig:
     lowest clean loss, which favors wide minima over sharp ones.
 
     The constructor refuses, with ValueError, an optimizer setting out of
-    the range :func:`check_train_settings` gives it, a negative noise
-    setting and a panel of fewer than one perturbation.
+    the range :func:`check_train_settings` gives it, a noise setting that
+    is not finite and >= 0, a panel that is not an int >= 1 and a
+    ``weight_limit`` that is neither None nor finite and > 0.
     """
 
     mse_target: float = 1e-4
@@ -466,10 +480,10 @@ class TrainConfig:
     panel: int = 8                     # panel size for worst-case selection
 
     def __post_init__(self):
-        check_train_settings({name: getattr(self, name)
-                              for name in _TRAIN_RANGES})
-        if self.weight_noise < 0 or self.noise_offset < 0 or self.panel < 1:
-            raise ValueError("noise settings must be nonnegative, panel >= 1")
+        settings = {name: getattr(self, name) for name in _CONFIG_RANGES}
+        if self.weight_limit is None:
+            del settings["weight_limit"]
+        check_ranges(settings, _CONFIG_RANGES)
         if self.discrete_states is not None:
             self.discrete_states = np.sort(np.asarray(self.discrete_states,
                                                       dtype=float))

@@ -131,8 +131,8 @@ class RunConfig:
                                   f"got {value!r}")
 
     def check_experiment(self) -> None:
-        """Raise ConfigError unless the tolerance, error-budget, sweep,
-        synthesis-plan and stimulus-profile settings are usable.
+        """Raise ConfigError unless the tolerance, error-budget, hardening,
+        sweep, synthesis-plan and stimulus-profile settings are usable.
 
         The types that use these settings own their rules; this builds or
         checks them and turns their ValueError, or a profile file that
@@ -149,6 +149,7 @@ class RunConfig:
                               f"got {self.x_p!r}")
         owners = {
             "tolerances": lambda: tolerance_set(**self.tolerance_settings()),
+            "harden_boost": lambda: _train_config(self, "harden"),
             "sweep_counts": lambda: check_state_counts(self.sweep_counts),
             "plan_points": lambda: _default_plan(self),
             "profile_path": lambda: (self.profile_path
@@ -275,6 +276,8 @@ def _train_config(cfg: RunConfig, phase: str) -> TrainConfig:
     continues with weight-noise injection scaled to the configured
     component tolerances, trading a little nominal loss for flatness.
     ``discrete`` additionally projects onto the realizable state ladder.
+    ``TrainConfig`` refuses the settings of a phase with ValueError; a
+    ``harden_boost`` that is not a number is refused here.
     """
     opts = dict(cfg.train)
     states = None
@@ -283,6 +286,9 @@ def _train_config(cfg: RunConfig, phase: str) -> TrainConfig:
         states = symmetric_weight_states(n, cfg.crossbar.r_f,
                                          cfg.resistance_range)
     if phase in ("harden", "discrete"):
+        if not is_real(cfg.harden_boost):
+            raise ValueError(f"harden_boost must be a number, "
+                             f"got {cfg.harden_boost!r}")
         tol = cfg.tolerance_settings()
         sigma_m = tol["r_m"] / tol["limit_sigmas"]
         sigma_f = tol["r_f"] / tol["limit_sigmas"]

@@ -28,6 +28,15 @@ def is_real(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def check_ranges(values: dict, ranges: dict) -> None:
+    """Raise ValueError, naming the setting first, unless each entry of
+    ``values`` is a number that ``ranges[name] = (rule, accepts)`` accepts."""
+    for name, value in values.items():
+        rule, accepts = ranges[name]
+        if not (is_real(value) and accepts(value)):
+            raise ValueError(f"{name} must be {rule}, got {value!r}")
+
+
 def _at(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """``values`` broadcast to ``mask`` and taken where it is set; a
     scalar stands for every entry as it is."""

@@ -28,6 +28,29 @@ def test_profile_rejects_bad_means():
         StimulusProfile(means=means)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("window_ms", "50"), ("window_ms", 0), ("window_ms", -50.0),
+    ("window_ms", float("nan")), ("window_ms", float("inf")),
+    ("window_ms", True), ("jitter_fraction", -1), ("jitter_fraction", "0.3"),
+    ("jitter_fraction", float("nan")), ("jitter_fraction", float("inf")),
+    ("jitter_sigmas", 0), ("jitter_sigmas", float("nan")),
+    ("jitter_sigmas", float("inf")), ("jitter_sigmas", None),
+    ("dac_step", 0), ("dac_step", -0.0025), ("dac_step", float("nan")),
+    ("dac_step", float("inf")), ("dac_step", "0.0025"), ("dac_step", False),
+])
+def test_profile_refuses_bad_scalar_setting(name, value):
+    d = default_profile().to_dict()
+    d[name] = value
+    with pytest.raises(ValueError, match=name):
+        StimulusProfile.from_dict(d)
+
+
+def test_profile_accepts_zero_jitter():
+    d = default_profile().to_dict()
+    d["jitter_fraction"] = 0
+    assert StimulusProfile.from_dict(d).jitter_fraction == 0
+
+
 def test_profile_json_round_trip(tmp_path):
     profile = default_profile()
     path = tmp_path / "profile.json"

@@ -1,5 +1,6 @@
 """Informational model: forward pass, metrics, gradients, training."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -256,6 +257,21 @@ def test_train_config_refuses_bad_optimizer_setting(name, value):
         TrainConfig(**{name: value})
 
 
+@pytest.mark.parametrize("name, value", [
+    ("weight_noise", float("nan")), ("weight_noise", float("inf")),
+    ("weight_noise", -0.1), ("weight_noise", "0.1"),
+    ("noise_offset", float("inf")), ("noise_offset", float("nan")),
+    ("noise_offset", -1.0), ("noise_offset", True),
+    ("panel", 2.5), ("panel", True), ("panel", 0), ("panel", "8"),
+    ("weight_limit", float("nan")), ("weight_limit", -1.0),
+    ("weight_limit", 0.0), ("weight_limit", float("inf")),
+    ("weight_limit", "0.8"),
+])
+def test_train_config_refuses_bad_noise_or_limit_setting(name, value):
+    with pytest.raises(ValueError, match=name):
+        TrainConfig(**{name: value})
+
+
 def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(step=0.0)
@@ -279,8 +295,10 @@ def reference_gradients(params, x, y, leak):
     a2 = f.apply(z2)
     d2 = 2.0 * (a2 - y) / h * f.derivative(z2, leak)
     d1 = (d2 @ params.w_out.T) * f.derivative(z1, leak)
-    return {"w_hidden": x.T @ d1, "b_hidden": d1.sum(axis=0),
-            "w_out": a1.T @ d2, "b_out": d2.sum(axis=0)}
+    return {"w_hidden": x.T @ d1,
+            "b_hidden": np.ascontiguousarray(d1.T).sum(axis=1),
+            "w_out": a1.T @ d2,
+            "b_out": np.ascontiguousarray(d2.T).sum(axis=1)}
 
 
 def reference_sigma(w, cfg):
@@ -396,6 +414,20 @@ def test_training_pass_equals_row_major_formulas(leak, activation):
         assert grads[name].flags.c_contiguous
         assert np.array_equal(grads[name], ref[name]), name
     assert _TrainBatch(x, y).loss(params) == loss
+
+
+@pytest.mark.parametrize("n", [40, 6000])
+def test_bias_gradients_are_accurate_sums(n):
+    """Each bias gradient lies within 1e-13 of its deltas' summed
+    magnitudes from their exactly rounded sum, however it adds them; the
+    deltas are the unit-by-pattern rows the pass leaves in its buffers."""
+    params, x, y = saturating_problem(n=n)
+    batch = _TrainBatch(x, y)
+    grads = batch.loss_and_gradients(params, 0.05)[1]
+    for name, d in zip(("b_hidden", "b_out"), batch.d):
+        for got, deltas in zip(grads[name], d):
+            exact = math.fsum(deltas)
+            assert abs(got - exact) <= 1e-13 * np.abs(deltas).sum(), name
 
 
 @pytest.mark.parametrize("activation", [Activation(), SLOPED])

@@ -111,6 +111,7 @@ NAN, INF = float("nan"), float("inf")
     ("plan_points", [{"r_m1": 0.1, "r_f": 0.02}, {"r_m1": 0.2, "r_f": 0.01}]),
     ("plan_points", [{"r_m1": 0.1}, {"r_m2": 0.2}]),
     ("plan_points", [{"r_m1": 0.1}, {"r_m1": 0.2, "r_m2": 0.2}]),
+    ("harden_boost", -1.0), ("harden_boost", NAN), ("harden_boost", "1.3"),
 ])
 def test_bad_experiment_setting_exits_before_any_stage(tmp_path, capsys,
                                                       name, value):
@@ -136,6 +137,7 @@ def test_bad_experiment_setting_exits_before_any_stage(tmp_path, capsys,
     ("x_p", 100), ("x_p", 0.01), ("sweep_counts", [3]),
     ("plan_points", [{"r_m1": 0.0}]),
     ("plan_points", [{"r_m1": 0.1, "r_f": 0.01}, {"r_m1": 0.1, "r_f": 0.02}]),
+    ("harden_boost", 0),
 ])
 def test_usable_experiment_setting_passes_the_check(tmp_path, name, value):
     default_cfg(tmp_path, **{name: value}).check_experiment()
@@ -211,6 +213,7 @@ def test_config_rejects_missing_profile(tmp_path):
 
 @pytest.mark.parametrize("edit", [
     "missing class", "missing means", "invalid JSON", "mean shape",
+    "zero dac_step", "window_ms string",
 ])
 def test_bad_profile_exits_before_any_stage(tmp_path, capsys, edit):
     """The profile file is read when the pipeline starts; one that the
@@ -224,6 +227,10 @@ def test_bad_profile_exits_before_any_stage(tmp_path, capsys, edit):
         del profile["means"]
     elif edit == "mean shape":
         profile["means"]["S1"] = profile["means"]["S1"][:3]
+    elif edit == "zero dac_step":
+        profile["dac_step"] = 0
+    elif edit == "window_ms string":
+        profile["window_ms"] = "50"
     path = tmp_path / "profile.json"
     path.write_text("{not json" if edit == "invalid JSON"
                     else json.dumps(profile))
