@@ -12,6 +12,7 @@ reads the device back through the summing amplifier with a quantizing ADC.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,15 @@ class CrossbarConfig:
     adc_range: float = 5.0
 
     def __post_init__(self):
+        # one sum is finite when every value is; configs are built often
+        if not math.isfinite(self.r_f + self.r_1 + self.r_2 + self.r_3 + self.r_4
+                             + self.u_sat + self.u_rail + self.u_in_max
+                             + self.adc_step + self.adc_range):
+            for name in ("r_f", "r_1", "r_2", "r_3", "r_4", "u_sat", "u_rail",
+                         "u_in_max", "adc_step", "adc_range"):
+                if not math.isfinite(getattr(self, name)):
+                    raise ValueError(f"{name} must be finite, "
+                                     f"got {getattr(self, name)!r}")
         if min(self.r_f, self.r_1, self.r_2, self.r_4) <= 0 or self.r_3 < 0:
             raise ValueError("amplifier resistors must be positive (r_3 may be 0)")
         if not 0 < self.k_scale <= 1:

@@ -32,10 +32,9 @@ from .netmodel import (MlpParams, TrainConfig, check_train_settings, evaluate,
                        init_params, train_discrete)
 from .reports import replacing, require_artifact
 from .stats import is_real, subseed, substream
-from .tolerance import (MIN_BAND_TRIALS, TOLERANCE_DEFAULTS, ExperimentPlan,
-                        analyze_tolerances, check_state_counts,
-                        discrete_state_sweep, synthesize_tolerances,
-                        tolerance_set)
+from .tolerance import (TOLERANCE_DEFAULTS, ExperimentPlan, analyze_tolerances,
+                        check_state_counts, discrete_state_sweep,
+                        synthesize_tolerances, tolerance_set)
 
 STAGES = ("dataset", "train", "compile", "program", "analyze", "synthesize",
           "sweep")
@@ -44,8 +43,8 @@ _STREAM = {"dataset": 10, "train": 11, "program": 13, "analyze": 14,
            "synthesize": 15}
 
 # Smallest accepted value of each integer setting.
-_INT_MINIMA = {"trials": 1, "bounds_trials": MIN_BAND_TRIALS, "plan_trials": 1,
-               "restarts": 1, "harden_epochs": 0}
+_INT_MINIMA = {"seed": 0, "trials": 1, "plan_trials": 1, "restarts": 1,
+               "harden_epochs": 0}
 
 
 @dataclass
@@ -72,7 +71,6 @@ class RunConfig:
     stuck: list = field(default_factory=list)
     x_p: float = 5.0
     trials: int = 10000
-    bounds_trials: int = 20000
     sweep_counts: tuple = tuple(range(2, 13))
     sweep_range: ResistanceRange = field(
         default_factory=lambda: ResistanceRange(10e3, 60e3))
@@ -100,6 +98,9 @@ class RunConfig:
             )
         if self.profile_path is not None and not Path(self.profile_path).exists():
             raise ConfigError(f"profile file not found: {self.profile_path}")
+        if type(self.discrete) is not bool:
+            raise ConfigError(f"discrete must be true or false, "
+                              f"got {self.discrete!r}")
         if not isinstance(self.train, dict):
             raise ConfigError(f"train must map settings to values: {self.train!r}")
         try:            # only the keys given: configs are built often
@@ -180,7 +181,6 @@ class RunConfig:
             "stuck": list(self.stuck),
             "x_p": self.x_p,
             "trials": self.trials,
-            "bounds_trials": self.bounds_trials,
             "sweep_counts": list(self.sweep_counts),
             "sweep_range": {"r_min": self.sweep_range.r_min,
                             "r_max": self.sweep_range.r_max},
@@ -425,8 +425,7 @@ def stage_analyze(cfg: RunConfig, out: Path) -> None:
     specs = tolerance_set(**cfg.tolerance_settings())
     report = analyze_tolerances(params, compiled, specs, x_test, y_test,
                                 cfg.x_p, cfg.trials,
-                                subseed(cfg.seed, _STREAM["analyze"], 0),
-                                bounds_trials=cfg.bounds_trials)
+                                subseed(cfg.seed, _STREAM["analyze"], 0))
     report.save_json(out / "report.json")
     report.save_trials_csv(out / "trials.csv")
     reports.write_bounds_csv(out / "weight_bounds.csv", report.weight_bounds)

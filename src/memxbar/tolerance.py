@@ -27,11 +27,12 @@ training shares, and one product of the misclassification matrix with a
 one-hot class matrix gives every per-class error count.  The per-trial
 draws run in Python under the interpreter lock, so a pool of scoring
 workers gains too little to keep (on a 2-core host, less than the
-run-to-run spread).  The buffers are freed before the weight-error bands
-are computed.  The bands of all synapses come from one shared draw of
-the r_f, r_m1 and r_m2 factors on their own substream: a synapse enters
-its band only through ``r_f / r_m1`` and ``r_f / r_m2``, so each band
-has the distribution of an independent per-synapse draw.
+run-to-run spread).  A full analysis takes each synapse's weight-error
+band from the weight stacks of the trials it scores, so the band and the
+verdict share one draw and one error model, in which each row of a pair
+has its own feedback resistor.  Per synapse it keeps only the few
+smallest and largest errors that the percentile reads, so band memory
+does not grow with the trial count.
 """
 
 from __future__ import annotations
@@ -62,9 +63,8 @@ TOLERANCE_DEFAULTS = {"r_m": 0.2, "r_f": 0.01, "limit_sigmas": 3.0}
 MIN_BAND_TRIALS = 1000           # trials for a stable weight-band percentile
 
 _STREAM_TRIAL = 0
-_STREAM_BOUNDS = 1
 _CHUNK = 250                     # trials drawn and scored at a time
-_BAND_BLOCK = 32                 # synapses per block of band temporaries
+_PAIRINGS = 16                   # row pairings per draw in weight_error_bounds
 
 
 @dataclass(frozen=True)
@@ -137,49 +137,78 @@ class WeightErrorBounds:
         return (self.low, self.high)
 
 
-def _draw_factors(specs: dict, trials: int, rng: np.random.Generator):
-    """Relative factors ``1 + e`` of r_f, r_m1 and r_m2, in that order."""
-    if trials < MIN_BAND_TRIALS:
-        raise ValueError(f"trials must be >= {MIN_BAND_TRIALS} for a stable "
-                         "percentile")
-    return tuple(sample_perturbed(np.ones(trials), specs[comp], rng)
-                 for comp in ("r_f", "r_m1", "r_m2"))
-
-
-def _band_edges(g1: np.ndarray, g2: np.ndarray, factors):
-    """Weight-error bands, (m, 2), of m synapses on shared factor draws.
-
-    A synapse enters only through ``g1 = r_f / r_m1`` and
-    ``g2 = r_f / r_m2``: its perturbed weight is
-    ``e_f * (g1 / e_1 - g2 / e_2)`` for the factors ``(e_f, e_1, e_2)``.
-    The error is in percent of the nominal weight magnitude, or in
-    absolute weight units where the nominal weight is zero; the second
-    result says which, per synapse.
-    """
-    e_f, e_1, e_2 = factors
-    w0 = g1 - g2
+def _weight_error(w: np.ndarray, w0) -> np.ndarray:
+    """Error of perturbed weights ``w`` from their nominal ``w0``, in
+    percent of ``|w0|``, or in absolute weight units where ``w0`` is 0."""
     relative = w0 != 0
-    err = g1[:, None] / e_1
-    err -= g2[:, None] / e_2
-    err *= e_f
-    err -= w0[:, None]
-    err *= np.where(relative, 100.0, 1.0)[:, None]
-    err /= np.where(relative, np.abs(w0), 1.0)[:, None]
-    return np.percentile(err, PERCENTILE_PAIR, axis=1).T, relative
+    err = w - w0
+    err *= np.where(relative, 100.0, 1.0)
+    err /= np.where(relative, np.abs(w0), 1.0)
+    return err
+
+
+def _band_ranks(n: int):
+    """Virtual sorted positions of the ``PERCENTILE_PAIR`` edges among
+    ``n`` values, as ``np.percentile``'s linear method computes them, and
+    the count k of smallest and of largest values its interpolation reads."""
+    pos = (n - 1) * np.true_divide(PERCENTILE_PAIR, 100)
+    return pos, min(n, max(int(pos[0]) + 2, n - int(pos[1])))
+
+
+def _keep_tails(values: np.ndarray, n: int) -> np.ndarray:
+    """``values`` sorted along the first axis, keeping only the k smallest
+    and k largest that the band of ``n`` values reads (``_band_ranks``)."""
+    k = _band_ranks(n)[1]
+    values = np.sort(values, axis=0)
+    return values if len(values) <= 2 * k else np.concatenate(
+        (values[:k], values[-k:]))
+
+
+def _tail_percentiles(tails: np.ndarray, n: int) -> np.ndarray:
+    """``np.percentile(values, PERCENTILE_PAIR, axis=0)``, bit for bit, with
+    the edges on the last axis, of ``n`` values whose tails ``_keep_tails``
+    kept."""
+    pos, k = _band_ranks(n)
+
+    def ranked(rank: int) -> np.ndarray:
+        return tails[rank if rank < k else rank - n + len(tails)]
+
+    edges = []
+    for p in pos:
+        i = int(p)
+        a, b, t = ranked(i), ranked(min(i + 1, n - 1)), p - i
+        d = b - a
+        edges.append(b - d * (1 - t) if t >= 0.5 else a + d * t)
+    return np.stack(edges, axis=-1)
 
 
 def weight_error_bounds(syn: SynapseNominals, specs: dict, trials: int,
                         rng: np.random.Generator) -> WeightErrorBounds:
     """Monte Carlo percentile band of one synapse's weight error.
 
-    Relative error in percent of the nominal weight magnitude; a zero
-    nominal weight switches the band to absolute weight units.
+    Its memristors and the feedback resistors of its two rows get
+    ``trials`` independent draws each, as in the analysis.  The rows'
+    terms ``r_f / r_m`` are independent, so the band pools ``_PAIRINGS``
+    cyclic pairings of them, which cuts the spread of the band edges of
+    small weights by half or more.  Relative error in percent of the
+    nominal weight magnitude, absolute where the nominal weight is zero.
     """
-    (band,), (relative,) = _band_edges(
-        np.array([syn.r_f / syn.r_m1]), np.array([syn.r_f / syn.r_m2]),
-        _draw_factors(specs, trials, rng))
-    return WeightErrorBounds(float(band[0]), float(band[1]),
-                             relative=bool(relative))
+    if trials < MIN_BAND_TRIALS:
+        raise ValueError(f"trials must be >= {MIN_BAND_TRIALS} for a stable "
+                         "percentile")
+    r_m1, r_m2, r_f_inv, r_f_non = (
+        sample_perturbed(np.full(trials, value), specs[comp], rng)
+        for comp, value in (("r_m1", syn.r_m1), ("r_m2", syn.r_m2),
+                            ("r_f", syn.r_f), ("r_f", syn.r_f)))
+    w0 = syn.r_f / syn.r_m1 - syn.r_f / syn.r_m2
+    g1, g2 = r_f_inv / r_m1, r_f_non / r_m2
+    pairs = _PAIRINGS * trials
+    tails = np.empty(0)
+    for shift in range(_PAIRINGS):
+        err = _weight_error(g1 - np.roll(g2, shift), w0)
+        tails = _keep_tails(np.concatenate((tails, err)), pairs)
+    low, high = _tail_percentiles(tails, pairs)
+    return WeightErrorBounds(float(low), float(high), relative=bool(w0 != 0))
 
 
 @dataclass
@@ -188,7 +217,10 @@ class MonteCarloReport:
 
     Besides the overall rate, every trial is also scored on the two halves
     of the test set separately: patterns that follow a target stimulus
-    (S1..S4) and extraneous patterns (Sr).
+    (S1..S4) and extraneous patterns (Sr).  ``weight_bounds`` holds the
+    ``PERCENTILE_PAIR`` band of every synapse's weight error over the
+    same trials, in percent of the nominal weight magnitude, or absolute
+    where the nominal weight is zero; a synthesis probe leaves it empty.
     """
 
     trials: int
@@ -199,7 +231,7 @@ class MonteCarloReport:
     p_err_extraneous: np.ndarray            # Sr subset, per trial
     percentiles: dict                       # "p0.05" / "p50" / "p99.95"
     per_class_max: dict                     # label -> worst trial, percent
-    weight_bounds: dict                     # layer -> (in, out, 2) percent bands
+    weight_bounds: dict                     # layer -> (in, out, 2) bands
     passed: bool
 
     @property
@@ -332,56 +364,48 @@ def _rates(counts: np.ndarray, sizes: np.ndarray):
 
 def _score_trials(net: MlpParams, compiled: CompiledNet, cols: _Columns,
                   x: np.ndarray, codes: np.ndarray, trials: int, master: int,
-                  probe: TrialDraws | None, x_p: float) -> np.ndarray:
-    """Per-class error counts, (trials scored, 5), of consecutive trials.
+                  probe: TrialDraws | None, x_p: float):
+    """Per-class error counts, (trials scored, 5), of consecutive trials,
+    and, unless ``probe`` is given, the weight-error bands of their
+    weight stacks, layer -> (in, out, 2).
 
     The scoring buffers live only as long as this call.
     """
     batch = ScoreBatch(net, x, codes, min(_CHUNK, trials))
     sizes = np.bincount(codes, minlength=len(LABELS))
     counts = np.empty((trials, len(LABELS)))
+    tails = {name: np.empty((0,) + layer.r_m1.shape)
+             for name, layer in compiled.layers()}
     for start in range(0, trials, _CHUNK):
         count = min(_CHUNK, trials - start)
         z = (trial_draws(cols.limit, master, start, count).z
              if probe is None else probe.z[start:start + count])
+        stacks = _perturbed_weights(compiled, cols, z)
         rows = counts[start:start + count]
-        rows[...] = batch.errors(*_perturbed_weights(compiled, cols, z))
-        if probe is not None and _rates(rows, sizes)[0].max() > x_p:
-            return counts[:start + count]
-    return counts
-
-
-def _weight_bands(compiled: CompiledNet, specs: dict, master: int,
-                  trials: int) -> dict:
-    """Per-synapse weight-error bands, layer -> (in, out, 2) array.
-
-    Every synapse is scored on one shared draw of the r_f, r_m1 and r_m2
-    factors, in blocks of ``_BAND_BLOCK`` synapses.
-    """
-    factors = _draw_factors(specs, trials, substream(master, _STREAM_BOUNDS))
-    bounds = {}
-    for name, layer in compiled.layers():
-        g1 = (layer.r_f / layer.r_m1).ravel()
-        g2 = (layer.r_f / layer.r_m2).ravel()
-        band = np.empty((g1.size, 2))
-        for i in range(0, g1.size, _BAND_BLOCK):
-            block = slice(i, i + _BAND_BLOCK)
-            band[block] = _band_edges(g1[block], g2[block], factors)[0]
-        bounds[name] = band.reshape(layer.r_m1.shape + (2,))
-    return bounds
+        rows[...] = batch.errors(*stacks)
+        if probe is None:
+            for (name, layer), w in zip(compiled.layers(), stacks):
+                err = _weight_error(w, layer.weights())
+                tails[name] = _keep_tails(
+                    np.concatenate((tails[name], err)), trials)
+        elif _rates(rows, sizes)[0].max() > x_p:
+            return counts[:start + count], {}
+    return counts, ({} if probe is not None else
+                    {name: _tail_percentiles(band_tails, trials)
+                     for name, band_tails in tails.items()})
 
 
 def analyze_tolerances(net: MlpParams, compiled: CompiledNet, specs: dict,
                        x_test: np.ndarray, labels_test, x_p: float,
                        trials: int, seed: int,
-                       bounds_trials: int = 20000,
                        probe: TrialDraws | None = None) -> MonteCarloReport:
     """Monte Carlo pass/fail of the compiled network against an error budget.
 
     Every trial perturbs all memristor and feedback resistances, rebuilds
     the weight matrices, and scores the test set.  The report carries the
     full trial distribution, per-class worst cases, and per-synapse weight
-    error bands; ``passed`` compares the worst trial against ``x_p``.
+    error bands over the same trials; ``passed`` compares the worst trial
+    against ``x_p``.
     Trials use counter-derived substreams and are scored serially in
     chunks of ``_CHUNK``; the report does not depend on the chunk size.
 
@@ -399,15 +423,13 @@ def analyze_tolerances(net: MlpParams, compiled: CompiledNet, specs: dict,
         if not np.array_equal(probe.limit, cols.limit):
             raise ValueError("probe was drawn at other limits than specs")
     codes = label_codes(labels_test)
-    counts = _score_trials(net, compiled, cols, x_test, codes, trials,
-                           master, probe, x_p)
+    counts, bounds = _score_trials(net, compiled, cols, x_test, codes,
+                                   trials, master, probe, x_p)
     trials = len(counts)
     p_err_all, per_class, p_sites, p_extraneous = _rates(
         counts, np.bincount(codes, minlength=len(LABELS)))
     low, high = PERCENTILE_PAIR
     lo, mid, hi = np.percentile(p_err_all, (low, 50.0, high))
-    bounds = ({} if probe is not None else
-              _weight_bands(compiled, specs, master, bounds_trials))
     return MonteCarloReport(
         trials=trials, x_p=x_p, master_seed=master, p_err=p_err_all,
         p_err_sites=p_sites, p_err_extraneous=p_extraneous,

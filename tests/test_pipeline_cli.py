@@ -52,22 +52,68 @@ def test_config_hash_ignores_out_dir(tmp_path):
 
 @pytest.mark.parametrize("name, value", [
     ("trials", 0), ("trials", -5), ("trials", "abc"), ("trials", 2.5),
-    ("bounds_trials", 999), ("plan_trials", 0),
-    ("restarts", 0), ("harden_epochs", -1), ("harden_epochs", True),
+    ("plan_trials", 0), ("restarts", 0), ("harden_epochs", -1),
+    ("harden_epochs", True), ("seed", -1), ("seed", "7"), ("seed", True),
+    ("seed", 7.0),
 ])
 def test_bad_count_setting_exits_with_config_error(tmp_path, name, value):
-    """Checked in the constructor, in a config file and after a flag."""
-    with pytest.raises(ConfigError):
-        default_cfg(tmp_path, **{name: value})
-    config = default_cfg(tmp_path / "run").to_dict()
+    """Checked in the constructor, in a config file and after a flag,
+    before anything is written."""
+    with pytest.raises(ConfigError, match=name):
+        RunConfig(**{"seed": DEFAULT_SEED, "out_dir": tmp_path, name: value})
+    run = tmp_path / "run"
+    config = default_cfg(run).to_dict()
     config[name] = value
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
     assert main(["--config", str(path), "--stage", "analyze"]) == EXIT_CONFIG
-    if name == "trials" and isinstance(value, int):
-        assert main(["--out", str(tmp_path / "run"), "--seed", "1",
-                     "--stage", "analyze", f"--{name}", str(value)]) \
-            == EXIT_CONFIG
+    flags = {"trials": ["--seed", "1", "--trials"], "seed": ["--seed"]}
+    if name in flags and type(value) is int:
+        assert main(["--out", str(run), "--stage", "analyze", *flags[name],
+                     str(value)]) == EXIT_CONFIG
+    assert not run.exists()
+
+
+@pytest.mark.parametrize("value", ["false", "yes", 0, 1, None])
+def test_discrete_must_be_a_bool(tmp_path, capsys, value):
+    with pytest.raises(ConfigError, match="discrete"):
+        default_cfg(tmp_path, discrete=value)
+    run = tmp_path / "run"
+    config = default_cfg(run).to_dict()
+    config["discrete"] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main(["--config", str(path), "--stage", "train"]) == EXIT_CONFIG
+    assert "discrete" in json.loads(capsys.readouterr().out)["message"]
+    assert not run.exists()
+
+
+@pytest.mark.parametrize("name, value", [
+    ("r_f", float("nan")), ("r_f", float("inf")), ("r_3", float("nan")),
+    ("u_rail", float("inf")), ("adc_step", float("-inf")),
+])
+def test_non_finite_amplifier_value_exits_with_config_error(
+        tmp_path, capsys, name, value):
+    config = default_cfg(tmp_path / "run").to_dict()
+    config["crossbar"] = {name: value}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main(["--config", str(path), "--stage", "compile"]) == EXIT_CONFIG
+    message = json.loads(capsys.readouterr().out)["message"]
+    assert message.startswith(f"{name} must be finite")
+
+
+def test_removed_bounds_trials_setting_exits_with_config_error(tmp_path,
+                                                              capsys):
+    """The weight bands come from the analysis trials; a config that still
+    sets a separate band trial count is refused, naming the key."""
+    config = default_cfg(tmp_path / "run").to_dict()
+    config["bounds_trials"] = 20000
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main(["--config", str(path), "--stage", "analyze"]) == EXIT_CONFIG
+    assert "bounds_trials" in json.loads(capsys.readouterr().out)["message"]
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("name, value", [
@@ -422,7 +468,7 @@ def test_cli_enforce_flags_budget_miss(default_run, tmp_path, capsys):
     run = tmp_path / "strict"
     shutil.copytree(default_run.run_dir, run)
     cfg = default_run.cfg.to_dict()
-    cfg.update(out_dir=str(run), x_p=0.01, trials=200, bounds_trials=1000)
+    cfg.update(out_dir=str(run), x_p=0.01, trials=200)
     path = tmp_path / "strict.json"
     path.write_text(json.dumps(cfg))
     code = main(["--config", str(path), "--stage", "analyze", "--enforce"])

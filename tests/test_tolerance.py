@@ -13,7 +13,7 @@ from memxbar.mapping import (CompiledLayer, CompiledNet, ResistanceRange,
 from memxbar.netmodel import (LABELS, MlpParams, ScoreBatch, evaluate,
                               forward_stack, init_params)
 from memxbar.pipeline import RunConfig, _default_plan, _load_params
-from memxbar.stats import clopper_pearson_upper
+from memxbar.stats import clopper_pearson_upper, truncated_normal
 from memxbar.tolerance import (PERCENTILE_PAIR, ExperimentPlan, ToleranceSpec,
                                analyze_tolerances, check_state_counts,
                                discrete_state_sweep,
@@ -85,6 +85,25 @@ def test_weight_error_bounds_zero_weight_absolute():
     assert bounds.low < 0 < bounds.high
 
 
+@pytest.mark.parametrize("r_m1, r_m2", [(20e3, 300e3), (300e3, 300e3)])
+def test_weight_error_bounds_pool_row_pairings(r_m1, r_m2):
+    # the band over every pairing of the two rows' draws, zero weight too
+    syn = SynapseNominals(r_f=100e3, r_m1=r_m1, r_m2=r_m2)
+    specs = tolerance_set(0.2, 0.05)
+    rng = np.random.default_rng(4)
+    m1, m2, f1, f2 = (sample_perturbed(np.full(1000, value), specs[comp], rng)
+                      for comp, value in (("r_m1", r_m1), ("r_m2", r_m2),
+                                          ("r_f", 100e3), ("r_f", 100e3)))
+    w0 = 100e3 / r_m1 - 100e3 / r_m2
+    err = np.concatenate([f1 / m1 - np.roll(f2 / m2, shift) - w0
+                          for shift in range(tolerance._PAIRINGS)])
+    if w0:
+        err = err * 100.0 / abs(w0)
+    own = weight_error_bounds(syn, specs, 1000, np.random.default_rng(4))
+    assert own.as_tuple() == tuple(np.percentile(err, PERCENTILE_PAIR))
+    assert own.relative is bool(w0)
+
+
 def test_weight_error_bounds_needs_enough_trials():
     syn = SynapseNominals(r_f=100e3, r_m1=20e3, r_m2=300e3)
     with pytest.raises(ValueError):
@@ -100,8 +119,7 @@ def small_mc(default_net, default_compiled, default_test_split):
     def run(specs=None, trials=200, seed=1234):
         return analyze_tolerances(
             default_net, default_compiled, specs or tolerance_set(),
-            x_test, y_test, x_p=5.0, trials=trials, seed=seed,
-            bounds_trials=1000)
+            x_test, y_test, x_p=5.0, trials=trials, seed=seed)
 
     return run
 
@@ -459,28 +477,82 @@ BAND_LAYER = CompiledLayer(r_m1=np.array([[20e3, 300e3, 45e3, 300e3]]),
                            r_f=100e3)
 
 
+def with_band_layer(compiled):
+    """``compiled`` with BAND_LAYER's four synapses in row 0 of each layer."""
+    layers = []
+    for _, layer in compiled.layers():
+        r_m1, r_m2 = layer.r_m1.copy(), layer.r_m2.copy()
+        r_m1[0, :4], r_m2[0, :4] = BAND_LAYER.r_m1[0], BAND_LAYER.r_m2[0]
+        layers.append(CompiledLayer(r_m1, r_m2, layer.r_f))
+    return CompiledNet(*layers)
+
+
+def trial_weight_errors(compiled, specs, seed, trials):
+    """Weight error of every synapse in every trial of an analysis, layer
+    -> (trials, in, out): percent of |w0|, or absolute where w0 = 0."""
+    cols = tolerance._columns(compiled, specs)
+    stacks = tolerance._perturbed_weights(
+        compiled, cols, trial_draws(cols.limit, seed, 0, trials).z)
+    errors = {}
+    for (name, layer), w in zip(compiled.layers(), stacks):
+        w0 = layer.weights()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            errors[name] = np.where(w0 != 0, (w - w0) * 100.0 / np.abs(w0),
+                                    w - w0)
+    return errors
+
+
+@pytest.mark.parametrize("trials", [1, 7, 250, 1234])
+def test_bands_are_percentiles_of_the_scored_trials(
+        default_net, default_compiled, default_test_split, trials):
+    compiled = with_band_layer(default_compiled)
+    assert compiled.hidden.weights()[0, 3] == compiled.out.weights()[0, 3] == 0
+    specs = tolerance_set()
+    x_test, y_test = default_test_split
+    report = analyze_tolerances(default_net, compiled, specs, x_test, y_test,
+                                x_p=5.0, trials=trials, seed=99)
+    errors = trial_weight_errors(compiled, specs, 99, trials)
+    assert report.weight_bounds.keys() == errors.keys()
+    for name, err in errors.items():
+        ref = np.moveaxis(np.percentile(err, PERCENTILE_PAIR, axis=0), 0, -1)
+        assert np.array_equal(report.weight_bounds[name], ref), name
+
+
 def reference_band(syn, specs, trials, rng):
-    """Percentile band of ``r_f / r_m1 - r_f / r_m2`` over perturbed
-    resistances, in percent of |w0|, or absolute where w0 = 0."""
-    r_f, r_m1, r_m2 = (sample_perturbed(np.full(trials, value), specs[comp],
-                                        rng)
-                       for comp, value in (("r_f", syn.r_f),
-                                           ("r_m1", syn.r_m1),
-                                           ("r_m2", syn.r_m2)))
+    """Percentile band of ``r_f1 / r_m1 - r_f2 / r_m2`` over perturbed
+    resistances, each row of the pair with its own feedback resistor, in
+    percent of |w0|, or absolute where w0 = 0."""
+    r_m1, r_m2, r_f1, r_f2 = (
+        sample_perturbed(np.full(trials, value), specs[comp], rng)
+        for comp, value in (("r_m1", syn.r_m1), ("r_m2", syn.r_m2),
+                            ("r_f", syn.r_f), ("r_f", syn.r_f)))
     w0 = syn.r_f / syn.r_m1 - syn.r_f / syn.r_m2
-    err = r_f / r_m1 - r_f / r_m2 - w0
+    err = r_f1 / r_m1 - r_f2 / r_m2 - w0
     if w0:
         err = 100.0 * err / abs(w0)
     return np.percentile(err, PERCENTILE_PAIR)
 
 
+def block_draws(limit, seed, start, count):
+    """Trial draws of the same distribution as ``trial_draws``, made in
+    one call per chunk, so that 200 000 analysis trials stay quick."""
+    rng = np.random.default_rng([seed, start])
+    return tolerance.TrialDraws(
+        truncated_normal(rng, 0.0, 1.0, limit, (count, limit.size)), limit)
+
+
 @pytest.mark.parametrize("r_m, r_f", [(0.2, 0.01), (0.01, 0.2)])
-def test_shared_draw_bands_match_per_synapse_draws(r_m, r_f):
+def test_weight_error_bounds_match_analysis_bands(
+        monkeypatch, default_net, default_compiled, default_test_split,
+        r_m, r_f):
     # positive, negative, small and zero weights; the zero one is absolute
-    compiled = CompiledNet(hidden=BAND_LAYER, out=BAND_LAYER)
+    compiled = with_band_layer(default_compiled)
     specs = tolerance_set(r_m, r_f)
-    bands = tolerance._weight_bands(compiled, specs, 11, 200000)
-    assert np.array_equal(bands["hidden"], bands["out"])
+    x_test, y_test = default_test_split
+    monkeypatch.setattr(tolerance, "trial_draws", block_draws)
+    report = analyze_tolerances(default_net, compiled, specs, x_test[:20],
+                                y_test[:20], x_p=100.0, trials=200000,
+                                seed=11)
     for j in range(4):
         syn = BAND_LAYER.synapse(0, j)
         ref = reference_band(syn, specs, 200000, np.random.default_rng(77))
@@ -489,7 +561,8 @@ def test_shared_draw_bands_match_per_synapse_draws(r_m, r_f):
         assert own.relative is (j != 3)
         # criterion 09's gap for percent bands; 2 % of the band otherwise
         tol = 1.0 if own.relative else 0.02 * (ref[1] - ref[0])
-        for band in (bands["hidden"][0, j], own.as_tuple()):
+        for band in (report.weight_bounds["hidden"][0, j],
+                     report.weight_bounds["out"][0, j], own.as_tuple()):
             assert band[0] < 0 < band[1]
             assert np.abs(np.subtract(band, ref)).max() <= tol
 
@@ -500,5 +573,8 @@ def test_analysis_ignores_chunk_size(monkeypatch, small_mc, chunk):
     monkeypatch.setattr(tolerance, "_CHUNK", chunk)
     report = small_mc(trials=120)
     assert np.array_equal(report.p_err, whole.p_err)
+    assert report.weight_bounds.keys() == whole.weight_bounds.keys()
+    for name, band in whole.weight_bounds.items():
+        assert np.array_equal(report.weight_bounds[name], band), name
     assert report.to_dict() == whole.to_dict()
 
