@@ -9,6 +9,8 @@ window and quantized to the DAC grid, giving 16 input voltages in [0, 1].
 from __future__ import annotations
 
 import csv
+import io
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -17,8 +19,9 @@ from importlib import resources
 import numpy as np
 
 from .errors import CountMismatchError, ShapeMismatchError
-from .netmodel import LABELS, N_OUTPUT, OUTPUT_LABELS, REJECT_LABEL
-from .reports import replacing, write_csv
+from .netmodel import (LABELS, N_OUTPUT, OUTPUT_LABELS, REJECT_LABEL,
+                       label_codes)
+from .reports import replacing
 from .stats import check_ranges, quantize_half_up, truncated_normal
 
 N_CHANNELS = 4
@@ -145,7 +148,9 @@ def target_vector(label: str) -> np.ndarray:
 
 
 def target_matrix(labels) -> np.ndarray:
-    return np.array([target_vector(lb) for lb in labels])
+    """:func:`target_vector` of each label, as rows."""
+    codes = label_codes(labels)
+    return np.where(codes[:, None] == np.arange(N_OUTPUT), 1.0, -1.0)
 
 
 def synthesize_pool(profile: StimulusProfile, rng: np.random.Generator,
@@ -203,36 +208,91 @@ def default_splits(rng: np.random.Generator, profile: StimulusProfile | None = N
     return make_split(x, labels, TRAIN_COUNTS, TEST_COUNTS, rng)
 
 
+# Rows per block of a dataset file: a block's text, strings and lists are
+# built and freed before the next, so no whole-file buffer is held.
+_CSV_ROWS = 1024
+
+
+def _csv_cell(value) -> str:
+    """``value`` as ``csv.writer`` writes it in a field after the first."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow(["", value])
+    return buf.getvalue()[1:-2]
+
+
 def save_dataset_csv(path, x: np.ndarray, labels) -> None:
+    """One row per pattern, floats as repr, bytes as ``csv.writer`` writes
+    them; each distinct value of a block of rows is formatted once, keyed
+    by its bits so that -0.0 and 0.0 stay apart."""
     x = np.asarray(x, dtype=float)
     if x.shape[0] != len(labels):
         raise CountMismatchError(f"{x.shape[0]} rows vs {len(labels)} labels")
-    write_csv(path, [f"x{i}" for i in range(x.shape[1])] + ["label"],
-              (row.tolist() + [label] for row, label in zip(x, labels)))
+    labels = list(labels)
+    cells = {label: _csv_cell(label) for label in dict.fromkeys(labels)}
+    with replacing(path, newline="") as fh:
+        csv.writer(fh).writerow([f"x{i}" for i in range(x.shape[1])]
+                                + ["label"])
+        for start in range(0, len(x), _CSV_ROWS):
+            block = np.ascontiguousarray(x[start:start + _CSV_ROWS])
+            keys, inverse = np.unique(block.view(np.uint64),
+                                      return_inverse=True)
+            text = np.array([repr(v) for v in keys.view(float).tolist()],
+                            dtype=object)
+            rows = text[inverse.reshape(block.shape)].tolist()
+            fh.write("".join(
+                f"{','.join(row)},{cells[label]}\r\n"
+                for row, label in zip(rows, labels[start:start + _CSV_ROWS])))
 
 
 def load_dataset_csv(path) -> tuple[np.ndarray, list]:
     """Patterns and labels of a dataset file; a row of the wrong width, with
     a value that is not a number or with a label outside ``LABELS`` is
-    refused."""
-    rows, labels = [], []
+    refused, naming the first bad row's line.
+
+    Rows are read in blocks; each distinct text of a block is converted
+    once."""
+    canonical = {lb: lb for lb in LABELS}
+    blocks, labels = [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
         n = len(header) - 1
-        for rec in reader:
-            if len(rec) != len(header):
-                raise ShapeMismatchError(
-                    f"{path} line {reader.line_num}: {len(rec)} fields, "
-                    f"the header has {len(header)}")
-            if rec[n] not in LABELS:
-                raise CountMismatchError(
-                    f"{path} line {reader.line_num}: label {rec[n]!r} is not "
-                    f"one of {LABELS}")
-            try:
-                rows.append([float(v) for v in rec[:n]])
-            except ValueError as exc:
-                raise ShapeMismatchError(
-                    f"{path} line {reader.line_num}: {exc}") from exc
-            labels.append(rec[n])
-    return np.array(rows), labels
+        while True:
+            fields, lines, refused = [], [], None
+            for rec in itertools.islice(reader, _CSV_ROWS):
+                if len(rec) != len(header):
+                    refused = ShapeMismatchError(
+                        f"{path} line {reader.line_num}: {len(rec)} fields, "
+                        f"the header has {len(header)}")
+                    break
+                label = canonical.get(rec[n])
+                if label is None:
+                    refused = CountMismatchError(
+                        f"{path} line {reader.line_num}: label {rec[n]!r} is "
+                        f"not one of {LABELS}")
+                    break
+                fields.extend(rec[:n])
+                lines.append(reader.line_num)
+                labels.append(label)
+            # a bad number on an earlier row is refused before a bad row
+            blocks.append(_parse_block(path, fields, lines, n))
+            if refused is not None:
+                raise refused
+            if len(lines) < _CSV_ROWS:
+                break
+    return np.concatenate(blocks), labels
+
+
+def _parse_block(path, fields: list, lines: list, n: int) -> np.ndarray:
+    """(rows, n) floats of the row-major ``fields``; ``lines`` are the
+    rows' line numbers."""
+    values = {}
+    for text in dict.fromkeys(fields):      # in order of first appearance
+        try:
+            values[text] = float(text)
+        except ValueError as exc:
+            row = fields.index(text) // n
+            raise ShapeMismatchError(
+                f"{path} line {lines[row]}: {exc}") from exc
+    return np.fromiter(map(values.__getitem__, fields), dtype=float,
+                       count=len(fields)).reshape(len(lines), n)

@@ -449,7 +449,8 @@ class TrainConfig:
     region of the activation.  With a strictly zero subgradient a unit
     whose pre-activation leaves the linear region on the wrong side stops
     receiving any pull and can never recover; a small leak keeps such
-    units trainable.  The reported loss curve always uses the exact model.
+    units trainable.  The loss, and so the reported loss curve, never
+    depends on ``leak``.
 
     ``weight_noise`` turns on hardening against component errors: each
     epoch the gradient is taken at weights jittered with standard
@@ -458,7 +459,9 @@ class TrainConfig:
     sees (``noise_offset`` is the fixed-branch contribution in weight
     units).  The returned network is then the epoch with the lowest
     worst-case loss over a frozen panel of perturbations rather than the
-    lowest clean loss, which favors wide minima over sharp ones.
+    lowest clean loss, which favors wide minima over sharp ones.  In such
+    a run the curve records, for each epoch, the loss at the jittered
+    weights the gradient was taken at.
 
     The constructor refuses, with ValueError, an optimizer setting out of
     the range :func:`check_train_settings` gives it, a noise setting that
@@ -492,25 +495,75 @@ class TrainConfig:
 @dataclass
 class TrainResult:
     params: MlpParams
-    curve: np.ndarray                  # index 0 is the starting loss
+    # index 0 is the starting loss; then one point per epoch: the exact
+    # loss of the projected network, or in a noisy run the loss at that
+    # epoch's jittered weights
+    curve: np.ndarray
     converged: bool
     epochs: int
     final_mse: float                   # exact-model loss of ``params``
 
 
 def _project(params: MlpParams, cfg: TrainConfig) -> None:
+    """Clamp and quantize the weights in place, so views stay views."""
     if cfg.weight_limit is not None:
         np.clip(params.w_hidden, -cfg.weight_limit, cfg.weight_limit,
                 out=params.w_hidden)
         np.clip(params.w_out, -cfg.weight_limit, cfg.weight_limit,
                 out=params.w_out)
     if cfg.discrete_states is not None:
-        params.w_hidden = quantize_weights(params.w_hidden, cfg.discrete_states)
-        params.w_out = quantize_weights(params.w_out, cfg.discrete_states)
+        params.w_hidden[...] = quantize_weights(params.w_hidden,
+                                                cfg.discrete_states)
+        params.w_out[...] = quantize_weights(params.w_out, cfg.discrete_states)
 
 
 _PARAM_KEYS = ("w_hidden", "b_hidden", "w_out", "b_out")
+_PARAM_SHAPES = ((N_INPUT, N_HIDDEN), (N_HIDDEN,), (N_HIDDEN, N_OUTPUT),
+                 (N_OUTPUT,))
+_PARAM_ENDS = tuple(np.cumsum([math.prod(s) for s in _PARAM_SHAPES]))
 _PANEL_STRIDE = 10
+
+
+def _unflatten(flat: np.ndarray, activation: Activation) -> MlpParams:
+    """Params whose four arrays are views into ``flat``."""
+    parts = np.split(flat, _PARAM_ENDS[:-1])
+    return MlpParams(*(p.reshape(s) for p, s in zip(parts, _PARAM_SHAPES)),
+                     activation)
+
+
+class _Adam:
+    """Adaptive-moment step over the flat parameter vector, in place.
+
+    Each operation is the elementwise one of the per-array update
+    ``m = beta1 * m + (1 - beta1) * g``,
+    ``v = beta2 * v + (1 - beta2) * g * g`` and
+    ``w -= step * m_hat / (sqrt(v_hat) + eps)``, in the same order, so
+    the result is the same bit for bit.
+    """
+
+    def __init__(self, cfg: TrainConfig):
+        self.cfg = cfg
+        n = _PARAM_ENDS[-1]
+        self.m, self.v = np.zeros(n), np.zeros(n)
+        self.g, self.t, self.d = np.empty(n), np.empty(n), np.empty(n)
+
+    def step(self, flat: np.ndarray, grads: dict, epoch: int) -> None:
+        cfg, m, v, g, t, d = self.cfg, self.m, self.v, self.g, self.t, self.d
+        np.concatenate([grads[k].ravel() for k in _PARAM_KEYS], out=g)
+        m *= cfg.beta1
+        np.multiply(g, 1 - cfg.beta1, out=t)
+        m += t                                   # m
+        v *= cfg.beta2
+        np.multiply(g, 1 - cfg.beta2, out=t)
+        t *= g
+        v += t                                   # v
+        np.divide(m, 1 - cfg.beta1 ** epoch, out=t)
+        t *= cfg.step                            # step * m_hat
+        np.divide(v, 1 - cfg.beta2 ** epoch, out=d)
+        np.sqrt(d, out=d)
+        d += cfg.eps                             # sqrt(v_hat) + eps
+        t /= d
+        flat -= t
 
 
 def _noise_sigma(w: np.ndarray, cfg: TrainConfig) -> np.ndarray:
@@ -526,17 +579,17 @@ def _draw_panel(params: MlpParams, cfg: TrainConfig,
             "w_out": truncated_normal(rng, 0.0, 1.0, 3.0, shape_o)}
 
 
-def _measure(batch: _TrainBatch, work: MlpParams, cfg: TrainConfig,
-             noisy: bool) -> tuple[float, dict | None]:
-    """Loss of ``work`` and, in the clean phase, the gradients the next
-    epoch steps along, from the same pass."""
-    if noisy:
-        loss, grads = batch.loss(work), None
-    else:
-        loss, grads = batch.loss_and_gradients(work, cfg.leak)
+def _finite(loss: float) -> float:
     if not np.isfinite(loss):
         raise NonFiniteLossError(f"loss became {loss}")
-    return loss, grads
+    return loss
+
+
+def _measure(batch: _TrainBatch, at: MlpParams,
+             cfg: TrainConfig) -> tuple[float, dict]:
+    """Loss of ``at`` and the gradients there, from one pass."""
+    loss, grads = batch.loss_and_gradients(at, cfg.leak)
+    return _finite(loss), grads
 
 
 def train_discrete(params: MlpParams, x: np.ndarray, y: np.ndarray,
@@ -546,14 +599,19 @@ def train_discrete(params: MlpParams, x: np.ndarray, y: np.ndarray,
 
     After each update the weights are clamped to the realizable span and
     quantized onto the discrete state set if one is given, so the
-    trajectory never leaves what the arrays can express.  The recorded
-    curve is the exact-model loss of the projected network.
+    trajectory never leaves what the arrays can express.
 
-    Without weight noise the returned params are the best-loss epoch and
-    the loop stops once the loss target is met.  With ``cfg.weight_noise``
-    set (which requires ``rng``) the loop always runs ``max_epochs``,
-    gradients are taken at jittered weights, and the returned params are
-    the epoch with the best frozen-panel worst-case loss.
+    Without weight noise the returned params are the best-loss epoch, the
+    loop stops once the loss target is met, and the curve records the
+    exact-model loss of each epoch's projected network.  With
+    ``cfg.weight_noise`` set (which requires ``rng``) the loop always
+    runs ``max_epochs``, gradients are taken at jittered weights, and the
+    returned params are the epoch with the best frozen-panel worst-case
+    loss.  Each noisy epoch then makes one pass: the curve records the
+    loss at that epoch's jittered weights, and the exact-model loss is
+    computed only for a network that becomes the new best, so
+    ``final_mse`` is still the exact loss of the returned params.  Point 0
+    of the curve is the exact loss of the projected start in both cases.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -561,44 +619,46 @@ def train_discrete(params: MlpParams, x: np.ndarray, y: np.ndarray,
     if noisy and rng is None:
         raise ValueError("weight_noise > 0 requires an rng")
     batch = _TrainBatch(x, y, cfg.panel if noisy else 0)
-    work = params.copy()
+    flat = np.concatenate([getattr(params, k).ravel() for k in _PARAM_KEYS])
+    work = _unflatten(flat, params.activation)
     _project(work, cfg)
-    loss, grads = _measure(batch, work, cfg, noisy)
+    if noisy:
+        loss = _finite(batch.loss(work))
+        panel = _draw_panel(work, cfg, rng)
+        best_score = batch.panel_score(work, panel, cfg)
+    else:
+        loss, grads = _measure(batch, work, cfg)
+        best_score = loss
     curve = [loss]
-    panel = _draw_panel(work, cfg, rng) if noisy else None
-    best, best_loss = work.copy(), loss
-    best_score = batch.panel_score(work, panel, cfg) if noisy else loss
-    m = {k: 0.0 for k in _PARAM_KEYS}
-    v = {k: 0.0 for k in _PARAM_KEYS}
+    best, best_loss = flat.copy(), loss
+    adam = _Adam(cfg)
     epoch = 0
     while epoch < cfg.max_epochs and (noisy or loss > cfg.mse_target):
         epoch += 1
         if noisy:
-            at = work.copy()
+            jittered = {}
             for k in ("w_hidden", "w_out"):
                 w = getattr(work, k)
                 jitter = truncated_normal(rng, 0.0, 1.0, 3.0, w.shape)
-                setattr(at, k, w + _noise_sigma(w, cfg) * jitter)
-            grads = batch.loss_and_gradients(at, cfg.leak)[1]
-        for k in _PARAM_KEYS:
-            g = grads[k]
-            m[k] = cfg.beta1 * m[k] + (1 - cfg.beta1) * g
-            v[k] = cfg.beta2 * v[k] + (1 - cfg.beta2) * g * g
-            m_hat = m[k] / (1 - cfg.beta1 ** epoch)
-            v_hat = v[k] / (1 - cfg.beta2 ** epoch)
-            update = cfg.step * m_hat / (np.sqrt(v_hat) + cfg.eps)
-            setattr(work, k, getattr(work, k) - update)
+                jittered[k] = w + _noise_sigma(w, cfg) * jitter
+            at = replace(work, **jittered)
+            loss, grads = _measure(batch, at, cfg)
+            curve.append(loss)
+        adam.step(flat, grads, epoch)
         _project(work, cfg)
-        loss, grads = _measure(batch, work, cfg, noisy)
-        curve.append(loss)
-        if noisy:
-            if epoch % _PANEL_STRIDE == 0 or epoch == cfg.max_epochs:
-                score = batch.panel_score(work, panel, cfg)
-                if score < best_score:
-                    best_score, best, best_loss = score, work.copy(), loss
-        elif loss < best_score:
-            best_score, best, best_loss = loss, work.copy(), loss
-    return TrainResult(params=best, curve=np.array(curve),
+        if not noisy:
+            loss, grads = _measure(batch, work, cfg)
+            curve.append(loss)
+            if loss < best_score:
+                best_score, best_loss = loss, loss
+                np.copyto(best, flat)
+        elif epoch % _PANEL_STRIDE == 0 or epoch == cfg.max_epochs:
+            score = batch.panel_score(work, panel, cfg)
+            if score < best_score:
+                best_score, best_loss = score, _finite(batch.loss(work))
+                np.copyto(best, flat)
+    return TrainResult(params=_unflatten(best, params.activation),
+                       curve=np.array(curve),
                        converged=best_loss <= cfg.mse_target, epochs=epoch,
                        final_mse=float(best_loss))
 

@@ -1,5 +1,8 @@
 """Spike-pattern synthesis, encoding, and split bookkeeping."""
 
+import csv
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,7 @@ from memxbar.dataset import (TEST_COUNTS, TRAIN_COUNTS, StimulusProfile,
                              synthesize_pool, synthesize_stimulus_patterns,
                              target_matrix, target_vector)
 from memxbar.errors import CountMismatchError, ShapeMismatchError
+from memxbar.netmodel import LABELS
 
 
 def test_default_profile_covers_all_sites():
@@ -109,8 +113,10 @@ def test_target_vectors():
     assert np.array_equal(target_vector("S1"), [1, -1, -1, -1])
     assert np.array_equal(target_vector("S4"), [-1, -1, -1, 1])
     assert np.array_equal(target_vector("Sr"), [-1, -1, -1, -1])
-    mat = target_matrix(["S2", "Sr"])
-    assert mat.shape == (2, 4)
+    labels = ["S2", "Sr", "S1", "S4", "S3", "Sr"]
+    mat = target_matrix(labels)
+    assert mat.shape == (6, 4)
+    assert np.array_equal(mat, np.array([target_vector(lb) for lb in labels]))
 
 
 def test_pool_composition():
@@ -171,18 +177,87 @@ def test_dataset_csv_round_trip(tmp_path):
     assert labels == labels2
 
 
+AWKWARD = [-0.0, 0.0, 5e-324, 1e300, 0.1 + 0.2]
+
+
+def awkward_dataset(rows=2500, seed=3):
+    """More rows than one block of the CSV code, the awkward values
+    repeated across blocks between ordinary ones."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1.0, 1.0, (rows, 16))
+    mask = rng.random(x.shape) < 0.3
+    x[mask] = rng.choice(AWKWARD, mask.sum())
+    labels = [LABELS[k] for k in rng.integers(0, len(LABELS), rows)]
+    return x, labels
+
+
+def test_dataset_csv_bytes_equal_csv_writer(tmp_path):
+    x, labels = awkward_dataset()
+    path, ref = tmp_path / "data.csv", tmp_path / "ref.csv"
+    save_dataset_csv(path, x, labels)
+    with open(ref, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"x{i}" for i in range(16)] + ["label"])
+        writer.writerows(row.tolist() + [lb] for row, lb in zip(x, labels))
+    assert path.read_bytes() == ref.read_bytes()
+    assert b"-0.0," in ref.read_bytes() and b"5e-324" in ref.read_bytes()
+
+
+def test_dataset_csv_round_trip_is_exact(tmp_path):
+    x, labels = awkward_dataset()
+    path = tmp_path / "data.csv"
+    save_dataset_csv(path, x, labels)
+    x2, labels2 = load_dataset_csv(path)
+    assert x2.shape == x.shape
+    assert np.array_equal(x2.view(np.uint64), x.view(np.uint64))
+    assert labels2 == labels
+
+
+def test_dataset_csv_passes_hold_no_whole_file_buffer(tmp_path):
+    (x, labels), _ = default_splits(np.random.default_rng(7))
+    path = tmp_path / "train.csv"
+    for run, bound in ((lambda: save_dataset_csv(path, x, labels), 2.0),
+                       (lambda: load_dataset_csv(path), 4.5)):
+        run()
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * x.nbytes
+
+
 @pytest.mark.parametrize("edit, error", [
     (lambda f: f[:-1] + ["S9"], CountMismatchError),
     (lambda f: f[:-1] + [""], CountMismatchError),
     (lambda f: f[1:], ShapeMismatchError),
     (lambda f: f + ["0.5"], ShapeMismatchError),
+    (lambda f: ["0.5x"] + f[1:], ShapeMismatchError),
 ])
 def test_dataset_csv_refuses_a_bad_row(tmp_path, edit, error):
+    """In the first block of rows and after it."""
     path = tmp_path / "test.csv"
-    x = np.random.default_rng(0).uniform(0.0, 1.0, (4, 16))
-    save_dataset_csv(path, x, ["S1", "S2", "Sr", "S4"])
+    x = np.random.default_rng(0).uniform(0.0, 1.0, (2000, 16))
+    save_dataset_csv(path, x, ["S1", "S2", "Sr", "S4"] * 500)
+    good = path.read_text().splitlines()
+    for row in (3, 1500):
+        lines = list(good)
+        lines[row] = ",".join(edit(lines[row].split(",")))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(error, match=f"line {row + 1}:"):
+            load_dataset_csv(path)
+
+
+def test_dataset_csv_names_the_first_bad_row(tmp_path):
+    """A bad number is refused before a bad label on a later row of the
+    same block, as a row-by-row read would."""
+    path = tmp_path / "test.csv"
+    x = np.random.default_rng(0).uniform(0.0, 1.0, (40, 16))
+    save_dataset_csv(path, x, ["S1", "S2", "Sr", "S4"] * 10)
     lines = path.read_text().splitlines()
-    lines[3] = ",".join(edit(lines[3].split(",")))
+    lines[10] = "nope" + lines[10][lines[10].index(","):]
+    lines[20] = lines[20].rsplit(",", 1)[0] + ",S9"
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(error, match="line 4"):
+    with pytest.raises(ShapeMismatchError, match="line 11: .*'nope'"):
         load_dataset_csv(path)

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from memxbar.errors import ShapeMismatchError
+from memxbar.errors import NonFiniteLossError, ShapeMismatchError
 from memxbar.mapping import (ResistanceRange, quantize_weights,
                              symmetric_weight_states)
 from memxbar.netmodel import (Activation, MlpParams, ScoreBatch, TrainConfig,
@@ -328,7 +328,9 @@ def reference_project(params, cfg):
 
 def reference_train(params, x, y, cfg, rng=None):
     """Loss from a separate forward pass, gradient from the row-major
-    formulas, panel score over forward_stack."""
+    formulas, panel score over forward_stack.  A noisy epoch's curve point
+    is the loss at the jittered weights, a clean epoch's the loss of the
+    projected network."""
     keys = ("w_hidden", "b_hidden", "w_out", "b_out")
     noisy = cfg.weight_noise > 0
     work = params.copy()
@@ -355,6 +357,8 @@ def reference_train(params, x, y, cfg, rng=None):
                 jitter = truncated_normal(rng, 0.0, 1.0, 3.0, w.shape)
                 setattr(at, k, w + reference_sigma(w, cfg) * jitter)
         grads = reference_gradients(at, x, y, cfg.leak)
+        if noisy:
+            curve.append(mse(y, forward(at, x)))
         for k in keys:
             g = grads[k]
             m[k] = cfg.beta1 * m[k] + (1 - cfg.beta1) * g
@@ -365,7 +369,8 @@ def reference_train(params, x, y, cfg, rng=None):
             setattr(work, k, getattr(work, k) - update)
         reference_project(work, cfg)
         loss = mse(y, forward(work, x))
-        curve.append(loss)
+        if not noisy:
+            curve.append(loss)
         if noisy:
             if epoch % 10 == 0 or epoch == cfg.max_epochs:
                 score = reference_panel_score(work, panel, cfg, x, y)
@@ -492,6 +497,61 @@ def test_final_mse_is_the_loss_of_the_returned_params(step, noise):
     got = train_discrete(params, x, y, cfg, np.random.default_rng(9))
     assert got.final_mse != got.curve[-1]
     assert got.final_mse == mse(y, forward(got.params, x))
+
+
+def test_noisy_epoch_makes_one_pass(monkeypatch):
+    """One pass per epoch, the start's exact loss, and an exact loss for
+    each panel epoch that finds a new best; no clean pass per epoch."""
+    params, x, y = saturating_problem()
+    passes = []
+    forward_pass = _TrainBatch._forward
+
+    def counted(self, at):
+        passes.append(at)
+        forward_pass(self, at)
+
+    monkeypatch.setattr(_TrainBatch, "_forward", counted)
+    cfg = TrainConfig(weight_limit=0.8, max_epochs=47, mse_target=0.0,
+                      weight_noise=0.05, noise_offset=1 / 3, panel=4)
+    train_discrete(params, x, y, cfg, np.random.default_rng(9))
+    panel_epochs = 5                   # epochs 10, 20, 30, 40 and 47
+    assert 47 + 1 <= len(passes) <= 47 + panel_epochs + 1
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.05])
+def test_non_finite_loss_is_refused(noise):
+    params, x, y = saturating_problem()
+    x[7, 3] = np.nan
+    cfg = TrainConfig(max_epochs=5, weight_noise=noise,
+                      noise_offset=1 / 3 if noise else 0.0, panel=2)
+    with pytest.raises(NonFiniteLossError, match="nan"):
+        train_discrete(params, x, y, cfg, np.random.default_rng(9))
+
+
+@pytest.mark.parametrize("noise, first_bad", [(0.0, 0), (0.0, 4), (0.05, 0),
+                                             (0.05, 4), (0.05, 11)])
+def test_loss_turning_non_finite_is_refused(monkeypatch, noise, first_bad):
+    """Outputs turn NaN from a given pass on, and that pass raises: the
+    start, a clean epoch's pass, a jittered pass, and the exact pass of
+    the new panel best found at the last of 10 epochs (passes 1 to 10 are
+    the jittered ones)."""
+    params, x, y = saturating_problem()
+    passes = []
+    forward_pass = _TrainBatch._forward
+
+    def poisoned(self, at):
+        forward_pass(self, at)
+        if len(passes) >= first_bad:
+            self.a[1][0, 5] = np.nan
+        passes.append(at)
+
+    monkeypatch.setattr(_TrainBatch, "_forward", poisoned)
+    cfg = TrainConfig(weight_limit=0.8, max_epochs=10, mse_target=0.0,
+                      weight_noise=noise, noise_offset=1 / 3 if noise else 0.0,
+                      panel=4)
+    with pytest.raises(NonFiniteLossError, match="nan"):
+        train_discrete(params, x, y, cfg, np.random.default_rng(9))
+    assert len(passes) == first_bad + 1
 
 
 def phase_configs():
