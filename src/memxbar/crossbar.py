@@ -104,17 +104,18 @@ class Crossbar:
         self.resistance[frozen] = self.stuck[frozen]
         # A map's drop at a cell depends only on whether the cell shares the
         # target's row or column, so every target's non-target drops are a
-        # permutation of those at (0, 0): one target proves the whole array.
-        check_bias(bias_assignment(self, (0, 0), "SET"), device.v_threshold)
-        check_bias(bias_assignment(self, (0, 0), "READ"), device.v_threshold)
-        for a in dev.ramp_amplitudes(device):
-            check_bias(bias_assignment(self, (0, 0), "RESET", amplitude=float(a)),
+        # permutation of those at (0, 0): one target proves the whole array,
+        # and one stacked map proves every rung of the RESET ladder.
+        for mode, amplitude in (("SET", None), ("READ", None),
+                                ("RESET", dev.ramp_amplitudes(device))):
+            check_bias(bias_assignment(self, (0, 0), mode, amplitude),
                        device.v_threshold)
 
 
 @dataclass
 class BiasAssignment:
-    """Full row/column voltage map for one programming or read operation."""
+    """Full row/column voltage map for one programming or read operation,
+    or a stack of them (leading axis) for a ladder of RESET amplitudes."""
 
     row_voltages: np.ndarray
     col_voltages: np.ndarray
@@ -123,12 +124,13 @@ class BiasAssignment:
 
     def drops(self) -> np.ndarray:
         """Voltage across each cell, column line minus row line."""
-        return self.col_voltages[None, :] - self.row_voltages[:, None]
+        return self.col_voltages[..., None, :] - self.row_voltages[..., :, None]
 
     def max_nontarget_drop(self) -> float:
+        """Largest drop on a cell other than the target, over every map."""
         d = np.abs(self.drops())
         r, c = self.target
-        d[r, c] = 0.0
+        d[..., r, c] = 0.0
         return float(d.max())
 
 
@@ -140,13 +142,15 @@ def bias_assignment(xbar: Crossbar, target: tuple[int, int], mode: Mode,
     get the same bias (zeroing drops in that column) and other columns sit
     at half amplitude.  RESET biases all non-selected lines to half the
     maximum pulse.  READ grounds everything except the driven column.
+    An array of RESET amplitudes gives one stacked map per amplitude.
     """
     r, c = target
     cfg, dp = xbar.config, xbar.device
     if not (0 <= r < cfg.rows and 0 <= c < cfg.cols):
         raise ValueError(f"target {target} outside {cfg.rows}x{cfg.cols} grid")
-    rows = np.zeros(cfg.rows)
-    cols = np.zeros(cfg.cols)
+    stack = np.shape(amplitude) if mode == "RESET" else ()
+    rows = np.zeros(stack + (cfg.rows,))
+    cols = np.zeros(stack + (cfg.cols,))
     if mode == "SET":
         cols[:] = -dp.v_threshold
         cols[c] = dp.v_set
@@ -154,10 +158,10 @@ def bias_assignment(xbar: Crossbar, target: tuple[int, int], mode: Mode,
         rows[r] = 0.0
     elif mode == "RESET":
         a = dev.MAX_PROGRAM_AMPLITUDE if amplitude is None else amplitude
-        cols[:] = dp.v_threshold
-        cols[c] = a
-        rows[:] = dp.v_threshold
-        rows[r] = 0.0
+        cols[...] = dp.v_threshold
+        cols[..., c] = a
+        rows[...] = dp.v_threshold
+        rows[..., r] = 0.0
     elif mode == "READ":
         cols[c] = dp.v_read
     else:
@@ -179,7 +183,7 @@ def _check_inputs(inputs: np.ndarray, cfg: CrossbarConfig) -> np.ndarray:
     inputs = np.asarray(inputs, dtype=float)
     if inputs.shape != (cfg.cols,):
         raise ValueError(f"expected {cfg.cols} inputs, got shape {inputs.shape}")
-    if np.any(np.abs(inputs) > cfg.u_in_max * (1 + 1e-12)):
+    if np.abs(inputs).max() > cfg.u_in_max * (1 + 1e-12):
         raise InputOverrangeError(
             f"input exceeds +/-{cfg.u_in_max} V data range"
         )
@@ -190,8 +194,16 @@ def row_summed_voltage(xbar: Crossbar, inputs: np.ndarray) -> np.ndarray:
     """Summing-amplifier output of every row, clipped at the amplifier swing."""
     cfg = xbar.config
     inputs = _check_inputs(inputs, cfg)
-    return np.clip(-cfg.r_f * (inputs[None, :] / xbar.resistance).sum(axis=1),
-                   -cfg.u_rail, cfg.u_rail)
+    u = (inputs[None, :] / xbar.resistance).sum(axis=1)
+    u *= -cfg.r_f
+    return _clamp(u, cfg.u_rail)
+
+
+def _clamp(u, limit: float):
+    """Clip ``u`` to +/-``limit`` in place: the bits and NaN handling of
+    ``np.clip``, without its per-call overhead."""
+    np.maximum(u, -limit, out=u)
+    return np.minimum(u, limit, out=u)
 
 
 def layer_forward(xbar: Crossbar, inputs: np.ndarray,
@@ -206,16 +218,19 @@ def layer_forward(xbar: Crossbar, inputs: np.ndarray,
     if cfg.rows % 2 != 0:
         raise OddRowCountError("differential pairing needs an even row count")
     sums = row_summed_voltage(xbar, inputs)
-    diff = cfg.k_diff * (sums[1::2] - sums[0::2])
+    diff = sums[1::2] - sums[0::2]
+    diff *= cfg.k_diff
     if bias is not None:
         bias = np.asarray(bias, dtype=float)
         if bias.shape != (cfg.rows // 2,):
             raise ShapeMismatchError(
                 f"bias needs shape ({cfg.rows // 2},), got {bias.shape}")
-        diff = diff + bias
-    diff = np.clip(diff, -cfg.u_rail, cfg.u_rail)
-    activated = np.clip(diff, -cfg.u_sat, cfg.u_sat)
-    return cfg.k_scale * activated
+        diff += bias
+    # the difference stage clips at the rail, the activation at u_sat <=
+    # u_rail, so the activation clamp alone gives the same bits
+    activated = _clamp(diff, cfg.u_sat)
+    activated *= cfg.k_scale
+    return activated
 
 
 def synapse_weights(xbar: Crossbar, n_in: int, n_out: int) -> np.ndarray:
@@ -225,36 +240,42 @@ def synapse_weights(xbar: Crossbar, n_in: int, n_out: int) -> np.ndarray:
     return (g[0::2] - g[1::2]).T
 
 
-def adc_quantize(u: float, step: float, full_scale: float) -> float:
-    """Half-up quantization to the converter grid, clamped to its range."""
-    u = min(max(u, -full_scale), full_scale)
-    return float(np.floor(u / step + 0.5) * step)
+def adc_quantize(u, step: float, full_scale: float):
+    """Half-up quantization to the converter grid, clamped to its range
+    (elementwise)."""
+    u = np.minimum(np.maximum(u, -full_scale), full_scale)
+    return np.floor(u / step + 0.5) * step
 
 
-def inferred_resistance(u_out: float, u_test: float, r_f: float) -> float:
-    """Resistance from the summing-amplifier read-back voltage."""
-    if u_out <= 0:
-        return float("inf")
-    return u_test * r_f / u_out
+def inferred_resistance(u_out, u_test: float, r_f: float):
+    """Resistance from the summing-amplifier read-back voltage
+    (elementwise; infinite where no positive voltage was read)."""
+    u_out = np.asarray(u_out, dtype=float)
+    with np.errstate(divide="ignore"):
+        r = u_test * r_f / u_out
+    return np.where(u_out <= 0, np.inf, r)[()]
 
 
 def _array_read(xbar: Crossbar):
-    """Read-back closure: test pulse, amplifier, ADC, resistance formula."""
+    """Read-back of an array of cell resistances: test pulse, amplifier,
+    ADC, resistance formula."""
     cfg, dp = xbar.config, xbar.device
 
-    def read(cell: MemristorCell) -> float:
-        u_out = abs(row_summed_voltage_for_read(cell.resistance, cfg, dp))
+    def read(resistance: np.ndarray) -> np.ndarray:
+        u_out = np.abs(row_summed_voltage_for_read(resistance, cfg, dp))
         u_q = adc_quantize(u_out, cfg.adc_step, cfg.adc_range)
         return inferred_resistance(u_q, dp.v_read, cfg.r_f)
 
     return read
 
 
-def row_summed_voltage_for_read(resistance: float, cfg: CrossbarConfig,
-                                dp: DeviceParams) -> float:
+def row_summed_voltage_for_read(resistance, cfg: CrossbarConfig,
+                                dp: DeviceParams):
+    """Summing-amplifier output when each given resistance is read on its
+    own (elementwise), clipped at the amplifier swing."""
     # single driven column, all others grounded: only the target cell conducts
     u = -cfg.r_f * dp.v_read / resistance
-    return float(min(max(u, -cfg.u_rail), cfg.u_rail))
+    return np.minimum(np.maximum(u, -cfg.u_rail), cfg.u_rail)
 
 
 def read_back_error_bound(target: float, cfg: CrossbarConfig,
@@ -300,8 +321,7 @@ def two_layer_forward(xbar1: Crossbar, xbar2: Crossbar, b_hidden: np.ndarray,
     cfg1 = xbar1.config
     bias1 = np.zeros(cfg1.rows // 2)
     bias1[:n_hidden] = np.asarray(b_hidden, dtype=float)
-    hidden = layer_forward(xbar1, x, bias1)[:n_hidden]
-    hidden = np.clip(hidden, -cfg1.u_in_max, cfg1.u_in_max)
+    hidden = _clamp(layer_forward(xbar1, x, bias1)[:n_hidden], cfg1.u_in_max)
     padded = np.zeros(xbar2.config.cols)
     padded[:n_hidden] = hidden
     bias2 = np.zeros(xbar2.config.rows // 2)

@@ -105,45 +105,56 @@ class ProgramLog:
                 int(self.success))
 
 
-def read_current(cell: MemristorCell, v: float, params: DeviceParams) -> float:
-    """Ohmic read; refuses voltages that could disturb the state."""
+def _check_read_voltage(v: float, params: DeviceParams) -> None:
     if abs(v) >= params.v_threshold:
         raise AboveThresholdError(
             f"|{v}| V read would disturb state (threshold {params.v_threshold} V)"
         )
+
+
+def read_current(cell: MemristorCell, v: float, params: DeviceParams) -> float:
+    """Ohmic read; refuses voltages that could disturb the state."""
+    _check_read_voltage(v, params)
     return v / cell.resistance
 
 
-def _settle(cell: MemristorCell, value: float, params: DeviceParams) -> MemristorCell:
-    if cell.stuck is not None:
-        cell.resistance = cell.stuck
-        return cell
-    cell.resistance = float(min(max(value, params.r_floor), params.r_hrs_nominal))
-    return cell
+def _clamped(value, params: DeviceParams):
+    """Resistance a pulse leaves: its response clamped to the device window."""
+    return np.minimum(np.maximum(value, params.r_floor), params.r_hrs_nominal)
 
 
-def _noise(params: DeviceParams, rng: np.random.Generator) -> float:
+def _spread(params: DeviceParams, rng: np.random.Generator, size=None):
+    """Multiplicative lognormal factor of one pulse outcome (or ``size`` of
+    them); noiseless devices draw nothing."""
     if params.response_noise_sigma == 0:
         return 1.0
-    return float(np.exp(rng.normal(0.0, params.response_noise_sigma)))
+    return np.exp(rng.normal(0.0, params.response_noise_sigma, size))
+
+
+def _settle(cell: MemristorCell, value, params: DeviceParams) -> MemristorCell:
+    cell.resistance = (cell.stuck if cell.stuck is not None
+                       else float(_clamped(value, params)))
+    return cell
 
 
 def set_pulse(cell: MemristorCell, params: DeviceParams,
               rng: np.random.Generator) -> MemristorCell:
     """Drop the device to the low-resistance state (current-limited pulse)."""
-    return _settle(cell, params.r_lrs_nominal * _noise(params, rng), params)
+    return _settle(cell, params.r_lrs_nominal * _spread(params, rng), params)
 
 
-def ramp_response(amplitude: float, params: DeviceParams) -> float:
-    """Deterministic resistance reached by a RESET pulse of given amplitude.
+def ramp_response(amplitude, params: DeviceParams):
+    """Deterministic resistance reached by a RESET pulse of given amplitude
+    (elementwise over an array of amplitudes).
 
     Monotone power-law map from the ramp voltage span onto the resistance
     window; the exponent reshapes where the resolution concentrates.
+    ``np.power`` gives a scalar and an array element the same bits.
     """
     a_min, a_max = params.ramp_range
     u = (amplitude - a_min) / (a_max - a_min)
     span = params.r_hrs_nominal - params.r_lrs_nominal
-    return params.r_lrs_nominal + span * u ** params.ramp_gamma
+    return params.r_lrs_nominal + span * np.power(u, params.ramp_gamma)
 
 
 def reset_pulse(cell: MemristorCell, amplitude: float, params: DeviceParams,
@@ -154,7 +165,8 @@ def reset_pulse(cell: MemristorCell, amplitude: float, params: DeviceParams,
         raise AmplitudeOutOfRangeError(
             f"{amplitude} V outside ramp range [{a_min}, {a_max}] V"
         )
-    return _settle(cell, ramp_response(amplitude, params) * _noise(params, rng), params)
+    return _settle(cell, ramp_response(amplitude, params) * _spread(params, rng),
+                   params)
 
 
 def ramp_amplitudes(params: DeviceParams) -> np.ndarray:
@@ -172,15 +184,24 @@ def program_to(
     target: float,
     params: DeviceParams,
     rng: np.random.Generator,
-    read_resistance: Callable[[MemristorCell], float] | None = None,
+    read_resistance: Callable[[np.ndarray], np.ndarray] | None = None,
     tolerance: float | None = None,
 ) -> ProgramLog:
     """Active-feedback write-verify: SET, ramp up, re-SET on overshoot.
 
-    ``read_resistance`` lets callers model an indirect read-back (e.g. the
-    array's summing-amplifier path); the default reads the device exactly.
-    ``tolerance`` overrides the params band, used when the read-back itself
-    has a known error budget to absorb.
+    ``read_resistance`` maps an array of device resistances to the array
+    of values the verify read reports, elementwise; callers use it to
+    model an indirect read-back (e.g. the array's summing-amplifier path),
+    and the default is the exact Ohmic read.  ``tolerance`` overrides the
+    params band, used when the read-back itself has a known error budget
+    to absorb.
+
+    A pulse's outcome does not depend on the state before it, so each
+    attempt is one array pass: the SET pulse and every RESET rung are
+    simulated and read back together, and the attempt ends at the first
+    pulse read in band or, on the ramp, above it.  The generator is then
+    wound back and advanced by exactly the draws of the pulses applied,
+    so it ends where a pulse-by-pulse loop would leave it.
     """
     if not params.r_lrs_nominal <= target <= params.r_hrs_nominal:
         raise ValueError(
@@ -188,14 +209,17 @@ def program_to(
         )
     tol = params.program_tolerance if tolerance is None else tolerance
     if read_resistance is None:
-        read_resistance = lambda c: params.v_read / read_current(c, params.v_read, params)
+        v = params.v_read
+        _check_read_voltage(v, params)
+
+        def read_resistance(r):  # the exact Ohmic read, as read_current takes it
+            return v / (v / r)
 
     def in_band(r):
-        return abs(r - target) <= tol * target
+        return np.abs(r - target) <= tol * target
 
     if cell.stuck is not None:
-        measured = read_resistance(cell)
-        if in_band(measured):
+        if in_band(read_resistance(np.array([cell.resistance])))[0]:
             return ProgramLog(attempts=0, pulses=0, final_resistance=cell.resistance,
                               success=True, target=target)
         raise StuckDeviceError(
@@ -203,25 +227,26 @@ def program_to(
             f"outside +/-{tol:.0%}"
         )
 
-    amplitudes = ramp_amplitudes(params)
+    # pulse 0 is the SET, pulse i the RESET at the i-th ramp amplitude
+    response = np.concatenate(([params.r_lrs_nominal],
+                               ramp_response(ramp_amplitudes(params), params)))
     pulses = 0
     for attempt in range(1, params.max_program_iterations + 1):
-        set_pulse(cell, params, rng)
-        measured = read_resistance(cell)
-        if in_band(measured):
+        state = rng.bit_generator.state
+        outcomes = _clamped(response * _spread(params, rng, response.size), params)
+        measured = read_resistance(outcomes)
+        hit = in_band(measured)
+        stop = hit | (measured > target * (1 + tol))
+        stop[0] = hit[0]  # a SET read above the band still goes on to the ramp
+        last = int(stop.argmax()) if stop.any() else response.size - 1
+        rng.bit_generator.state = state
+        _spread(params, rng, last + 1)
+        cell.resistance = float(outcomes[last])
+        pulses += last
+        if hit[last]:
             return ProgramLog(attempts=attempt, pulses=pulses,
                               final_resistance=cell.resistance, success=True,
                               target=target)
-        for amplitude in amplitudes:
-            reset_pulse(cell, amplitude, params, rng)
-            pulses += 1
-            measured = read_resistance(cell)
-            if in_band(measured):
-                return ProgramLog(attempts=attempt, pulses=pulses,
-                                  final_resistance=cell.resistance, success=True,
-                                  target=target)
-            if measured > target * (1 + tol):
-                break  # overshot the band: back to LRS and try again
     raise ProgrammingFailedError(
         f"no state within +/-{tol:.0%} of {target:.4g} ohm after "
         f"{params.max_program_iterations} SET cycles"

@@ -96,6 +96,58 @@ def test_two_layer_forward_matches_model():
                            forward(params, x), atol=1e-12)
 
 
+def clip_reference_layer(xbar, inputs, bias=None):
+    """``layer_forward`` as np.clip calls."""
+    cfg = xbar.config
+    sums = np.clip(-cfg.r_f * (inputs[None, :] / xbar.resistance).sum(axis=1),
+                   -cfg.u_rail, cfg.u_rail)
+    diff = cfg.k_diff * (sums[1::2] - sums[0::2])
+    if bias is not None:
+        diff = diff + bias
+    diff = np.clip(diff, -cfg.u_rail, cfg.u_rail)
+    return cfg.k_scale * np.clip(diff, -cfg.u_sat, cfg.u_sat)
+
+
+def clip_reference_two_layer(xb1, xb2, b1, b2, x):
+    """``two_layer_forward`` of a 16-8-4 network as np.clip calls."""
+    hidden = clip_reference_layer(xb1, x, b1)
+    padded = np.zeros(16)
+    padded[:8] = np.clip(hidden, -xb1.config.u_in_max, xb1.config.u_in_max)
+    return clip_reference_layer(xb2, padded, np.pad(b2, (0, 4)))[:4]
+
+
+@pytest.mark.parametrize("cfg_kw", [
+    {},
+    {"u_rail": 1.5, "r_2": 150e3, "r_3": 50e3},   # the row-sum rail binds
+], ids=["default", "low-rail"])
+def test_forward_is_bit_equal_to_the_clip_formulas(cfg_kw):
+    rng = np.random.default_rng(31)
+    config = CrossbarConfig(**cfg_kw)
+    xb1, xb2 = (Crossbar(config, DeviceParams(),
+                         rng.uniform(10e3, 60e3, size=(16, 16)))
+                for _ in range(2))
+    x = rng.uniform(-1, 1, size=(60, 16))
+    x[:10] = np.sign(x[:10])                 # at the data limit
+    x[10, 3] = np.nan
+    biases = [(rng.uniform(-3, 3, 8), rng.uniform(-3, 3, 4))   # saturating
+              for _ in range(3)] + [(np.zeros(8), np.zeros(4))]
+    rail_bound = 0
+    for b1, b2 in biases:
+        for pattern in x:
+            got = layer_forward(xb1, pattern)
+            assert got.tobytes() == clip_reference_layer(xb1, pattern).tobytes()
+            got = two_layer_forward(xb1, xb2, b1, b2, pattern)
+            ref = clip_reference_two_layer(xb1, xb2, b1, b2, pattern)
+            assert got.tobytes() == ref.tobytes(), pattern
+            sums = -config.r_f * (pattern[None, :] / xb1.resistance).sum(axis=1)
+            rail_bound += bool((np.abs(sums) > config.u_rail).any())
+    assert rail_bound   # some patterns drive a row sum past the rail
+    over = x[20].copy()
+    over[5] = config.u_in_max * (1 + 1e-9)
+    with pytest.raises(InputOverrangeError):
+        two_layer_forward(xb1, xb2, *biases[0], over)
+
+
 def test_set_bias_map_shape():
     xbar = small_xbar(np.full((16, 16), 30e3))
     a = bias_assignment(xbar, (3, 7), "SET")
@@ -173,6 +225,27 @@ def test_bias_maps_are_proven_when_the_array_is_built():
     # SET puts |v_set| - v_threshold = 2.5 V on half-selected cells
     with pytest.raises(BiasViolationError):
         Crossbar(CrossbarConfig(), DeviceParams(v_set=-4.0))
+
+
+def test_only_the_reset_rungs_above_twice_the_threshold_violate():
+    # half-selected cells in the target column see amplitude - v_threshold
+    bad = DeviceParams(v_threshold=1.2, v_set=-2.4, ramp_range=(1.2, 3.0))
+    with pytest.raises(BiasViolationError,
+                       match=r"^RESET map exposes a half-selected cell to 1.8 V"):
+        Crossbar(CrossbarConfig(), bad)
+    xbar = Crossbar(CrossbarConfig(),
+                    DeviceParams(v_threshold=1.2, v_set=-2.4,
+                                 ramp_range=(1.2, 2.4)))
+    for mode in ("SET", "READ"):
+        check_bias(bias_assignment(xbar, (0, 0), mode), bad.v_threshold)
+    ladder = ramp_amplitudes(bad)
+    stacked = bias_assignment(xbar, (0, 0), "RESET", amplitude=ladder)
+    assert stacked.drops().shape == (len(ladder), 16, 16)
+    for a, drops in zip(ladder, stacked.drops()):
+        single = bias_assignment(xbar, (0, 0), "RESET", amplitude=float(a))
+        assert np.array_equal(single.drops(), drops)
+        violates = single.max_nontarget_drop() > bad.v_threshold + 1e-12
+        assert violates == (a > 2.4 + 1e-12), a
 
 
 def test_one_target_proves_every_bias_map():

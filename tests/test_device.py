@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from memxbar.device import (DeviceParams, MemristorCell, program_to,
-                            ramp_amplitudes, ramp_response, read_current,
-                            reset_pulse, set_pulse)
+from memxbar.crossbar import (Crossbar, CrossbarConfig, program_cell,
+                              read_back_error_bound)
+from memxbar.device import (DeviceParams, MemristorCell, ProgramLog,
+                            program_to, ramp_amplitudes, ramp_response,
+                            read_current, reset_pulse, set_pulse)
 from memxbar.errors import (AboveThresholdError, AmplitudeOutOfRangeError,
                             ProgrammingFailedError, StuckDeviceError)
 
@@ -118,3 +120,150 @@ def test_program_is_seed_deterministic():
         logs.append(program_to(cell, 33e3, params, np.random.default_rng(42)))
     assert logs[0].final_resistance == logs[1].final_resistance
     assert logs[0].pulses == logs[1].pulses
+
+
+def test_program_refuses_a_disturbing_read_voltage():
+    params = DeviceParams(v_read=1.5)
+    with pytest.raises(AboveThresholdError):
+        program_to(MemristorCell(resistance=30e3), 30e3, params,
+                   np.random.default_rng(0))
+
+
+def reference_program_to(cell, target, params, rng, read=None, tolerance=None):
+    """The pulse-by-pulse write-verify loop: one scalar draw, clamp and
+    verify read per pulse.  ``read`` maps a cell to what its verify read
+    reports; the default is the exact Ohmic read."""
+    tol = params.program_tolerance if tolerance is None else tolerance
+    if read is None:
+        read = lambda c: params.v_read / read_current(c, params.v_read, params)
+
+    def pulse(response):
+        if params.response_noise_sigma:
+            response *= float(np.exp(rng.normal(0.0, params.response_noise_sigma)))
+        cell.resistance = float(min(max(response, params.r_floor),
+                                    params.r_hrs_nominal))
+
+    def in_band(r):
+        return abs(r - target) <= tol * target
+
+    if cell.stuck is not None:
+        if in_band(read(cell)):
+            return ProgramLog(0, 0, cell.resistance, True, target)
+        raise StuckDeviceError("stuck out of band")
+    pulses = 0
+    for attempt in range(1, params.max_program_iterations + 1):
+        pulse(params.r_lrs_nominal)
+        if in_band(read(cell)):
+            return ProgramLog(attempt, pulses, cell.resistance, True, target)
+        for amplitude in ramp_amplitudes(params):
+            pulse(ramp_response(amplitude, params))
+            pulses += 1
+            measured = read(cell)
+            if in_band(measured):
+                return ProgramLog(attempt, pulses, cell.resistance, True, target)
+            if measured > target * (1 + tol):
+                break
+    raise ProgrammingFailedError("no state in band")
+
+
+def _outcome(program, cell, *args, **kw):
+    """What a write-verify call leaves: its log or error type, the cell's
+    resistance and the generator's state."""
+    rng = args[2]
+    try:
+        result = program(cell, *args, **kw)
+    except (ProgrammingFailedError, StuckDeviceError) as exc:
+        result = type(exc)
+    return result, cell.resistance, rng.bit_generator.state
+
+
+@pytest.mark.parametrize("params", [
+    DeviceParams(),
+    quiet_params(),
+    DeviceParams(response_noise_sigma=0.2),
+    DeviceParams(ramp_gamma=1.7, ramp_step=0.03, r_hrs_nominal=90e3),
+    DeviceParams(r_hrs_nominal=300e3, ramp_step=1.5 / 128),
+], ids=["default", "noiseless", "wide-spread", "gamma-1.7", "129-rungs"])
+def test_program_matches_the_pulse_by_pulse_loop(params):
+    attempts = []
+    for seed in range(4):
+        for target in (10e3, 12e3, 25e3, 47e3, params.r_hrs_nominal):
+            for tolerance in (None, 0.01):
+                got = _outcome(program_to, MemristorCell(params.r_hrs_nominal),
+                               target, params, np.random.default_rng(seed),
+                               tolerance=tolerance)
+                ref = _outcome(reference_program_to,
+                               MemristorCell(params.r_hrs_nominal), target,
+                               params, np.random.default_rng(seed),
+                               tolerance=tolerance)
+                assert got == ref, (seed, target, tolerance)
+                if isinstance(got[0], ProgramLog):
+                    attempts.append(got[0].attempts)
+    if params.response_noise_sigma:
+        assert max(attempts) > 1   # the tight band forces re-SETs
+    else:
+        assert got[2] == np.random.default_rng(seed).bit_generator.state
+
+
+def test_program_failure_matches_the_pulse_by_pulse_loop():
+    params = DeviceParams(response_noise_sigma=0.8, max_program_iterations=2)
+    for seed in range(5):
+        got = _outcome(program_to, MemristorCell(60e3), 12e3, params,
+                       np.random.default_rng(seed), tolerance=0.001)
+        ref = _outcome(reference_program_to, MemristorCell(60e3), 12e3, params,
+                       np.random.default_rng(seed), tolerance=0.001)
+        assert got[0] is ProgrammingFailedError
+        assert got == ref
+
+
+def reference_array_read(cfg, dp):
+    """The scalar read-back: test pulse, clipped amplifier, half-up ADC,
+    resistance formula."""
+    def read(cell):
+        u = -cfg.r_f * dp.v_read / cell.resistance
+        u = abs(float(min(max(u, -cfg.u_rail), cfg.u_rail)))
+        u = min(max(u, -cfg.adc_range), cfg.adc_range)
+        u_q = float(np.floor(u / cfg.adc_step + 0.5) * cfg.adc_step)
+        return float("inf") if u_q <= 0 else dp.v_read * cfg.r_f / u_q
+    return read
+
+
+def reference_program_cell(xbar, target, target_r, rng):
+    cfg, dp = xbar.config, xbar.device
+    r, c = target
+    stuck = xbar.stuck[r, c]
+    cell = MemristorCell(float(xbar.resistance[r, c]),
+                         None if np.isnan(stuck) else float(stuck))
+    margin = read_back_error_bound(target_r, cfg, dp) / target_r
+    tol = max(dp.program_tolerance - margin, dp.program_tolerance / 2)
+    log = reference_program_to(cell, target_r, dp, rng,
+                               read=reference_array_read(cfg, dp), tolerance=tol)
+    xbar.resistance[r, c] = cell.resistance
+    return log
+
+
+@pytest.mark.parametrize("config", [CrossbarConfig(),
+                                    CrossbarConfig(adc_step=0.05)],
+                         ids=["default-adc", "coarse-adc"])
+def test_program_cell_matches_the_pulse_by_pulse_loop(config):
+    """One generator programs a run of cells, a stuck one among them."""
+    stuck = np.full((16, 16), np.nan)
+    stuck[2, 3], stuck[5, 1] = 31e3, 55e3
+    cells = [((0, 0), 12e3), ((2, 3), 30e3), ((4, 7), 44e3), ((5, 1), 20e3),
+             ((9, 9), 10.5e3), ((15, 15), 59e3), ((1, 2), 27e3)]
+    xbars = [Crossbar(config, DeviceParams(), stuck=stuck) for _ in range(2)]
+    rngs = [np.random.default_rng(11) for _ in range(2)]
+    results = {}
+    for target, target_r in cells:
+        outcomes = []
+        for program, xbar, rng in zip((program_cell, reference_program_cell),
+                                      xbars, rngs):
+            try:
+                result = program(xbar, target, target_r, rng)
+            except StuckDeviceError as exc:
+                result = type(exc)
+            outcomes.append((result, rng.bit_generator.state))
+        assert outcomes[0] == outcomes[1], target
+        results[target] = outcomes[0][0]
+    assert results[2, 3].pulses == 0 and results[5, 1] is StuckDeviceError
+    assert xbars[0].resistance.tobytes() == xbars[1].resistance.tobytes()
