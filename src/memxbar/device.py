@@ -201,7 +201,9 @@ def program_to(
     simulated and read back together, and the attempt ends at the first
     pulse read in band or, on the ramp, above it.  The generator is then
     wound back and advanced by exactly the draws of the pulses applied,
-    so it ends where a pulse-by-pulse loop would leave it.
+    so it ends where a pulse-by-pulse loop would leave it.  Without
+    response noise every attempt repeats the first, so a first attempt
+    that misses the band raises at once.
     """
     if not params.r_lrs_nominal <= target <= params.r_hrs_nominal:
         raise ValueError(
@@ -230,6 +232,7 @@ def program_to(
     # pulse 0 is the SET, pulse i the RESET at the i-th ramp amplitude
     response = np.concatenate(([params.r_lrs_nominal],
                                ramp_response(ramp_amplitudes(params), params)))
+    noiseless = params.response_noise_sigma == 0
     pulses = 0
     for attempt in range(1, params.max_program_iterations + 1):
         state = rng.bit_generator.state
@@ -247,7 +250,11 @@ def program_to(
             return ProgramLog(attempts=attempt, pulses=pulses,
                               final_resistance=cell.resistance, success=True,
                               target=target)
+        if noiseless:
+            break
     raise ProgrammingFailedError(
         f"no state within +/-{tol:.0%} of {target:.4g} ohm after "
-        f"{params.max_program_iterations} SET cycles"
+        f"{attempt} of {params.max_program_iterations} SET cycles"
+        + (" (without response noise the rest would repeat it)"
+           if attempt < params.max_program_iterations else "")
     )

@@ -7,32 +7,36 @@ evaluated per trial.  Analysis checks the worst trial against a permitted
 error level; synthesis searches for the widest error limits that still
 pass.
 
-Each trial draws its randomness once, in standard units: one truncated
-normal call on the trial's own counter-derived substream gives one value
-``z`` per perturbed part (344 for the 16-8-4 network), truncated at the
-part's ``limit_sigmas``, and the part's value is
-``nominal * (1 + spec.sigma * z)``.  So reports are reproducible bit for
-bit, independent of chunk size, and ``z`` does not depend on any error
-limit.  Synthesis draws ``z`` once and every probe reuses it (common
-random numbers), so probes at different limits score the same trials and
-the bisection compares limits, not noise.  A probe scores chunks in
-trial order, stops after the first chunk whose worst trial misses the
-budget, and computes no weight-error bands.
+Each trial draws its randomness once, in standard units: the trial's own
+counter-derived substream gives one value ``z`` per perturbed part (344
+for the 16-8-4 network), truncated at the part's ``limit_sigmas``, and the
+part's value is ``nominal * (1 + spec.sigma * z)``.  So reports are
+reproducible bit for bit, independent of chunk size, and ``z`` does not
+depend on any error limit.  :func:`trial_draws` seeds a block of trials'
+substreams in one vectorized pass (:func:`~memxbar.stats.substreams`),
+fills one row per trial and redraws only the entries outside their limit;
+each row equals one ``truncated_normal`` call on the trial's substream,
+bit for bit, so the streams and every draw are those of a per-trial loop.
+Synthesis draws ``z`` once and every probe reuses it (common random
+numbers), so probes at different limits score the same trials and the
+bisection compares limits, not noise.  A probe scores chunks in trial
+order, stops after the first chunk whose worst trial misses the budget,
+and computes no weight-error bands.
 
 Trials are scored serially, chunk by chunk, by the network's one
 classifier, :class:`~memxbar.netmodel.ScoreBatch`, in unit-by-pattern
 buffers that each analysis allocates once: blocks of trials small enough
 to stay in a core's cache run through the stacked forward kernel that
 training shares, and one product of the misclassification matrix with a
-one-hot class matrix gives every per-class error count.  The per-trial
-draws run in Python under the interpreter lock, so a pool of scoring
-workers gains too little to keep (on a 2-core host, less than the
-run-to-run spread).  A full analysis takes each synapse's weight-error
-band from the weight stacks of the trials it scores, so the band and the
-verdict share one draw and one error model, in which each row of a pair
-has its own feedback resistor.  Per synapse it keeps only the few
-smallest and largest errors that the percentile reads, so band memory
-does not grow with the trial count.
+one-hot class matrix gives every per-class error count.  The draws'
+per-trial loop (one generator and one fill call per trial) runs in Python
+under the interpreter lock, so a pool of scoring workers gains too little
+to keep (on a 2-core host, less than the run-to-run spread).  A full
+analysis takes each synapse's weight-error band from the weight stacks of
+the trials it scores, so the band and the verdict share one draw and one
+error model, in which each row of a pair has its own feedback resistor.
+Per synapse it keeps only the few smallest and largest errors that the
+percentile reads, so band memory does not grow with the trial count.
 """
 
 from __future__ import annotations
@@ -49,7 +53,8 @@ from .mapping import (CompiledNet, ResistanceRange, SynapseNominals,
                       quantize_weights, symmetric_weight_states)
 from .netmodel import LABELS, MlpParams, ScoreBatch, label_codes
 from .reports import replacing, write_trials_csv
-from .stats import clopper_pearson_upper, is_real, substream, truncated_normal
+from .stats import (clopper_pearson_upper, is_real, substreams,
+                    truncated_normal)
 
 PERCENTILE_PAIR = (0.05, 99.95)   # weight-band and report percentiles
 
@@ -314,14 +319,30 @@ def trial_draws(limit: np.ndarray, seed: int, start: int,
     """Standard draws ``z`` of trials [start, start+count), one row each.
 
     Column ``j`` is truncated at ``limit[j]`` standard deviations, the
-    ``_columns`` limit of its part.  A row comes from one call on the
-    trial's own substream and does not depend on any ``delta``.
+    ``_columns`` limit of its part.  Row ``k`` equals
+    ``truncated_normal(substream(seed, _STREAM_TRIAL, start + k), 0.0,
+    1.0, limit, limit.size)`` bit for bit and does not depend on any
+    ``delta``.  The trials' generators come from one ``substreams`` call
+    and each fills its row; then, round by round as ``truncated_normal``
+    takes them, one vectorized test finds the entries outside their
+    limit and each row that has some redraws just those, in column
+    order, from its own generator.
     """
-    master = int(seed)
     z = np.empty((count, limit.size))
-    for k in range(count):
-        z[k] = truncated_normal(substream(master, _STREAM_TRIAL, start + k),
-                                0.0, 1.0, limit, limit.size)
+    rngs = substreams(int(seed), _STREAM_TRIAL, start=start, count=count)
+    for rng, row in zip(rngs, z):
+        rng.standard_normal(out=row)
+    # truncated_normal's ``* 1.0 + 0.0`` changes only a -0.0 draw, to +0.0
+    z += 0.0
+    rows, cols = np.divmod(np.flatnonzero(np.abs(z) > limit), limit.size)
+    while rows.size:
+        trials, counts = np.unique(rows, return_counts=True)
+        redraw = np.concatenate([rngs[k].standard_normal(n) for k, n in
+                                 zip(trials.tolist(), counts.tolist())])
+        redraw += 0.0
+        z[rows, cols] = redraw
+        bad = np.abs(redraw) > limit[cols]
+        rows, cols = rows[bad], cols[bad]
     return TrialDraws(z, limit)
 
 

@@ -205,6 +205,28 @@ def test_program_matches_the_pulse_by_pulse_loop(params):
         assert got[2] == np.random.default_rng(seed).bit_generator.state
 
 
+def test_noiseless_program_gives_up_after_one_attempt():
+    # without response noise every SET-and-ramp attempt repeats the first
+    params = quiet_params()
+    reads = []
+
+    def read(r):
+        reads.append(r.size)
+        return params.v_read / (params.v_read / r)
+
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    cell = MemristorCell(params.r_hrs_nominal)
+    with pytest.raises(ProgrammingFailedError, match="after 1 of 50 SET"):
+        program_to(cell, 25e3, params, rng, read_resistance=read,
+                   tolerance=0.01)
+    assert len(reads) == 1
+    assert rng.bit_generator.state == state
+    ref = _outcome(reference_program_to, MemristorCell(params.r_hrs_nominal),
+                   25e3, params, np.random.default_rng(0), tolerance=0.01)
+    assert ref == (ProgrammingFailedError, cell.resistance, state)
+
+
 def test_program_failure_matches_the_pulse_by_pulse_loop():
     params = DeviceParams(response_noise_sigma=0.8, max_program_iterations=2)
     for seed in range(5):

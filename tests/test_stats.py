@@ -1,9 +1,16 @@
 """Sampling and confidence-bound helpers."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from memxbar.stats import clopper_pearson_upper, truncated_normal
+import memxbar
+from memxbar.stats import (clopper_pearson_upper, subseed, substream,
+                           substreams, truncated_normal)
 
 
 def test_clopper_pearson_zero_failures_is_closed_form():
@@ -76,3 +83,58 @@ def test_truncated_normal_low_limit_takes_several_rounds():
     assert np.array_equal(got, ref)
     # both leave the generator at the same place
     assert rng.standard_normal() == tail.standard_normal()
+
+
+MASTERS = [0, 1, 2**32 - 1, 2**32, subseed(20260826, 3, 0), 2**64 + 3]
+
+
+@pytest.mark.parametrize("master", MASTERS)
+@pytest.mark.parametrize("start", [0, 1, 2**32 - 3])
+def test_substreams_equal_substream_bit_for_bit(master, start):
+    """Also the guard against a numpy release that seeds differently."""
+    got = substreams(master, 0, start=start, count=3)
+    assert len(got) == 3
+    for k, rng in enumerate(got):
+        ref = substream(master, 0, start + k)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert np.array_equal(rng.standard_normal(1000),
+                              ref.standard_normal(1000))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("prefix", [(), (5,), (2**64 + 3, 7, 2**40)])
+def test_substreams_take_any_prefix(prefix):
+    # keys of 1 to 7 words: the counter word lands in the pool or after it
+    for k, rng in enumerate(substreams(*prefix, start=9, count=2)):
+        ref = substream(*prefix, 9 + k)
+        assert np.array_equal(rng.integers(0, 2**63, 50),
+                              ref.integers(0, 2**63, 50))
+
+
+def test_substreams_of_no_counters_is_empty():
+    assert substreams(1, 2, start=4, count=0) == []
+
+
+@pytest.mark.parametrize("start, count", [(-1, 2), (0, -1),
+                                          (2**32 - 1, 2), (2**32, 1)])
+def test_substreams_refuse_counters_outside_one_word(start, count):
+    with pytest.raises(ValueError):
+        substreams(1, 0, start=start, count=count)
+
+
+def test_substreams_refuse_a_negative_prefix():
+    with pytest.raises(ValueError):
+        substreams(-1, 0, start=0, count=1)
+
+
+def test_importing_memxbar_does_not_load_numpy_random():
+    # numpy loads numpy.random on first use; loading it at import time
+    # raised the benchmark workloads' peak resident memory
+    code = "import sys, memxbar; print('numpy.random' in sys.modules)"
+    src = str(Path(memxbar.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

@@ -12,8 +12,9 @@ from memxbar.mapping import (CompiledLayer, CompiledNet, ResistanceRange,
                              symmetric_weight_states)
 from memxbar.netmodel import (LABELS, MlpParams, ScoreBatch, evaluate,
                               forward_stack, init_params)
-from memxbar.pipeline import RunConfig, _default_plan, _load_params
-from memxbar.stats import clopper_pearson_upper, truncated_normal
+from memxbar.pipeline import _STREAM, RunConfig, _default_plan, _load_params
+from memxbar.stats import (clopper_pearson_upper, subseed, substream,
+                           truncated_normal)
 from memxbar.tolerance import (PERCENTILE_PAIR, ExperimentPlan, ToleranceSpec,
                                analyze_tolerances, check_state_counts,
                                discrete_state_sweep,
@@ -246,6 +247,55 @@ def test_trial_draws_are_standard_and_truncated(default_compiled):
     assert z.shape == (40, 2 * (16 * 8 + 8 * 4) + 2 * (8 + 4))
     assert np.abs(z).max() <= 2.0
     assert np.array_equal(z[10:], trial_draws(limit, 5, 10, 30).z)
+
+
+def reference_trial_draws(limit, seed, start, count):
+    """One ``truncated_normal`` call per trial on its own substream."""
+    return np.array([truncated_normal(substream(seed, 0, start + k), 0.0,
+                                      1.0, limit, limit.size)
+                     for k in range(count)]).reshape(count, limit.size)
+
+
+@pytest.mark.parametrize("start, count", [(0, 1), (0, 250), (37, 250),
+                                          (2**20, 1)])
+def test_trial_draws_equal_one_truncated_normal_call_per_trial(start, count):
+    # at 0.25 sigma four entries in five are redrawn, round after round
+    limit = np.repeat([3.0, 0.25, 1.0, 2.0], [160, 40, 100, 44])
+    # the default run's analysis master is a 64-bit seed
+    for seed in (5, subseed(20260826, _STREAM["analyze"], 0)):
+        z = trial_draws(limit, seed, start, count).z
+        ref = reference_trial_draws(limit, seed, start, count)
+        assert z.tobytes() == ref.tobytes()
+        assert np.all(np.abs(z) <= limit)
+
+
+class ScriptedDraws:
+    """Stand-in generator whose standard normals cycle through a script."""
+
+    def __init__(self, script):
+        self.script, self.used = script, 0
+
+    def standard_normal(self, size=None, out=None):
+        n = out.size if out is not None else size
+        take = self.script[(self.used + np.arange(n)) % len(self.script)]
+        self.used += n
+        if out is None:
+            return take
+        out[...] = take
+        return out
+
+
+def test_trial_draws_turn_a_negative_zero_into_zero(monkeypatch):
+    # the block path adds 0.0 where truncated_normal scales and shifts
+    script = np.array([-0.0, 5.0, 0.5, -0.0, -4.0, -0.0, 1.0])
+    monkeypatch.setattr(tolerance, "substreams", lambda *key, start, count: [
+        ScriptedDraws(np.roll(script, k)) for k in range(count)])
+    limit = np.array([3.0, 3.0, 0.25, 3.0, 1.0])
+    z = trial_draws(limit, 0, 0, 4).z
+    ref = [truncated_normal(ScriptedDraws(np.roll(script, k)), 0.0, 1.0,
+                            limit, limit.size) for k in range(4)]
+    assert z.tobytes() == np.array(ref).tobytes()
+    assert not np.signbit(z[z == 0]).any()
 
 
 def test_report_round_trip(small_mc, tmp_path):
