@@ -10,10 +10,14 @@ patterns), that one ``train_discrete`` call allocates once: one pass
 gives the loss and the gradients.  Stacks of weight realizations, the
 hardening panel, the Monte Carlo trials, the quantized nets of the state
 sweep and the single net that :func:`evaluate` scores, run through one
-kernel, :func:`forward_stack_into`, in buffers their caller owns; every
-error rate comes from one classifier, :class:`ScoreBatch`.  The tests
-keep these passes bit-equal to :func:`forward_stack`, :func:`mse` and the
-row-major gradient formulas.
+kernel, :func:`forward_stack_into`, in buffers their caller owns.  That
+kernel adds each bias as the last term of its layer's product, against a
+row of ones under the inputs and under each hidden block, which rounds
+as adding it after the product does.  Every error rate comes from one
+classifier, :class:`ScoreBatch`, which sorts the patterns by class once
+and counts each class's errors in its own segment.  The tests keep these
+passes bit-equal to :func:`forward_stack`, :func:`mse` and the row-major
+gradient formulas.
 """
 
 from __future__ import annotations
@@ -141,31 +145,60 @@ def forward_stack(activation: Activation, x: np.ndarray,
         activation.apply(x @ w_hidden + b_hidden) @ w_out + b_out)
 
 
+def unit_by_pattern(x: np.ndarray) -> np.ndarray:
+    """The batch ``x``, (H, 16), unit by pattern with a trailing row of
+    ones, (17, H): the input layout of :func:`forward_stack_into`."""
+    xT = np.empty((N_INPUT + 1, len(x)))
+    xT[:N_INPUT] = x.T
+    xT[N_INPUT] = 1.0
+    return xT
+
+
+def stack_buffers(trials: int, h: int) -> tuple[np.ndarray, np.ndarray]:
+    """Work buffers of :func:`forward_stack_into` for up to ``trials``
+    realizations of ``h`` patterns: the hidden layer, (trials, 9, h), whose
+    last row in each block holds ones, and the output, (trials, 4, h)."""
+    hidden = np.empty((trials, N_HIDDEN + 1, h))
+    hidden[:, N_HIDDEN] = 1.0
+    return hidden, np.empty((trials, N_OUTPUT, h))
+
+
+def _with_bias(w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The stack ``w``, (T, n_in, n_out), as (T, n_out, n_in + 1): each
+    realization transposed, with ``b`` as its last column."""
+    n, n_in, n_out = w.shape
+    wb = np.empty((n, n_out, n_in + 1))
+    wb[:, :, :n_in] = w.transpose(0, 2, 1)
+    wb[:, :, n_in] = b
+    return wb
+
+
 def forward_stack_into(activation: Activation, xT: np.ndarray,
                        w_hidden: np.ndarray, b_hidden: np.ndarray,
                        w_out: np.ndarray, b_out: np.ndarray,
                        hidden: np.ndarray, out: np.ndarray) -> np.ndarray:
     """:func:`forward_stack` of T realizations in caller-owned buffers.
 
-    ``xT`` is the batch unit by pattern, (16, H), and the weights are
-    stacks (T, 16, 8) and (T, 8, 4).  ``hidden`` (at least T * 8 rows of
-    H) and ``out`` (at least T blocks of (4, H)) are work buffers; the
-    result is the view ``out[:T]``, (T, 4, H).  The hidden layer is one
-    (T * 8, 16) @ (16, H) product and the output layer one stacked
-    (T, 4, 8) @ (T, 8, H) product; bias, slope and clip act in place.
+    ``xT`` is the batch as :func:`unit_by_pattern` lays it out, (17, H),
+    and the weights are stacks (T, 16, 8) and (T, 8, 4).  ``hidden`` and
+    ``out`` are work buffers from :func:`stack_buffers` for at least T
+    realizations; the result is the view ``out[:T]``, (T, 4, H).  Each
+    bias is the last term of its layer's product: the hidden layer is
+    (T, 8, 17) @ (17, H), against the ones row of ``xT``, and the output
+    layer (T, 4, 9) @ (T, 9, H), against the ones row of each hidden
+    block.  Added last, a bias rounds as ``product + bias`` does, so the
+    outputs equal :func:`forward_stack`'s bit for bit.  Slope and clip act
+    in place.
     """
     f = activation
     n = len(w_hidden)
-    hidden, out = hidden[:n * N_HIDDEN], out[:n]
-    np.matmul(w_hidden.transpose(0, 2, 1).reshape(n * N_HIDDEN, N_INPUT),
-              xT, out=hidden)
-    a1 = hidden.reshape(n, N_HIDDEN, -1)
-    a1 += b_hidden[:, None]
+    hidden, out = hidden[:n], out[:n]
+    a1 = hidden[:, :N_HIDDEN]
+    np.matmul(_with_bias(w_hidden, b_hidden), xT, out=a1)
     if f.slope != 1.0:           # a product with 1.0 changes no bit
         a1 *= f.slope
     np.clip(a1, f.lower, f.upper, out=a1)
-    np.matmul(w_out.transpose(0, 2, 1), a1, out=out)
-    out += b_out[:, None]
+    np.matmul(_with_bias(w_out, b_out), hidden, out=out)
     if f.slope != 1.0:
         out *= f.slope
     np.clip(out, f.lower, f.upper, out=out)
@@ -189,10 +222,14 @@ class ScoreBatch:
     once, here, so scoring allocates no array of T * H elements.
 
     The prediction is the first maximal output, or the reject class where
-    that maximum is not positive (a NaN maximum also rejects): passes
-    from the last output row to the first keep the running maximum and,
-    by ``>=``, hand ties to the earlier row.  One ``wrong @ onehot``
-    product counts the errors of every class.
+    that maximum is not positive.  The patterns are sorted by class once,
+    so each class is one segment of columns, decided by its own rule: a
+    pattern of class c < 4 is right where ``out_c > max(0, out_k, k < c)``
+    and ``out_c >= max(out_k, k > c)``; an Sr pattern is right unless
+    ``max(out_k) > 0``.  ``np.maximum`` propagates NaN and every
+    comparison with NaN is false, so a NaN output rejects, as it did
+    under the running-argmax rule.  A class's errors are the wrong
+    patterns counted in its segment.
     """
 
     def __init__(self, net: MlpParams, x: np.ndarray, codes: np.ndarray,
@@ -202,22 +239,28 @@ class ScoreBatch:
             raise ShapeMismatchError(f"need ({len(codes)}, {N_INPUT}) patterns "
                                      f"for {len(codes)} labels, got {x.shape}")
         self.net = net
-        self.xT = np.ascontiguousarray(x.T)
-        self.codes = codes.astype(np.int8)
-        self.onehot = (codes[:, None] == np.arange(len(LABELS))).astype(float)
+        self.patterns = len(codes)
+        self.xT = unit_by_pattern(x[np.argsort(codes, kind="stable")])
+        sizes = np.bincount(codes, minlength=len(LABELS))
+        # the classes present, their sizes and the first column of each;
+        # reduceat would read an empty segment as one element, so none is kept
+        self.classes = np.flatnonzero(sizes)
+        self.sizes = sizes[self.classes]
+        self.starts = np.cumsum(sizes)[self.classes] - self.sizes
+        self.segments = [(c, slice(start, start + size)) for c, start, size
+                         in zip(self.classes.tolist(), self.starts.tolist(),
+                                self.sizes.tolist())]
         h = len(x)
         fit = _SCORE_BYTES // (N_HIDDEN * h * x.itemsize)
         b = self.block = max(1, min(trials, fit))
-        self.hidden = np.empty((b * N_HIDDEN, h))
-        self.out = np.empty((b, N_OUTPUT, h))
-        self.best = np.empty((b, h))                 # running maximum output
-        self.pred = np.empty((b, h), dtype=np.int8)  # predicted class code
-        self.wrong = np.empty((b, h))                # 1.0 where misclassified
-        self.mask = np.empty((b, h), dtype=bool)
+        self.hidden, self.out = stack_buffers(b, h)
+        self.best = np.empty((b, h))                 # maximum of the rivals
+        self.mask = np.empty((b, h), dtype=bool)     # one condition
+        self.right = np.empty((b, h), dtype=bool)    # classified right
 
     def errors(self, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
         """Misclassified patterns per realization and class, (T, 5)."""
-        counts = np.empty((len(w1), len(LABELS)))
+        counts = np.zeros((len(w1), len(LABELS)))
         for start in range(0, len(w1), self.block):
             rows = slice(start, start + self.block)
             self._score_block(w1[rows], w2[rows], counts[rows])
@@ -225,26 +268,44 @@ class ScoreBatch:
 
     def error_rates(self, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
         """Share of misclassified patterns per realization, in percent."""
-        return 100.0 * self.errors(w1, w2).sum(axis=1) / len(self.codes)
+        return 100.0 * self.errors(w1, w2).sum(axis=1) / self.patterns
 
     def _score_block(self, w1: np.ndarray, w2: np.ndarray,
                      counts: np.ndarray) -> None:
         n, net = len(w1), self.net
         out = forward_stack_into(net.activation, self.xT, w1, net.b_hidden,
                                  w2, net.b_out, self.hidden, self.out)
-        best, pred, wrong, mask = (self.best[:n], self.pred[:n],
-                                   self.wrong[:n], self.mask[:n])
-        np.copyto(best, out[:, N_OUTPUT - 1])
-        pred.fill(N_OUTPUT - 1)
-        for k in range(N_OUTPUT - 2, -1, -1):
-            np.greater_equal(out[:, k], best, out=mask)
-            np.copyto(pred, k, where=mask)
-            np.maximum(best, out[:, k], out=best)
-        np.greater(best, 0.0, out=mask)
-        np.logical_not(mask, out=mask)
-        np.copyto(pred, len(LABELS) - 1, where=mask)
-        np.not_equal(pred, self.codes, out=wrong)
-        np.matmul(wrong, self.onehot, out=counts)
+        for c, cols in self.segments:
+            o = out[:, :, cols]
+            best, mask, right = (self.best[:n, cols], self.mask[:n, cols],
+                                 self.right[:n, cols])
+            if c == N_OUTPUT:                        # Sr: no output above 0
+                np.greater(_maximum(o, range(N_OUTPUT), best), 0.0, out=mask)
+                np.logical_not(mask, out=right)
+                continue
+            # above 0 and every earlier output, at least every later one
+            np.greater(o[:, c], _maximum(o, range(c), best, 0.0), out=right)
+            if c < N_OUTPUT - 1:
+                np.greater_equal(o[:, c],
+                                 _maximum(o, range(c + 1, N_OUTPUT), best),
+                                 out=mask)
+                right &= mask
+        counts[:, self.classes] = self.sizes - np.add.reduceat(
+            self.right[:n], self.starts, axis=1, dtype=np.intp)
+
+
+def _maximum(o: np.ndarray, rows: range, best: np.ndarray,
+             floor: float | None = None):
+    """Elementwise maximum of the output rows ``rows`` of ``o``, (T, 4, n),
+    and of ``floor`` if given: computed into ``best``, or the one operand
+    itself when there is only one."""
+    operands = [o[:, k] for k in rows] + ([] if floor is None else [floor])
+    if len(operands) == 1:
+        return operands[0]
+    np.maximum(operands[0], operands[1], out=best)
+    for operand in operands[2:]:
+        np.maximum(best, operand, out=best)
+    return best
 
 
 def forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
@@ -291,26 +352,24 @@ class _TrainBatch:
 
     def __init__(self, x: np.ndarray, y: np.ndarray, panel: int = 0):
         self.x = x
-        self.xT = np.ascontiguousarray(x.T)
+        self.xT = unit_by_pattern(x)
         self.yT = np.ascontiguousarray(y.T)
         h = x.shape[0]
         units = (N_HIDDEN, N_OUTPUT)
-        # activation input slope * z, activation, derivative, delta
+        # activation input slope * z (then the derivative), activation, delta
         self.v = tuple(np.empty((n, h)) for n in units)
         self.a = tuple(np.empty((n, h)) for n in units)
-        self.deriv = tuple(np.empty((n, h)) for n in units)
         self.d = tuple(np.empty((n, h)) for n in units)
         self.err = np.empty((N_OUTPUT, h))
         self.d2_rows = np.empty((h, N_OUTPUT))
         self.loss_row = np.empty(h)
         if panel:
-            self.panel_hidden = np.empty((panel * N_HIDDEN, h))
-            self.panel_out = np.empty((panel, N_OUTPUT, h))
+            self.panel_hidden, self.panel_out = stack_buffers(panel, h)
 
     def _forward(self, params: MlpParams) -> None:
         f = params.activation
         (v1, v2), (a1, a2) = self.v, self.a
-        np.matmul(params.w_hidden.T, self.xT, out=v1)
+        np.matmul(params.w_hidden.T, self.xT[:N_INPUT], out=v1)
         v1 += params.b_hidden[:, None]
         if f.slope != 1.0:           # a product with 1.0 changes no bit
             v1 *= f.slope
@@ -344,9 +403,11 @@ class _TrainBatch:
         saturated), and for ``0 <= leak <= 1`` the maximum of that mask
         times the slope and ``leak * slope`` is the slope or
         ``leak * slope``: the factors of :meth:`Activation.derivative`.
+        They overwrite ``v``, which nothing reads again before the next
+        forward pass.
         """
-        g = self.deriv[layer]
-        np.equal(self.a[layer], self.v[layer], out=g)
+        g = self.v[layer]
+        np.equal(self.a[layer], g, out=g)
         if f.slope != 1.0:
             g *= f.slope
         np.maximum(g, leak * f.slope, out=g)

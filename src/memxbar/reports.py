@@ -31,6 +31,10 @@ BOUNDS_SVG = "analyze/weight_bounds.svg"
 SWEEP_CSV = "sweep/sweep.csv"
 SWEEP_SVG = "sweep/sweep.svg"
 
+# error-rate columns of TRIALS_CSV, after its "trial" column
+TRIALS_COLUMNS = {"overall": "p_err_percent", "sites": "p_err_sites_percent",
+                  "extraneous": "p_err_extraneous_percent"}
+
 
 @contextlib.contextmanager
 def replacing(path, newline=None):
@@ -77,20 +81,30 @@ def render_learning_curve(curve, path) -> None:
 
 
 def write_trials_csv(path, p_err, sites, extraneous) -> None:
-    write_csv(path, ["trial", "p_err_percent", "p_err_sites_percent",
-                     "p_err_extraneous_percent"],
+    write_csv(path, ["trial", *TRIALS_COLUMNS.values()],
               zip(range(len(p_err)), p_err.tolist(), sites.tolist(),
                   extraneous.tolist()))
 
 
 def read_trials_csv(path) -> dict:
-    cols = {"overall": [], "sites": [], "extraneous": []}
+    """The error-rate columns of a trials CSV, by their ``TRIALS_COLUMNS``
+    key, as ``csv.DictReader`` would read them: blank lines are skipped,
+    a column the header lacks raises KeyError once there is a row, a row
+    too short to hold a column raises TypeError and a field that is no
+    number raises ValueError.  The header is looked up once and each field
+    is converted by one ``float()`` call."""
     with open(path, newline="") as fh:
-        for rec in csv.DictReader(fh):
-            cols["overall"].append(float(rec["p_err_percent"]))
-            cols["sites"].append(float(rec["p_err_sites_percent"]))
-            cols["extraneous"].append(float(rec["p_err_extraneous_percent"]))
-    return {k: np.array(v) for k, v in cols.items()}
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        rows = [row for row in reader if row]
+    if not rows:
+        return {key: np.array([]) for key in TRIALS_COLUMNS}
+    index = {name: k for k, name in enumerate(header)}
+    cols = [index[name] for name in TRIALS_COLUMNS.values()]
+    if min(map(len, rows)) <= max(cols):
+        raise TypeError(f"{path}: a row has fewer fields than the header")
+    return {key: np.array([float(row[k]) for row in rows])
+            for key, k in zip(TRIALS_COLUMNS, cols)}
 
 
 def render_p_err_box(trials: dict, x_p: float, path) -> None:

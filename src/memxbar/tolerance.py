@@ -19,16 +19,19 @@ each row equals one ``truncated_normal`` call on the trial's substream,
 bit for bit, so the streams and every draw are those of a per-trial loop.
 Synthesis draws ``z`` once and every probe reuses it (common random
 numbers), so probes at different limits score the same trials and the
-bisection compares limits, not noise.  A probe scores chunks in trial
-order, stops after the first chunk whose worst trial misses the budget,
-and computes no weight-error bands.
+bisection compares limits, not noise.  A probe scores its trials in
+order, one scorer block at a time, stops at its first trial that misses
+the budget, so its report covers trials 0 to k whatever the chunk size,
+and computes no weight-error bands.  Specs that perturb nothing give
+every trial the nominal weights, so such an analysis scores one
+realization and repeats its counts.
 
 Trials are scored serially, chunk by chunk, by the network's one
 classifier, :class:`~memxbar.netmodel.ScoreBatch`, in unit-by-pattern
 buffers that each analysis allocates once: blocks of trials small enough
 to stay in a core's cache run through the stacked forward kernel that
-training shares, and one product of the misclassification matrix with a
-one-hot class matrix gives every per-class error count.  The draws'
+training shares, and each class's errors are counted in its own segment
+of the class-sorted patterns.  The draws'
 per-trial loop (one generator and one fill call per trial) runs in Python
 under the interpreter lock, so a pool of scoring workers gains too little
 to keep (on a 2-core host, less than the run-to-run spread).  A full
@@ -390,30 +393,52 @@ def _score_trials(net: MlpParams, compiled: CompiledNet, cols: _Columns,
     and, unless ``probe`` is given, the weight-error bands of their
     weight stacks, layer -> (in, out, 2).
 
-    The scoring buffers live only as long as this call.
+    A probe builds each chunk's weight stacks at once, scores them one
+    scorer block at a time and stops at its first trial whose error rate
+    exceeds ``x_p``.  Specs that perturb nothing give every trial the
+    nominal weights (``nominal * (1 + 0 * z)`` is exact), so one
+    realization is scored and stands for all of them.  The scoring
+    buffers live only as long as this call.
     """
     batch = ScoreBatch(net, x, codes, min(_CHUNK, trials))
-    sizes = np.bincount(codes, minlength=len(LABELS))
-    counts = np.empty((trials, len(LABELS)))
+    same = not cols.sigma.any()
+    scored = 1 if same else trials
+    counts = np.empty((scored, len(LABELS)))
     tails = {name: np.empty((0,) + layer.r_m1.shape)
              for name, layer in compiled.layers()}
-    for start in range(0, trials, _CHUNK):
-        count = min(_CHUNK, trials - start)
-        z = (trial_draws(cols.limit, master, start, count).z
-             if probe is None else probe.z[start:start + count])
-        stacks = _perturbed_weights(compiled, cols, z)
+    for start in range(0, scored, _CHUNK):
+        count = min(_CHUNK, scored - start)
+        if same:
+            z = np.zeros((1, cols.limit.size))
+        elif probe is None:
+            z = trial_draws(cols.limit, master, start, count).z
+        else:
+            z = probe.z[start:start + count]
+        w1, w2 = stacks = _perturbed_weights(compiled, cols, z)
         rows = counts[start:start + count]
-        rows[...] = batch.errors(*stacks)
         if probe is None:
+            rows[...] = batch.errors(w1, w2)
             for (name, layer), w in zip(compiled.layers(), stacks):
                 err = _weight_error(w, layer.weights())
                 tails[name] = _keep_tails(
                     np.concatenate((tails[name], err)), trials)
-        elif _rates(rows, sizes)[0].max() > x_p:
-            return counts[:start + count], {}
-    return counts, ({} if probe is not None else
-                    {name: _tail_percentiles(band_tails, trials)
-                     for name, band_tails in tails.items()})
+            continue
+        for lo in range(0, count, batch.block):
+            block = slice(lo, lo + batch.block)
+            rows[block] = batch.errors(w1[block], w2[block])
+            failing = np.flatnonzero(     # the report's overall rate
+                _percent(rows[block].sum(axis=1), len(codes)) > x_p)
+            if failing.size:
+                return counts[:start + lo + failing[0] + 1], {}
+    if same:
+        counts = np.repeat(counts, trials, axis=0)
+    if probe is not None:
+        return counts, {}
+    if same:                     # every trial has the one realization's error
+        tails = {name: np.broadcast_to(t, (trials,) + t.shape[1:])
+                 for name, t in tails.items()}
+    return counts, {name: _tail_percentiles(band_tails, trials)
+                    for name, band_tails in tails.items()}
 
 
 def analyze_tolerances(net: MlpParams, compiled: CompiledNet, specs: dict,
@@ -430,11 +455,16 @@ def analyze_tolerances(net: MlpParams, compiled: CompiledNet, specs: dict,
     Trials use counter-derived substreams and are scored serially in
     chunks of ``_CHUNK``; the report does not depend on the chunk size.
 
+    Specs whose limits are all zero score one realization for all trials:
+    each trial's weights are then the nominal ones, so the report is the
+    one scoring every trial would give.
+
     A synthesis probe passes ``probe``, the ``trial_draws`` of all
     ``trials`` trials, shared by every probe of one search; they must have
-    been drawn at the truncation limits of ``specs``.  A probe stops after
-    the first chunk whose worst trial exceeds ``x_p``; its report covers
-    only the trials scored and has no weight-error bands.
+    been drawn at the truncation limits of ``specs``.  A probe stops at
+    its first trial whose error rate exceeds ``x_p``: its report covers
+    trials 0 to that one, whatever the chunk size, and has no weight-error
+    bands.
     """
     master = int(seed)
     cols = _columns(compiled, specs)

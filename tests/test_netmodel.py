@@ -12,7 +12,8 @@ from memxbar.mapping import (ResistanceRange, quantize_weights,
 from memxbar.netmodel import (Activation, MlpParams, ScoreBatch, TrainConfig,
                               TrainResult, _TrainBatch, evaluate, forward,
                               forward_stack, forward_stack_into, gradients,
-                              init_params, label_codes, mse, train_discrete)
+                              init_params, label_codes, mse, stack_buffers,
+                              train_discrete, unit_by_pattern)
 from memxbar.stats import truncated_normal
 
 from helpers import blas_threads
@@ -455,9 +456,10 @@ def test_forward_stack_into_equals_forward_stack(activation):
     w1 = params.w_hidden + 0.3 * rng.standard_normal((6, 16, 8))
     w2 = params.w_out + 0.3 * rng.standard_normal((6, 8, 4))
     # buffers for more trials than are passed: only the leading ones count
-    hidden = np.full((9 * 8, len(x)), np.nan)
-    out = np.full((9, 4, len(x)), np.nan)
-    got = forward_stack_into(activation, np.ascontiguousarray(x.T), w1,
+    hidden, out = stack_buffers(9, len(x))
+    hidden[:, :8] = np.nan
+    out[...] = np.nan
+    got = forward_stack_into(activation, unit_by_pattern(x), w1,
                              params.b_hidden, w2, params.b_out, hidden, out)
     ref = forward_stack(activation, x, w1, params.b_hidden, w2, params.b_out)
     assert got.shape == (6, 4, len(x))

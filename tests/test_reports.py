@@ -1,6 +1,7 @@
 """CSV round trips, atomic artifact writes and deterministic SVG emission."""
 
 import ast
+import csv
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -33,6 +34,66 @@ def test_trials_csv_round_trip(tmp_path):
     assert np.array_equal(back["overall"], overall)
     assert np.array_equal(back["sites"], sites)
     assert np.array_equal(back["extraneous"], extraneous)
+
+
+def test_trials_csv_round_trip_keeps_every_bit(tmp_path):
+    awkward = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                        1.7976931348623157e308, 0.1 + 0.2, 100.0 / 3.0,
+                        -1.0 / 3.0, np.nextafter(1.0, 2.0), np.inf, -np.inf,
+                        np.nan])
+    rng = np.random.default_rng(1)
+    overall = np.concatenate((awkward, rng.uniform(0, 100, 50)))
+    sites, extraneous = rng.permutation(overall), overall[::-1].copy()
+    path = tmp_path / "trials.csv"
+    write_trials_csv(path, overall, sites, extraneous)
+    back = read_trials_csv(path)
+    for key, sent in (("overall", overall), ("sites", sites),
+                      ("extraneous", extraneous)):
+        assert back[key].dtype == np.float64
+        assert np.array_equal(back[key].view(np.uint64),
+                              sent.view(np.uint64)), key
+
+
+def dict_reader_trials(path) -> dict:
+    """The trials CSV read through ``csv.DictReader``, one dict per row."""
+    cols = {"overall": [], "sites": [], "extraneous": []}
+    with open(path, newline="") as fh:
+        for rec in csv.DictReader(fh):
+            cols["overall"].append(float(rec["p_err_percent"]))
+            cols["sites"].append(float(rec["p_err_sites_percent"]))
+            cols["extraneous"].append(float(rec["p_err_extraneous_percent"]))
+    return {k: np.array(v) for k, v in cols.items()}
+
+
+HEADER = "trial,p_err_percent,p_err_sites_percent,p_err_extraneous_percent\n"
+
+
+@pytest.mark.parametrize("text", [
+    "",
+    HEADER,
+    HEADER + "0,1.5,2.5,0.5\n\n1,3,4e-1,nan\n",
+    HEADER + "0,1.5,2.5,0.5,extra\n",
+    "p_err_percent,trial,p_err_extraneous_percent,p_err_sites_percent\n"
+    "1.5,0,0.5,2.5\n",
+    "trial,p_err_percent,p_err_sites_percent\n",
+    "trial,p_err_percent,p_err_sites_percent\n0,1.5,2.5\n",
+    HEADER + "0,1.5,2.5\n",
+    HEADER + "0,1.5,abc,0.5\n",
+    HEADER + "0,1.5,,0.5\n",
+])
+def test_trials_csv_reads_as_dict_reader_does(tmp_path, text):
+    path = tmp_path / "trials.csv"
+    path.write_text(text)
+    try:
+        want = dict_reader_trials(path)
+    except Exception as exc:
+        with pytest.raises(type(exc)):
+            read_trials_csv(path)
+        return
+    got = read_trials_csv(path)
+    assert got.keys() == want.keys()
+    for key in want:
+        assert np.array_equal(got[key], want[key], equal_nan=True), key
 
 
 def test_bounds_csv_round_trip(tmp_path):

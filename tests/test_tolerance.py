@@ -11,7 +11,8 @@ from memxbar.mapping import (CompiledLayer, CompiledNet, ResistanceRange,
                              SynapseNominals, quantize_weights,
                              symmetric_weight_states)
 from memxbar.netmodel import (LABELS, MlpParams, ScoreBatch, evaluate,
-                              forward_stack, init_params)
+                              forward_stack, forward_stack_into, init_params,
+                              stack_buffers, unit_by_pattern)
 from memxbar.pipeline import _STREAM, RunConfig, _default_plan, _load_params
 from memxbar.stats import (clopper_pearson_upper, subseed, substream,
                            truncated_normal)
@@ -157,6 +158,34 @@ def test_analysis_zero_deltas_degenerate(small_mc, default_net,
     assert np.all(report.p_err == nominal)
 
 
+def scored_realizations(monkeypatch) -> list:
+    """The number of realizations of each ``ScoreBatch.errors`` call."""
+    calls, errors = [], ScoreBatch.errors
+
+    def counting(self, w1, w2):
+        calls.append(len(w1))
+        return errors(self, w1, w2)
+
+    monkeypatch.setattr(ScoreBatch, "errors", counting)
+    return calls
+
+
+@pytest.mark.parametrize("trials", [1, 300])
+def test_unperturbed_analysis_scores_one_realization(monkeypatch, small_mc,
+                                                     probe, trials):
+    # limits of 1e-300 perturb, but 1 + sigma * z rounds to 1.0, so every
+    # trial of that analysis, scored one by one, has the nominal weights
+    exact = small_mc(specs=tolerance_set(1e-300, 1e-300), trials=trials)
+    calls = scored_realizations(monkeypatch)
+    zero = small_mc(specs=tolerance_set(0.0, 0.0), trials=trials)
+    assert calls == [1]
+    assert np.array_equal(zero.p_err, exact.p_err)
+    assert zero.to_dict() == exact.to_dict()
+    calls.clear()
+    assert probe(tolerance_set(0.0, 0.0), trials).trials == trials
+    assert calls == [1]
+
+
 def test_analysis_rates_are_percentages(small_mc):
     report = small_mc()
     for arr in (report.p_err, report.p_err_sites, report.p_err_extraneous):
@@ -192,7 +221,10 @@ def probe(default_net, default_compiled, default_test_split):
     return run
 
 
-@pytest.mark.parametrize("r_m, passes", [(0.1, True), (0.63, False)])
+# in the default run, 0.33 first fails in the second chunk of 250 trials
+# and 0.63 in the first scorer block
+@pytest.mark.parametrize("r_m, passes", [(0.1, True), (0.33, False),
+                                          (0.63, False)])
 def test_probe_verdict_matches_full_analysis(small_mc, probe, r_m, passes):
     specs = tolerance_set(r_m, 0.01)
     full = small_mc(specs=specs, trials=500)
@@ -203,10 +235,20 @@ def test_probe_verdict_matches_full_analysis(small_mc, probe, r_m, passes):
     if passes:
         assert early.trials == 500
     else:
-        # stopped after the first chunk of 250 with a failing trial
-        assert early.trials % 250 == 0 and early.trials <= 500
-        assert early.p_err[early.trials - 250:].max() > 5.0
-        assert early.p_err[:early.trials - 250].max(initial=0.0) <= 5.0
+        # stopped at the first failing trial, whichever chunk it lies in
+        first = int(np.flatnonzero(full.p_err > 5.0)[0])
+        assert early.trials == first + 1
+        assert early.max_p_err == full.p_err[first]
+
+
+@pytest.mark.parametrize("chunk", [7, 50])
+def test_probe_ignores_chunk_size(monkeypatch, probe, chunk):
+    specs = tolerance_set(0.33, 0.01)
+    whole = probe(specs, 500)
+    monkeypatch.setattr(tolerance, "_CHUNK", chunk)
+    report = probe(specs, 500)
+    assert np.array_equal(report.p_err, whole.p_err)
+    assert report.to_dict() == whole.to_dict()
 
 
 def test_probes_at_same_deltas_are_identical(probe):
@@ -500,6 +542,59 @@ def test_scorer_equals_forward_stack_classification(block):
         assert np.array_equal(per_class[label], ref[1][label]), label
     assert np.array_equal(sites, ref[2])
     assert np.array_equal(extraneous, ref[3])
+
+
+def reference_counts(net, w1, w2, x, codes):
+    """Misclassified patterns per trial and class, (trials, 5), by argmax
+    over ``forward_stack`` with reject where the maximum output is not
+    positive (a NaN maximum included)."""
+    out = forward_stack(net.activation, x, w1, net.b_hidden, w2, net.b_out)
+    pred = np.where(out.max(axis=2) > 0, out.argmax(axis=2), len(LABELS) - 1)
+    wrong = pred != codes[None, :]
+    return np.stack([wrong[:, codes == k].sum(axis=1)
+                     for k in range(len(LABELS))], axis=1)
+
+
+@pytest.mark.parametrize("block", [1, 2, 64])
+@pytest.mark.parametrize("absent, instead", [(0, 1), (4, 3)])
+def test_scorer_counts_with_no_first_or_no_last_class(block, absent,
+                                                      instead):
+    # with S3 also absent, the first or the last segment and a middle one
+    # are empty
+    net, x, codes, w1, w2 = scorer_problem()
+    codes = np.where(codes == absent, instead, codes)
+    counts = ScoreBatch(net, x, codes, block).errors(w1, w2)
+    assert np.array_equal(counts, reference_counts(net, w1, w2, x, codes))
+    assert not counts[:, [absent, 2]].any()
+
+
+def test_scorer_rejects_every_pattern_of_a_trial_with_nan_weights():
+    net, x, codes, w1, w2 = scorer_problem()
+    w1[5, 3, 2] = np.nan          # every output of trial 5 is NaN
+    w2[6, 0, 3] = np.nan          # output S4 of trial 6 is NaN
+    counts = ScoreBatch(net, x, codes, 4).errors(w1, w2)
+    assert np.array_equal(counts, reference_counts(net, w1, w2, x, codes))
+    sizes = np.bincount(codes, minlength=len(LABELS))
+    for trial in (5, 6):
+        assert np.array_equal(counts[trial], np.append(sizes[:-1], 0))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("r_m", [0.0, 0.2, 0.63])
+def test_fused_forward_equals_forward_stack_on_analysis_stacks(
+        default_net, default_compiled, default_test_split, threads, r_m):
+    x_test, _ = default_test_split
+    cols = tolerance._columns(default_compiled, tolerance_set(r_m, 0.01))
+    w1, w2 = tolerance._perturbed_weights(
+        default_compiled, cols, trial_draws(cols.limit, 3, 0, 24).z)
+    net = default_net
+    hidden, out = stack_buffers(len(w1), len(x_test))
+    with blas_threads(threads):
+        got = forward_stack_into(net.activation, unit_by_pattern(x_test), w1,
+                                 net.b_hidden, w2, net.b_out, hidden, out)
+        ref = forward_stack(net.activation, x_test, w1, net.b_hidden, w2,
+                            net.b_out)
+    assert np.array_equal(got, ref.transpose(0, 2, 1))
 
 
 def test_scoring_allocates_no_chunk_sized_array():
