@@ -90,11 +90,6 @@ class StimulusProfile:
                    dac_step=d.get("dac_step", 0.0025))
 
 
-def save_profile(profile: StimulusProfile, path) -> None:
-    with replacing(path) as fh:
-        json.dump(profile.to_dict(), fh, indent=2)
-
-
 def load_profile(path) -> StimulusProfile:
     with open(path) as fh:
         return StimulusProfile.from_dict(json.load(fh))

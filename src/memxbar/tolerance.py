@@ -7,16 +7,15 @@ evaluated per trial.  Analysis checks the worst trial against a permitted
 error level; synthesis searches for the widest error limits that still
 pass.
 
-Each trial draws its randomness once, in standard units: the trial's own
-counter-derived substream gives one value ``z`` per perturbed part (344
-for the 16-8-4 network), truncated at the part's ``limit_sigmas``, and the
-part's value is ``nominal * (1 + spec.sigma * z)``.  So reports are
-reproducible bit for bit, independent of chunk size, and ``z`` does not
-depend on any error limit.  :func:`trial_draws` seeds a block of trials'
-substreams in one vectorized pass (:func:`~memxbar.stats.substreams`),
-fills one row per trial and redraws only the entries outside their limit;
-each row equals one ``truncated_normal`` call on the trial's substream,
-bit for bit, so the streams and every draw are those of a per-trial loop.
+Each trial draws its randomness once, in standard units: one value ``z``
+per perturbed part (344 for the 16-8-4 network), truncated at the part's
+``limit_sigmas``, and the part's value is ``nominal * (1 + spec.sigma *
+z)``.  The draws are keyed by fixed blocks of ``_DRAW_BLOCK`` trials:
+:func:`trial_draws` fills each block's rows with one ``truncated_normal``
+call on the block's own counter-derived substream.  So each trial's ``z``
+is a fixed function of the seed and the trial, reports are reproducible
+bit for bit, independent of chunk size, and ``z`` does not depend on any
+error limit.
 Synthesis draws ``z`` once and every probe reuses it (common random
 numbers), so probes at different limits score the same trials and the
 bisection compares limits, not noise.  A probe scores its trials in
@@ -31,10 +30,7 @@ classifier, :class:`~memxbar.netmodel.ScoreBatch`, in unit-by-pattern
 buffers that each analysis allocates once: blocks of trials small enough
 to stay in a core's cache run through the stacked forward kernel that
 training shares, and each class's errors are counted in its own segment
-of the class-sorted patterns.  The draws'
-per-trial loop (one generator and one fill call per trial) runs in Python
-under the interpreter lock, so a pool of scoring workers gains too little
-to keep (on a 2-core host, less than the run-to-run spread).  A full
+of the class-sorted patterns.  A full
 analysis takes each synapse's weight-error band from the weight stacks of
 the trials it scores, so the band and the verdict share one draw and one
 error model, in which each row of a pair has its own feedback resistor.
@@ -56,7 +52,7 @@ from .mapping import (CompiledNet, ResistanceRange, SynapseNominals,
                       quantize_weights, symmetric_weight_states)
 from .netmodel import LABELS, MlpParams, ScoreBatch, label_codes
 from .reports import replacing, write_trials_csv
-from .stats import (clopper_pearson_upper, is_real, substreams,
+from .stats import (clopper_pearson_upper, is_real, substream,
                     truncated_normal)
 
 PERCENTILE_PAIR = (0.05, 99.95)   # weight-band and report percentiles
@@ -71,6 +67,7 @@ TOLERANCE_DEFAULTS = {"r_m": 0.2, "r_f": 0.01, "limit_sigmas": 3.0}
 MIN_BAND_TRIALS = 1000           # trials for a stable weight-band percentile
 
 _STREAM_TRIAL = 0
+_DRAW_BLOCK = 250                # trials keyed by one draw substream
 _CHUNK = 250                     # trials drawn and scored at a time
 _PAIRINGS = 16                   # row pairings per draw in weight_error_bounds
 
@@ -322,31 +319,23 @@ def trial_draws(limit: np.ndarray, seed: int, start: int,
     """Standard draws ``z`` of trials [start, start+count), one row each.
 
     Column ``j`` is truncated at ``limit[j]`` standard deviations, the
-    ``_columns`` limit of its part.  Row ``k`` equals
-    ``truncated_normal(substream(seed, _STREAM_TRIAL, start + k), 0.0,
-    1.0, limit, limit.size)`` bit for bit and does not depend on any
-    ``delta``.  The trials' generators come from one ``substreams`` call
-    and each fills its row; then, round by round as ``truncated_normal``
-    takes them, one vectorized test finds the entries outside their
-    limit and each row that has some redraws just those, in column
-    order, from its own generator.
+    ``_columns`` limit of its part.  Trials are keyed by blocks of
+    ``_DRAW_BLOCK``: block ``b`` holds trials ``b * _DRAW_BLOCK`` onward
+    and is one ``truncated_normal(substream(seed, _STREAM_TRIAL, b), 0.0,
+    1.0, limit, (_DRAW_BLOCK, limit.size))`` call, so each row depends
+    only on ``seed`` and its trial, not on ``start``, ``count`` or any
+    ``delta``.  A negative ``start`` or ``count`` raises ValueError.
     """
-    z = np.empty((count, limit.size))
-    rngs = substreams(int(seed), _STREAM_TRIAL, start=start, count=count)
-    for rng, row in zip(rngs, z):
-        rng.standard_normal(out=row)
-    # truncated_normal's ``* 1.0 + 0.0`` changes only a -0.0 draw, to +0.0
-    z += 0.0
-    rows, cols = np.divmod(np.flatnonzero(np.abs(z) > limit), limit.size)
-    while rows.size:
-        trials, counts = np.unique(rows, return_counts=True)
-        redraw = np.concatenate([rngs[k].standard_normal(n) for k, n in
-                                 zip(trials.tolist(), counts.tolist())])
-        redraw += 0.0
-        z[rows, cols] = redraw
-        bad = np.abs(redraw) > limit[cols]
-        rows, cols = rows[bad], cols[bad]
-    return TrialDraws(z, limit)
+    if start < 0 or count < 0:
+        raise ValueError("start and count must be >= 0, got "
+                         f"start={start}, count={count}")
+    blocks = range(start // _DRAW_BLOCK, -(-(start + count) // _DRAW_BLOCK))
+    z = np.empty((len(blocks), _DRAW_BLOCK, limit.size))
+    for b, block in zip(blocks, z):
+        truncated_normal(substream(int(seed), _STREAM_TRIAL, b), 0.0, 1.0,
+                         limit, block.shape, out=block)
+    rows = z.reshape(-1, limit.size)[start % _DRAW_BLOCK:]
+    return TrialDraws(rows[:count], limit)
 
 
 def _perturbed_weights(compiled: CompiledNet, cols: _Columns, z: np.ndarray):
@@ -452,7 +441,7 @@ def analyze_tolerances(net: MlpParams, compiled: CompiledNet, specs: dict,
     full trial distribution, per-class worst cases, and per-synapse weight
     error bands over the same trials; ``passed`` compares the worst trial
     against ``x_p``.
-    Trials use counter-derived substreams and are scored serially in
+    Trials are drawn per block of ``_DRAW_BLOCK`` and scored serially in
     chunks of ``_CHUNK``; the report does not depend on the chunk size.
 
     Specs whose limits are all zero score one realization for all trials:

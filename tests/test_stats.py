@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 
 import memxbar
-from memxbar.stats import (clopper_pearson_upper, subseed, substream,
-                           substreams, truncated_normal)
+from memxbar.stats import clopper_pearson_upper, truncated_normal
 
 
 def test_clopper_pearson_zero_failures_is_closed_form():
@@ -73,6 +72,16 @@ def test_truncated_normal_equals_whole_array_normal_draws(mean, sigma, limit):
         assert np.all(np.abs(got - mean) <= limit * np.asarray(sigma))
 
 
+def test_truncated_normal_fills_out_in_place():
+    out = np.full(SHAPE, np.nan)
+    got = truncated_normal(np.random.default_rng(3), ARRAY_MEAN, 0.3,
+                           ARRAY_LIMIT, SHAPE, out=out)
+    ref = truncated_normal(np.random.default_rng(3), ARRAY_MEAN, 0.3,
+                           ARRAY_LIMIT, SHAPE)
+    assert got is out
+    assert np.array_equal(out, ref)
+
+
 def test_truncated_normal_low_limit_takes_several_rounds():
     # at 0.25 sigma about four draws in five are redrawn, round after round
     rng = np.random.default_rng(8)
@@ -83,48 +92,6 @@ def test_truncated_normal_low_limit_takes_several_rounds():
     assert np.array_equal(got, ref)
     # both leave the generator at the same place
     assert rng.standard_normal() == tail.standard_normal()
-
-
-MASTERS = [0, 1, 2**32 - 1, 2**32, subseed(20260826, 3, 0), 2**64 + 3]
-
-
-@pytest.mark.parametrize("master", MASTERS)
-@pytest.mark.parametrize("start", [0, 1, 2**32 - 3])
-def test_substreams_equal_substream_bit_for_bit(master, start):
-    """Also the guard against a numpy release that seeds differently."""
-    got = substreams(master, 0, start=start, count=3)
-    assert len(got) == 3
-    for k, rng in enumerate(got):
-        ref = substream(master, 0, start + k)
-        assert rng.bit_generator.state == ref.bit_generator.state
-        assert np.array_equal(rng.standard_normal(1000),
-                              ref.standard_normal(1000))
-        assert rng.bit_generator.state == ref.bit_generator.state
-
-
-@pytest.mark.parametrize("prefix", [(), (5,), (2**64 + 3, 7, 2**40)])
-def test_substreams_take_any_prefix(prefix):
-    # keys of 1 to 7 words: the counter word lands in the pool or after it
-    for k, rng in enumerate(substreams(*prefix, start=9, count=2)):
-        ref = substream(*prefix, 9 + k)
-        assert np.array_equal(rng.integers(0, 2**63, 50),
-                              ref.integers(0, 2**63, 50))
-
-
-def test_substreams_of_no_counters_is_empty():
-    assert substreams(1, 2, start=4, count=0) == []
-
-
-@pytest.mark.parametrize("start, count", [(-1, 2), (0, -1),
-                                          (2**32 - 1, 2), (2**32, 1)])
-def test_substreams_refuse_counters_outside_one_word(start, count):
-    with pytest.raises(ValueError):
-        substreams(1, 0, start=start, count=count)
-
-
-def test_substreams_refuse_a_negative_prefix():
-    with pytest.raises(ValueError):
-        substreams(-1, 0, start=0, count=1)
 
 
 def test_importing_memxbar_does_not_load_numpy_random():

@@ -221,14 +221,17 @@ def probe(default_net, default_compiled, default_test_split):
     return run
 
 
-# in the default run, 0.33 first fails in the second chunk of 250 trials
-# and 0.63 in the first scorer block
-@pytest.mark.parametrize("r_m, passes", [(0.1, True), (0.33, False),
-                                          (0.63, False)])
-def test_probe_verdict_matches_full_analysis(small_mc, probe, r_m, passes):
+# in the default run at seed 5, 0.33 first fails in the second chunk of
+# 250 trials and 0.63 in the first
+@pytest.mark.parametrize("r_m, passes, first_chunk", [
+    pytest.param(0.1, True, None, id="0.1-True"),
+    pytest.param(0.33, False, 1, id="0.33-False"),
+    pytest.param(0.63, False, 0, id="0.63-False")])
+def test_probe_verdict_matches_full_analysis(small_mc, probe, r_m, passes,
+                                             first_chunk):
     specs = tolerance_set(r_m, 0.01)
-    full = small_mc(specs=specs, trials=500)
-    early = probe(specs, 500)
+    full = small_mc(specs=specs, trials=500, seed=5)
+    early = probe(specs, 500, seed=5)
     assert full.passed is early.passed is passes
     assert np.array_equal(early.p_err, full.p_err[:early.trials])
     assert early.weight_bounds == {}
@@ -237,6 +240,7 @@ def test_probe_verdict_matches_full_analysis(small_mc, probe, r_m, passes):
     else:
         # stopped at the first failing trial, whichever chunk it lies in
         first = int(np.flatnonzero(full.p_err > 5.0)[0])
+        assert first // tolerance._CHUNK == first_chunk
         assert early.trials == first + 1
         assert early.max_p_err == full.p_err[first]
 
@@ -292,23 +296,48 @@ def test_trial_draws_are_standard_and_truncated(default_compiled):
 
 
 def reference_trial_draws(limit, seed, start, count):
-    """One ``truncated_normal`` call per trial on its own substream."""
-    return np.array([truncated_normal(substream(seed, 0, start + k), 0.0,
-                                      1.0, limit, limit.size)
-                     for k in range(count)]).reshape(count, limit.size)
+    """One ``truncated_normal`` call per block of 250 trials on the
+    block's own substream, the rows of trials [start, start+count)."""
+    first, stop = start // 250, -(-(start + count) // 250)
+    blocks = [truncated_normal(substream(seed, 0, b), 0.0, 1.0, limit,
+                               (250, limit.size)) for b in range(first, stop)]
+    rows = np.concatenate(blocks or [np.empty((0, limit.size))])
+    return rows[start - 250 * first:][:count]
+
+
+# at 0.25 sigma four entries in five are redrawn, round after round
+LOW_LIMIT = np.repeat([3.0, 0.25, 1.0, 2.0], [160, 40, 100, 44])
 
 
 @pytest.mark.parametrize("start, count", [(0, 1), (0, 250), (37, 250),
                                           (2**20, 1)])
-def test_trial_draws_equal_one_truncated_normal_call_per_trial(start, count):
-    # at 0.25 sigma four entries in five are redrawn, round after round
-    limit = np.repeat([3.0, 0.25, 1.0, 2.0], [160, 40, 100, 44])
+def test_trial_draws_equal_one_truncated_normal_call_per_block(start, count):
+    assert tolerance._DRAW_BLOCK == 250
     # the default run's analysis master is a 64-bit seed
     for seed in (5, subseed(20260826, _STREAM["analyze"], 0)):
-        z = trial_draws(limit, seed, start, count).z
-        ref = reference_trial_draws(limit, seed, start, count)
+        z = trial_draws(LOW_LIMIT, seed, start, count).z
+        ref = reference_trial_draws(LOW_LIMIT, seed, start, count)
+        assert z.shape == (count, LOW_LIMIT.size)
         assert z.tobytes() == ref.tobytes()
-        assert np.all(np.abs(z) <= limit)
+        assert np.all(np.abs(z) <= LOW_LIMIT)
+
+
+def test_trial_draws_do_not_depend_on_the_window():
+    # trials 37..536 cross the block boundaries at 250 and 500
+    whole = trial_draws(LOW_LIMIT, 5, 0, 600).z
+    assert np.array_equal(trial_draws(LOW_LIMIT, 5, 37, 500).z, whole[37:537])
+
+
+@pytest.mark.parametrize("start", [0, 37, 250])
+def test_trial_draws_of_no_trials_are_empty(start):
+    assert trial_draws(LOW_LIMIT, 5, start, 0).z.shape == (0, LOW_LIMIT.size)
+
+
+@pytest.mark.parametrize("seed, start, count", [(1, -1, 2), (1, 0, -1),
+                                                (-1, 0, 1)])
+def test_trial_draws_refuse_negative_keys(seed, start, count):
+    with pytest.raises(ValueError):
+        trial_draws(LOW_LIMIT, seed, start, count)
 
 
 class ScriptedDraws:
@@ -317,26 +346,28 @@ class ScriptedDraws:
     def __init__(self, script):
         self.script, self.used = script, 0
 
-    def standard_normal(self, size=None, out=None):
-        n = out.size if out is not None else size
+    def standard_normal(self, size, out=None):
+        n = int(np.prod(size))
         take = self.script[(self.used + np.arange(n)) % len(self.script)]
         self.used += n
         if out is None:
-            return take
-        out[...] = take
+            return take.reshape(size)
+        out[...] = take.reshape(size)
         return out
 
 
 def test_trial_draws_turn_a_negative_zero_into_zero(monkeypatch):
-    # the block path adds 0.0 where truncated_normal scales and shifts
+    # truncated_normal scales by 1.0 and adds 0.0, which makes -0.0 +0.0
     script = np.array([-0.0, 5.0, 0.5, -0.0, -4.0, -0.0, 1.0])
-    monkeypatch.setattr(tolerance, "substreams", lambda *key, start, count: [
-        ScriptedDraws(np.roll(script, k)) for k in range(count)])
+    monkeypatch.setattr(tolerance, "substream",
+                        lambda *key: ScriptedDraws(np.roll(script, key[-1])))
     limit = np.array([3.0, 3.0, 0.25, 3.0, 1.0])
-    z = trial_draws(limit, 0, 0, 4).z
-    ref = [truncated_normal(ScriptedDraws(np.roll(script, k)), 0.0, 1.0,
-                            limit, limit.size) for k in range(4)]
-    assert z.tobytes() == np.array(ref).tobytes()
+    z = trial_draws(limit, 0, 248, 4).z
+    ref = np.concatenate([truncated_normal(ScriptedDraws(np.roll(script, b)),
+                                           0.0, 1.0, limit, (250, 5))
+                          for b in (0, 1)])[248:252]
+    assert z.tobytes() == ref.tobytes()
+    assert (z == 0).any()
     assert not np.signbit(z[z == 0]).any()
 
 
@@ -678,23 +709,13 @@ def reference_band(syn, specs, trials, rng):
     return np.percentile(err, PERCENTILE_PAIR)
 
 
-def block_draws(limit, seed, start, count):
-    """Trial draws of the same distribution as ``trial_draws``, made in
-    one call per chunk, so that 200 000 analysis trials stay quick."""
-    rng = np.random.default_rng([seed, start])
-    return tolerance.TrialDraws(
-        truncated_normal(rng, 0.0, 1.0, limit, (count, limit.size)), limit)
-
-
 @pytest.mark.parametrize("r_m, r_f", [(0.2, 0.01), (0.01, 0.2)])
 def test_weight_error_bounds_match_analysis_bands(
-        monkeypatch, default_net, default_compiled, default_test_split,
-        r_m, r_f):
+        default_net, default_compiled, default_test_split, r_m, r_f):
     # positive, negative, small and zero weights; the zero one is absolute
     compiled = with_band_layer(default_compiled)
     specs = tolerance_set(r_m, r_f)
     x_test, y_test = default_test_split
-    monkeypatch.setattr(tolerance, "trial_draws", block_draws)
     report = analyze_tolerances(default_net, compiled, specs, x_test[:20],
                                 y_test[:20], x_p=100.0, trials=200000,
                                 seed=11)
