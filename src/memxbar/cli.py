@@ -36,8 +36,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="Monte Carlo trial count override")
     parser.add_argument("--out", help="run output directory override")
     parser.add_argument("--enforce", action="store_true",
-                        help="exit nonzero when the analysis misses the "
-                             "permitted error level")
+                        help="exit nonzero when the analysis or a pattern "
+                             "subset misses the permitted error level")
     return parser
 
 
@@ -116,7 +116,8 @@ def main(argv=None) -> int:
     except MemxbarError as exc:
         return _fail(args.stage, exc, EXIT_STAGE)
     print(json.dumps(summary, sort_keys=True))
-    if args.enforce and summary.get("passed") is False:
+    if args.enforce and False in (summary.get("passed"),
+                                  summary.get("subsets_passed")):
         return EXIT_ENFORCE
     return EXIT_OK
 

@@ -26,6 +26,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .reports import write_csv
+from .stats import quantize_half_up
 
 Mode = str  # "SET" | "RESET" | "READ"
 
@@ -243,8 +244,8 @@ def synapse_weights(xbar: Crossbar, n_in: int, n_out: int) -> np.ndarray:
 def adc_quantize(u, step: float, full_scale: float):
     """Half-up quantization to the converter grid, clamped to its range
     (elementwise)."""
-    u = np.minimum(np.maximum(u, -full_scale), full_scale)
-    return np.floor(u / step + 0.5) * step
+    return quantize_half_up(np.minimum(np.maximum(u, -full_scale), full_scale),
+                            step)
 
 
 def inferred_resistance(u_out, u_test: float, r_f: float):

@@ -1,7 +1,7 @@
 """Informational model of the two-layer perceptron.
 
-A 16-8-4 network with a saturating linear activation, matching the
-transfer function of the analog chain.  Training runs full-batch
+A 16-8-4 network whose one transfer, ``clip(z, -1, 1)``, is the amplifier
+chain's at unity gain (:func:`check_unity_chain`).  Training runs full-batch
 adaptive-moment gradient descent; after every epoch the weights can be
 clamped and projected onto a discrete state set, so the result stays
 realizable on the arrays.  :func:`forward_stack` is the forward pass of
@@ -23,11 +23,12 @@ gradient formulas.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
-from .errors import NonFiniteLossError, ShapeMismatchError
+from .errors import MemxbarError, NonFiniteLossError, ShapeMismatchError
 from .mapping import quantize_weights
 from .stats import check_ranges, truncated_normal
 
@@ -42,26 +43,15 @@ REJECT_LABEL = LABELS[-1]
 _SCORE_BYTES = 1 << 20           # hidden layer of one block of scored stacks
 
 
-@dataclass(frozen=True)
 class Activation:
-    """Saturating linear transfer: clip(slope * z, lower, upper)."""
-
-    slope: float = 1.0
-    lower: float = -1.0
-    upper: float = 1.0
-
-    def __post_init__(self):
-        if self.slope <= 0 or self.lower >= self.upper:
-            raise ValueError("need positive slope and lower < upper")
+    """The transfer of the unity amplifier chain: clip(z, -1, 1)."""
 
     def apply(self, z: np.ndarray) -> np.ndarray:
-        return np.clip(self.slope * z, self.lower, self.upper)
+        return np.clip(z, -1.0, 1.0)
 
-    def derivative(self, z: np.ndarray, leak: float = 0.0) -> np.ndarray:
-        """Slope inside the linear region, ``leak * slope`` where saturated."""
-        v = self.slope * np.asarray(z, dtype=float)
-        return np.where((v >= self.lower) & (v <= self.upper), self.slope,
-                        leak * self.slope)
+
+# params files from before the transfer was fixed carry this entry, no other
+_UNITY_ENTRY = {"slope": 1.0, "lower": -1.0, "upper": 1.0}
 
 
 @dataclass
@@ -72,7 +62,7 @@ class MlpParams:
     b_hidden: np.ndarray
     w_out: np.ndarray
     b_out: np.ndarray
-    activation: Activation = field(default_factory=Activation)
+    activation: ClassVar[Activation] = Activation()
 
     def __post_init__(self):
         self.w_hidden = np.asarray(self.w_hidden, dtype=float)
@@ -90,7 +80,7 @@ class MlpParams:
 
     def copy(self) -> "MlpParams":
         return MlpParams(self.w_hidden.copy(), self.b_hidden.copy(),
-                         self.w_out.copy(), self.b_out.copy(), self.activation)
+                         self.w_out.copy(), self.b_out.copy())
 
     def to_dict(self) -> dict:
         return {
@@ -98,29 +88,44 @@ class MlpParams:
             "b_hidden": self.b_hidden.tolist(),
             "w_out": self.w_out.tolist(),
             "b_out": self.b_out.tolist(),
-            "activation": {"slope": self.activation.slope,
-                           "lower": self.activation.lower,
-                           "upper": self.activation.upper},
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "MlpParams":
-        act = Activation(**d.get("activation", {}))
+        act = d.get("activation", _UNITY_ENTRY)
+        if act != _UNITY_ENTRY:
+            raise MemxbarError(f"activation must be {_UNITY_ENTRY}, the "
+                               f"transfer of the network model, got {act!r}")
         return cls(np.array(d["w_hidden"]), np.array(d["b_hidden"]),
-                   np.array(d["w_out"]), np.array(d["b_out"]), act)
+                   np.array(d["w_out"]), np.array(d["b_out"]))
 
 
-def init_params(rng: np.random.Generator,
-                activation: Activation | None = None) -> MlpParams:
+def check_unity_chain(chain) -> None:
+    """Raise ValueError, naming the setting first, unless the crossbar
+    config ``chain`` is the circuit this model computes, whose transfer is
+    ``clip(z, -1, 1)``; its rails may sit anywhere at or above ``u_sat``."""
+    rules = {
+        "rows": ("an int >= 16 for the 8 hidden row pairs",
+                 lambda v: type(v) is int and v >= 2 * N_HIDDEN),
+        "cols": ("an int >= 16 for the 16 inputs",
+                 lambda v: type(v) is int and v >= N_INPUT),
+        "r_2": (f"r_1 ({chain.r_1!r}) for a difference gain of 1",
+                lambda v: v == chain.r_1),
+        "r_3": ("0 for no output divider", lambda v: v == 0),
+        "u_sat": ("1, the network model's saturation", lambda v: v == 1),
+        "u_in_max": (">= 1 to pass every input and hidden output",
+                     lambda v: v >= 1),
+    }
+    check_ranges({name: getattr(chain, name) for name in rules}, rules)
+
+
+def init_params(rng: np.random.Generator) -> MlpParams:
     """Uniform weights in [-0.5, 0.5], biases at zero."""
-    if activation is None:
-        activation = Activation()
     return MlpParams(
         w_hidden=rng.uniform(-0.5, 0.5, size=(N_INPUT, N_HIDDEN)),
         b_hidden=np.zeros(N_HIDDEN),
         w_out=rng.uniform(-0.5, 0.5, size=(N_HIDDEN, N_OUTPUT)),
         b_out=np.zeros(N_OUTPUT),
-        activation=activation,
     )
 
 
@@ -131,8 +136,7 @@ def _as_batch(x: np.ndarray) -> tuple[np.ndarray, bool]:
     return x, False
 
 
-def forward_stack(activation: Activation, x: np.ndarray,
-                  w_hidden: np.ndarray, b_hidden: np.ndarray,
+def forward_stack(x: np.ndarray, w_hidden: np.ndarray, b_hidden: np.ndarray,
                   w_out: np.ndarray, b_out: np.ndarray) -> np.ndarray:
     """Output ``f(f(x @ w_hidden + b_hidden) @ w_out + b_out)``.
 
@@ -141,8 +145,8 @@ def forward_stack(activation: Activation, x: np.ndarray,
     which gives a (T, H, 4) output.  Only the output is returned, so the
     hidden activation is freed as soon as the output layer has used it.
     """
-    return activation.apply(
-        activation.apply(x @ w_hidden + b_hidden) @ w_out + b_out)
+    f = MlpParams.activation
+    return f.apply(f.apply(x @ w_hidden + b_hidden) @ w_out + b_out)
 
 
 def unit_by_pattern(x: np.ndarray) -> np.ndarray:
@@ -173,7 +177,7 @@ def _with_bias(w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return wb
 
 
-def forward_stack_into(activation: Activation, xT: np.ndarray,
+def forward_stack_into(xT: np.ndarray,
                        w_hidden: np.ndarray, b_hidden: np.ndarray,
                        w_out: np.ndarray, b_out: np.ndarray,
                        hidden: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -187,21 +191,16 @@ def forward_stack_into(activation: Activation, xT: np.ndarray,
     (T, 8, 17) @ (17, H), against the ones row of ``xT``, and the output
     layer (T, 4, 9) @ (T, 9, H), against the ones row of each hidden
     block.  Added last, a bias rounds as ``product + bias`` does, so the
-    outputs equal :func:`forward_stack`'s bit for bit.  Slope and clip act
-    in place.
+    outputs equal :func:`forward_stack`'s bit for bit.  The clip acts in
+    place.
     """
-    f = activation
     n = len(w_hidden)
     hidden, out = hidden[:n], out[:n]
     a1 = hidden[:, :N_HIDDEN]
     np.matmul(_with_bias(w_hidden, b_hidden), xT, out=a1)
-    if f.slope != 1.0:           # a product with 1.0 changes no bit
-        a1 *= f.slope
-    np.clip(a1, f.lower, f.upper, out=a1)
+    np.clip(a1, -1.0, 1.0, out=a1)
     np.matmul(_with_bias(w_out, b_out), hidden, out=out)
-    if f.slope != 1.0:
-        out *= f.slope
-    np.clip(out, f.lower, f.upper, out=out)
+    np.clip(out, -1.0, 1.0, out=out)
     return out
 
 
@@ -273,8 +272,8 @@ class ScoreBatch:
     def _score_block(self, w1: np.ndarray, w2: np.ndarray,
                      counts: np.ndarray) -> None:
         n, net = len(w1), self.net
-        out = forward_stack_into(net.activation, self.xT, w1, net.b_hidden,
-                                 w2, net.b_out, self.hidden, self.out)
+        out = forward_stack_into(self.xT, w1, net.b_hidden, w2, net.b_out,
+                                 self.hidden, self.out)
         for c, cols in self.segments:
             o = out[:, :, cols]
             best, mask, right = (self.best[:n, cols], self.mask[:n, cols],
@@ -313,8 +312,8 @@ def forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
     xb, single = _as_batch(x)
     if xb.shape[1] != N_INPUT:
         raise ShapeMismatchError(f"expected {N_INPUT} inputs, got {xb.shape[1]}")
-    out = forward_stack(params.activation, xb, params.w_hidden,
-                        params.b_hidden, params.w_out, params.b_out)
+    out = forward_stack(xb, params.w_hidden, params.b_hidden, params.w_out,
+                        params.b_out)
     return out[0] if single else out
 
 
@@ -356,7 +355,7 @@ class _TrainBatch:
         self.yT = np.ascontiguousarray(y.T)
         h = x.shape[0]
         units = (N_HIDDEN, N_OUTPUT)
-        # activation input slope * z (then the derivative), activation, delta
+        # activation input z (then the derivative), activation, delta
         self.v = tuple(np.empty((n, h)) for n in units)
         self.a = tuple(np.empty((n, h)) for n in units)
         self.d = tuple(np.empty((n, h)) for n in units)
@@ -367,18 +366,13 @@ class _TrainBatch:
             self.panel_hidden, self.panel_out = stack_buffers(panel, h)
 
     def _forward(self, params: MlpParams) -> None:
-        f = params.activation
         (v1, v2), (a1, a2) = self.v, self.a
         np.matmul(params.w_hidden.T, self.xT[:N_INPUT], out=v1)
         v1 += params.b_hidden[:, None]
-        if f.slope != 1.0:           # a product with 1.0 changes no bit
-            v1 *= f.slope
-        np.clip(v1, f.lower, f.upper, out=a1)
+        np.clip(v1, -1.0, 1.0, out=a1)
         np.matmul(params.w_out.T, a1, out=v2)
         v2 += params.b_out[:, None]
-        if f.slope != 1.0:
-            v2 *= f.slope
-        np.clip(v2, f.lower, f.upper, out=a2)
+        np.clip(v2, -1.0, 1.0, out=a2)
 
     def _loss_from_err(self) -> float:
         """Mean squared error from ``err = a2 - y``; squares ``err``."""
@@ -395,42 +389,37 @@ class _TrainBatch:
         np.subtract(self.a[1], self.yT, out=self.err)
         return self._loss_from_err()
 
-    def _times_derivative(self, layer: int, f: Activation,
-                          leak: float) -> None:
-        """Multiply the layer's delta by ``f.derivative(z, leak)`` in place.
+    def _times_derivative(self, layer: int, leak: float) -> None:
+        """Multiply the layer's delta in place by the transfer's
+        derivative: 1 inside the linear region, ``leak`` where it saturates.
 
-        ``a == v`` exactly where ``lower <= v <= upper`` (NaN is
-        saturated), and for ``0 <= leak <= 1`` the maximum of that mask
-        times the slope and ``leak * slope`` is the slope or
-        ``leak * slope``: the factors of :meth:`Activation.derivative`.
-        They overwrite ``v``, which nothing reads again before the next
-        forward pass.
+        ``a == v`` exactly where ``-1 <= v <= 1`` (NaN is saturated), and
+        for ``0 <= leak <= 1`` the maximum of that mask and ``leak`` is 1
+        or ``leak``.  The factors overwrite ``v``, which nothing reads
+        again before the next forward pass.
         """
         g = self.v[layer]
         np.equal(self.a[layer], g, out=g)
-        if f.slope != 1.0:
-            g *= f.slope
-        np.maximum(g, leak * f.slope, out=g)
+        np.maximum(g, leak, out=g)
         np.multiply(self.d[layer], g, out=self.d[layer])
 
     def loss_and_gradients(self, params: MlpParams,
                            leak: float) -> tuple[float, dict]:
         """Exact-model loss and the MSE gradients at the same weights.
 
-        Saturated units pass ``leak`` times the slope to the gradients;
-        the loss never depends on ``leak``.
+        Saturated units pass ``leak`` to the gradients; the loss never
+        depends on ``leak``.
         """
         if not 0 <= leak <= 1:
             raise ValueError(f"leak must lie in [0, 1], got {leak}")
-        f = params.activation
         self._forward(params)
         (a1, a2), (d1, d2) = self.a, self.d
         np.subtract(a2, self.yT, out=self.err)
         np.multiply(self.err, 2.0, out=d2)
         d2 /= self.x.shape[0]
-        self._times_derivative(1, f, leak)
+        self._times_derivative(1, leak)
         np.matmul(params.w_out, d2, out=d1)
-        self._times_derivative(0, f, leak)
+        self._times_derivative(0, leak)
         np.copyto(self.d2_rows, d2.T)
         grads = {
             "w_hidden": self.x.T @ d1.T,
@@ -446,9 +435,9 @@ class _TrainBatch:
         w1 = params.w_hidden + panel["w_hidden"] * _noise_sigma(
             params.w_hidden, cfg)
         w2 = params.w_out + panel["w_out"] * _noise_sigma(params.w_out, cfg)
-        out = forward_stack_into(params.activation, self.xT, w1,
-                                 params.b_hidden, w2, params.b_out,
-                                 self.panel_hidden, self.panel_out)
+        out = forward_stack_into(self.xT, w1, params.b_hidden, w2,
+                                 params.b_out, self.panel_hidden,
+                                 self.panel_out)
         out -= self.yT
         out *= out
         total = out[:, 0]
@@ -461,9 +450,9 @@ def gradients(params: MlpParams, x: np.ndarray, y: np.ndarray,
               leak: float = 0.0):
     """Analytic MSE gradients.
 
-    Saturated units pass ``leak`` times the slope; ``leak=0`` is the exact
-    gradient and a positive leak, at most 1, is the training surrogate
-    (see :class:`TrainConfig`).
+    Saturated units pass ``leak``; ``leak=0`` is the exact gradient and a
+    positive leak, at most 1, is the training surrogate (see
+    :class:`TrainConfig`).
     """
     batch = _TrainBatch(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     return batch.loss_and_gradients(params, leak)[1]
@@ -488,7 +477,6 @@ _CONFIG_RANGES = {
     **_TRAIN_RANGES,
     "weight_noise": ("finite and >= 0", lambda v: 0 <= v < math.inf),
     "noise_offset": ("finite and >= 0", lambda v: 0 <= v < math.inf),
-    "panel": ("an int >= 1", lambda v: type(v) is int and v >= 1),
     "weight_limit": ("None or finite and > 0", lambda v: 0 < v < math.inf),
 }
 
@@ -519,15 +507,15 @@ class TrainConfig:
     error a weight built from two perturbed resistive branches actually
     sees (``noise_offset`` is the fixed-branch contribution in weight
     units).  The returned network is then the epoch with the lowest
-    worst-case loss over a frozen panel of perturbations rather than the
+    worst-case loss over a frozen panel of 8 perturbations rather than the
     lowest clean loss, which favors wide minima over sharp ones.  In such
     a run the curve records, for each epoch, the loss at the jittered
     weights the gradient was taken at.
 
     The constructor refuses, with ValueError, an optimizer setting out of
     the range :func:`check_train_settings` gives it, a noise setting that
-    is not finite and >= 0, a panel that is not an int >= 1 and a
-    ``weight_limit`` that is neither None nor finite and > 0.
+    is not finite and >= 0 and a ``weight_limit`` that is neither None nor
+    finite and > 0.
     """
 
     mse_target: float = 1e-4
@@ -541,7 +529,6 @@ class TrainConfig:
     weight_limit: float | None = None
     weight_noise: float = 0.0          # relative sigma of the jitter
     noise_offset: float = 0.0          # fixed-branch term, weight units
-    panel: int = 8                     # panel size for worst-case selection
 
     def __post_init__(self):
         settings = {name: getattr(self, name) for name in _CONFIG_RANGES}
@@ -582,14 +569,14 @@ _PARAM_KEYS = ("w_hidden", "b_hidden", "w_out", "b_out")
 _PARAM_SHAPES = ((N_INPUT, N_HIDDEN), (N_HIDDEN,), (N_HIDDEN, N_OUTPUT),
                  (N_OUTPUT,))
 _PARAM_ENDS = tuple(np.cumsum([math.prod(s) for s in _PARAM_SHAPES]))
-_PANEL_STRIDE = 10
+_PANEL = 8                       # perturbations in the hardening panel
+_PANEL_STRIDE = 10               # epochs between two panel scores
 
 
-def _unflatten(flat: np.ndarray, activation: Activation) -> MlpParams:
+def _unflatten(flat: np.ndarray) -> MlpParams:
     """Params whose four arrays are views into ``flat``."""
     parts = np.split(flat, _PARAM_ENDS[:-1])
-    return MlpParams(*(p.reshape(s) for p, s in zip(parts, _PARAM_SHAPES)),
-                     activation)
+    return MlpParams(*(p.reshape(s) for p, s in zip(parts, _PARAM_SHAPES)))
 
 
 class _Adam:
@@ -632,14 +619,6 @@ def _noise_sigma(w: np.ndarray, cfg: TrainConfig) -> np.ndarray:
     return cfg.weight_noise * np.sqrt((np.abs(w) + c) ** 2 + c ** 2)
 
 
-def _draw_panel(params: MlpParams, cfg: TrainConfig,
-                rng: np.random.Generator) -> dict:
-    shape_h = (cfg.panel,) + params.w_hidden.shape
-    shape_o = (cfg.panel,) + params.w_out.shape
-    return {"w_hidden": truncated_normal(rng, 0.0, 1.0, 3.0, shape_h),
-            "w_out": truncated_normal(rng, 0.0, 1.0, 3.0, shape_o)}
-
-
 def _finite(loss: float) -> float:
     if not np.isfinite(loss):
         raise NonFiniteLossError(f"loss became {loss}")
@@ -679,13 +658,15 @@ def train_discrete(params: MlpParams, x: np.ndarray, y: np.ndarray,
     noisy = cfg.weight_noise > 0
     if noisy and rng is None:
         raise ValueError("weight_noise > 0 requires an rng")
-    batch = _TrainBatch(x, y, cfg.panel if noisy else 0)
+    batch = _TrainBatch(x, y, _PANEL if noisy else 0)
     flat = np.concatenate([getattr(params, k).ravel() for k in _PARAM_KEYS])
-    work = _unflatten(flat, params.activation)
+    work = _unflatten(flat)
     _project(work, cfg)
     if noisy:
         loss = _finite(batch.loss(work))
-        panel = _draw_panel(work, cfg, rng)
+        panel = {k: truncated_normal(rng, 0.0, 1.0, 3.0,
+                                     (_PANEL,) + getattr(work, k).shape)
+                 for k in ("w_hidden", "w_out")}
         best_score = batch.panel_score(work, panel, cfg)
     else:
         loss, grads = _measure(batch, work, cfg)
@@ -718,7 +699,7 @@ def train_discrete(params: MlpParams, x: np.ndarray, y: np.ndarray,
             if score < best_score:
                 best_score, best_loss = score, _finite(batch.loss(work))
                 np.copyto(best, flat)
-    return TrainResult(params=_unflatten(best, params.activation),
+    return TrainResult(params=_unflatten(best),
                        curve=np.array(curve),
                        converged=best_loss <= cfg.mse_target, epochs=epoch,
                        final_mse=float(best_loss))

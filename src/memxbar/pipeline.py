@@ -28,8 +28,9 @@ from .errors import ConfigError
 from .mapping import (CompiledLayer, CompiledNet, ResistanceRange,
                       compensate_stuck, compile_network, symmetric_weight_states,
                       w_max)
-from .netmodel import (MlpParams, TrainConfig, check_train_settings, evaluate,
-                       init_params, train_discrete)
+from .netmodel import (MlpParams, TrainConfig, check_train_settings,
+                       check_unity_chain, evaluate, init_params,
+                       train_discrete)
 from .reports import replacing, require_artifact
 from .stats import is_real, subseed, substream
 from .tolerance import (TOLERANCE_DEFAULTS, ExperimentPlan, analyze_tolerances,
@@ -132,8 +133,8 @@ class RunConfig:
                                   f"got {value!r}")
 
     def check_experiment(self) -> None:
-        """Raise ConfigError unless the tolerance, error-budget, hardening,
-        sweep, synthesis-plan and stimulus-profile settings are usable.
+        """Raise ConfigError unless the crossbar, tolerance, error-budget,
+        hardening, sweep, plan and profile settings are usable.
 
         The types that use these settings own their rules; this builds or
         checks them and turns their ValueError, or a profile file that
@@ -149,6 +150,7 @@ class RunConfig:
             raise ConfigError(f"x_p must be a percentage in (0, 100], "
                               f"got {self.x_p!r}")
         owners = {
+            "crossbar": lambda: check_unity_chain(self.crossbar),
             "tolerances": lambda: tolerance_set(**self.tolerance_settings()),
             "harden_boost": lambda: _train_config(self, "harden"),
             "sweep_counts": lambda: check_state_counts(self.sweep_counts),
@@ -305,7 +307,7 @@ def stage_train(cfg: RunConfig, out: Path) -> None:
     x_train, y_train = _load_split(cfg.out_dir, "train")
     x_test, y_test = _load_split(cfg.out_dir, "test")
     y_target = ds.target_matrix(y_train)
-    best = None
+    best = None                 # the lowest training loss; ties keep the first
     for restart in range(cfg.restarts):
         rng = substream(cfg.seed, _STREAM["train"], restart)
         p0 = init_params(rng)
@@ -321,11 +323,10 @@ def stage_train(cfg: RunConfig, out: Path) -> None:
             result = train_discrete(result.params, x_train, y_target,
                                     _train_config(cfg, "discrete"), rng)
             phases.append(("discrete", result))
-        test_p = evaluate(result.params, x_test, y_test)
-        entry = (test_p, result.final_mse, restart, result, cont, phases)
-        if best is None or entry[:2] < best[:2]:
-            best = entry
-    test_p, _, restart, result, cont, phases = best
+        if best is None or result.final_mse < best[1].final_mse:
+            best = (restart, result, cont, phases)
+    restart, result, cont, phases = best
+    test_p = evaluate(result.params, x_test, y_test)
     for name, kept in (("params.json", result), ("params_continuous.json", cont)):
         with replacing(out / name) as fh:
             json.dump(kept.params.to_dict(), fh, indent=2, sort_keys=True)
@@ -490,6 +491,7 @@ def write_summary(cfg: RunConfig) -> dict:
         summary["mc_max_p_err"] = rep["max_p_err"]
         summary["mc_subset_max"] = rep["subset_max"]
         summary["passed"] = rep["passed"]
+        summary["subsets_passed"] = max(rep["subset_max"].values()) <= rep["x_p"]
     with replacing(cfg.out_dir / "summary.json") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
     return summary

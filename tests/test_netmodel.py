@@ -9,8 +9,9 @@ import pytest
 from memxbar.errors import NonFiniteLossError, ShapeMismatchError
 from memxbar.mapping import (ResistanceRange, quantize_weights,
                              symmetric_weight_states)
-from memxbar.netmodel import (Activation, MlpParams, ScoreBatch, TrainConfig,
-                              TrainResult, _TrainBatch, evaluate, forward,
+from memxbar.netmodel import (_PANEL, Activation, MlpParams, ScoreBatch,
+                              TrainConfig, TrainResult, _TrainBatch, evaluate,
+                              forward,
                               forward_stack, forward_stack_into, gradients,
                               init_params, label_codes, mse, stack_buffers,
                               train_discrete, unit_by_pattern)
@@ -24,18 +25,31 @@ def zero_params(**kw):
                      np.zeros(4), **kw)
 
 
+def derivative(z, leak=0.0):
+    """The factors a training pass multiplies a hidden unit's deltas by,
+    where that unit's activation input is ``z``."""
+    x = np.zeros((len(z), 16))
+    x[:, 0] = z
+    params = zero_params()
+    params.w_hidden[0, 0] = 1.0
+    batch = _TrainBatch(x, np.zeros((len(z), 4)))
+    batch._forward(params)
+    batch.d[0][...] = 1.0
+    batch._times_derivative(0, leak)
+    return batch.d[0][0]
+
+
 def test_activation_saturates():
     act = Activation()
     z = np.array([-3.0, -0.5, 0.0, 0.5, 3.0])
     assert np.array_equal(act.apply(z), [-1.0, -0.5, 0.0, 0.5, 1.0])
-    assert np.array_equal(act.derivative(z), [0.0, 1.0, 1.0, 1.0, 0.0])
+    assert np.array_equal(derivative(z), [0.0, 1.0, 1.0, 1.0, 0.0])
 
 
-def test_leaked_derivative_is_leak_times_slope_when_saturated():
-    act = Activation(slope=2.0)
+def test_leaked_derivative_is_leak_when_saturated():
     z = np.array([-3.0, -0.25, 0.0, 0.25, 3.0])
-    assert np.array_equal(act.derivative(z, leak=0.05),
-                          [0.05 * 2.0, 2.0, 2.0, 2.0, 0.05 * 2.0])
+    assert np.array_equal(derivative(z, leak=0.05),
+                          [0.05, 1.0, 1.0, 1.0, 0.05])
 
 
 def test_params_shape_checked():
@@ -61,8 +75,7 @@ def test_forward_stack_equals_loop_of_forward():
     x = rng.uniform(0, 1, size=(7, 16))
     w1 = params.w_hidden + rng.normal(0, 0.1, size=(5, 16, 8))
     w2 = params.w_out + rng.normal(0, 0.1, size=(5, 8, 4))
-    stacked = forward_stack(params.activation, x, w1, params.b_hidden, w2,
-                            params.b_out)
+    stacked = forward_stack(x, w1, params.b_hidden, w2, params.b_out)
     assert stacked.shape == (5, 7, 4)
     for t in range(5):
         one = MlpParams(w1[t], params.b_hidden, w2[t], params.b_out)
@@ -225,7 +238,7 @@ def test_training_is_blas_thread_invariant():
     x = rng.uniform(0, 1, size=(3000, 16))
     y = np.where(rng.random((3000, 4)) < 0.25, 1.0, -1.0)
     cfg = TrainConfig(max_epochs=200, mse_target=0.0, weight_noise=0.05,
-                      noise_offset=1 / 3, panel=4)
+                      noise_offset=1 / 3)
     runs = []
     for threads in (1, 2):
         with blas_threads(threads):
@@ -263,7 +276,6 @@ def test_train_config_refuses_bad_optimizer_setting(name, value):
     ("weight_noise", -0.1), ("weight_noise", "0.1"),
     ("noise_offset", float("inf")), ("noise_offset", float("nan")),
     ("noise_offset", -1.0), ("noise_offset", True),
-    ("panel", 2.5), ("panel", True), ("panel", 0), ("panel", "8"),
     ("weight_limit", float("nan")), ("weight_limit", -1.0),
     ("weight_limit", 0.0), ("weight_limit", float("inf")),
     ("weight_limit", "0.8"),
@@ -280,8 +292,6 @@ def test_train_config_validation():
         TrainConfig(leak=1.0)
     with pytest.raises(ValueError):
         TrainConfig(weight_noise=-0.1)
-    with pytest.raises(ValueError):
-        TrainConfig(panel=0)
 
 
 # Reference formulas: the row-major training step the unit-by-pattern
@@ -294,8 +304,8 @@ def reference_gradients(params, x, y, leak):
     a1 = f.apply(z1)
     z2 = a1 @ params.w_out + params.b_out
     a2 = f.apply(z2)
-    d2 = 2.0 * (a2 - y) / h * f.derivative(z2, leak)
-    d1 = (d2 @ params.w_out.T) * f.derivative(z1, leak)
+    d2 = 2.0 * (a2 - y) / h * np.where((z2 >= -1) & (z2 <= 1), 1.0, leak)
+    d1 = (d2 @ params.w_out.T) * np.where((z1 >= -1) & (z1 <= 1), 1.0, leak)
     return {"w_hidden": x.T @ d1,
             "b_hidden": np.ascontiguousarray(d1.T).sum(axis=1),
             "w_out": a1.T @ d2,
@@ -311,8 +321,7 @@ def reference_panel_score(params, panel, cfg, x, y):
     w1 = params.w_hidden + panel["w_hidden"] * reference_sigma(
         params.w_hidden, cfg)
     w2 = params.w_out + panel["w_out"] * reference_sigma(params.w_out, cfg)
-    out = forward_stack(params.activation, x, w1, params.b_hidden, w2,
-                        params.b_out)
+    out = forward_stack(x, w1, params.b_hidden, w2, params.b_out)
     return float(((out - y) ** 2).sum(axis=2).mean(axis=1).max())
 
 
@@ -341,7 +350,7 @@ def reference_train(params, x, y, cfg, rng=None):
     panel = None
     if noisy:
         panel = {k: truncated_normal(rng, 0.0, 1.0, 3.0,
-                                     (cfg.panel,) + getattr(work, k).shape)
+                                     (_PANEL,) + getattr(work, k).shape)
                  for k in ("w_hidden", "w_out")}
     best = work.copy()
     best_score = (reference_panel_score(work, panel, cfg, x, y) if noisy
@@ -405,14 +414,9 @@ def test_problem_saturates_units():
         assert saturated.any() and not saturated.all()
 
 
-SLOPED = Activation(1.5, -0.5, 0.8)
-
-
-@pytest.mark.parametrize("activation", [Activation(), SLOPED])
 @pytest.mark.parametrize("leak", [0.0, 0.05])
-def test_training_pass_equals_row_major_formulas(leak, activation):
+def test_training_pass_equals_row_major_formulas(leak):
     params, x, y = saturating_problem()
-    params.activation = activation
     loss, grads = _TrainBatch(x, y).loss_and_gradients(params, leak)
     assert loss == mse(y, forward(params, x))
     ref = reference_gradients(params, x, y, leak)
@@ -436,21 +440,18 @@ def test_bias_gradients_are_accurate_sums(n):
             assert abs(got - exact) <= 1e-13 * np.abs(deltas).sum(), name
 
 
-@pytest.mark.parametrize("activation", [Activation(), SLOPED])
-def test_panel_score_equals_forward_stack(activation):
+def test_panel_score_equals_forward_stack():
     params, x, y = saturating_problem()
-    params.activation = activation
-    cfg = TrainConfig(weight_noise=0.1, noise_offset=1 / 3, panel=5)
+    cfg = TrainConfig(weight_noise=0.1, noise_offset=1 / 3)
     rng = np.random.default_rng(3)
-    panel = {"w_hidden": truncated_normal(rng, 0.0, 1.0, 3.0, (5, 16, 8)),
-             "w_out": truncated_normal(rng, 0.0, 1.0, 3.0, (5, 8, 4))}
-    batch = _TrainBatch(x, y, cfg.panel)
+    panel = {"w_hidden": truncated_normal(rng, 0.0, 1.0, 3.0, (_PANEL, 16, 8)),
+             "w_out": truncated_normal(rng, 0.0, 1.0, 3.0, (_PANEL, 8, 4))}
+    batch = _TrainBatch(x, y, _PANEL)
     assert batch.panel_score(params, panel, cfg) == \
         reference_panel_score(params, panel, cfg, x, y)
 
 
-@pytest.mark.parametrize("activation", [Activation(), SLOPED])
-def test_forward_stack_into_equals_forward_stack(activation):
+def test_forward_stack_into_equals_forward_stack():
     params, x, _ = saturating_problem()
     rng = np.random.default_rng(5)
     w1 = params.w_hidden + 0.3 * rng.standard_normal((6, 16, 8))
@@ -459,9 +460,9 @@ def test_forward_stack_into_equals_forward_stack(activation):
     hidden, out = stack_buffers(9, len(x))
     hidden[:, :8] = np.nan
     out[...] = np.nan
-    got = forward_stack_into(activation, unit_by_pattern(x), w1,
-                             params.b_hidden, w2, params.b_out, hidden, out)
-    ref = forward_stack(activation, x, w1, params.b_hidden, w2, params.b_out)
+    got = forward_stack_into(unit_by_pattern(x), w1, params.b_hidden, w2,
+                             params.b_out, hidden, out)
+    ref = forward_stack(x, w1, params.b_hidden, w2, params.b_out)
     assert got.shape == (6, 4, len(x))
     assert np.shares_memory(got, out)
     assert np.array_equal(got, ref.transpose(0, 2, 1))
@@ -472,9 +473,9 @@ def test_training_passes_allocate_no_pattern_sized_array():
     params, x, y = saturating_problem(n=6000)
     cfg = TrainConfig(weight_noise=0.1, noise_offset=1 / 3)
     rng = np.random.default_rng(3)
-    panel = {"w_hidden": truncated_normal(rng, 0.0, 1.0, 3.0, (8, 16, 8)),
-             "w_out": truncated_normal(rng, 0.0, 1.0, 3.0, (8, 8, 4))}
-    batch = _TrainBatch(x, y, cfg.panel)
+    panel = {"w_hidden": truncated_normal(rng, 0.0, 1.0, 3.0, (_PANEL, 16, 8)),
+             "w_out": truncated_normal(rng, 0.0, 1.0, 3.0, (_PANEL, 8, 4))}
+    batch = _TrainBatch(x, y, _PANEL)
     passes = (lambda: batch.loss_and_gradients(params, 0.05),
               lambda: batch.loss(params),
               lambda: batch.panel_score(params, panel, cfg))
@@ -495,7 +496,7 @@ def test_final_mse_is_the_loss_of_the_returned_params(step, noise):
     params, x, y = saturating_problem()
     cfg = TrainConfig(weight_limit=0.8, max_epochs=50, step=step,
                       mse_target=0.0, weight_noise=noise,
-                      noise_offset=1 / 3 if noise else 0.0, panel=4)
+                      noise_offset=1 / 3 if noise else 0.0)
     got = train_discrete(params, x, y, cfg, np.random.default_rng(9))
     assert got.final_mse != got.curve[-1]
     assert got.final_mse == mse(y, forward(got.params, x))
@@ -514,7 +515,7 @@ def test_noisy_epoch_makes_one_pass(monkeypatch):
 
     monkeypatch.setattr(_TrainBatch, "_forward", counted)
     cfg = TrainConfig(weight_limit=0.8, max_epochs=47, mse_target=0.0,
-                      weight_noise=0.05, noise_offset=1 / 3, panel=4)
+                      weight_noise=0.05, noise_offset=1 / 3)
     train_discrete(params, x, y, cfg, np.random.default_rng(9))
     panel_epochs = 5                   # epochs 10, 20, 30, 40 and 47
     assert 47 + 1 <= len(passes) <= 47 + panel_epochs + 1
@@ -525,7 +526,7 @@ def test_non_finite_loss_is_refused(noise):
     params, x, y = saturating_problem()
     x[7, 3] = np.nan
     cfg = TrainConfig(max_epochs=5, weight_noise=noise,
-                      noise_offset=1 / 3 if noise else 0.0, panel=2)
+                      noise_offset=1 / 3 if noise else 0.0)
     with pytest.raises(NonFiniteLossError, match="nan"):
         train_discrete(params, x, y, cfg, np.random.default_rng(9))
 
@@ -549,8 +550,7 @@ def test_loss_turning_non_finite_is_refused(monkeypatch, noise, first_bad):
 
     monkeypatch.setattr(_TrainBatch, "_forward", poisoned)
     cfg = TrainConfig(weight_limit=0.8, max_epochs=10, mse_target=0.0,
-                      weight_noise=noise, noise_offset=1 / 3 if noise else 0.0,
-                      panel=4)
+                      weight_noise=noise, noise_offset=1 / 3 if noise else 0.0)
     with pytest.raises(NonFiniteLossError, match="nan"):
         train_discrete(params, x, y, cfg, np.random.default_rng(9))
     assert len(passes) == first_bad + 1
@@ -559,8 +559,7 @@ def test_loss_turning_non_finite_is_refused(monkeypatch, noise, first_bad):
 def phase_configs():
     states = np.array(symmetric_weight_states(
         7, 100e3, ResistanceRange(10e3, 300e3)))
-    noisy = {"weight_noise": 0.05, "noise_offset": 1 / 3, "panel": 4,
-             "max_epochs": 50}
+    noisy = {"weight_noise": 0.05, "noise_offset": 1 / 3, "max_epochs": 50}
     return {
         "clean": TrainConfig(weight_limit=0.8, max_epochs=50),
         "noisy": TrainConfig(weight_limit=0.8, **noisy),

@@ -15,6 +15,7 @@ import memxbar
 from memxbar.cli import (BLAS_THREAD_VARIABLES, EXIT_CONFIG, EXIT_ENFORCE,
                          EXIT_OK, EXIT_STAGE, build_parser, load_config,
                          main)
+from memxbar.crossbar import CrossbarConfig
 from memxbar.dataset import default_profile, target_matrix
 from memxbar.device import DeviceParams
 from memxbar.errors import ConfigError
@@ -179,11 +180,43 @@ def test_bad_experiment_setting_exits_before_any_stage(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("name, value", [
+    ("r_2", 200e3), ("r_3", 10e3), ("u_sat", 0.5), ("u_sat", 2.0),
+    ("u_in_max", 0.9), ("rows", 8), ("rows", 16.0), ("cols", 15),
+])
+def test_chain_the_model_cannot_represent_exits_before_any_stage(
+        tmp_path, capsys, name, value):
+    """Every figure comes from the network model, which computes the unity
+    amplifier chain on arrays large enough for the 16-8-4 net; another
+    chain is a config error that names the setting, and nothing is
+    written."""
+    out = tmp_path / "run"
+    with pytest.raises(ConfigError, match=f"crossbar: {name} must be"):
+        default_cfg(out, crossbar=CrossbarConfig(**{name: value})
+                    ).check_experiment()
+    config = default_cfg(out).to_dict()
+    config["crossbar"][name] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    for stage in ("dataset", "program", "all"):
+        assert main(["--config", str(path), "--stage", stage]) == EXIT_CONFIG
+        message = json.loads(capsys.readouterr().out)
+        assert message["error"] == "ConfigError"
+        assert message["stage"] == "config"
+        assert message["message"].startswith(f"crossbar: {name} must be")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, value", [
     ("tolerances", {}), ("tolerances", {"r_m": 0, "limit_sigmas": 2}),
     ("x_p", 100), ("x_p", 0.01), ("sweep_counts", [3]),
     ("plan_points", [{"r_m1": 0.0}]),
     ("plan_points", [{"r_m1": 0.1, "r_f": 0.01}, {"r_m1": 0.1, "r_f": 0.02}]),
     ("harden_boost", 0),
+    # the rails are not part of the network model's assumption
+    ("crossbar", CrossbarConfig(u_rail=1.0)),
+    ("crossbar", CrossbarConfig(u_rail=2.5, u_in_max=1.2)),
+    ("crossbar", CrossbarConfig(rows=32, cols=20, r_1=47e3, r_2=47e3,
+                                r_4=10e3)),
 ])
 def test_usable_experiment_setting_passes_the_check(tmp_path, name, value):
     default_cfg(tmp_path, **{name: value}).check_experiment()
@@ -341,8 +374,8 @@ def test_program_stage_keeps_stuck_cells(default_run, tmp_path):
 
 def test_train_stage_with_restarts_and_discrete_phase(tmp_path):
     """Two restarts with the discrete phase, at a small size: the kept
-    weights lie on the state ladder, the better restart wins, and
-    ``final_mse`` is the loss of the params written."""
+    weights lie on the state ladder, the restart with the lower training
+    loss wins, and ``final_mse`` is the loss of the params written."""
     metas = {}
     for restarts in (1, 2):
         cfg = default_cfg(tmp_path / f"restarts{restarts}", restarts=restarts,
@@ -354,7 +387,7 @@ def test_train_stage_with_restarts_and_discrete_phase(tmp_path):
             (cfg.out_dir / "train" / "train.json").read_text())
     meta = metas[2]
     assert set(meta["phases"]) == {"continuous", "harden", "discrete"}
-    assert meta["test_p_err"] <= metas[1]["test_p_err"]
+    assert meta["final_mse"] <= metas[1]["final_mse"]
     params = _load_params(cfg.out_dir)
     states = symmetric_weight_states(cfg.resistance_range.n_states,
                                      cfg.crossbar.r_f, cfg.resistance_range)
@@ -475,6 +508,57 @@ def test_cli_enforce_flags_budget_miss(default_run, tmp_path, capsys):
     assert code == EXIT_ENFORCE
     summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert summary["passed"] is False
+
+
+def test_enforce_flags_a_subset_over_the_budget(default_run, tmp_path,
+                                                capsys):
+    """The overall worst trial within the budget does not hide a pattern
+    subset over it: ``subsets_passed`` is false and --enforce exits 4,
+    while the report's own ``passed`` stays the overall verdict."""
+    run = tmp_path / "subset"
+    shutil.copytree(default_run.run_dir, run)
+    path = run / "analyze" / "report.json"
+    report = json.loads(path.read_text())
+    report["subset_max"]["sites"] = report["x_p"] + 0.5
+    path.write_text(json.dumps(report))
+    assert report["passed"]
+    code = main(["--out", str(run), "--seed", str(DEFAULT_SEED),
+                 "--stage", "report", "--enforce"])
+    assert code == EXIT_ENFORCE
+    summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert summary["passed"] is True
+    assert summary["subsets_passed"] is False
+    assert default_run.summary["subsets_passed"] is True
+
+
+@pytest.mark.parametrize("activation, code", [
+    (None, EXIT_OK), ({"slope": 1.0, "lower": -1.0, "upper": 1.0}, EXIT_OK),
+    ({"slope": 2.0, "lower": -1.0, "upper": 1.0}, EXIT_STAGE),
+    ({"slope": 1.0, "lower": 0.0, "upper": 1.0}, EXIT_STAGE),
+])
+def test_params_file_must_hold_the_unity_transfer(default_run, tmp_path,
+                                                 capsys, activation, code):
+    """Params written with the unity activation entry, as older runs wrote
+    them, still load; any other transfer stops the stage with one JSON
+    line."""
+    run = tmp_path / "params"
+    shutil.copytree(default_run.run_dir, run)
+    path = run / "train" / "params.json"
+    params = json.loads(path.read_text())
+    assert "activation" not in params
+    if activation is not None:
+        params["activation"] = activation
+    path.write_text(json.dumps(params))
+    assert main(["--out", str(run), "--seed", str(DEFAULT_SEED),
+                 "--stage", "compile"]) == code
+    message = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    if code == EXIT_STAGE:
+        assert message["error"] == "MemxbarError"
+        assert message["stage"] == "compile"
+        assert "activation" in message["message"]
+    else:
+        assert (run / "compile" / "compiled.json").read_bytes() == \
+            (default_run.run_dir / "compile" / "compiled.json").read_bytes()
 
 
 def test_enforce_passes_on_good_run(default_run, capsys):

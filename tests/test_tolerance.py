@@ -506,7 +506,7 @@ def test_sweep_rejects_degenerate_counts(default_net, default_test_split):
 def reference_rates(net, w1, w2, x, codes):
     """Error rates by argmax over ``forward_stack``, reject where the
     maximum output is <= 0, and masked means over the patterns."""
-    out = forward_stack(net.activation, x, w1, net.b_hidden, w2, net.b_out)
+    out = forward_stack(x, w1, net.b_hidden, w2, net.b_out)
     best = out.argmax(axis=2)
     pred = np.where(out.max(axis=2) > 0, best, len(LABELS) - 1)
     wrong = pred != codes[None, :]
@@ -548,7 +548,7 @@ def scorer_problem():
 
 def test_scorer_problem_has_ties_negatives_and_zeros():
     net, x, codes, w1, w2 = scorer_problem()
-    out = forward_stack(net.activation, x, w1, net.b_hidden, w2, net.b_out)
+    out = forward_stack(x, w1, net.b_hidden, w2, net.b_out)
     top = out.max(axis=2, keepdims=True)
     ties = (out == top).sum(axis=2) > 1
     assert ties[1].any() and ties[2].all() and ties[3].all()
@@ -579,7 +579,7 @@ def reference_counts(net, w1, w2, x, codes):
     """Misclassified patterns per trial and class, (trials, 5), by argmax
     over ``forward_stack`` with reject where the maximum output is not
     positive (a NaN maximum included)."""
-    out = forward_stack(net.activation, x, w1, net.b_hidden, w2, net.b_out)
+    out = forward_stack(x, w1, net.b_hidden, w2, net.b_out)
     pred = np.where(out.max(axis=2) > 0, out.argmax(axis=2), len(LABELS) - 1)
     wrong = pred != codes[None, :]
     return np.stack([wrong[:, codes == k].sum(axis=1)
@@ -621,9 +621,9 @@ def test_fused_forward_equals_forward_stack_on_analysis_stacks(
     net = default_net
     hidden, out = stack_buffers(len(w1), len(x_test))
     with blas_threads(threads):
-        got = forward_stack_into(net.activation, unit_by_pattern(x_test), w1,
+        got = forward_stack_into(unit_by_pattern(x_test), w1,
                                  net.b_hidden, w2, net.b_out, hidden, out)
-        ref = forward_stack(net.activation, x_test, w1, net.b_hidden, w2,
+        ref = forward_stack(x_test, w1, net.b_hidden, w2,
                             net.b_out)
     assert np.array_equal(got, ref.transpose(0, 2, 1))
 
