@@ -91,8 +91,7 @@ class Crossbar:
                  stuck: np.ndarray | None = None):
         self.config = config
         self.device = device
-        if config.u_in_max >= device.v_threshold:
-            raise ValueError("data-signal limit must stay below the device threshold")
+        check_signal_limit(config, device)
         shape = (config.rows, config.cols)
         self.resistance = (np.full(shape, device.r_hrs_nominal)
                            if resistance is None
@@ -111,6 +110,14 @@ class Crossbar:
                                 ("RESET", dev.ramp_amplitudes(device))):
             check_bias(bias_assignment(self, (0, 0), mode, amplitude),
                        device.v_threshold)
+
+
+def check_signal_limit(config: CrossbarConfig, device: DeviceParams) -> None:
+    """Raise ValueError unless the data-signal limit stays below the device
+    threshold, so no data voltage can switch a cell."""
+    if config.u_in_max >= device.v_threshold:
+        raise ValueError(f"u_in_max must be below the device threshold "
+                         f"{device.v_threshold!r}, got {config.u_in_max!r}")
 
 
 @dataclass
@@ -311,15 +318,15 @@ def program_cell(xbar: Crossbar, target: tuple[int, int], target_r: float,
 
 
 def two_layer_forward(xbar1: Crossbar, xbar2: Crossbar, b_hidden: np.ndarray,
-                      b_out: np.ndarray, x: np.ndarray, n_hidden: int = 8,
-                      n_out: int = 4) -> np.ndarray:
+                      b_out: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Full circuit inference: two arrays with digitally added biases.
 
-    Biases enter each difference stage ahead of its saturating amplifier.
-    The hidden-layer output is re-emitted through the data DACs, so it is
-    clamped to the data-voltage range before entering the second array.
+    Biases enter each difference stage ahead of its saturating amplifier;
+    a layer has one output per bias.  The hidden-layer output is re-emitted
+    through the data DACs, so it is clamped to the data-voltage range
+    before entering the second array.
     """
-    cfg1 = xbar1.config
+    cfg1, n_hidden, n_out = xbar1.config, len(b_hidden), len(b_out)
     bias1 = np.zeros(cfg1.rows // 2)
     bias1[:n_hidden] = np.asarray(b_hidden, dtype=float)
     hidden = _clamp(layer_forward(xbar1, x, bias1)[:n_hidden], cfg1.u_in_max)

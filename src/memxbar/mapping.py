@@ -23,13 +23,10 @@ class ResistanceRange:
 
     r_min: float
     r_max: float
-    n_states: int | None = None
 
     def __post_init__(self):
         if not (0 < self.r_min < self.r_max):
             raise ValueError(f"need 0 < r_min < r_max, got {self.r_min}, {self.r_max}")
-        if self.n_states is not None and self.n_states < 2:
-            raise ValueError("n_states must be >= 2")
 
 
 @dataclass(frozen=True)
@@ -55,18 +52,13 @@ def w_max(r_f: float, rng: ResistanceRange) -> float:
     return r_f * (rng.r_max - rng.r_min) / (rng.r_max * rng.r_min)
 
 
-def resistances_for_weight(
-    w: float,
-    r_f: float,
-    rng: ResistanceRange,
-    reference: float | None = None,
-) -> SynapseNominals:
+def resistances_for_weight(w: float, r_f: float,
+                           rng: ResistanceRange) -> SynapseNominals:
     """Pick a resistance pair realizing ``w``.
 
     The one-synapse case of :func:`compile_weight_matrix`.
     """
-    layer = compile_weight_matrix(np.array([[w]], dtype=float), r_f, rng,
-                                  reference)
+    layer = compile_weight_matrix(np.array([[w]], dtype=float), r_f, rng)
     return layer.synapse(0, 0)
 
 
@@ -164,25 +156,21 @@ class CompiledNet:
         return (("hidden", self.hidden), ("out", self.out))
 
 
-def compile_weight_matrix(w: np.ndarray, r_f: float, rng: ResistanceRange,
-                          reference: float | None = None) -> CompiledLayer:
+def compile_weight_matrix(w: np.ndarray, r_f: float,
+                          rng: ResistanceRange) -> CompiledLayer:
     """Resistance pairs realizing every weight of a matrix.
 
-    For each synapse the opposing memristor is pinned at ``reference``
-    (the top of the range by default, which maximizes the usable weight
-    span) and the other one carries the magnitude.  Negative weights
-    mirror the pair.
+    For each synapse the opposing memristor is pinned at the top of the
+    range, which maximizes the usable weight span to :func:`w_max`, and
+    the other one carries the magnitude.  Negative weights mirror the
+    pair.
     """
     w = np.asarray(w, dtype=float)
-    ref = rng.r_max if reference is None else reference
-    if not (rng.r_min <= ref <= rng.r_max):
-        raise ValueError(f"reference {ref} outside range [{rng.r_min}, {rng.r_max}]")
-    cap = r_f * (ref - rng.r_min) / (ref * rng.r_min)
+    ref = rng.r_max
+    cap = w_max(r_f, rng)
     worst = np.abs(w).max() if w.size else 0.0
     if worst > cap * (1 + 1e-12):
-        raise WeightOutOfRangeError(
-            f"|w|={worst:.4g} exceeds {cap:.4g} for reference {ref:.4g}"
-        )
+        raise WeightOutOfRangeError(f"|w|={worst:.4g} exceeds {cap:.4g}")
     r_prog = np.clip(r_f / (np.abs(w) + r_f / ref), rng.r_min, rng.r_max)
     r_m1 = np.where(w >= 0, r_prog, ref)
     r_m2 = np.where(w >= 0, ref, r_prog)
@@ -190,12 +178,11 @@ def compile_weight_matrix(w: np.ndarray, r_f: float, rng: ResistanceRange,
 
 
 def compile_network(w_hidden: np.ndarray, w_out: np.ndarray, r_f: float,
-                    rng: ResistanceRange,
-                    reference: float | None = None) -> CompiledNet:
+                    rng: ResistanceRange) -> CompiledNet:
     """Resistance realization of both layers of the perceptron."""
     return CompiledNet(
-        hidden=compile_weight_matrix(w_hidden, r_f, rng, reference),
-        out=compile_weight_matrix(w_out, r_f, rng, reference),
+        hidden=compile_weight_matrix(w_hidden, r_f, rng),
+        out=compile_weight_matrix(w_out, r_f, rng),
     )
 
 
@@ -205,7 +192,6 @@ def compensate_stuck(
     target_w: float,
     r_f: float,
     rng: ResistanceRange,
-    reference: float | None = None,
 ) -> tuple[SynapseNominals, float, bool]:
     """Best-effort synapse realization when one or both devices are frozen.
 
@@ -216,21 +202,16 @@ def compensate_stuck(
     ``fixed`` is True: no programming can change it.
     """
     if stuck_m1 is None and stuck_m2 is None:
-        syn = resistances_for_weight(target_w, r_f, rng, reference=reference)
+        syn = resistances_for_weight(target_w, r_f, rng)
         return syn, weight_from_resistances(syn), False
     if stuck_m1 is not None and stuck_m2 is not None:
         syn = SynapseNominals(r_f=r_f, r_m1=stuck_m1, r_m2=stuck_m2)
         return syn, weight_from_resistances(syn), True
-    if stuck_m2 is not None:
-        # w = r_f/r_m1 - r_f/s  ->  r_m1 = r_f / (w + r_f/s)
-        denom = target_w + r_f / stuck_m2
-        r_m1 = r_f / denom if denom > 0 else rng.r_max
-        r_m1 = min(max(r_m1, rng.r_min), rng.r_max)
-        syn = SynapseNominals(r_f=r_f, r_m1=r_m1, r_m2=stuck_m2)
-        return syn, weight_from_resistances(syn), False
-    # stuck_m1 set: w = r_f/s - r_f/r_m2  ->  r_m2 = r_f / (r_f/s - w)
-    denom = r_f / stuck_m1 - target_w
-    r_m2 = r_f / denom if denom > 0 else rng.r_max
-    r_m2 = min(max(r_m2, rng.r_min), rng.r_max)
-    syn = SynapseNominals(r_f=r_f, r_m1=stuck_m1, r_m2=r_m2)
+    # w = r_f/r_m1 - r_f/r_m2, so the free device is r_f / (±w + r_f/stuck)
+    stuck, sign = (stuck_m2, 1.0) if stuck_m2 is not None else (stuck_m1, -1.0)
+    denom = sign * target_w + r_f / stuck
+    free = r_f / denom if denom > 0 else rng.r_max
+    free = min(max(free, rng.r_min), rng.r_max)
+    syn = (SynapseNominals(r_f=r_f, r_m1=free, r_m2=stuck) if sign > 0
+           else SynapseNominals(r_f=r_f, r_m1=stuck, r_m2=free))
     return syn, weight_from_resistances(syn), False

@@ -3,8 +3,8 @@
 A 16-8-4 network whose one transfer, ``clip(z, -1, 1)``, is the amplifier
 chain's at unity gain (:func:`check_unity_chain`).  Training runs full-batch
 adaptive-moment gradient descent; after every epoch the weights can be
-clamped and projected onto a discrete state set, so the result stays
-realizable on the arrays.  :func:`forward_stack` is the forward pass of
+clamped to the realizable span, so the result stays within what the
+arrays can express.  :func:`forward_stack` is the forward pass of
 :func:`forward`.  Training runs in unit-by-pattern buffers, (units,
 patterns), that one ``train_discrete`` call allocates once: one pass
 gives the loss and the gradients.  Stacks of weight realizations, the
@@ -29,7 +29,6 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import MemxbarError, NonFiniteLossError, ShapeMismatchError
-from .mapping import quantize_weights
 from .stats import check_ranges, truncated_normal
 
 N_INPUT = 16
@@ -492,7 +491,7 @@ def check_train_settings(settings: dict) -> None:
 
 @dataclass
 class TrainConfig:
-    """Optimizer settings and realizability constraints.
+    """Optimizer settings and the realizable weight span.
 
     ``leak`` is the training-time derivative assigned to the saturated
     region of the activation.  With a strictly zero subgradient a unit
@@ -525,7 +524,6 @@ class TrainConfig:
     beta2: float = 0.999
     eps: float = 1e-8
     leak: float = 0.05
-    discrete_states: np.ndarray | None = None
     weight_limit: float | None = None
     weight_noise: float = 0.0          # relative sigma of the jitter
     noise_offset: float = 0.0          # fixed-branch term, weight units
@@ -535,9 +533,6 @@ class TrainConfig:
         if self.weight_limit is None:
             del settings["weight_limit"]
         check_ranges(settings, _CONFIG_RANGES)
-        if self.discrete_states is not None:
-            self.discrete_states = np.sort(np.asarray(self.discrete_states,
-                                                      dtype=float))
 
 
 @dataclass
@@ -553,16 +548,12 @@ class TrainResult:
 
 
 def _project(params: MlpParams, cfg: TrainConfig) -> None:
-    """Clamp and quantize the weights in place, so views stay views."""
+    """Clamp the weights in place, so views stay views."""
     if cfg.weight_limit is not None:
         np.clip(params.w_hidden, -cfg.weight_limit, cfg.weight_limit,
                 out=params.w_hidden)
         np.clip(params.w_out, -cfg.weight_limit, cfg.weight_limit,
                 out=params.w_out)
-    if cfg.discrete_states is not None:
-        params.w_hidden[...] = quantize_weights(params.w_hidden,
-                                                cfg.discrete_states)
-        params.w_out[...] = quantize_weights(params.w_out, cfg.discrete_states)
 
 
 _PARAM_KEYS = ("w_hidden", "b_hidden", "w_out", "b_out")
@@ -637,9 +628,8 @@ def train_discrete(params: MlpParams, x: np.ndarray, y: np.ndarray,
                    rng: np.random.Generator | None = None) -> TrainResult:
     """Full-batch adaptive-moment descent with projection every epoch.
 
-    After each update the weights are clamped to the realizable span and
-    quantized onto the discrete state set if one is given, so the
-    trajectory never leaves what the arrays can express.
+    After each update the weights are clamped to the realizable span, so
+    the trajectory never leaves what the arrays can express.
 
     Without weight noise the returned params are the best-loss epoch, the
     loop stops once the loss target is met, and the curve records the

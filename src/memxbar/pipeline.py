@@ -21,13 +21,12 @@ import numpy as np
 
 from . import dataset as ds
 from . import reports
-from .crossbar import (Crossbar, CrossbarConfig, program_cell,
-                       save_crossbar_csv, synapse_weights)
+from .crossbar import (Crossbar, CrossbarConfig, check_signal_limit,
+                       program_cell, save_crossbar_csv, synapse_weights)
 from .device import DeviceParams
 from .errors import ConfigError
 from .mapping import (CompiledLayer, CompiledNet, ResistanceRange,
-                      compensate_stuck, compile_network, symmetric_weight_states,
-                      w_max)
+                      compensate_stuck, compile_network, w_max)
 from .netmodel import (MlpParams, TrainConfig, check_train_settings,
                        check_unity_chain, evaluate, init_params,
                        train_discrete)
@@ -44,8 +43,7 @@ _STREAM = {"dataset": 10, "train": 11, "program": 13, "analyze": 14,
            "synthesize": 15}
 
 # Smallest accepted value of each integer setting.
-_INT_MINIMA = {"seed": 0, "trials": 1, "plan_trials": 1, "restarts": 1,
-               "harden_epochs": 0}
+_INT_MINIMA = {"seed": 0, "trials": 1, "plan_trials": 1, "harden_epochs": 0}
 
 
 @dataclass
@@ -55,8 +53,9 @@ class RunConfig:
     The default device window is 10-300 kOhm with a fine reset ramp, which
     keeps the fixed-branch conductance of every synapse small; weights then
     shift less in absolute terms for a given relative resistance error.
-    ``harden_epochs`` and ``harden_boost`` control the noise-injection
-    training phase that follows clean convergence.
+    Training runs one recipe: a clean fit from one start, then, unless
+    ``harden_epochs`` is 0, the noise-injection phase that ``harden_epochs``
+    and ``harden_boost`` control.
     """
 
     seed: int
@@ -65,7 +64,7 @@ class RunConfig:
         r_hrs_nominal=300e3, ramp_step=1.5 / 128))
     crossbar: CrossbarConfig = field(default_factory=CrossbarConfig)
     resistance_range: ResistanceRange = field(
-        default_factory=lambda: ResistanceRange(10e3, 300e3, n_states=7))
+        default_factory=lambda: ResistanceRange(10e3, 300e3))
     train: dict = field(default_factory=dict)
     tolerances: dict = field(default_factory=lambda: dict(TOLERANCE_DEFAULTS))
     profile_path: str | None = None
@@ -77,8 +76,6 @@ class RunConfig:
         default_factory=lambda: ResistanceRange(10e3, 60e3))
     plan_points: list | None = None
     plan_trials: int = 1000
-    restarts: int = 1
-    discrete: bool = False
     harden_epochs: int = 3000
     harden_boost: float = 1.3
 
@@ -99,9 +96,6 @@ class RunConfig:
             )
         if self.profile_path is not None and not Path(self.profile_path).exists():
             raise ConfigError(f"profile file not found: {self.profile_path}")
-        if type(self.discrete) is not bool:
-            raise ConfigError(f"discrete must be true or false, "
-                              f"got {self.discrete!r}")
         if not isinstance(self.train, dict):
             raise ConfigError(f"train must map settings to values: {self.train!r}")
         try:            # only the keys given: configs are built often
@@ -150,9 +144,10 @@ class RunConfig:
             raise ConfigError(f"x_p must be a percentage in (0, 100], "
                               f"got {self.x_p!r}")
         owners = {
-            "crossbar": lambda: check_unity_chain(self.crossbar),
+            "crossbar": lambda: (check_unity_chain(self.crossbar),
+                                 check_signal_limit(self.crossbar, self.device)),
             "tolerances": lambda: tolerance_set(**self.tolerance_settings()),
-            "harden_boost": lambda: _train_config(self, "harden"),
+            "harden_boost": lambda: _train_config(self, harden=True),
             "sweep_counts": lambda: check_state_counts(self.sweep_counts),
             "plan_points": lambda: _default_plan(self),
             "profile_path": lambda: (self.profile_path
@@ -175,8 +170,7 @@ class RunConfig:
             "device": self.device.to_dict(),
             "crossbar": self.crossbar.to_dict(),
             "resistance_range": {"r_min": self.resistance_range.r_min,
-                                 "r_max": self.resistance_range.r_max,
-                                 "n_states": self.resistance_range.n_states},
+                                 "r_max": self.resistance_range.r_max},
             "train": dict(self.train),
             "tolerances": dict(self.tolerances),
             "profile_path": self.profile_path,
@@ -188,8 +182,6 @@ class RunConfig:
                             "r_max": self.sweep_range.r_max},
             "plan_points": self.plan_points,
             "plan_trials": self.plan_trials,
-            "restarts": self.restarts,
-            "discrete": self.discrete,
             "harden_epochs": self.harden_epochs,
             "harden_boost": self.harden_boost,
         }
@@ -202,14 +194,9 @@ class RunConfig:
                 d["device"] = DeviceParams.from_dict(d["device"])
             if "crossbar" in d:
                 d["crossbar"] = CrossbarConfig.from_dict(d["crossbar"])
-            if "resistance_range" in d:
-                rr = d["resistance_range"]
-                d["resistance_range"] = ResistanceRange(
-                    rr["r_min"], rr["r_max"], rr.get("n_states"))
-            if "sweep_range" in d:
-                sr = d["sweep_range"]
-                d["sweep_range"] = ResistanceRange(sr["r_min"], sr["r_max"],
-                                                   sr.get("n_states"))
+            for name in ("resistance_range", "sweep_range"):
+                if name in d:
+                    d[name] = ResistanceRange(**d[name])
             if "sweep_counts" in d:
                 d["sweep_counts"] = tuple(d["sweep_counts"])
             return cls(**d)
@@ -271,23 +258,15 @@ def stage_dataset(cfg: RunConfig, out: Path) -> None:
         json.dump({"seed": cfg.seed, **counts}, fh, indent=2, sort_keys=True)
 
 
-def _train_config(cfg: RunConfig, phase: str) -> TrainConfig:
-    """Build the optimizer settings for one training phase.
-
-    ``continuous`` is a clean run to the loss target.  ``harden``
-    continues with weight-noise injection scaled to the configured
+def _train_config(cfg: RunConfig, harden: bool) -> TrainConfig:
+    """Optimizer settings of the clean fit to the loss target or, with
+    ``harden``, of the hardening phase: weight-noise injection scaled to the
     component tolerances, trading a little nominal loss for flatness.
-    ``discrete`` additionally projects onto the realizable state ladder.
-    ``TrainConfig`` refuses the settings of a phase with ValueError; a
+    ``TrainConfig`` refuses bad settings with ValueError; a
     ``harden_boost`` that is not a number is refused here.
     """
     opts = dict(cfg.train)
-    states = None
-    if phase == "discrete":
-        n = cfg.resistance_range.n_states or 7
-        states = symmetric_weight_states(n, cfg.crossbar.r_f,
-                                         cfg.resistance_range)
-    if phase in ("harden", "discrete"):
+    if harden:
         if not is_real(cfg.harden_boost):
             raise ValueError(f"harden_boost must be a number, "
                              f"got {cfg.harden_boost!r}")
@@ -298,8 +277,7 @@ def _train_config(cfg: RunConfig, phase: str) -> TrainConfig:
             np.hypot(sigma_m, sigma_f))
         opts["noise_offset"] = cfg.crossbar.r_f / cfg.resistance_range.r_max
         opts["max_epochs"] = cfg.harden_epochs
-    return TrainConfig(discrete_states=states,
-                       weight_limit=w_max(cfg.crossbar.r_f, cfg.resistance_range),
+    return TrainConfig(weight_limit=w_max(cfg.crossbar.r_f, cfg.resistance_range),
                        **opts)
 
 
@@ -307,37 +285,26 @@ def stage_train(cfg: RunConfig, out: Path) -> None:
     x_train, y_train = _load_split(cfg.out_dir, "train")
     x_test, y_test = _load_split(cfg.out_dir, "test")
     y_target = ds.target_matrix(y_train)
-    best = None                 # the lowest training loss; ties keep the first
-    for restart in range(cfg.restarts):
-        rng = substream(cfg.seed, _STREAM["train"], restart)
-        p0 = init_params(rng)
-        cont = train_discrete(p0, x_train, y_target,
-                              _train_config(cfg, "continuous"))
-        phases = [("continuous", cont)]
-        result = cont
-        if cfg.harden_epochs > 0:
-            result = train_discrete(result.params, x_train, y_target,
-                                    _train_config(cfg, "harden"), rng)
-            phases.append(("harden", result))
-        if cfg.discrete:
-            result = train_discrete(result.params, x_train, y_target,
-                                    _train_config(cfg, "discrete"), rng)
-            phases.append(("discrete", result))
-        if best is None or result.final_mse < best[1].final_mse:
-            best = (restart, result, cont, phases)
-    restart, result, cont, phases = best
+    rng = substream(cfg.seed, _STREAM["train"], 0)
+    cont = train_discrete(init_params(rng), x_train, y_target,
+                          _train_config(cfg, harden=False))
+    phases = [("continuous", cont)]
+    result = cont
+    if cfg.harden_epochs > 0:
+        result = train_discrete(cont.params, x_train, y_target,
+                                _train_config(cfg, harden=True), rng)
+        phases.append(("harden", result))
     test_p = evaluate(result.params, x_test, y_test)
     for name, kept in (("params.json", result), ("params_continuous.json", cont)):
         with replacing(out / name) as fh:
             json.dump(kept.params.to_dict(), fh, indent=2, sort_keys=True)
-    curve = np.concatenate([phases[0][1].curve]
-                           + [r.curve[1:] for _, r in phases[1:]])
+    curve = np.concatenate([cont.curve] + [r.curve[1:] for _, r in phases[1:]])
     reports.write_curve_csv(out / "curve.csv", curve)
     reports.render_learning_curve(curve, cfg.out_dir / reports.CURVE_SVG)
     meta = {"test_p_err": test_p,
             "final_mse": result.final_mse,
             "epochs": int(sum(r.epochs for _, r in phases)),
-            "converged": result.converged, "restart": restart,
+            "converged": result.converged,
             "phases": {name: {"epochs": r.epochs,
                               "mse": r.final_mse,
                               "test_p_err": evaluate(r.params, x_test, y_test)}

@@ -103,6 +103,19 @@ def test_compensate_one_stuck_branch():
     assert achieved == pytest.approx(target, rel=1e-9)
 
 
+def test_compensate_stuck_r_m1_solves_r_m2():
+    """w = r_f/s - r_f/r_m2 gives r_m2 = r_f / (r_f/s - w); a weight the
+    stuck branch cannot reach parks r_m2 at r_max."""
+    syn, achieved, fixed = compensate_stuck(120e3, None, -1.5, R_F, RANGE)
+    assert not fixed
+    assert syn.r_m1 == 120e3
+    assert syn.r_m2 == R_F / (R_F / 120e3 + 1.5)
+    assert achieved == pytest.approx(-1.5, rel=1e-9)
+    syn, achieved, fixed = compensate_stuck(120e3, None, 2.0, R_F, RANGE)
+    assert (syn.r_m1, syn.r_m2) == (120e3, RANGE.r_max)
+    assert achieved == weight_from_resistances(syn) < 2.0
+
+
 def test_compensate_both_stuck_is_fixed():
     syn, achieved, fixed = compensate_stuck(20e3, 40e3, 0.3, R_F, RANGE)
     assert fixed

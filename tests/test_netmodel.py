@@ -7,8 +7,6 @@ import numpy as np
 import pytest
 
 from memxbar.errors import NonFiniteLossError, ShapeMismatchError
-from memxbar.mapping import (ResistanceRange, quantize_weights,
-                             symmetric_weight_states)
 from memxbar.netmodel import (_PANEL, Activation, MlpParams, ScoreBatch,
                               TrainConfig, TrainResult, _TrainBatch, evaluate,
                               forward,
@@ -198,18 +196,6 @@ def test_training_respects_weight_limit():
     assert np.abs(result.params.w_out).max() <= 0.4
 
 
-def test_training_projects_onto_state_ladder():
-    states = np.array(symmetric_weight_states(
-        7, 100e3, ResistanceRange(10e3, 300e3)))
-    rng = np.random.default_rng(8)
-    x = rng.uniform(0, 1, size=(30, 16))
-    y = np.tile([1.0, -1.0, -1.0, -1.0], (30, 1))
-    cfg = TrainConfig(max_epochs=200, discrete_states=states, mse_target=0.0)
-    result = train_discrete(init_params(rng), x, y, cfg)
-    for w in (result.params.w_hidden, result.params.w_out):
-        assert np.isin(w, states).all()
-
-
 def test_noisy_training_needs_rng():
     cfg = TrainConfig(weight_noise=0.05, max_epochs=10)
     x = np.zeros((4, 16))
@@ -331,9 +317,6 @@ def reference_project(params, cfg):
                                   cfg.weight_limit)
         params.w_out = np.clip(params.w_out, -cfg.weight_limit,
                                cfg.weight_limit)
-    if cfg.discrete_states is not None:
-        params.w_hidden = quantize_weights(params.w_hidden, cfg.discrete_states)
-        params.w_out = quantize_weights(params.w_out, cfg.discrete_states)
 
 
 def reference_train(params, x, y, cfg, rng=None):
@@ -557,18 +540,14 @@ def test_loss_turning_non_finite_is_refused(monkeypatch, noise, first_bad):
 
 
 def phase_configs():
-    states = np.array(symmetric_weight_states(
-        7, 100e3, ResistanceRange(10e3, 300e3)))
-    noisy = {"weight_noise": 0.05, "noise_offset": 1 / 3, "max_epochs": 50}
     return {
         "clean": TrainConfig(weight_limit=0.8, max_epochs=50),
-        "noisy": TrainConfig(weight_limit=0.8, **noisy),
-        "discrete": TrainConfig(weight_limit=0.8, discrete_states=states,
-                                **noisy),
+        "noisy": TrainConfig(weight_limit=0.8, weight_noise=0.05,
+                             noise_offset=1 / 3, max_epochs=50),
     }
 
 
-@pytest.mark.parametrize("phase", ["clean", "noisy", "discrete"])
+@pytest.mark.parametrize("phase", ["clean", "noisy"])
 def test_train_discrete_equals_reference_loop(phase):
     params, x, y = saturating_problem()
     cfg = phase_configs()[phase]

@@ -16,13 +16,11 @@ from memxbar.cli import (BLAS_THREAD_VARIABLES, EXIT_CONFIG, EXIT_ENFORCE,
                          EXIT_OK, EXIT_STAGE, build_parser, load_config,
                          main)
 from memxbar.crossbar import CrossbarConfig
-from memxbar.dataset import default_profile, target_matrix
+from memxbar.dataset import default_profile
 from memxbar.device import DeviceParams
 from memxbar.errors import ConfigError
-from memxbar.mapping import ResistanceRange, symmetric_weight_states
-from memxbar.netmodel import forward, mse
-from memxbar.pipeline import (RunConfig, _load_params, _load_split,
-                              run_pipeline)
+from memxbar.mapping import ResistanceRange
+from memxbar.pipeline import RunConfig, run_pipeline
 
 from helpers import DEFAULT_SEED
 
@@ -53,7 +51,7 @@ def test_config_hash_ignores_out_dir(tmp_path):
 
 @pytest.mark.parametrize("name, value", [
     ("trials", 0), ("trials", -5), ("trials", "abc"), ("trials", 2.5),
-    ("plan_trials", 0), ("restarts", 0), ("harden_epochs", -1),
+    ("plan_trials", 0), ("harden_epochs", -1),
     ("harden_epochs", True), ("seed", -1), ("seed", "7"), ("seed", True),
     ("seed", 7.0),
 ])
@@ -75,20 +73,6 @@ def test_bad_count_setting_exits_with_config_error(tmp_path, name, value):
     assert not run.exists()
 
 
-@pytest.mark.parametrize("value", ["false", "yes", 0, 1, None])
-def test_discrete_must_be_a_bool(tmp_path, capsys, value):
-    with pytest.raises(ConfigError, match="discrete"):
-        default_cfg(tmp_path, discrete=value)
-    run = tmp_path / "run"
-    config = default_cfg(run).to_dict()
-    config["discrete"] = value
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(config))
-    assert main(["--config", str(path), "--stage", "train"]) == EXIT_CONFIG
-    assert "discrete" in json.loads(capsys.readouterr().out)["message"]
-    assert not run.exists()
-
-
 @pytest.mark.parametrize("name, value", [
     ("r_f", float("nan")), ("r_f", float("inf")), ("r_3", float("nan")),
     ("u_rail", float("inf")), ("adc_step", float("-inf")),
@@ -104,16 +88,28 @@ def test_non_finite_amplifier_value_exits_with_config_error(
     assert message.startswith(f"{name} must be finite")
 
 
+# keys older configs set, with the values they set, and a misspelt one
+_REMOVED = {"bounds_trials": 20000, "restarts": 1, "discrete": False,
+            "resistance_range.n_states": 7, "resistance_range.rmax_typo": 5}
+
+
+@pytest.mark.parametrize("key", list(_REMOVED))
 def test_removed_bounds_trials_setting_exits_with_config_error(tmp_path,
-                                                              capsys):
-    """The weight bands come from the analysis trials; a config that still
-    sets a separate band trial count is refused, naming the key."""
+                                                              capsys, key):
+    """Settings that selected a path no run takes are unknown keys: the
+    weight bands come from the analysis trials, training runs one recipe
+    from one start, and the state ladders come from the sweep counts.  A
+    config that still sets one, or a misspelt range key, is refused before
+    any stage, naming the key."""
     config = default_cfg(tmp_path / "run").to_dict()
-    config["bounds_trials"] = 20000
+    section, _, name = key.rpartition(".")
+    (config[section] if section else config)[name] = _REMOVED[key]
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
     assert main(["--config", str(path), "--stage", "analyze"]) == EXIT_CONFIG
-    assert "bounds_trials" in json.loads(capsys.readouterr().out)["message"]
+    message = json.loads(capsys.readouterr().out)
+    assert message["stage"] == "config"
+    assert name in message["message"]
     assert not (tmp_path / "run").exists()
 
 
@@ -182,13 +178,15 @@ def test_bad_experiment_setting_exits_before_any_stage(tmp_path, capsys,
 @pytest.mark.parametrize("name, value", [
     ("r_2", 200e3), ("r_3", 10e3), ("u_sat", 0.5), ("u_sat", 2.0),
     ("u_in_max", 0.9), ("rows", 8), ("rows", 16.0), ("cols", 15),
+    ("u_in_max", 1.5), ("u_in_max", 2.0),
 ])
 def test_chain_the_model_cannot_represent_exits_before_any_stage(
         tmp_path, capsys, name, value):
     """Every figure comes from the network model, which computes the unity
     amplifier chain on arrays large enough for the 16-8-4 net; another
-    chain is a config error that names the setting, and nothing is
-    written."""
+    chain, or a data-signal limit at or above the device threshold (1.5 V),
+    which would switch cells, is a config error that names the setting,
+    and nothing is written."""
     out = tmp_path / "run"
     with pytest.raises(ConfigError, match=f"crossbar: {name} must be"):
         default_cfg(out, crossbar=CrossbarConfig(**{name: value})
@@ -370,32 +368,6 @@ def test_program_stage_keeps_stuck_cells(default_run, tmp_path):
         assert rec["stuck_flag"] == "1"
         assert float(rec["stuck_ohm"]) == spot["ohm"]
         assert float(rec["resistance_ohm"]) == spot["ohm"]
-
-
-def test_train_stage_with_restarts_and_discrete_phase(tmp_path):
-    """Two restarts with the discrete phase, at a small size: the kept
-    weights lie on the state ladder, the restart with the lower training
-    loss wins, and ``final_mse`` is the loss of the params written."""
-    metas = {}
-    for restarts in (1, 2):
-        cfg = default_cfg(tmp_path / f"restarts{restarts}", restarts=restarts,
-                          discrete=True, harden_epochs=30,
-                          train={"mse_target": 0.0, "max_epochs": 60})
-        run_pipeline(cfg, "dataset")
-        run_pipeline(cfg, "train")
-        metas[restarts] = json.loads(
-            (cfg.out_dir / "train" / "train.json").read_text())
-    meta = metas[2]
-    assert set(meta["phases"]) == {"continuous", "harden", "discrete"}
-    assert meta["final_mse"] <= metas[1]["final_mse"]
-    params = _load_params(cfg.out_dir)
-    states = symmetric_weight_states(cfg.resistance_range.n_states,
-                                     cfg.crossbar.r_f, cfg.resistance_range)
-    for w in (params.w_hidden, params.w_out):
-        assert np.isin(w, states).all()
-    x, labels = _load_split(cfg.out_dir, "train")
-    assert meta["final_mse"] == mse(target_matrix(labels), forward(params, x))
-    assert meta["phases"]["discrete"]["mse"] == meta["final_mse"]
 
 
 def test_synthesis_records_its_probes(default_run):
