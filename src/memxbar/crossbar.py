@@ -26,7 +26,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .reports import write_csv
-from .stats import quantize_half_up
+from .stats import check_ranges, quantize_half_up
 
 Mode = str  # "SET" | "RESET" | "READ"
 
@@ -118,6 +118,14 @@ def check_signal_limit(config: CrossbarConfig, device: DeviceParams) -> None:
     if config.u_in_max >= device.v_threshold:
         raise ValueError(f"u_in_max must be below the device threshold "
                          f"{device.v_threshold!r}, got {config.u_in_max!r}")
+
+
+def check_adc(config: CrossbarConfig) -> None:
+    """Raise ValueError unless the read-back ADC's step and range are > 0
+    (the constructor has refused non-finite ones)."""
+    rule = ("> 0", lambda v: v > 0)
+    check_ranges({"adc_step": config.adc_step, "adc_range": config.adc_range},
+                 {"adc_step": rule, "adc_range": rule})
 
 
 @dataclass

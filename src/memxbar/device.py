@@ -21,6 +21,7 @@ from .errors import (
     ProgrammingFailedError,
     StuckDeviceError,
 )
+from .stats import check_ranges
 
 MAX_PROGRAM_AMPLITUDE = 3.0
 
@@ -76,6 +77,20 @@ class DeviceParams:
         if "ramp_range" in d:
             d["ramp_range"] = tuple(d["ramp_range"])
         return cls(**d)
+
+
+def check_device(params: DeviceParams) -> None:
+    """Raise ValueError, naming the setting first, unless ``v_threshold``
+    is finite and > 0 (NaN would pass every bias check), ``v_read`` lies
+    in (0, v_threshold) and ``max_program_iterations`` is an int >= 1."""
+    v_t = params.v_threshold
+    rules = {
+        "v_threshold": ("finite and > 0", lambda v: 0 < v < np.inf),
+        "v_read": (f"in (0, v_threshold = {v_t!r})", lambda v: 0 < v < v_t),
+        "max_program_iterations": ("an int >= 1",
+                                   lambda v: type(v) is int and v >= 1),
+    }
+    check_ranges({name: getattr(params, name) for name in rules}, rules)
 
 
 @dataclass

@@ -192,26 +192,20 @@ def compensate_stuck(
     target_w: float,
     r_f: float,
     rng: ResistanceRange,
-) -> tuple[SynapseNominals, float, bool]:
+) -> SynapseNominals:
     """Best-effort synapse realization when one or both devices are frozen.
 
-    Returns ``(nominals, achieved_w, fixed)``.  With one device stuck the
-    free one is solved from the weight equation and clamped to the
-    programmable range; ``achieved_w`` is what the clamped pair actually
-    realizes.  With both stuck the weight is whatever their ratio gives and
-    ``fixed`` is True: no programming can change it.
+    With one device stuck the free one is solved from the weight equation
+    and clamped to the programmable range, so the pair realizes the
+    nearest weight it can.  With both stuck the pair is what it is: no
+    programming can change its weight.
     """
-    if stuck_m1 is None and stuck_m2 is None:
-        syn = resistances_for_weight(target_w, r_f, rng)
-        return syn, weight_from_resistances(syn), False
     if stuck_m1 is not None and stuck_m2 is not None:
-        syn = SynapseNominals(r_f=r_f, r_m1=stuck_m1, r_m2=stuck_m2)
-        return syn, weight_from_resistances(syn), True
+        return SynapseNominals(r_f=r_f, r_m1=stuck_m1, r_m2=stuck_m2)
     # w = r_f/r_m1 - r_f/r_m2, so the free device is r_f / (±w + r_f/stuck)
     stuck, sign = (stuck_m2, 1.0) if stuck_m2 is not None else (stuck_m1, -1.0)
     denom = sign * target_w + r_f / stuck
     free = r_f / denom if denom > 0 else rng.r_max
     free = min(max(free, rng.r_min), rng.r_max)
-    syn = (SynapseNominals(r_f=r_f, r_m1=free, r_m2=stuck) if sign > 0
-           else SynapseNominals(r_f=r_f, r_m1=stuck, r_m2=free))
-    return syn, weight_from_resistances(syn), False
+    return (SynapseNominals(r_f=r_f, r_m1=free, r_m2=stuck) if sign > 0
+            else SynapseNominals(r_f=r_f, r_m1=stuck, r_m2=free))

@@ -41,6 +41,11 @@ REJECT_LABEL = LABELS[-1]
 
 _SCORE_BYTES = 1 << 20           # hidden layer of one block of scored stacks
 
+# The one training recipe: Adam's step, moment decays and guard, and the
+# derivative saturated units pass to the gradients (see TrainConfig).
+ADAM_STEP, ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.02, 0.9, 0.999, 1e-8
+TRAIN_LEAK = 0.05
+
 
 class Activation:
     """The transfer of the unity amplifier chain: clip(z, -1, 1)."""
@@ -450,30 +455,20 @@ def gradients(params: MlpParams, x: np.ndarray, y: np.ndarray,
     """Analytic MSE gradients.
 
     Saturated units pass ``leak``; ``leak=0`` is the exact gradient and a
-    positive leak, at most 1, is the training surrogate (see
-    :class:`TrainConfig`).
+    positive leak, at most 1, is the training surrogate (training passes
+    ``TRAIN_LEAK``; see :class:`TrainConfig`).
     """
     batch = _TrainBatch(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     return batch.loss_and_gradients(params, leak)[1]
 
 
-# Accepted values of each optimizer setting; NaN fails every comparison.
-_TRAIN_RANGES = {
-    "max_epochs": ("an int >= 0", lambda v: type(v) is int and v >= 0),
-    "step": ("finite and > 0", lambda v: 0 < v < math.inf),
-    "eps": ("finite and > 0", lambda v: 0 < v < math.inf),
-    "mse_target": ("finite and >= 0", lambda v: 0 <= v < math.inf),
-    "leak": ("in [0, 1)", lambda v: 0 <= v < 1),
-    "beta1": ("in [0, 1)", lambda v: 0 <= v < 1),
-    "beta2": ("in [0, 1)", lambda v: 0 <= v < 1),
-}
-
-
-# Every checked TrainConfig field: the optimizer settings plus the noise and
-# realizability settings, which the pipeline derives per phase and which the
-# `train` section of a run config may not set.
+# Accepted values of each TrainConfig field; NaN fails every comparison.
+# The `train` section of a run config may set only the stopping settings;
+# the pipeline derives the noise and realizability settings per phase.
+_STOPPING = ("max_epochs", "mse_target")
 _CONFIG_RANGES = {
-    **_TRAIN_RANGES,
+    "max_epochs": ("an int >= 0", lambda v: type(v) is int and v >= 0),
+    "mse_target": ("finite and >= 0", lambda v: 0 <= v < math.inf),
     "weight_noise": ("finite and >= 0", lambda v: 0 <= v < math.inf),
     "noise_offset": ("finite and >= 0", lambda v: 0 <= v < math.inf),
     "weight_limit": ("None or finite and > 0", lambda v: 0 < v < math.inf),
@@ -482,23 +477,23 @@ _CONFIG_RANGES = {
 
 def check_train_settings(settings: dict) -> None:
     """Raise ValueError, naming the setting first, unless each entry of
-    ``settings`` is an optimizer setting of :class:`TrainConfig` in range."""
+    ``settings`` is a stopping setting of :class:`TrainConfig` in range."""
     for name in settings:
-        if name not in _TRAIN_RANGES:
+        if name not in _STOPPING:
             raise ValueError(f"{name} is not a training setting")
-    check_ranges(settings, _TRAIN_RANGES)
+    check_ranges(settings, _CONFIG_RANGES)
 
 
 @dataclass
 class TrainConfig:
-    """Optimizer settings and the realizable weight span.
+    """Stopping settings, weight noise and the realizable weight span.
 
-    ``leak`` is the training-time derivative assigned to the saturated
-    region of the activation.  With a strictly zero subgradient a unit
-    whose pre-activation leaves the linear region on the wrong side stops
+    The optimizer is fixed (the ``ADAM_`` constants).  ``TRAIN_LEAK`` is
+    the training-time derivative assigned to the saturated region of the
+    activation.  With a strictly zero subgradient a unit whose
+    pre-activation leaves the linear region on the wrong side stops
     receiving any pull and can never recover; a small leak keeps such
-    units trainable.  The loss, and so the reported loss curve, never
-    depends on ``leak``.
+    units trainable.  The loss, and so the curve, never depends on it.
 
     ``weight_noise`` turns on hardening against component errors: each
     epoch the gradient is taken at weights jittered with standard
@@ -511,7 +506,7 @@ class TrainConfig:
     a run the curve records, for each epoch, the loss at the jittered
     weights the gradient was taken at.
 
-    The constructor refuses, with ValueError, an optimizer setting out of
+    The constructor refuses, with ValueError, a stopping setting out of
     the range :func:`check_train_settings` gives it, a noise setting that
     is not finite and >= 0 and a ``weight_limit`` that is neither None nor
     finite and > 0.
@@ -519,11 +514,6 @@ class TrainConfig:
 
     mse_target: float = 1e-4
     max_epochs: int = 10000
-    step: float = 0.02
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    leak: float = 0.05
     weight_limit: float | None = None
     weight_noise: float = 0.0          # relative sigma of the jitter
     noise_offset: float = 0.0          # fixed-branch term, weight units
@@ -576,31 +566,30 @@ class _Adam:
     Each operation is the elementwise one of the per-array update
     ``m = beta1 * m + (1 - beta1) * g``,
     ``v = beta2 * v + (1 - beta2) * g * g`` and
-    ``w -= step * m_hat / (sqrt(v_hat) + eps)``, in the same order, so
-    the result is the same bit for bit.
+    ``w -= step * m_hat / (sqrt(v_hat) + eps)``, with the ``ADAM_``
+    constants, in the same order, so the result is the same bit for bit.
     """
 
-    def __init__(self, cfg: TrainConfig):
-        self.cfg = cfg
+    def __init__(self):
         n = _PARAM_ENDS[-1]
         self.m, self.v = np.zeros(n), np.zeros(n)
         self.g, self.t, self.d = np.empty(n), np.empty(n), np.empty(n)
 
     def step(self, flat: np.ndarray, grads: dict, epoch: int) -> None:
-        cfg, m, v, g, t, d = self.cfg, self.m, self.v, self.g, self.t, self.d
+        m, v, g, t, d = self.m, self.v, self.g, self.t, self.d
         np.concatenate([grads[k].ravel() for k in _PARAM_KEYS], out=g)
-        m *= cfg.beta1
-        np.multiply(g, 1 - cfg.beta1, out=t)
+        m *= ADAM_BETA1
+        np.multiply(g, 1 - ADAM_BETA1, out=t)
         m += t                                   # m
-        v *= cfg.beta2
-        np.multiply(g, 1 - cfg.beta2, out=t)
+        v *= ADAM_BETA2
+        np.multiply(g, 1 - ADAM_BETA2, out=t)
         t *= g
         v += t                                   # v
-        np.divide(m, 1 - cfg.beta1 ** epoch, out=t)
-        t *= cfg.step                            # step * m_hat
-        np.divide(v, 1 - cfg.beta2 ** epoch, out=d)
+        np.divide(m, 1 - ADAM_BETA1 ** epoch, out=t)
+        t *= ADAM_STEP                           # step * m_hat
+        np.divide(v, 1 - ADAM_BETA2 ** epoch, out=d)
         np.sqrt(d, out=d)
-        d += cfg.eps                             # sqrt(v_hat) + eps
+        d += ADAM_EPS                            # sqrt(v_hat) + eps
         t /= d
         flat -= t
 
@@ -616,10 +605,9 @@ def _finite(loss: float) -> float:
     return loss
 
 
-def _measure(batch: _TrainBatch, at: MlpParams,
-             cfg: TrainConfig) -> tuple[float, dict]:
+def _measure(batch: _TrainBatch, at: MlpParams) -> tuple[float, dict]:
     """Loss of ``at`` and the gradients there, from one pass."""
-    loss, grads = batch.loss_and_gradients(at, cfg.leak)
+    loss, grads = batch.loss_and_gradients(at, TRAIN_LEAK)
     return _finite(loss), grads
 
 
@@ -659,11 +647,11 @@ def train_discrete(params: MlpParams, x: np.ndarray, y: np.ndarray,
                  for k in ("w_hidden", "w_out")}
         best_score = batch.panel_score(work, panel, cfg)
     else:
-        loss, grads = _measure(batch, work, cfg)
+        loss, grads = _measure(batch, work)
         best_score = loss
     curve = [loss]
     best, best_loss = flat.copy(), loss
-    adam = _Adam(cfg)
+    adam = _Adam()
     epoch = 0
     while epoch < cfg.max_epochs and (noisy or loss > cfg.mse_target):
         epoch += 1
@@ -674,12 +662,12 @@ def train_discrete(params: MlpParams, x: np.ndarray, y: np.ndarray,
                 jitter = truncated_normal(rng, 0.0, 1.0, 3.0, w.shape)
                 jittered[k] = w + _noise_sigma(w, cfg) * jitter
             at = replace(work, **jittered)
-            loss, grads = _measure(batch, at, cfg)
+            loss, grads = _measure(batch, at)
             curve.append(loss)
         adam.step(flat, grads, epoch)
         _project(work, cfg)
         if not noisy:
-            loss, grads = _measure(batch, work, cfg)
+            loss, grads = _measure(batch, work)
             curve.append(loss)
             if loss < best_score:
                 best_score, best_loss = loss, loss

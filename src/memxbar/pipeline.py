@@ -21,9 +21,10 @@ import numpy as np
 
 from . import dataset as ds
 from . import reports
-from .crossbar import (Crossbar, CrossbarConfig, check_signal_limit,
-                       program_cell, save_crossbar_csv, synapse_weights)
-from .device import DeviceParams
+from .crossbar import (Crossbar, CrossbarConfig, check_adc,
+                       check_signal_limit, program_cell, save_crossbar_csv,
+                       synapse_weights)
+from .device import DeviceParams, check_device
 from .errors import ConfigError
 from .mapping import (CompiledLayer, CompiledNet, ResistanceRange,
                       compensate_stuck, compile_network, w_max)
@@ -45,6 +46,9 @@ _STREAM = {"dataset": 10, "train": 11, "program": 13, "analyze": 14,
 # Smallest accepted value of each integer setting.
 _INT_MINIMA = {"seed": 0, "trials": 1, "plan_trials": 1, "harden_epochs": 0}
 
+# Hardening jitter per unit of the combined component sigma.
+HARDEN_BOOST = 1.3
+
 
 @dataclass
 class RunConfig:
@@ -53,9 +57,10 @@ class RunConfig:
     The default device window is 10-300 kOhm with a fine reset ramp, which
     keeps the fixed-branch conductance of every synapse small; weights then
     shift less in absolute terms for a given relative resistance error.
-    Training runs one recipe: a clean fit from one start, then, unless
-    ``harden_epochs`` is 0, the noise-injection phase that ``harden_epochs``
-    and ``harden_boost`` control.
+    Weights compile into that window, :attr:`resistance_range`.  Training
+    runs one recipe: a clean fit from one start, then, unless
+    ``harden_epochs`` is 0, ``harden_epochs`` of noise injection at
+    ``HARDEN_BOOST`` times the component sigma.
     """
 
     seed: int
@@ -63,8 +68,6 @@ class RunConfig:
     device: DeviceParams = field(default_factory=lambda: DeviceParams(
         r_hrs_nominal=300e3, ramp_step=1.5 / 128))
     crossbar: CrossbarConfig = field(default_factory=CrossbarConfig)
-    resistance_range: ResistanceRange = field(
-        default_factory=lambda: ResistanceRange(10e3, 300e3))
     train: dict = field(default_factory=dict)
     tolerances: dict = field(default_factory=lambda: dict(TOLERANCE_DEFAULTS))
     profile_path: str | None = None
@@ -77,18 +80,11 @@ class RunConfig:
     plan_points: list | None = None
     plan_trials: int = 1000
     harden_epochs: int = 3000
-    harden_boost: float = 1.3
 
     def __post_init__(self):
         if not isinstance(self.out_dir, Path):   # re-parsing one is slow
             self.out_dir = Path(self.out_dir)
-        rr, dp = self.resistance_range, self.device
-        if rr.r_min != dp.r_lrs_nominal or rr.r_max != dp.r_hrs_nominal:
-            raise ConfigError(
-                "resistance range must match the device window "
-                f"[{dp.r_lrs_nominal}, {dp.r_hrs_nominal}]"
-            )
-        sr = self.sweep_range
+        sr, dp = self.sweep_range, self.device
         if sr.r_min < dp.r_lrs_nominal or sr.r_max > dp.r_hrs_nominal:
             raise ConfigError(
                 "sweep range must lie inside the device window "
@@ -115,6 +111,12 @@ class RunConfig:
                 raise ConfigError(f"stuck entry needs a positive finite ohm: {spot}")
         self.check_counts()
 
+    @property
+    def resistance_range(self) -> ResistanceRange:
+        """The compile window: the device's nominal resistance window."""
+        return ResistanceRange(self.device.r_lrs_nominal,
+                               self.device.r_hrs_nominal)
+
     def check_counts(self) -> None:
         """Raise ConfigError unless every integer setting is in range.
 
@@ -127,8 +129,8 @@ class RunConfig:
                                   f"got {value!r}")
 
     def check_experiment(self) -> None:
-        """Raise ConfigError unless the crossbar, tolerance, error-budget,
-        hardening, sweep, plan and profile settings are usable.
+        """Raise ConfigError unless the device, crossbar, tolerance,
+        error-budget, sweep, plan and profile settings are usable.
 
         The types that use these settings own their rules; this builds or
         checks them and turns their ValueError, or a profile file that
@@ -144,10 +146,11 @@ class RunConfig:
             raise ConfigError(f"x_p must be a percentage in (0, 100], "
                               f"got {self.x_p!r}")
         owners = {
+            "device": lambda: check_device(self.device),
             "crossbar": lambda: (check_unity_chain(self.crossbar),
-                                 check_signal_limit(self.crossbar, self.device)),
+                                 check_signal_limit(self.crossbar, self.device),
+                                 check_adc(self.crossbar)),
             "tolerances": lambda: tolerance_set(**self.tolerance_settings()),
-            "harden_boost": lambda: _train_config(self, harden=True),
             "sweep_counts": lambda: check_state_counts(self.sweep_counts),
             "plan_points": lambda: _default_plan(self),
             "profile_path": lambda: (self.profile_path
@@ -169,8 +172,6 @@ class RunConfig:
             "out_dir": str(self.out_dir),
             "device": self.device.to_dict(),
             "crossbar": self.crossbar.to_dict(),
-            "resistance_range": {"r_min": self.resistance_range.r_min,
-                                 "r_max": self.resistance_range.r_max},
             "train": dict(self.train),
             "tolerances": dict(self.tolerances),
             "profile_path": self.profile_path,
@@ -183,7 +184,6 @@ class RunConfig:
             "plan_points": self.plan_points,
             "plan_trials": self.plan_trials,
             "harden_epochs": self.harden_epochs,
-            "harden_boost": self.harden_boost,
         }
 
     @classmethod
@@ -194,9 +194,8 @@ class RunConfig:
                 d["device"] = DeviceParams.from_dict(d["device"])
             if "crossbar" in d:
                 d["crossbar"] = CrossbarConfig.from_dict(d["crossbar"])
-            for name in ("resistance_range", "sweep_range"):
-                if name in d:
-                    d[name] = ResistanceRange(**d[name])
+            if "sweep_range" in d:
+                d["sweep_range"] = ResistanceRange(**d["sweep_range"])
             if "sweep_counts" in d:
                 d["sweep_counts"] = tuple(d["sweep_counts"])
             return cls(**d)
@@ -259,26 +258,20 @@ def stage_dataset(cfg: RunConfig, out: Path) -> None:
 
 
 def _train_config(cfg: RunConfig, harden: bool) -> TrainConfig:
-    """Optimizer settings of the clean fit to the loss target or, with
+    """Training settings of the clean fit to the loss target or, with
     ``harden``, of the hardening phase: weight-noise injection scaled to the
     component tolerances, trading a little nominal loss for flatness.
-    ``TrainConfig`` refuses bad settings with ValueError; a
-    ``harden_boost`` that is not a number is refused here.
     """
     opts = dict(cfg.train)
+    window = cfg.resistance_range
     if harden:
-        if not is_real(cfg.harden_boost):
-            raise ValueError(f"harden_boost must be a number, "
-                             f"got {cfg.harden_boost!r}")
         tol = cfg.tolerance_settings()
         sigma_m = tol["r_m"] / tol["limit_sigmas"]
         sigma_f = tol["r_f"] / tol["limit_sigmas"]
-        opts["weight_noise"] = cfg.harden_boost * float(
-            np.hypot(sigma_m, sigma_f))
-        opts["noise_offset"] = cfg.crossbar.r_f / cfg.resistance_range.r_max
+        opts["weight_noise"] = HARDEN_BOOST * float(np.hypot(sigma_m, sigma_f))
+        opts["noise_offset"] = cfg.crossbar.r_f / window.r_max
         opts["max_epochs"] = cfg.harden_epochs
-    return TrainConfig(weight_limit=w_max(cfg.crossbar.r_f, cfg.resistance_range),
-                       **opts)
+    return TrainConfig(weight_limit=w_max(cfg.crossbar.r_f, window), **opts)
 
 
 def stage_train(cfg: RunConfig, out: Path) -> None:
@@ -319,7 +312,6 @@ def stage_compile(cfg: RunConfig, out: Path) -> None:
                           cfg.resistance_range)
     payload = {
         "r_f": cfg.crossbar.r_f,
-        "reference": cfg.resistance_range.r_max,
         "hidden": {"r_m1": net.hidden.r_m1.tolist(),
                    "r_m2": net.hidden.r_m2.tolist()},
         "out": {"r_m1": net.out.r_m1.tolist(), "r_m2": net.out.r_m2.tolist()},
@@ -347,9 +339,8 @@ def _program_array(cfg: RunConfig, name: str, layer: CompiledLayer,
             if s1 is None and s2 is None:
                 targets = ((row1, layer.r_m1[i, j]), (row2, layer.r_m2[i, j]))
             else:
-                syn, achieved, _ = compensate_stuck(
-                    s1, s2, float(weights[i, j]), layer.r_f,
-                    cfg.resistance_range)
+                syn = compensate_stuck(s1, s2, float(weights[i, j]), layer.r_f,
+                                       cfg.resistance_range)
                 targets = tuple(
                     (row, r) for row, r, frozen in
                     ((row1, syn.r_m1, s1 is not None),

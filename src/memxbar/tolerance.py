@@ -65,6 +65,7 @@ COMPONENTS = ("r_m1", "r_m2", "r_f")
 # in sigmas.
 TOLERANCE_DEFAULTS = {"r_m": 0.2, "r_f": 0.01, "limit_sigmas": 3.0}
 MIN_BAND_TRIALS = 1000           # trials for a stable weight-band percentile
+BISECTION_RESOLUTION = 0.01      # synthesis bisects to this delta step
 
 _STREAM_TRIAL = 0
 _DRAW_BLOCK = 250                # trials keyed by one draw substream
@@ -490,13 +491,12 @@ class ExperimentPlan:
     not run to the end: ``points`` that is not a nonempty list; a point
     that does not map the components of the first point, some of
     ``COMPONENTS``, to limits in [0, 1); points that decrease in any
-    component; ``trials`` that is not an int >= 1; and a ``resolution``
-    or ``limit_sigmas`` that is not a finite number > 0.
+    component; ``trials`` that is not an int >= 1; and a ``limit_sigmas``
+    that is not a finite number > 0.
     """
 
     points: list = field(default_factory=list)   # dicts component -> delta
     trials: int = 1000
-    resolution: float = 0.01                     # finest delta step to resolve
     limit_sigmas: float = TOLERANCE_DEFAULTS["limit_sigmas"]   # of every probe
 
     def __post_init__(self):
@@ -515,10 +515,9 @@ class ExperimentPlan:
                                  f"{points[k - 1]!r} then {point!r}")
         if type(self.trials) is not int or self.trials < 1:
             raise ValueError(f"trials must be an int >= 1, got {self.trials!r}")
-        for name in ("resolution", "limit_sigmas"):
-            if not _is_positive(getattr(self, name)):
-                raise ValueError(f"{name} must be finite and > 0, "
-                                 f"got {getattr(self, name)!r}")
+        if not _is_positive(self.limit_sigmas):
+            raise ValueError(f"limit_sigmas must be finite and > 0, "
+                             f"got {self.limit_sigmas!r}")
 
     def specs(self, deltas: dict) -> dict:
         """Specs of one probe: ``deltas`` per component, 0 where missing."""
@@ -541,7 +540,7 @@ def synthesize_tolerances(net: MlpParams, compiled: CompiledNet,
     """Widest error limits on the plan's ray that keep the worst trial passing.
 
     Walks the schedule until the first failure, then bisects between the
-    last passing and first failing vectors down to the plan resolution.
+    last passing and first failing vectors down to ``BISECTION_RESOLUTION``.
     Every probe scores the same ``plan.trials`` trials, drawn once from
     ``seed``.  Raises when even unperturbed operation misses the error
     budget.
@@ -577,7 +576,7 @@ def synthesize_tolerances(net: MlpParams, compiled: CompiledNet,
         return SynthesisResult(dict(best), probes)
     a = {k: float(best[k]) for k in best}
     b = {k: float(failing[k]) for k in failing}
-    while max(b[k] - a[k] for k in a) > plan.resolution:
+    while max(b[k] - a[k] for k in a) > BISECTION_RESOLUTION:
         mid = {k: 0.5 * (a[k] + b[k]) for k in a}
         if passes(mid):
             a = mid

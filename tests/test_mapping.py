@@ -97,34 +97,31 @@ def test_compile_network_reproduces_weights():
 
 def test_compensate_one_stuck_branch():
     target = 1.5
-    syn, achieved, fixed = compensate_stuck(None, 120e3, target, R_F, RANGE)
-    assert not fixed
+    syn = compensate_stuck(None, 120e3, target, R_F, RANGE)
     assert syn.r_m2 == 120e3
-    assert achieved == pytest.approx(target, rel=1e-9)
+    assert weight_from_resistances(syn) == pytest.approx(target, rel=1e-9)
 
 
 def test_compensate_stuck_r_m1_solves_r_m2():
     """w = r_f/s - r_f/r_m2 gives r_m2 = r_f / (r_f/s - w); a weight the
     stuck branch cannot reach parks r_m2 at r_max."""
-    syn, achieved, fixed = compensate_stuck(120e3, None, -1.5, R_F, RANGE)
-    assert not fixed
+    syn = compensate_stuck(120e3, None, -1.5, R_F, RANGE)
     assert syn.r_m1 == 120e3
     assert syn.r_m2 == R_F / (R_F / 120e3 + 1.5)
-    assert achieved == pytest.approx(-1.5, rel=1e-9)
-    syn, achieved, fixed = compensate_stuck(120e3, None, 2.0, R_F, RANGE)
+    assert weight_from_resistances(syn) == pytest.approx(-1.5, rel=1e-9)
+    syn = compensate_stuck(120e3, None, 2.0, R_F, RANGE)
     assert (syn.r_m1, syn.r_m2) == (120e3, RANGE.r_max)
-    assert achieved == weight_from_resistances(syn) < 2.0
+    assert weight_from_resistances(syn) < 2.0
 
 
 def test_compensate_both_stuck_is_fixed():
-    syn, achieved, fixed = compensate_stuck(20e3, 40e3, 0.3, R_F, RANGE)
-    assert fixed
-    assert achieved == pytest.approx(R_F / 20e3 - R_F / 40e3)
+    syn = compensate_stuck(20e3, 40e3, 0.3, R_F, RANGE)
+    assert (syn.r_f, syn.r_m1, syn.r_m2) == (R_F, 20e3, 40e3)
+    assert weight_from_resistances(syn) == pytest.approx(R_F / 20e3 - R_F / 40e3)
 
 
 def test_compensate_unreachable_weight_clamps():
     # freeing branch cannot go below r_min, so the weight saturates
-    syn, achieved, fixed = compensate_stuck(None, RANGE.r_min, 5.0, R_F, RANGE)
-    assert not fixed
-    assert achieved < 5.0
+    syn = compensate_stuck(None, RANGE.r_min, 5.0, R_F, RANGE)
+    assert weight_from_resistances(syn) < 5.0
     assert RANGE.r_min <= syn.r_m1 <= RANGE.r_max

@@ -6,8 +6,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from memxbar import netmodel
 from memxbar.errors import NonFiniteLossError, ShapeMismatchError
-from memxbar.netmodel import (_PANEL, Activation, MlpParams, ScoreBatch,
+from memxbar.netmodel import (_PANEL, ADAM_BETA1, ADAM_BETA2, ADAM_EPS,
+                              ADAM_STEP, TRAIN_LEAK, Activation, MlpParams,
+                              ScoreBatch,
                               TrainConfig, TrainResult, _TrainBatch, evaluate,
                               forward,
                               forward_stack, forward_stack_into, gradients,
@@ -253,7 +256,11 @@ def test_evaluate_scores_labels():
     ("leak", -0.05), ("beta1", 1.0), ("beta2", 1.5), ("beta2", None),
 ])
 def test_train_config_refuses_bad_optimizer_setting(name, value):
-    with pytest.raises(ValueError, match=name):
+    """The stopping settings are checked against their ranges; Adam's
+    step, betas and eps and the leak are constants, not settings, so any
+    value for them is refused by name."""
+    constant = name in ("step", "eps", "leak", "beta1", "beta2")
+    with pytest.raises(TypeError if constant else ValueError, match=name):
         TrainConfig(**{name: value})
 
 
@@ -273,9 +280,9 @@ def test_train_config_refuses_bad_noise_or_limit_setting(name, value):
 
 def test_train_config_validation():
     with pytest.raises(ValueError):
-        TrainConfig(step=0.0)
+        TrainConfig(max_epochs=-1)
     with pytest.raises(ValueError):
-        TrainConfig(leak=1.0)
+        TrainConfig(mse_target=math.inf)
     with pytest.raises(ValueError):
         TrainConfig(weight_noise=-0.1)
 
@@ -349,16 +356,16 @@ def reference_train(params, x, y, cfg, rng=None):
                 w = getattr(work, k)
                 jitter = truncated_normal(rng, 0.0, 1.0, 3.0, w.shape)
                 setattr(at, k, w + reference_sigma(w, cfg) * jitter)
-        grads = reference_gradients(at, x, y, cfg.leak)
+        grads = reference_gradients(at, x, y, TRAIN_LEAK)
         if noisy:
             curve.append(mse(y, forward(at, x)))
         for k in keys:
             g = grads[k]
-            m[k] = cfg.beta1 * m[k] + (1 - cfg.beta1) * g
-            v[k] = cfg.beta2 * v[k] + (1 - cfg.beta2) * g * g
-            m_hat = m[k] / (1 - cfg.beta1 ** epoch)
-            v_hat = v[k] / (1 - cfg.beta2 ** epoch)
-            update = cfg.step * m_hat / (np.sqrt(v_hat) + cfg.eps)
+            m[k] = ADAM_BETA1 * m[k] + (1 - ADAM_BETA1) * g
+            v[k] = ADAM_BETA2 * v[k] + (1 - ADAM_BETA2) * g * g
+            m_hat = m[k] / (1 - ADAM_BETA1 ** epoch)
+            v_hat = v[k] / (1 - ADAM_BETA2 ** epoch)
+            update = ADAM_STEP * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
             setattr(work, k, getattr(work, k) - update)
         reference_project(work, cfg)
         loss = mse(y, forward(work, x))
@@ -474,10 +481,12 @@ def test_training_passes_allocate_no_pattern_sized_array():
 
 
 @pytest.mark.parametrize("step, noise", [(0.2, 0.0), (0.02, 0.3)])
-def test_final_mse_is_the_loss_of_the_returned_params(step, noise):
+def test_final_mse_is_the_loss_of_the_returned_params(monkeypatch, step,
+                                                     noise):
     """Not the last epoch's loss: in both cases an earlier epoch is kept."""
+    monkeypatch.setattr(netmodel, "ADAM_STEP", step)
     params, x, y = saturating_problem()
-    cfg = TrainConfig(weight_limit=0.8, max_epochs=50, step=step,
+    cfg = TrainConfig(weight_limit=0.8, max_epochs=50,
                       mse_target=0.0, weight_noise=noise,
                       noise_offset=1 / 3 if noise else 0.0)
     got = train_discrete(params, x, y, cfg, np.random.default_rng(9))

@@ -90,17 +90,22 @@ def test_non_finite_amplifier_value_exits_with_config_error(
 
 # keys older configs set, with the values they set, and a misspelt one
 _REMOVED = {"bounds_trials": 20000, "restarts": 1, "discrete": False,
-            "resistance_range.n_states": 7, "resistance_range.rmax_typo": 5}
+            "resistance_range": {"r_min": 10e3, "r_max": 300e3},
+            "harden_boost": 1.3, "train.step": 0.02, "train.beta1": 0.9,
+            "train.beta2": 0.999, "train.eps": 1e-8, "train.leak": 0.05,
+            "sweep_range.n_states": 7, "sweep_range.rmax_typo": 5}
 
 
 @pytest.mark.parametrize("key", list(_REMOVED))
 def test_removed_bounds_trials_setting_exits_with_config_error(tmp_path,
                                                               capsys, key):
-    """Settings that selected a path no run takes are unknown keys: the
-    weight bands come from the analysis trials, training runs one recipe
-    from one start, and the state ladders come from the sweep counts.  A
-    config that still sets one, or a misspelt range key, is refused before
-    any stage, naming the key."""
+    """Settings that selected a path no run takes, or that had one legal
+    value, are unknown keys: the weight bands come from the analysis
+    trials, training runs one recipe from one start with fixed optimizer
+    constants and hardening boost, the compile window is the device
+    window, and the state ladders come from the sweep counts.  A config
+    that still sets one, or a misspelt range key, is refused before any
+    stage, naming the key."""
     config = default_cfg(tmp_path / "run").to_dict()
     section, _, name = key.rpartition(".")
     (config[section] if section else config)[name] = _REMOVED[key]
@@ -113,6 +118,8 @@ def test_removed_bounds_trials_setting_exits_with_config_error(tmp_path,
     assert not (tmp_path / "run").exists()
 
 
+# the stopping settings out of range, and the optimizer constants, which
+# are no training settings at all
 @pytest.mark.parametrize("name, value", [
     ("step", 0), ("step", -0.02), ("step", float("nan")),
     ("step", float("inf")), ("step", "abc"), ("eps", 0.0),
@@ -154,17 +161,24 @@ NAN, INF = float("nan"), float("inf")
     ("plan_points", [{"r_m1": 0.1, "r_f": 0.02}, {"r_m1": 0.2, "r_f": 0.01}]),
     ("plan_points", [{"r_m1": 0.1}, {"r_m2": 0.2}]),
     ("plan_points", [{"r_m1": 0.1}, {"r_m1": 0.2, "r_m2": 0.2}]),
-    ("harden_boost", -1.0), ("harden_boost", NAN), ("harden_boost", "1.3"),
+    # a NaN threshold would pass every bias-safety comparison
+    ("device.v_threshold", NAN), ("device.v_read", 0.0),
+    ("device.v_read", -0.5), ("device.v_read", 1.5),
+    ("device.max_program_iterations", 2.5),
+    ("crossbar.adc_step", -0.0025), ("crossbar.adc_step", 0.0),
+    ("crossbar.adc_range", 0.0), ("crossbar.adc_range", -5.0),
 ])
 def test_bad_experiment_setting_exits_before_any_stage(tmp_path, capsys,
                                                       name, value):
     """Checked when the pipeline starts, before it writes anything; the
-    command line reports it as a config error, whatever the stage."""
+    command line reports it as a config error, naming the setting,
+    whatever the stage.  A dotted name is a setting of that section."""
     out = tmp_path / "run"
-    with pytest.raises(ConfigError, match=name):
-        run_pipeline(default_cfg(out, **{name: value}), "dataset")
     config = default_cfg(out).to_dict()
-    config[name] = value
+    section, _, key = name.rpartition(".")
+    (config[section] if section else config)[key] = value
+    with pytest.raises(ConfigError, match=key):
+        run_pipeline(RunConfig.from_dict(config), "dataset")
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
     for stage in ("dataset", "analyze", "all"):
@@ -172,6 +186,7 @@ def test_bad_experiment_setting_exits_before_any_stage(tmp_path, capsys,
         message = json.loads(capsys.readouterr().out)
         assert message["error"] == "ConfigError"
         assert message["stage"] == "config"
+        assert key in message["message"]
     assert not out.exists()
 
 
@@ -209,7 +224,8 @@ def test_chain_the_model_cannot_represent_exits_before_any_stage(
     ("x_p", 100), ("x_p", 0.01), ("sweep_counts", [3]),
     ("plan_points", [{"r_m1": 0.0}]),
     ("plan_points", [{"r_m1": 0.1, "r_f": 0.01}, {"r_m1": 0.1, "r_f": 0.02}]),
-    ("harden_boost", 0),
+    # a read just below the threshold, one SET cycle per write
+    ("device", DeviceParams(v_read=1.4, max_program_iterations=1)),
     # the rails are not part of the network model's assumption
     ("crossbar", CrossbarConfig(u_rail=1.0)),
     ("crossbar", CrossbarConfig(u_rail=2.5, u_in_max=1.2)),
@@ -244,9 +260,12 @@ def test_tolerance_settings_fill_in_defaults(tmp_path):
 
 
 def test_config_rejects_window_mismatch(tmp_path):
-    with pytest.raises(ConfigError):
-        RunConfig(seed=1, out_dir=tmp_path,
-                  resistance_range=ResistanceRange(10e3, 60e3))
+    """The compile window is the device window; no config can set another."""
+    cfg = default_cfg(tmp_path, device=DeviceParams(r_hrs_nominal=90e3))
+    assert cfg.resistance_range == ResistanceRange(10e3, 90e3)
+    with pytest.raises(ConfigError, match="resistance_range"):
+        RunConfig.from_dict({**cfg.to_dict(), "resistance_range":
+                             {"r_min": 10e3, "r_max": 60e3}})
 
 
 def test_config_rejects_sweep_outside_window(tmp_path):

@@ -413,13 +413,14 @@ PLAN_POINTS = [{"r_m1": 0.1, "r_m2": 0.1, "r_f": 0.01}]
     {"points": "r_m1"}, {"points": [0.1]}, {"points": [{}]},
     {"points": [{"r_m1": 0.1}, {"r_m1": 0.2, "r_m2": 0.2}]},
     {"limit_sigmas": 0}, {"limit_sigmas": -3.0}, {"limit_sigmas": INF},
-    {"limit_sigmas": NAN}, {"resolution": 0.0}, {"resolution": -0.01},
-    {"resolution": NAN}, {"resolution": INF}, {"resolution": "0.01"},
+    {"limit_sigmas": NAN}, {"points": None}, {"points": [{"r_m1": -0.1}]},
+    {"points": [{"r_m1": INF}]}, {"limit_sigmas": "3"},
+    {"limit_sigmas": True},
     {"trials": 0}, {"trials": 2.5}, {"trials": True}, {"trials": "1000"},
 ])
 def test_experiment_plan_refuses_bad_settings(change):
     """Refused when the plan is built, not at the probe that reaches the
-    bad value; a zero resolution would bisect forever."""
+    bad value."""
     with pytest.raises(ValueError):
         ExperimentPlan(**{"points": PLAN_POINTS, **change})
 
