@@ -161,6 +161,8 @@ NAN, INF = float("nan"), float("inf")
     ("plan_points", [{"r_m1": 0.1, "r_f": 0.02}, {"r_m1": 0.2, "r_f": 0.01}]),
     ("plan_points", [{"r_m1": 0.1}, {"r_m2": 0.2}]),
     ("plan_points", [{"r_m1": 0.1}, {"r_m1": 0.2, "r_m2": 0.2}]),
+    # the hardening boost is a constant; a config that sets it is refused
+    ("harden_boost", -1.0), ("harden_boost", NAN), ("harden_boost", 1.3),
     # a NaN threshold would pass every bias-safety comparison
     ("device.v_threshold", NAN), ("device.v_read", 0.0),
     ("device.v_read", -0.5), ("device.v_read", 1.5),
