@@ -242,7 +242,7 @@ def save_dataset_csv(path, x: np.ndarray, labels) -> None:
 def load_dataset_csv(path) -> tuple[np.ndarray, list]:
     """Patterns and labels of a dataset file; a row of the wrong width, with
     a value that is not a number or with a label outside ``LABELS`` is
-    refused, naming the first bad row's line.
+    refused, naming the first bad row's line, as is a file of no patterns.
 
     Rows are read in blocks; each distinct text of a block is converted
     once."""
@@ -250,7 +250,7 @@ def load_dataset_csv(path) -> tuple[np.ndarray, list]:
     blocks, labels = [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, ["label"])    # an empty file: no patterns
         n = len(header) - 1
         while True:
             fields, lines, refused = [], [], None
@@ -275,6 +275,8 @@ def load_dataset_csv(path) -> tuple[np.ndarray, list]:
                 raise refused
             if len(lines) < _CSV_ROWS:
                 break
+    if not labels:
+        raise CountMismatchError(f"{path}: no patterns")
     return np.concatenate(blocks), labels
 
 

@@ -10,14 +10,13 @@ patterns), that one ``train_discrete`` call allocates once: one pass
 gives the loss and the gradients.  Stacks of weight realizations, the
 hardening panel, the Monte Carlo trials, the quantized nets of the state
 sweep and the single net that :func:`evaluate` scores, run through one
-kernel, :func:`forward_stack_into`, in buffers their caller owns.  That
-kernel adds each bias as the last term of its layer's product, against a
-row of ones under the inputs and under each hidden block, which rounds
-as adding it after the product does.  Every error rate comes from one
-classifier, :class:`ScoreBatch`, which sorts the patterns by class once
-and counts each class's errors in its own segment.  The tests keep these
-passes bit-equal to :func:`forward_stack`, :func:`mse` and the row-major
-gradient formulas.
+kernel, :func:`forward_stack_into`, in buffers their caller owns.  It
+adds each bias as the last term of its layer's product, which rounds as
+adding it after the product does, and writes the outputs segment-major,
+(4, T, m) per segment of m patterns.  Every error rate comes from one
+classifier, :class:`ScoreBatch`, whose segments are the classes.  The
+tests keep these passes bit-equal to :func:`forward_stack`, :func:`mse`
+and the row-major gradient formulas.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ LABELS = ("S1", "S2", "S3", "S4", "Sr")
 OUTPUT_LABELS = LABELS[:N_OUTPUT]
 REJECT_LABEL = LABELS[-1]
 
-_SCORE_BYTES = 1 << 20           # hidden layer of one block of scored stacks
+_SCORE_BYTES = 2 << 20           # hidden layer of one block of scored stacks
 
 # The one training recipe: Adam's step, moment decays and guard, and the
 # derivative saturated units pass to the gradients (see TrainConfig).
@@ -165,10 +164,11 @@ def unit_by_pattern(x: np.ndarray) -> np.ndarray:
 def stack_buffers(trials: int, h: int) -> tuple[np.ndarray, np.ndarray]:
     """Work buffers of :func:`forward_stack_into` for up to ``trials``
     realizations of ``h`` patterns: the hidden layer, (trials, 9, h), whose
-    last row in each block holds ones, and the output, (trials, 4, h)."""
+    last row in each block holds ones, and the output, flat, of
+    4 * trials * h elements."""
     hidden = np.empty((trials, N_HIDDEN + 1, h))
     hidden[:, N_HIDDEN] = 1.0
-    return hidden, np.empty((trials, N_OUTPUT, h))
+    return hidden, np.empty(N_OUTPUT * trials * h)
 
 
 def _with_bias(w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -184,28 +184,39 @@ def _with_bias(w: np.ndarray, b: np.ndarray) -> np.ndarray:
 def forward_stack_into(xT: np.ndarray,
                        w_hidden: np.ndarray, b_hidden: np.ndarray,
                        w_out: np.ndarray, b_out: np.ndarray,
-                       hidden: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """:func:`forward_stack` of T realizations in caller-owned buffers.
+                       hidden: np.ndarray, out: np.ndarray,
+                       segments: list) -> list[np.ndarray]:
+    """:func:`forward_stack` of T realizations in caller-owned buffers,
+    up to the output clip, which each caller applies as far as it needs.
 
     ``xT`` is the batch as :func:`unit_by_pattern` lays it out, (17, H),
     and the weights are stacks (T, 16, 8) and (T, 8, 4).  ``hidden`` and
     ``out`` are work buffers from :func:`stack_buffers` for at least T
-    realizations; the result is the view ``out[:T]``, (T, 4, H).  Each
-    bias is the last term of its layer's product: the hidden layer is
-    (T, 8, 17) @ (17, H), against the ones row of ``xT``, and the output
-    layer (T, 4, 9) @ (T, 9, H), against the ones row of each hidden
-    block.  Added last, a bias rounds as ``product + bias`` does, so the
-    outputs equal :func:`forward_stack`'s bit for bit.  The clip acts in
-    place.
+    realizations; ``segments`` are slices that tile the H patterns in
+    order.  The result is each segment's output, (4, T, m) for its m
+    patterns, a contiguous view of ``out`` after the one before, so an
+    output of a segment's patterns in every realization is one row.  Each
+    bias is the last term of its layer's product: (T, 8, 17) @ (17, H)
+    against the ones row of ``xT``, and per segment (T, 4, 9) @ (T, 9, m)
+    against the ones row of each hidden block.  Added last, it rounds as
+    ``product + bias`` does, so the outputs equal :func:`forward_stack`'s
+    bit for bit once clipped, except in a segment of one pattern, whose
+    matrix-vector product BLAS may round differently.  The hidden clip
+    acts in place.
     """
     n = len(w_hidden)
-    hidden, out = hidden[:n], out[:n]
+    hidden = hidden[:n]
     a1 = hidden[:, :N_HIDDEN]
     np.matmul(_with_bias(w_hidden, b_hidden), xT, out=a1)
     np.clip(a1, -1.0, 1.0, out=a1)
-    np.matmul(_with_bias(w_out, b_out), hidden, out=out)
-    np.clip(out, -1.0, 1.0, out=out)
-    return out
+    w2b = _with_bias(w_out, b_out)
+    blocks = []
+    for cols in segments:
+        block = out[N_OUTPUT * n * cols.start:N_OUTPUT * n * cols.stop]
+        block = block.reshape(N_OUTPUT, n, cols.stop - cols.start)
+        np.matmul(w2b, hidden[:, :, cols], out=block.transpose(1, 0, 2))
+        blocks.append(block)
+    return blocks
 
 
 def label_codes(labels) -> np.ndarray:
@@ -219,20 +230,22 @@ class ScoreBatch:
     every network the toolkit scores.
 
     A stack of T weight realizations is scored in blocks of at most
-    ``trials`` realizations whose hidden layer, about ``_SCORE_BYTES``,
-    stays in a core's cache: each block runs through
-    :func:`forward_stack_into` into unit-by-pattern buffers allocated
+    ``trials`` realizations whose hidden layer, about ``_SCORE_BYTES``
+    (16 realizations of 2 000 patterns), stays in a core's cache: each
+    block runs through :func:`forward_stack_into` into buffers allocated
     once, here, so scoring allocates no array of T * H elements.
 
     The prediction is the first maximal output, or the reject class where
     that maximum is not positive.  The patterns are sorted by class once,
-    so each class is one segment of columns, decided by its own rule: a
-    pattern of class c < 4 is right where ``out_c > max(0, out_k, k < c)``
-    and ``out_c >= max(out_k, k > c)``; an Sr pattern is right unless
-    ``max(out_k) > 0``.  ``np.maximum`` propagates NaN and every
-    comparison with NaN is false, so a NaN output rejects, as it did
-    under the running-argmax rule.  A class's errors are the wrong
-    patterns counted in its segment.
+    so each class is one segment, and its rule runs on the segment's
+    contiguous output rows of T * m values: a pattern of class c < 4 is
+    right where ``out_c > max(0, out_k, k < c)`` and ``out_c >=
+    max(out_k, k > c)``; an Sr pattern is wrong where ``max(out_k) > 0``.
+    Neither rule can tell an output below -1 from -1, nor the Sr rule one
+    above 1 from 1, so only the S1..S4 outputs are clipped, and only at
+    1, where two outputs above it tie.  ``np.maximum`` propagates NaN and
+    every comparison with NaN is false, so a NaN output rejects, as it
+    did under the running-argmax rule.
     """
 
     def __init__(self, net: MlpParams, x: np.ndarray, codes: np.ndarray,
@@ -244,22 +257,19 @@ class ScoreBatch:
         self.net = net
         self.patterns = len(codes)
         self.xT = unit_by_pattern(x[np.argsort(codes, kind="stable")])
-        sizes = np.bincount(codes, minlength=len(LABELS))
-        # the classes present, their sizes and the first column of each;
-        # reduceat would read an empty segment as one element, so none is kept
-        self.classes = np.flatnonzero(sizes)
-        self.sizes = sizes[self.classes]
-        self.starts = np.cumsum(sizes)[self.classes] - self.sizes
-        self.segments = [(c, slice(start, start + size)) for c, start, size
-                         in zip(self.classes.tolist(), self.starts.tolist(),
-                                self.sizes.tolist())]
+        sizes = np.bincount(codes, minlength=len(LABELS)).tolist()
+        stops = np.cumsum(sizes).tolist()
+        self.classes = [c for c, size in enumerate(sizes) if size]
+        self.columns = [slice(stops[c] - sizes[c], stops[c])
+                        for c in self.classes]
+        self.sites = stops[N_OUTPUT - 1]         # patterns of S1..S4
         h = len(x)
         fit = _SCORE_BYTES // (N_HIDDEN * h * x.itemsize)
         b = self.block = max(1, min(trials, fit))
         self.hidden, self.out = stack_buffers(b, h)
-        self.best = np.empty((b, h))                 # maximum of the rivals
-        self.mask = np.empty((b, h), dtype=bool)     # one condition
-        self.right = np.empty((b, h), dtype=bool)    # classified right
+        self.best = np.empty(b * max(sizes))     # maximum of the rivals
+        self.mask = np.empty(len(self.best), dtype=bool)   # one condition
+        self.right = np.empty(len(self.best), dtype=bool)  # classified right
 
     def errors(self, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
         """Misclassified patterns per realization and class, (T, 5)."""
@@ -276,39 +286,36 @@ class ScoreBatch:
     def _score_block(self, w1: np.ndarray, w2: np.ndarray,
                      counts: np.ndarray) -> None:
         n, net = len(w1), self.net
-        out = forward_stack_into(self.xT, w1, net.b_hidden, w2, net.b_out,
-                                 self.hidden, self.out)
-        for c, cols in self.segments:
-            o = out[:, :, cols]
-            best, mask, right = (self.best[:n, cols], self.mask[:n, cols],
-                                 self.right[:n, cols])
-            if c == N_OUTPUT:                        # Sr: no output above 0
-                np.greater(_maximum(o, range(N_OUTPUT), best), 0.0, out=mask)
-                np.logical_not(mask, out=right)
+        blocks = forward_stack_into(self.xT, w1, net.b_hidden, w2, net.b_out,
+                                    self.hidden, self.out, self.columns)
+        sites = self.out[:N_OUTPUT * n * self.sites]   # Sr's come last
+        np.minimum(sites, 1.0, out=sites)
+        for c, block in zip(self.classes, blocks):
+            size, o = block.shape[2], block.reshape(N_OUTPUT, -1)
+            k = o.shape[1]
+            best, mask, right = self.best[:k], self.mask[:k], self.right[:k]
+            if c == N_OUTPUT:                    # Sr: some output above 0
+                np.greater(_maximum(o, slice(None), best), 0.0, out=mask)
+                counts[:, c] = np.count_nonzero(mask.reshape(n, size), axis=1)
                 continue
             # above 0 and every earlier output, at least every later one
-            np.greater(o[:, c], _maximum(o, range(c), best, 0.0), out=right)
+            np.greater(o[c], _maximum(o, slice(c), best, 0.0), out=right)
             if c < N_OUTPUT - 1:
-                np.greater_equal(o[:, c],
-                                 _maximum(o, range(c + 1, N_OUTPUT), best),
-                                 out=mask)
-                right &= mask
-        counts[:, self.classes] = self.sizes - np.add.reduceat(
-            self.right[:n], self.starts, axis=1, dtype=np.intp)
+                later = _maximum(o, slice(c + 1, None), best)
+                right &= np.greater_equal(o[c], later, out=mask)
+            counts[:, c] = size - np.count_nonzero(right.reshape(n, size),
+                                                   axis=1)
 
 
-def _maximum(o: np.ndarray, rows: range, best: np.ndarray,
+def _maximum(o: np.ndarray, rows: slice, best: np.ndarray,
              floor: float | None = None):
-    """Elementwise maximum of the output rows ``rows`` of ``o``, (T, 4, n),
-    and of ``floor`` if given: computed into ``best``, or the one operand
-    itself when there is only one."""
-    operands = [o[:, k] for k in rows] + ([] if floor is None else [floor])
-    if len(operands) == 1:
-        return operands[0]
-    np.maximum(operands[0], operands[1], out=best)
-    for operand in operands[2:]:
-        np.maximum(best, operand, out=best)
-    return best
+    """Elementwise maximum of the rows ``o[rows]`` and of ``floor`` if
+    given: computed into ``best``, or the one operand if there is one."""
+    part = o[rows]
+    if len(part) == 0:
+        return floor
+    top = part[0] if len(part) == 1 else np.maximum.reduce(part, out=best)
+    return top if floor is None else np.maximum(top, floor, out=best)
 
 
 def forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
@@ -439,14 +446,15 @@ class _TrainBatch:
         w1 = params.w_hidden + panel["w_hidden"] * _noise_sigma(
             params.w_hidden, cfg)
         w2 = params.w_out + panel["w_out"] * _noise_sigma(params.w_out, cfg)
-        out = forward_stack_into(self.xT, w1, params.b_hidden, w2,
-                                 params.b_out, self.panel_hidden,
-                                 self.panel_out)
-        out -= self.yT
+        out, = forward_stack_into(self.xT, w1, params.b_hidden, w2,
+                                  params.b_out, self.panel_hidden,
+                                  self.panel_out, [slice(0, len(self.x))])
+        np.clip(out, -1.0, 1.0, out=out)
+        out -= self.yT[:, None]
         out *= out
-        total = out[:, 0]
+        total = out[0]
         for k in range(1, N_OUTPUT):
-            total += out[:, k]
+            total += out[k]
         return float(total.mean(axis=1).max())
 
 

@@ -18,19 +18,19 @@ bit for bit, independent of chunk size, and ``z`` does not depend on any
 error limit.
 Synthesis draws ``z`` once and every probe reuses it (common random
 numbers), so probes at different limits score the same trials and the
-bisection compares limits, not noise.  A probe scores its trials in
-order, one scorer block at a time, stops at its first trial that misses
-the budget, so its report covers trials 0 to k whatever the chunk size,
-and computes no weight-error bands.  Specs that perturb nothing give
+bisection compares limits, not noise.  A probe builds and scores its
+trials in order, one scorer block at a time, stops at its first trial
+that misses the budget, so its report covers trials 0 to k whatever the
+chunk size, and computes no weight-error bands.  Specs that perturb nothing give
 every trial the nominal weights, so such an analysis scores one
 realization and repeats its counts.
 
 Trials are scored serially, chunk by chunk, by the network's one
-classifier, :class:`~memxbar.netmodel.ScoreBatch`, in unit-by-pattern
-buffers that each analysis allocates once: blocks of trials small enough
-to stay in a core's cache run through the stacked forward kernel that
-training shares, and each class's errors are counted in its own segment
-of the class-sorted patterns.  A full
+classifier, :class:`~memxbar.netmodel.ScoreBatch`, in buffers that each
+analysis allocates once: blocks of trials small enough to stay in a
+core's cache run through the stacked forward kernel that training
+shares, and each class's errors are counted on its own contiguous
+segment of the outputs.  A full
 analysis takes each synapse's weight-error band from the weight stacks of
 the trials it scores, so the band and the verdict share one draw and one
 error model, in which each row of a pair has its own feedback resistor.
@@ -383,48 +383,42 @@ def _score_trials(net: MlpParams, compiled: CompiledNet, cols: _Columns,
     and, unless ``probe`` is given, the weight-error bands of their
     weight stacks, layer -> (in, out, 2).
 
-    A probe builds each chunk's weight stacks at once, scores them one
-    scorer block at a time and stops at its first trial whose error rate
-    exceeds ``x_p``.  Specs that perturb nothing give every trial the
-    nominal weights (``nominal * (1 + 0 * z)`` is exact), so one
-    realization is scored and stands for all of them.  The scoring
-    buffers live only as long as this call.
+    A probe builds its weight stacks and scores them one scorer block at
+    a time and stops at its first trial whose error rate exceeds ``x_p``;
+    a full analysis builds each chunk's stacks at once, because its bands
+    read them.  Specs that perturb nothing give every trial the nominal
+    weights (``nominal * (1 + 0 * z)`` is exact), so one realization is
+    scored and stands for all of them.  The scoring buffers live only as
+    long as this call.
     """
     batch = ScoreBatch(net, x, codes, min(_CHUNK, trials))
     same = not cols.sigma.any()
     scored = 1 if same else trials
     counts = np.empty((scored, len(LABELS)))
+    if probe is not None:
+        for start in range(0, scored, batch.block):
+            z = probe.z[start:min(start + batch.block, scored)]
+            counts[start:start + len(z)] = rows = batch.errors(
+                *_perturbed_weights(compiled, cols, z))
+            failing = np.flatnonzero(     # the report's overall rate
+                _percent(rows.sum(axis=1), len(codes)) > x_p)
+            if failing.size:
+                return counts[:start + failing[0] + 1], {}
+        return np.repeat(counts, trials, axis=0) if same else counts, {}
     tails = {name: np.empty((0,) + layer.r_m1.shape)
              for name, layer in compiled.layers()}
     for start in range(0, scored, _CHUNK):
         count = min(_CHUNK, scored - start)
-        if same:
-            z = np.zeros((1, cols.limit.size))
-        elif probe is None:
-            z = trial_draws(cols.limit, master, start, count).z
-        else:
-            z = probe.z[start:start + count]
-        w1, w2 = stacks = _perturbed_weights(compiled, cols, z)
-        rows = counts[start:start + count]
-        if probe is None:
-            rows[...] = batch.errors(w1, w2)
-            for (name, layer), w in zip(compiled.layers(), stacks):
-                err = _weight_error(w, layer.weights())
-                tails[name] = _keep_tails(
-                    np.concatenate((tails[name], err)), trials)
-            continue
-        for lo in range(0, count, batch.block):
-            block = slice(lo, lo + batch.block)
-            rows[block] = batch.errors(w1[block], w2[block])
-            failing = np.flatnonzero(     # the report's overall rate
-                _percent(rows[block].sum(axis=1), len(codes)) > x_p)
-            if failing.size:
-                return counts[:start + lo + failing[0] + 1], {}
-    if same:
-        counts = np.repeat(counts, trials, axis=0)
-    if probe is not None:
-        return counts, {}
+        z = (np.zeros((1, cols.limit.size)) if same
+             else trial_draws(cols.limit, master, start, count).z)
+        stacks = _perturbed_weights(compiled, cols, z)
+        counts[start:start + count] = batch.errors(*stacks)
+        for (name, layer), w in zip(compiled.layers(), stacks):
+            err = _weight_error(w, layer.weights())
+            tails[name] = _keep_tails(np.concatenate((tails[name], err)),
+                                      trials)
     if same:                     # every trial has the one realization's error
+        counts = np.repeat(counts, trials, axis=0)
         tails = {name: np.broadcast_to(t, (trials,) + t.shape[1:])
                  for name, t in tails.items()}
     return counts, {name: _tail_percentiles(band_tails, trials)

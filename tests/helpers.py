@@ -14,6 +14,7 @@ import pytest
 from memxbar.cli import openblas_function
 from memxbar.crossbar import Crossbar
 from memxbar.mapping import compile_network
+from memxbar.netmodel import LABELS, forward_stack
 
 DEFAULT_SEED = 20260826
 
@@ -48,3 +49,14 @@ def blas_threads(count):
         yield
     finally:
         set_(before)
+
+
+def reference_counts(net, w1, w2, x, codes):
+    """Misclassified patterns per trial and class, (trials, 5), by argmax
+    over ``forward_stack`` with reject where the maximum output is not
+    positive (a NaN maximum included)."""
+    out = forward_stack(x, w1, net.b_hidden, w2, net.b_out)
+    pred = np.where(out.max(axis=2) > 0, out.argmax(axis=2), len(LABELS) - 1)
+    wrong = pred != codes[None, :]
+    return np.stack([wrong[:, codes == k].sum(axis=1)
+                     for k in range(len(LABELS))], axis=1)

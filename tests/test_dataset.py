@@ -250,6 +250,15 @@ def test_dataset_csv_refuses_a_bad_row(tmp_path, edit, error):
             load_dataset_csv(path)
 
 
+@pytest.mark.parametrize("keep", [1, 0], ids=["header", "nothing"])
+def test_dataset_csv_without_patterns_is_refused(tmp_path, keep):
+    path = tmp_path / "test.csv"
+    save_dataset_csv(path, np.zeros((2, 16)), ["S1", "Sr"])
+    path.write_text("".join(path.read_text().splitlines(True)[:keep]))
+    with pytest.raises(CountMismatchError, match="test.csv: no patterns"):
+        load_dataset_csv(path)
+
+
 def test_dataset_csv_names_the_first_bad_row(tmp_path):
     """A bad number is refused before a bad label on a later row of the
     same block, as a row-by-row read would."""

@@ -18,7 +18,7 @@ from memxbar.netmodel import (_PANEL, ADAM_BETA1, ADAM_BETA2, ADAM_EPS,
                               train_discrete, unit_by_pattern)
 from memxbar.stats import truncated_normal
 
-from helpers import blas_threads
+from helpers import blas_threads, reference_counts
 
 
 def zero_params(**kw):
@@ -116,6 +116,26 @@ def test_p_err_counts_mismatches():
     one = (net.w_hidden[None], net.w_out[None])
     counts = ScoreBatch(net, x, label_codes(labels), 1).errors(*one)
     assert np.array_equal(counts, [[0.0, 1.0, 0.0, 0.0, 0.0]])
+
+
+def test_scorer_clips_only_where_a_decision_can_change():
+    """Outputs below -1 decide nothing, nor do those of Sr patterns above
+    1, so the scorer leaves them unclipped; two outputs above 1 tie only
+    after the upper clip."""
+    net, x = passthrough([[0.4, 0.5, -0.9, -0.6],    # 1.2, 1.5 tie at 1
+                          [-0.9, 0.2, -0.5, -0.7],   # S2 > 0, rivals < -1
+                          [-0.5, -0.8, -0.4, -0.9],  # all below -1
+                          [-0.5, -0.8, -0.4, -0.9],
+                          [0.4, 0.5, -0.9, -0.6]])
+    net.w_out *= 3.0
+    raw = 3.0 * x[:, :4]                # the outputs before their clip
+    assert (raw < -1).any(axis=1).all() and (raw[0, :2] > 1).all()
+    assert raw[0].argmax() == 1         # unclipped, S2 would win the tie
+    codes = label_codes(["S1", "S2", "Sr", "S3", "Sr"])
+    one = (net.w_hidden[None], net.w_out[None])
+    counts = ScoreBatch(net, x, codes, 1).errors(*one)
+    assert np.array_equal(counts, reference_counts(net, *one, x, codes))
+    assert np.array_equal(counts, [[0.0, 0.0, 1.0, 0.0, 1.0]])
 
 
 def test_scoring_rejects_a_label_count_mismatch():
@@ -450,13 +470,30 @@ def test_forward_stack_into_equals_forward_stack():
     hidden, out = stack_buffers(9, len(x))
     hidden[:, :8] = np.nan
     out[...] = np.nan
+    segments = [slice(0, 2), slice(2, 17), slice(17, len(x))]
     got = forward_stack_into(unit_by_pattern(x), w1, params.b_hidden, w2,
-                             params.b_out, hidden, out)
+                             params.b_out, hidden, out, segments)
     ref = forward_stack(x, w1, params.b_hidden, w2, params.b_out)
-    assert got.shape == (6, 4, len(x))
-    assert np.shares_memory(got, out)
-    assert np.array_equal(got, ref.transpose(0, 2, 1))
-    assert np.isnan(out[6:]).all()
+    assert [block.shape for block in got] == [(4, 6, 2), (4, 6, 15),
+                                              (4, 6, len(x) - 17)]
+    # the segments' blocks lie one after another at the start of ``out``
+    assert np.array_equal(np.concatenate([b.ravel() for b in got]),
+                          out[:4 * 6 * len(x)])
+    # the outputs come before their clip
+    assert (np.abs(out[:4 * 6 * len(x)]) > 1).any()
+    for cols, block in zip(segments, got):
+        assert np.array_equal(np.clip(block, -1.0, 1.0),
+                              ref[:, cols].transpose(2, 0, 1))
+    assert np.isnan(out[4 * 6 * len(x):]).all()
+    # a segment of one pattern is a matrix-vector product, which BLAS may
+    # round differently
+    first, rest = forward_stack_into(unit_by_pattern(x), w1, params.b_hidden,
+                                     w2, params.b_out, hidden, out,
+                                     [slice(0, 1), slice(1, len(x))])
+    assert np.allclose(np.clip(first, -1.0, 1.0),
+                       ref[:, :1].transpose(2, 0, 1), rtol=0, atol=1e-15)
+    assert np.array_equal(np.clip(rest, -1.0, 1.0),
+                          ref[:, 1:].transpose(2, 0, 1))
 
 
 def test_training_passes_allocate_no_pattern_sized_array():

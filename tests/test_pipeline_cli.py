@@ -489,6 +489,25 @@ def test_cli_refuses_an_edited_test_set(default_run, tmp_path, capsys, row,
     assert "line 6" in message["message"]
 
 
+@pytest.mark.parametrize("stage", ["analyze", "program"])
+def test_cli_refuses_an_empty_test_set(default_run, tmp_path, capsys, stage):
+    """A test split cut to its header stops the stage with one JSON line
+    that names the file, not with a division by zero in the scorer."""
+    run = tmp_path / "empty"
+    shutil.copytree(default_run.run_dir, run)
+    path = run / "dataset" / "test.csv"
+    path.write_text(path.read_text().splitlines()[0] + "\n")
+    code = main(["--out", str(run), "--seed", str(DEFAULT_SEED),
+                 "--stage", stage])
+    assert code == EXIT_STAGE
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    message = json.loads(lines[0])
+    assert message["error"] == "CountMismatchError"
+    assert message["stage"] == stage
+    assert "test.csv: no patterns" in message["message"]
+
+
 def test_cli_enforce_flags_budget_miss(default_run, tmp_path, capsys):
     """A permitted error level below the nominal rate must trip --enforce."""
     run = tmp_path / "strict"

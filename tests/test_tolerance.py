@@ -12,7 +12,7 @@ from memxbar.mapping import (CompiledLayer, CompiledNet, ResistanceRange,
                              symmetric_weight_states)
 from memxbar.netmodel import (LABELS, MlpParams, ScoreBatch, evaluate,
                               forward_stack, forward_stack_into, init_params,
-                              stack_buffers, unit_by_pattern)
+                              label_codes, stack_buffers, unit_by_pattern)
 from memxbar.pipeline import _STREAM, RunConfig, _default_plan, _load_params
 from memxbar.stats import (clopper_pearson_upper, subseed, substream,
                            truncated_normal)
@@ -22,7 +22,7 @@ from memxbar.tolerance import (PERCENTILE_PAIR, ExperimentPlan, ToleranceSpec,
                                sample_perturbed, synthesize_tolerances,
                                tolerance_set, trial_draws, weight_error_bounds)
 
-from helpers import blas_threads
+from helpers import blas_threads, reference_counts
 
 NAN, INF = float("nan"), float("inf")
 
@@ -253,6 +253,24 @@ def test_probe_ignores_chunk_size(monkeypatch, probe, chunk):
     report = probe(specs, 500)
     assert np.array_equal(report.p_err, whole.p_err)
     assert report.to_dict() == whole.to_dict()
+
+
+def test_probe_builds_weight_stacks_one_scorer_block_at_a_time(
+        monkeypatch, probe, default_net, default_test_split):
+    x_test, y_test = default_test_split
+    block = ScoreBatch(default_net, x_test, label_codes(y_test),
+                       tolerance._CHUNK).block
+    built, build = [], tolerance._perturbed_weights
+
+    def recording(compiled, cols, z):
+        built.append(len(z))
+        return build(compiled, cols, z)
+
+    monkeypatch.setattr(tolerance, "_perturbed_weights", recording)
+    report = probe(tolerance_set(0.63, 0.01), 500, seed=5)
+    # it stops in the first chunk, after the block of its failing trial
+    assert report.trials < tolerance._CHUNK
+    assert built == [block] * -(-report.trials // block)
 
 
 def test_probes_at_same_deltas_are_identical(probe):
@@ -519,8 +537,8 @@ def reference_rates(net, w1, w2, x, codes):
             wrong[:, ~site_mask].mean(axis=1) * 100.0)
 
 
-def scorer_problem():
-    """Seven trials whose outputs tie, are all negative or peak at 0.
+def scorer_problem(patterns=60, trials=7):
+    """Trials whose outputs tie, are all negative or peak at 0.
 
     Trial 1 repeats output column 0 in column 1 (ties at any value),
     trial 2 saturates outputs 2 and 3 at the upper rail, trial 3 drives
@@ -529,14 +547,14 @@ def scorer_problem():
     S3.
     """
     rng = np.random.default_rng(4)
-    x = rng.uniform(0.0, 1.0, (60, 16))
-    codes = rng.choice([0, 1, 3, 4], size=60)
+    x = rng.uniform(0.0, 1.0, (patterns, 16))
+    codes = rng.choice([0, 1, 3, 4], size=patterns)
     net = MlpParams(rng.uniform(-0.5, 0.5, (16, 8)),
                     rng.uniform(-0.3, 0.3, 8),
                     rng.uniform(-0.6, 0.4, (8, 4)),
                     np.array([0.0, 0.0, 0.05, 0.0]))
-    w1 = net.w_hidden + 0.3 * rng.standard_normal((7, 16, 8))
-    w2 = net.w_out + 0.3 * rng.standard_normal((7, 8, 4))
+    w1 = net.w_hidden + 0.3 * rng.standard_normal((trials, 16, 8))
+    w2 = net.w_out + 0.3 * rng.standard_normal((trials, 8, 4))
     w2[1, :, 1] = w2[1, :, 0]
     w1[2] = np.abs(w1[2]) + 0.1
     w2[2, :, 2:] = 50.0
@@ -545,6 +563,23 @@ def scorer_problem():
     w2[4] = 0.0
     w2[4, :, 2] = -50.0
     return net, x, codes, w1, w2
+
+
+# block, patterns, trials: blocks of 1, 2 and 64 trials on 60 patterns;
+# and the default block, 16 trials of 2 000 patterns, under 37 trials:
+# blocks of 16, 16 and 5
+SCORER_CASES = [pytest.param(1, 60, 7, id="1"), pytest.param(2, 60, 7, id="2"),
+                pytest.param(64, 60, 7, id="64"),
+                pytest.param(tolerance._CHUNK, 2000, 37, id="default")]
+
+
+def scorer_batch(block, patterns, trials):
+    """``scorer_problem(patterns, trials)`` and its scorer, in blocks of
+    at most ``block`` trials."""
+    net, x, codes, w1, w2 = problem = scorer_problem(patterns, trials)
+    batch = ScoreBatch(net, x, codes, block)
+    assert batch.block == (16 if patterns == 2000 else block)
+    return batch, problem
 
 
 def test_scorer_problem_has_ties_negatives_and_zeros():
@@ -558,13 +593,14 @@ def test_scorer_problem_has_ties_negatives_and_zeros():
     assert 2 not in codes
 
 
-@pytest.mark.parametrize("block", [1, 2, 64])
-def test_scorer_equals_forward_stack_classification(block):
-    net, x, codes, w1, w2 = scorer_problem()
-    batch = ScoreBatch(net, x, codes, block)
-    # chunks of 3, 3 and 1 trials; blocks of 2 leave one trial over
-    counts = np.concatenate([batch.errors(w1[s:s + 3], w2[s:s + 3])
-                             for s in range(0, 7, 3)])
+@pytest.mark.parametrize("block, patterns, trials", SCORER_CASES)
+def test_scorer_equals_forward_stack_classification(block, patterns, trials):
+    batch, (net, x, codes, w1, w2) = scorer_batch(block, patterns, trials)
+    # chunks of 3, 3 and 1 trials; blocks of 2 leave one trial over; the
+    # default case scores all 37 trials in one call
+    step = 3 if len(w1) == 7 else len(w1)
+    counts = np.concatenate([batch.errors(w1[s:s + step], w2[s:s + step])
+                             for s in range(0, len(w1), step)])
     overall, per_class, sites, extraneous = tolerance._rates(
         counts, np.bincount(codes, minlength=len(LABELS)))
     ref = reference_rates(net, w1, w2, x, codes)
@@ -574,26 +610,16 @@ def test_scorer_equals_forward_stack_classification(block):
         assert np.array_equal(per_class[label], ref[1][label]), label
     assert np.array_equal(sites, ref[2])
     assert np.array_equal(extraneous, ref[3])
+    assert np.array_equal(counts, reference_counts(net, w1, w2, x, codes))
 
 
-def reference_counts(net, w1, w2, x, codes):
-    """Misclassified patterns per trial and class, (trials, 5), by argmax
-    over ``forward_stack`` with reject where the maximum output is not
-    positive (a NaN maximum included)."""
-    out = forward_stack(x, w1, net.b_hidden, w2, net.b_out)
-    pred = np.where(out.max(axis=2) > 0, out.argmax(axis=2), len(LABELS) - 1)
-    wrong = pred != codes[None, :]
-    return np.stack([wrong[:, codes == k].sum(axis=1)
-                     for k in range(len(LABELS))], axis=1)
-
-
-@pytest.mark.parametrize("block", [1, 2, 64])
+@pytest.mark.parametrize("block, patterns, trials", SCORER_CASES)
 @pytest.mark.parametrize("absent, instead", [(0, 1), (4, 3)])
-def test_scorer_counts_with_no_first_or_no_last_class(block, absent,
-                                                      instead):
+def test_scorer_counts_with_no_first_or_no_last_class(block, patterns, trials,
+                                                      absent, instead):
     # with S3 also absent, the first or the last segment and a middle one
     # are empty
-    net, x, codes, w1, w2 = scorer_problem()
+    net, x, codes, w1, w2 = scorer_problem(patterns, trials)
     codes = np.where(codes == absent, instead, codes)
     counts = ScoreBatch(net, x, codes, block).errors(w1, w2)
     assert np.array_equal(counts, reference_counts(net, w1, w2, x, codes))
@@ -601,32 +627,43 @@ def test_scorer_counts_with_no_first_or_no_last_class(block, absent,
 
 
 def test_scorer_rejects_every_pattern_of_a_trial_with_nan_weights():
-    net, x, codes, w1, w2 = scorer_problem()
-    w1[5, 3, 2] = np.nan          # every output of trial 5 is NaN
-    w2[6, 0, 3] = np.nan          # output S4 of trial 6 is NaN
-    counts = ScoreBatch(net, x, codes, 4).errors(w1, w2)
-    assert np.array_equal(counts, reference_counts(net, w1, w2, x, codes))
-    sizes = np.bincount(codes, minlength=len(LABELS))
-    for trial in (5, 6):
-        assert np.array_equal(counts[trial], np.append(sizes[:-1], 0))
+    # blocks of 4 trials, and the default block
+    for case in ((4, 60, 7), (tolerance._CHUNK, 2000, 37)):
+        batch, (net, x, codes, w1, w2) = scorer_batch(*case)
+        w1[5, 3, 2] = np.nan          # every output of trial 5 is NaN
+        w2[6, 0, 3] = np.nan          # output S4 of trial 6 is NaN
+        counts = batch.errors(w1, w2)
+        assert np.array_equal(counts,
+                              reference_counts(net, w1, w2, x, codes))
+        sizes = np.bincount(codes, minlength=len(LABELS))
+        for trial in (5, 6):
+            assert np.array_equal(counts[trial], np.append(sizes[:-1], 0))
 
 
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("r_m", [0.0, 0.2, 0.63])
 def test_fused_forward_equals_forward_stack_on_analysis_stacks(
         default_net, default_compiled, default_test_split, threads, r_m):
-    x_test, _ = default_test_split
+    """On the class segments of the default test split."""
+    x_test, labels = default_test_split
+    codes = label_codes(labels)
+    x = x_test[np.argsort(codes, kind="stable")]
+    stops = np.cumsum(np.bincount(codes))
+    segments = [slice(a, b) for a, b in zip([0, *stops[:-1]], stops)]
+    assert len(segments) == len(LABELS)
     cols = tolerance._columns(default_compiled, tolerance_set(r_m, 0.01))
     w1, w2 = tolerance._perturbed_weights(
         default_compiled, cols, trial_draws(cols.limit, 3, 0, 24).z)
     net = default_net
-    hidden, out = stack_buffers(len(w1), len(x_test))
+    hidden, out = stack_buffers(len(w1), len(x))
     with blas_threads(threads):
-        got = forward_stack_into(unit_by_pattern(x_test), w1,
-                                 net.b_hidden, w2, net.b_out, hidden, out)
-        ref = forward_stack(x_test, w1, net.b_hidden, w2,
-                            net.b_out)
-    assert np.array_equal(got, ref.transpose(0, 2, 1))
+        got = forward_stack_into(unit_by_pattern(x), w1, net.b_hidden, w2,
+                                 net.b_out, hidden, out, segments)
+        ref = forward_stack(x, w1, net.b_hidden, w2, net.b_out)
+    for cols, block in zip(segments, got):
+        assert block.flags.c_contiguous
+        assert np.array_equal(np.clip(block, -1.0, 1.0),
+                              ref[:, cols].transpose(2, 0, 1))
 
 
 def test_scoring_allocates_no_chunk_sized_array():
