@@ -3,10 +3,10 @@
 An array is a resistance matrix plus a stuck matrix.  Each row feeds an
 inverting summing amplifier (feedback resistor r_f); adjacent row pairs
 (2j, 2j+1) drive a differential stage realizing one signed synapse per
-column, followed by a saturating activation amplifier and an output
-divider.  Programming a cell uses bias-voltage maps, proven once per array,
-that keep every half-selected device below the switching threshold, and
-reads the device back through the summing amplifier with a quantizing ADC.
+column, followed by an activation amplifier that saturates at U_SAT.
+Programming a cell uses bias-voltage maps, proven once per array, that
+keep every half-selected device below the switching threshold, and reads
+the device back through the summing amplifier with a quantizing ADC.
 """
 
 from __future__ import annotations
@@ -30,6 +30,8 @@ from .stats import check_ranges, quantize_half_up
 
 Mode = str  # "SET" | "RESET" | "READ"
 
+U_SAT = 1.0      # activation amplifier saturation, the network model's clip
+
 
 @dataclass
 class CrossbarConfig:
@@ -40,9 +42,6 @@ class CrossbarConfig:
     r_f: float = 100e3
     r_1: float = 100e3
     r_2: float = 100e3
-    r_3: float = 0.0
-    r_4: float = 100e3
-    u_sat: float = 1.0       # activation amplifier saturation
     u_rail: float = 15.0     # summing/differential stage supply swing
     u_in_max: float = 1.0
     adc_step: float = 0.0025
@@ -50,36 +49,22 @@ class CrossbarConfig:
 
     def __post_init__(self):
         # one sum is finite when every value is; configs are built often
-        if not math.isfinite(self.r_f + self.r_1 + self.r_2 + self.r_3 + self.r_4
-                             + self.u_sat + self.u_rail + self.u_in_max
-                             + self.adc_step + self.adc_range):
-            for name in ("r_f", "r_1", "r_2", "r_3", "r_4", "u_sat", "u_rail",
-                         "u_in_max", "adc_step", "adc_range"):
+        if not math.isfinite(self.r_f + self.r_1 + self.r_2 + self.u_rail
+                             + self.u_in_max + self.adc_step + self.adc_range):
+            for name in ("r_f", "r_1", "r_2", "u_rail", "u_in_max",
+                         "adc_step", "adc_range"):
                 if not math.isfinite(getattr(self, name)):
                     raise ValueError(f"{name} must be finite, "
                                      f"got {getattr(self, name)!r}")
-        if min(self.r_f, self.r_1, self.r_2, self.r_4) <= 0 or self.r_3 < 0:
-            raise ValueError("amplifier resistors must be positive (r_3 may be 0)")
-        if not 0 < self.k_scale <= 1:
-            raise ValueError("output divider must scale by a factor in (0, 1]")
-        if self.u_in_max <= 0 or self.u_sat <= 0 or self.u_rail < self.u_sat:
-            raise ValueError("need 0 < u_sat <= u_rail and u_in_max > 0")
+        if min(self.r_f, self.r_1, self.r_2) <= 0:
+            raise ValueError("amplifier resistors must be positive")
+        if self.u_in_max <= 0 or self.u_rail < U_SAT:
+            raise ValueError(f"need u_rail >= {U_SAT} (the activation "
+                             "saturation) and u_in_max > 0")
 
     @property
     def k_diff(self) -> float:
         return self.r_2 / self.r_1
-
-    @property
-    def k_scale(self) -> float:
-        return self.r_4 / (self.r_3 + self.r_4)
-
-    def to_dict(self) -> dict:
-        from dataclasses import asdict
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CrossbarConfig":
-        return cls(**d)
 
 
 class Crossbar:
@@ -224,7 +209,7 @@ def _clamp(u, limit: float):
 
 def layer_forward(xbar: Crossbar, inputs: np.ndarray,
                   bias: np.ndarray | None = None) -> np.ndarray:
-    """One crossbar layer: differential pairs, activation clamp, output scaling.
+    """One crossbar layer: differential pairs and the activation clamp.
 
     ``bias`` (one value per row pair) is summed into the difference stage
     ahead of the saturating amplifier, mirroring a digitally sourced offset
@@ -242,11 +227,9 @@ def layer_forward(xbar: Crossbar, inputs: np.ndarray,
             raise ShapeMismatchError(
                 f"bias needs shape ({cfg.rows // 2},), got {bias.shape}")
         diff += bias
-    # the difference stage clips at the rail, the activation at u_sat <=
+    # the difference stage clips at the rail, the activation at U_SAT <=
     # u_rail, so the activation clamp alone gives the same bits
-    activated = _clamp(diff, cfg.u_sat)
-    activated *= cfg.k_scale
-    return activated
+    return _clamp(diff, U_SAT)
 
 
 def synapse_weights(xbar: Crossbar, n_in: int, n_out: int) -> np.ndarray:

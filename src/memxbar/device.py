@@ -10,7 +10,7 @@ overshoot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -65,18 +65,6 @@ class DeviceParams:
     def r_floor(self) -> float:
         """Hard lower clamp on resistance (noise can undershoot the LRS target)."""
         return self.r_lrs_nominal * (1 - 3 * self.response_noise_sigma)
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["ramp_range"] = list(self.ramp_range)
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DeviceParams":
-        d = dict(d)
-        if "ramp_range" in d:
-            d["ramp_range"] = tuple(d["ramp_range"])
-        return cls(**d)
 
 
 def check_device(params: DeviceParams) -> None:

@@ -37,6 +37,10 @@ class ShapeMismatchError(MemxbarError):
     """Array arguments disagree in shape."""
 
 
+class EmptyBatchError(MemxbarError):
+    """A batch to score holds no patterns."""
+
+
 class NonFiniteLossError(MemxbarError):
     """Training loss became NaN or infinite."""
 

@@ -27,7 +27,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import MemxbarError, NonFiniteLossError, ShapeMismatchError
+from .errors import (EmptyBatchError, MemxbarError, NonFiniteLossError,
+                     ShapeMismatchError)
 from .stats import check_ranges, truncated_normal
 
 N_INPUT = 16
@@ -106,16 +107,16 @@ class MlpParams:
 def check_unity_chain(chain) -> None:
     """Raise ValueError, naming the setting first, unless the crossbar
     config ``chain`` is the circuit this model computes, whose transfer is
-    ``clip(z, -1, 1)``; its rails may sit anywhere at or above ``u_sat``."""
+    ``clip(z, -1, 1)``; its activation saturates at ``crossbar.U_SAT``,
+    1, and its rails may sit anywhere at or above that."""
     rules = {
-        "rows": ("an int >= 16 for the 8 hidden row pairs",
-                 lambda v: type(v) is int and v >= 2 * N_HIDDEN),
+        "rows": ("an even int >= 16 for the 8 hidden row pairs",
+                 lambda v: type(v) is int and v >= 2 * N_HIDDEN
+                 and v % 2 == 0),
         "cols": ("an int >= 16 for the 16 inputs",
                  lambda v: type(v) is int and v >= N_INPUT),
         "r_2": (f"r_1 ({chain.r_1!r}) for a difference gain of 1",
                 lambda v: v == chain.r_1),
-        "r_3": ("0 for no output divider", lambda v: v == 0),
-        "u_sat": ("1, the network model's saturation", lambda v: v == 1),
         "u_in_max": (">= 1 to pass every input and hidden output",
                      lambda v: v >= 1),
     }
@@ -254,6 +255,8 @@ class ScoreBatch:
         if x.shape != (len(codes), N_INPUT):
             raise ShapeMismatchError(f"need ({len(codes)}, {N_INPUT}) patterns "
                                      f"for {len(codes)} labels, got {x.shape}")
+        if not len(codes):
+            raise EmptyBatchError("the batch to score holds no patterns")
         self.net = net
         self.patterns = len(codes)
         self.xT = unit_by_pattern(x[np.argsort(codes, kind="stable")])

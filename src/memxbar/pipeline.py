@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -167,33 +167,19 @@ class RunConfig:
         return {**TOLERANCE_DEFAULTS, **self.tolerances}
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "out_dir": str(self.out_dir),
-            "device": self.device.to_dict(),
-            "crossbar": self.crossbar.to_dict(),
-            "train": dict(self.train),
-            "tolerances": dict(self.tolerances),
-            "profile_path": self.profile_path,
-            "stuck": list(self.stuck),
-            "x_p": self.x_p,
-            "trials": self.trials,
-            "sweep_counts": list(self.sweep_counts),
-            "sweep_range": {"r_min": self.sweep_range.r_min,
-                            "r_max": self.sweep_range.r_max},
-            "plan_points": self.plan_points,
-            "plan_trials": self.plan_trials,
-            "harden_epochs": self.harden_epochs,
-        }
+        return {**asdict(self), "out_dir": str(self.out_dir)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
         d = dict(d)
         try:
             if "device" in d:
-                d["device"] = DeviceParams.from_dict(d["device"])
+                device = dict(d["device"])
+                if "ramp_range" in device:
+                    device["ramp_range"] = tuple(device["ramp_range"])
+                d["device"] = DeviceParams(**device)
             if "crossbar" in d:
-                d["crossbar"] = CrossbarConfig.from_dict(d["crossbar"])
+                d["crossbar"] = CrossbarConfig(**d["crossbar"])
             if "sweep_range" in d:
                 d["sweep_range"] = ResistanceRange(**d["sweep_range"])
             if "sweep_counts" in d:

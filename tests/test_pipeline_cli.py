@@ -1,6 +1,9 @@
 """Run configuration, stage orchestration, and the command-line interface."""
 
+import copy
 import csv
+import dataclasses
+import functools
 import json
 import os
 import shutil
@@ -29,13 +32,45 @@ def default_cfg(out, **kw):
     return RunConfig(seed=DEFAULT_SEED, out_dir=out, **kw)
 
 
+def _settings(obj, path=()):
+    """(path, value) of every leaf field of the config dataclass ``obj``."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from _settings(value, path + (f.name,))
+        else:
+            yield path + (f.name,), value
+
+
 def test_config_dict_round_trip(tmp_path):
+    """The dataclasses are the one schema of a run: the dict holds exactly
+    their fields, each setting but ``out_dir`` reaches the config hash,
+    and the dict, as it is and through JSON, reads back to an equal
+    config."""
     cfg = default_cfg(tmp_path, trials=123,
                       stuck=[{"array": "hidden", "row": 1, "col": 2,
-                              "ohm": 20e3}])
-    back = RunConfig.from_dict(cfg.to_dict())
-    assert back.to_dict() == cfg.to_dict()
-    assert back.config_hash() == cfg.config_hash()
+                              "ohm": 20e3}],
+                      plan_points=[{"r_m1": 0.1}], sweep_counts=(2, 5),
+                      crossbar=CrossbarConfig(rows=32),
+                      device=DeviceParams(r_hrs_nominal=300e3,
+                                          ramp_range=(1.5, 2.5)))
+    d = cfg.to_dict()
+    names = lambda obj: [f.name for f in dataclasses.fields(obj)]
+    assert list(d) == names(cfg)
+    for section in ("device", "crossbar", "sweep_range"):
+        assert list(d[section]) == names(getattr(cfg, section)), section
+    for (*head, name), value in _settings(cfg):
+        if name == "out_dir":
+            continue
+        edited = copy.deepcopy(cfg)
+        owner = functools.reduce(getattr, head, edited)
+        object.__setattr__(owner, name, [value])   # the frozen range too
+        assert edited.config_hash() != cfg.config_hash(), (*head, name)
+    for source in (d, json.loads(json.dumps(d))):
+        back = RunConfig.from_dict(source)
+        assert back == cfg
+        assert back.to_dict() == d
+        assert back.config_hash() == cfg.config_hash()
 
 
 def test_config_hash_tracks_content(tmp_path):
@@ -74,7 +109,7 @@ def test_bad_count_setting_exits_with_config_error(tmp_path, name, value):
 
 
 @pytest.mark.parametrize("name, value", [
-    ("r_f", float("nan")), ("r_f", float("inf")), ("r_3", float("nan")),
+    ("r_f", float("nan")), ("r_f", float("inf")), ("r_1", float("nan")),
     ("u_rail", float("inf")), ("adc_step", float("-inf")),
 ])
 def test_non_finite_amplifier_value_exits_with_config_error(
@@ -93,7 +128,8 @@ _REMOVED = {"bounds_trials": 20000, "restarts": 1, "discrete": False,
             "resistance_range": {"r_min": 10e3, "r_max": 300e3},
             "harden_boost": 1.3, "train.step": 0.02, "train.beta1": 0.9,
             "train.beta2": 0.999, "train.eps": 1e-8, "train.leak": 0.05,
-            "sweep_range.n_states": 7, "sweep_range.rmax_typo": 5}
+            "sweep_range.n_states": 7, "sweep_range.rmax_typo": 5,
+            "crossbar.r_3": 0.0, "crossbar.r_4": 100e3, "crossbar.u_sat": 1.0}
 
 
 @pytest.mark.parametrize("key", list(_REMOVED))
@@ -103,7 +139,8 @@ def test_removed_bounds_trials_setting_exits_with_config_error(tmp_path,
     value, are unknown keys: the weight bands come from the analysis
     trials, training runs one recipe from one start with fixed optimizer
     constants and hardening boost, the compile window is the device
-    window, and the state ladders come from the sweep counts.  A config
+    window, the state ladders come from the sweep counts, and the
+    amplifier chain has no output divider and saturates at 1.  A config
     that still sets one, or a misspelt range key, is refused before any
     stage, naming the key."""
     config = default_cfg(tmp_path / "run").to_dict()
@@ -193,8 +230,8 @@ def test_bad_experiment_setting_exits_before_any_stage(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("name, value", [
-    ("r_2", 200e3), ("r_3", 10e3), ("u_sat", 0.5), ("u_sat", 2.0),
-    ("u_in_max", 0.9), ("rows", 8), ("rows", 16.0), ("cols", 15),
+    ("r_2", 200e3), ("u_in_max", 0.9), ("rows", 8), ("rows", 16.0),
+    ("rows", 17), ("cols", 15),
     ("u_in_max", 1.5), ("u_in_max", 2.0),
 ])
 def test_chain_the_model_cannot_represent_exits_before_any_stage(
@@ -231,8 +268,7 @@ def test_chain_the_model_cannot_represent_exits_before_any_stage(
     # the rails are not part of the network model's assumption
     ("crossbar", CrossbarConfig(u_rail=1.0)),
     ("crossbar", CrossbarConfig(u_rail=2.5, u_in_max=1.2)),
-    ("crossbar", CrossbarConfig(rows=32, cols=20, r_1=47e3, r_2=47e3,
-                                r_4=10e3)),
+    ("crossbar", CrossbarConfig(rows=32, cols=20, r_1=47e3, r_2=47e3)),
 ])
 def test_usable_experiment_setting_passes_the_check(tmp_path, name, value):
     default_cfg(tmp_path, **{name: value}).check_experiment()

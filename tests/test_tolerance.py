@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from memxbar import tolerance
-from memxbar.errors import NoPassingPointError
+from memxbar.errors import EmptyBatchError, NoPassingPointError
 from memxbar.mapping import (CompiledLayer, CompiledNet, ResistanceRange,
                              SynapseNominals, quantize_weights,
                              symmetric_weight_states)
@@ -520,6 +520,17 @@ def test_sweep_rejects_degenerate_counts(default_net, default_test_split):
     with pytest.raises(ValueError):
         discrete_state_sweep(default_net, x_test, y_test, (1,),
                              ResistanceRange(10e3, 60e3), 100e3)
+
+
+def test_an_empty_batch_is_refused_by_evaluate_and_the_sweep():
+    """An error rate of no patterns is undefined: the scorer says the
+    batch is empty instead of dividing by zero."""
+    net, x = init_params(np.random.default_rng(0)), np.empty((0, 16))
+    with pytest.raises(EmptyBatchError, match="no patterns"):
+        evaluate(net, x, [])
+    with pytest.raises(EmptyBatchError, match="no patterns"):
+        discrete_state_sweep(net, x, [], (2, 3), ResistanceRange(10e3, 60e3),
+                             100e3)
 
 
 def reference_rates(net, w1, w2, x, codes):
