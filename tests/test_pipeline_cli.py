@@ -6,6 +6,7 @@ import dataclasses
 import functools
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -18,7 +19,7 @@ import memxbar
 from memxbar.cli import (BLAS_THREAD_VARIABLES, EXIT_CONFIG, EXIT_ENFORCE,
                          EXIT_OK, EXIT_STAGE, build_parser, load_config,
                          main)
-from memxbar.crossbar import CrossbarConfig
+from memxbar.crossbar import U_SAT, CrossbarConfig
 from memxbar.dataset import default_profile
 from memxbar.device import DeviceParams
 from memxbar.errors import ConfigError
@@ -230,8 +231,8 @@ def test_bad_experiment_setting_exits_before_any_stage(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("name, value", [
-    ("r_2", 200e3), ("u_in_max", 0.9), ("rows", 8), ("rows", 16.0),
-    ("rows", 17), ("cols", 15),
+    ("r_2", 200e3), ("u_sat", 0.5), ("u_sat", 2.0), ("u_in_max", 0.9),
+    ("rows", 8), ("rows", 16.0), ("rows", 17), ("cols", 15),
     ("u_in_max", 1.5), ("u_in_max", 2.0),
 ])
 def test_chain_the_model_cannot_represent_exits_before_any_stage(
@@ -240,11 +241,21 @@ def test_chain_the_model_cannot_represent_exits_before_any_stage(
     amplifier chain on arrays large enough for the 16-8-4 net; another
     chain, or a data-signal limit at or above the device threshold (1.5 V),
     which would switch cells, is a config error that names the setting,
-    and nothing is written."""
+    and nothing is written.  The saturation is no setting but the
+    constant ``crossbar.U_SAT``: a config that asks for another one is
+    refused as an unknown key."""
     out = tmp_path / "run"
-    with pytest.raises(ConfigError, match=f"crossbar: {name} must be"):
-        default_cfg(out, crossbar=CrossbarConfig(**{name: value})
-                    ).check_experiment()
+    if name in {f.name for f in dataclasses.fields(CrossbarConfig)}:
+        refusal = f"crossbar: {name} must be"
+        with pytest.raises(ConfigError, match=refusal):
+            default_cfg(out, crossbar=CrossbarConfig(**{name: value})
+                        ).check_experiment()
+    else:
+        assert value != U_SAT
+        refusal = ("CrossbarConfig.__init__() got an unexpected keyword "
+                   f"argument '{name}'")
+        with pytest.raises(TypeError, match=re.escape(refusal)):
+            CrossbarConfig(**{name: value})
     config = default_cfg(out).to_dict()
     config["crossbar"][name] = value
     path = tmp_path / "cfg.json"
@@ -254,7 +265,7 @@ def test_chain_the_model_cannot_represent_exits_before_any_stage(
         message = json.loads(capsys.readouterr().out)
         assert message["error"] == "ConfigError"
         assert message["stage"] == "config"
-        assert message["message"].startswith(f"crossbar: {name} must be")
+        assert message["message"].startswith(refusal)
     assert not out.exists()
 
 
