@@ -14,7 +14,7 @@ from .netmodel import (Activation, MlpParams, TrainConfig, TrainResult,
                        init_params, mse, train_discrete)
 from .dataset import (StimulusProfile, default_profile, default_splits,
                       make_split, synthesize_extraneous,
-                      synthesize_stimulus_patterns, target_vector)
+                      synthesize_stimulus_patterns)
 from .tolerance import (ExperimentPlan, MonteCarloReport, SynthesisResult,
                         ToleranceSpec, analyze_tolerances, discrete_state_sweep,
                         sample_perturbed, synthesize_tolerances,

@@ -28,8 +28,6 @@ from .errors import (
 from .reports import write_csv
 from .stats import check_ranges, quantize_half_up
 
-Mode = str  # "SET" | "RESET" | "READ"
-
 U_SAT = 1.0      # activation amplifier saturation, the network model's clip
 
 
@@ -121,7 +119,7 @@ class BiasAssignment:
     row_voltages: np.ndarray
     col_voltages: np.ndarray
     target: tuple[int, int]
-    mode: Mode
+    mode: str                    # "SET" | "RESET" | "READ"
 
     def drops(self) -> np.ndarray:
         """Voltage across each cell, column line minus row line."""
@@ -135,7 +133,7 @@ class BiasAssignment:
         return float(d.max())
 
 
-def bias_assignment(xbar: Crossbar, target: tuple[int, int], mode: Mode,
+def bias_assignment(xbar: Crossbar, target: tuple[int, int], mode: str,
                     amplitude: float | None = None) -> BiasAssignment:
     """Voltage map neutralizing sneak currents for the chosen operation.
 
@@ -180,21 +178,14 @@ def check_bias(assignment: BiasAssignment, v_threshold: float) -> None:
         )
 
 
-def _check_inputs(inputs: np.ndarray, cfg: CrossbarConfig) -> np.ndarray:
+def row_summed_voltage(xbar: Crossbar, inputs: np.ndarray) -> np.ndarray:
+    """Summing-amplifier output of every row, clipped at the amplifier swing."""
+    cfg = xbar.config
     inputs = np.asarray(inputs, dtype=float)
     if inputs.shape != (cfg.cols,):
         raise ValueError(f"expected {cfg.cols} inputs, got shape {inputs.shape}")
     if np.abs(inputs).max() > cfg.u_in_max * (1 + 1e-12):
-        raise InputOverrangeError(
-            f"input exceeds +/-{cfg.u_in_max} V data range"
-        )
-    return inputs
-
-
-def row_summed_voltage(xbar: Crossbar, inputs: np.ndarray) -> np.ndarray:
-    """Summing-amplifier output of every row, clipped at the amplifier swing."""
-    cfg = xbar.config
-    inputs = _check_inputs(inputs, cfg)
+        raise InputOverrangeError(f"input exceeds +/-{cfg.u_in_max} V data range")
     u = (inputs[None, :] / xbar.resistance).sum(axis=1)
     u *= -cfg.r_f
     return _clamp(u, cfg.u_rail)

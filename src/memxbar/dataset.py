@@ -69,25 +69,13 @@ class StimulusProfile:
                 raise ValueError(f"{label}: mean times must lie in the window")
             self.means[label] = arr
 
-    def to_dict(self) -> dict:
-        return {
-            "window_ms": self.window_ms,
-            "jitter_fraction": self.jitter_fraction,
-            "jitter_sigmas": self.jitter_sigmas,
-            "dac_step": self.dac_step,
-            "means": {k: v.tolist() for k, v in self.means.items()},
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "StimulusProfile":
         if not isinstance(d, dict) or not isinstance(d.get("means"), dict):
             raise ValueError("profile needs a 'means' object mapping each "
                              "class to its (4, 4) mean spike times")
         return cls(means={k: np.array(v) for k, v in d["means"].items()},
-                   window_ms=d.get("window_ms", 50.0),
-                   jitter_fraction=d.get("jitter_fraction", 0.3),
-                   jitter_sigmas=d.get("jitter_sigmas", 3.0),
-                   dac_step=d.get("dac_step", 0.0025))
+                   **{k: d[k] for k in _PROFILE_RANGES if k in d})
 
 
 def load_profile(path) -> StimulusProfile:
@@ -121,29 +109,17 @@ def synthesize_extraneous(profile: StimulusProfile, count: int,
     return np.sort(times, axis=-1)
 
 
-def normalize_quantize(times: np.ndarray, profile: StimulusProfile) -> np.ndarray:
-    """Spike times to DAC codes: divide by the window, snap to the grid."""
-    x = np.asarray(times, dtype=float) / profile.window_ms
+def encode(times: np.ndarray, profile: StimulusProfile) -> np.ndarray:
+    """Flatten (H, channels, spikes) trains into (H, 16) input voltages:
+    divide by the window, snap to the DAC grid, clip to [0, 1]."""
+    times = np.asarray(times, dtype=float)
+    x = times.reshape(times.shape[0], N_CHANNELS * N_SPIKES) / profile.window_ms
     return np.clip(quantize_half_up(x, profile.dac_step), 0.0, 1.0)
 
 
-def encode(times: np.ndarray, profile: StimulusProfile) -> np.ndarray:
-    """Flatten (H, channels, spikes) trains into (H, 16) input voltages."""
-    times = np.asarray(times, dtype=float)
-    h = times.shape[0]
-    return normalize_quantize(times.reshape(h, N_CHANNELS * N_SPIKES), profile)
-
-
-def target_vector(label: str) -> np.ndarray:
-    """Desired outputs: +1 on the class line, -1 elsewhere, all -1 for reject."""
-    y = -np.ones(N_OUTPUT)
-    if label != REJECT_LABEL:
-        y[OUTPUT_LABELS.index(label)] = 1.0
-    return y
-
-
 def target_matrix(labels) -> np.ndarray:
-    """:func:`target_vector` of each label, as rows."""
+    """Desired outputs, one row per label: +1 on the class line, -1
+    elsewhere, all -1 for reject."""
     codes = label_codes(labels)
     return np.where(codes[:, None] == np.arange(N_OUTPUT), 1.0, -1.0)
 

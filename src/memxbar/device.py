@@ -108,19 +108,6 @@ class ProgramLog:
                 int(self.success))
 
 
-def _check_read_voltage(v: float, params: DeviceParams) -> None:
-    if abs(v) >= params.v_threshold:
-        raise AboveThresholdError(
-            f"|{v}| V read would disturb state (threshold {params.v_threshold} V)"
-        )
-
-
-def read_current(cell: MemristorCell, v: float, params: DeviceParams) -> float:
-    """Ohmic read; refuses voltages that could disturb the state."""
-    _check_read_voltage(v, params)
-    return v / cell.resistance
-
-
 def _clamped(value, params: DeviceParams):
     """Resistance a pulse leaves: its response clamped to the device window."""
     return np.minimum(np.maximum(value, params.r_floor), params.r_hrs_nominal)
@@ -195,9 +182,9 @@ def program_to(
     ``read_resistance`` maps an array of device resistances to the array
     of values the verify read reports, elementwise; callers use it to
     model an indirect read-back (e.g. the array's summing-amplifier path),
-    and the default is the exact Ohmic read.  ``tolerance`` overrides the
-    params band, used when the read-back itself has a known error budget
-    to absorb.
+    and the default is the exact Ohmic read at ``v_read``, refused when it
+    could disturb the state.  ``tolerance`` overrides the params band, used
+    when the read-back itself has a known error budget to absorb.
 
     A pulse's outcome does not depend on the state before it, so each
     attempt is one array pass: the SET pulse and every RESET rung are
@@ -215,9 +202,11 @@ def program_to(
     tol = params.program_tolerance if tolerance is None else tolerance
     if read_resistance is None:
         v = params.v_read
-        _check_read_voltage(v, params)
+        if abs(v) >= params.v_threshold:
+            raise AboveThresholdError(f"|{v}| V read would disturb state "
+                                      f"(threshold {params.v_threshold} V)")
 
-        def read_resistance(r):  # the exact Ohmic read, as read_current takes it
+        def read_resistance(r):  # the exact Ohmic read: v over the current
             return v / (v / r)
 
     def in_band(r):

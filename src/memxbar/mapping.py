@@ -117,10 +117,7 @@ def quantize_weights(w: np.ndarray, states) -> np.ndarray:
     tie = np.isclose(d_lo, d_hi, rtol=1e-15, atol=0.0)
     # at an exact midpoint the smaller-magnitude neighbour wins
     pick_hi[tie] = np.abs(hi[tie]) < np.abs(lo[tie])
-    out = np.where(pick_hi, hi, lo)
-    if len(arr) == 1:
-        out = np.full_like(flat, arr[0])
-    return out.reshape(np.shape(w))
+    return np.where(pick_hi, hi, lo).reshape(np.shape(w))
 
 
 @dataclass

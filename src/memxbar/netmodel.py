@@ -133,13 +133,6 @@ def init_params(rng: np.random.Generator) -> MlpParams:
     )
 
 
-def _as_batch(x: np.ndarray) -> tuple[np.ndarray, bool]:
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        return x[None, :], True
-    return x, False
-
-
 def forward_stack(x: np.ndarray, w_hidden: np.ndarray, b_hidden: np.ndarray,
                   w_out: np.ndarray, b_out: np.ndarray) -> np.ndarray:
     """Output ``f(f(x @ w_hidden + b_hidden) @ w_out + b_out)``.
@@ -323,12 +316,13 @@ def _maximum(o: np.ndarray, rows: slice, best: np.ndarray,
 
 def forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
     """Network output for one pattern (16,) or a batch (H, 16)."""
-    xb, single = _as_batch(x)
+    x = np.asarray(x, dtype=float)
+    xb = x[None, :] if x.ndim == 1 else x
     if xb.shape[1] != N_INPUT:
         raise ShapeMismatchError(f"expected {N_INPUT} inputs, got {xb.shape[1]}")
     out = forward_stack(xb, params.w_hidden, params.b_hidden, params.w_out,
                         params.b_out)
-    return out[0] if single else out
+    return out[0] if x.ndim == 1 else out
 
 
 def mse(y_true: np.ndarray, y_pred: np.ndarray) -> float:

@@ -25,7 +25,7 @@ from .crossbar import (Crossbar, CrossbarConfig, check_adc,
                        check_signal_limit, program_cell, save_crossbar_csv,
                        synapse_weights)
 from .device import DeviceParams, check_device
-from .errors import ConfigError
+from .errors import ConfigError, ShapeMismatchError
 from .mapping import (CompiledLayer, CompiledNet, ResistanceRange,
                       compensate_stuck, compile_network, w_max)
 from .netmodel import (MlpParams, TrainConfig, check_train_settings,
@@ -209,7 +209,16 @@ class RunConfig:
 
 
 def _load_split(run_dir: Path, name: str):
-    return ds.load_dataset_csv(require_artifact(run_dir, f"dataset/{name}.csv"))
+    """A dataset split; a value outside [0, 1], the range ``encode``
+    writes, is refused (NaN included), naming its line."""
+    path = require_artifact(run_dir, f"dataset/{name}.csv")
+    x, labels = ds.load_dataset_csv(path)
+    inside = (x >= 0) & (x <= 1)
+    if not inside.all():
+        i, j = np.argwhere(~inside)[0]   # a record per line after the header
+        raise ShapeMismatchError(f"{path} line {i + 2}: x{j} = "
+                                 f"{float(x[i, j])!r} is outside [0, 1]")
+    return x, labels
 
 
 def _load_params(run_dir: Path, name: str = "params.json") -> MlpParams:
@@ -273,21 +282,20 @@ def stage_train(cfg: RunConfig, out: Path) -> None:
         result = train_discrete(cont.params, x_train, y_target,
                                 _train_config(cfg, harden=True), rng)
         phases.append(("harden", result))
-    test_p = evaluate(result.params, x_test, y_test)
     for name, kept in (("params.json", result), ("params_continuous.json", cont)):
         with replacing(out / name) as fh:
             json.dump(kept.params.to_dict(), fh, indent=2, sort_keys=True)
     curve = np.concatenate([cont.curve] + [r.curve[1:] for _, r in phases[1:]])
     reports.write_curve_csv(out / "curve.csv", curve)
     reports.render_learning_curve(curve, cfg.out_dir / reports.CURVE_SVG)
-    meta = {"test_p_err": test_p,
+    scored = {name: {"epochs": r.epochs, "mse": r.final_mse,
+                     "test_p_err": evaluate(r.params, x_test, y_test)}
+              for name, r in phases}
+    meta = {"test_p_err": scored[phases[-1][0]]["test_p_err"],
             "final_mse": result.final_mse,
             "epochs": int(sum(r.epochs for _, r in phases)),
             "converged": result.converged,
-            "phases": {name: {"epochs": r.epochs,
-                              "mse": r.final_mse,
-                              "test_p_err": evaluate(r.params, x_test, y_test)}
-                       for name, r in phases}}
+            "phases": scored}
     with replacing(out / "train.json") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
 

@@ -139,9 +139,6 @@ class WeightErrorBounds:
     high: float
     relative: bool               # False when the nominal weight is zero
 
-    def as_tuple(self) -> tuple[float, float]:
-        return (self.low, self.high)
-
 
 def _weight_error(w: np.ndarray, w0) -> np.ndarray:
     """Error of perturbed weights ``w`` from their nominal ``w0``, in

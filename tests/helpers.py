@@ -6,7 +6,9 @@ ambiguous when both directories are collected in one session.
 """
 
 import ctypes
+import json
 from contextlib import contextmanager
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -31,6 +33,13 @@ def ideal_crossbars(w_hidden, w_out, config, device, rrange):
             m[2 * j + 1, :n_in] = layer.r_m2[:, j]
         xbars.append(Crossbar(config, device, m))
     return xbars
+
+
+def default_profile_dict():
+    """The packaged ``data/default_profile.json``, parsed: a profile dict
+    that a test may edit."""
+    path = resources.files("memxbar").joinpath("data/default_profile.json")
+    return json.loads(path.read_text())
 
 
 @contextmanager

@@ -10,12 +10,13 @@ import pytest
 from memxbar.dataset import (TEST_COUNTS, TRAIN_COUNTS, StimulusProfile,
                              default_profile, default_splits, encode,
                              load_dataset_csv, load_profile, make_split,
-                             normalize_quantize, save_dataset_csv,
-                             synthesize_extraneous,
+                             save_dataset_csv, synthesize_extraneous,
                              synthesize_pool, synthesize_stimulus_patterns,
-                             target_matrix, target_vector)
+                             target_matrix)
 from memxbar.errors import CountMismatchError, ShapeMismatchError
 from memxbar.netmodel import LABELS
+
+from helpers import default_profile_dict
 
 
 def test_default_profile_covers_all_sites():
@@ -44,22 +45,30 @@ def test_profile_rejects_bad_means():
     ("dac_step", float("inf")), ("dac_step", "0.0025"), ("dac_step", False),
 ])
 def test_profile_refuses_bad_scalar_setting(name, value):
-    d = default_profile().to_dict()
+    d = default_profile_dict()
     d[name] = value
     with pytest.raises(ValueError, match=name):
         StimulusProfile.from_dict(d)
 
 
 def test_profile_accepts_zero_jitter():
-    d = default_profile().to_dict()
+    d = default_profile_dict()
     d["jitter_fraction"] = 0
     assert StimulusProfile.from_dict(d).jitter_fraction == 0
+
+
+def test_profile_of_only_means_takes_the_defaults(tmp_path):
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps({"means": default_profile_dict()["means"]}))
+    back = load_profile(path)
+    for name in ("window_ms", "jitter_fraction", "jitter_sigmas", "dac_step"):
+        assert getattr(back, name) == getattr(StimulusProfile, name)
 
 
 def test_profile_json_round_trip(tmp_path):
     profile = default_profile()
     path = tmp_path / "profile.json"
-    path.write_text(json.dumps(profile.to_dict()))
+    path.write_text(json.dumps(default_profile_dict()))
     back = load_profile(path)
     assert back.window_ms == profile.window_ms
     for label, arr in profile.means.items():
@@ -94,11 +103,11 @@ def test_extraneous_patterns_fill_window():
 
 def test_encoding_normalizes_and_snaps():
     profile = default_profile()
-    times = np.array([0.0, 12.5, 25.0, 50.0])
-    x = normalize_quantize(times, profile)
-    assert np.array_equal(x, [0.0, 0.25, 0.5, 1.0])
-    grid = normalize_quantize(np.array([12.51]), profile)
-    assert grid[0] == pytest.approx(0.25)     # 0.2502 snaps down to the grid
+    times = np.tile([0.0, 12.5, 25.0, 50.0], (1, 4, 1))
+    x = encode(times, profile)
+    assert np.array_equal(x, np.tile([0.0, 0.25, 0.5, 1.0], (1, 4)))
+    grid = encode(np.full((1, 4, 4), 12.51), profile)
+    assert grid == pytest.approx(np.full((1, 16), 0.25))  # 0.2502 snaps down
 
 
 def test_encode_flattens_to_sixteen_inputs():
@@ -111,13 +120,13 @@ def test_encode_flattens_to_sixteen_inputs():
 
 
 def test_target_vectors():
-    assert np.array_equal(target_vector("S1"), [1, -1, -1, -1])
-    assert np.array_equal(target_vector("S4"), [-1, -1, -1, 1])
-    assert np.array_equal(target_vector("Sr"), [-1, -1, -1, -1])
-    labels = ["S2", "Sr", "S1", "S4", "S3", "Sr"]
-    mat = target_matrix(labels)
+    assert np.array_equal(target_matrix(["S1", "S4", "Sr"]),
+                          [[1, -1, -1, -1], [-1, -1, -1, 1], [-1, -1, -1, -1]])
+    mat = target_matrix(["S2", "Sr", "S1", "S4", "S3", "Sr"])
     assert mat.shape == (6, 4)
-    assert np.array_equal(mat, np.array([target_vector(lb) for lb in labels]))
+    assert np.array_equal(mat, [[-1, 1, -1, -1], [-1, -1, -1, -1],
+                                [1, -1, -1, -1], [-1, -1, -1, 1],
+                                [-1, -1, 1, -1], [-1, -1, -1, -1]])
 
 
 def test_pool_composition():

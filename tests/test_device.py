@@ -7,7 +7,7 @@ from memxbar.crossbar import (Crossbar, CrossbarConfig, program_cell,
                               read_back_error_bound)
 from memxbar.device import (DeviceParams, MemristorCell, ProgramLog,
                             program_to, ramp_amplitudes, ramp_response,
-                            read_current, reset_pulse, set_pulse)
+                            reset_pulse, set_pulse)
 from memxbar.errors import (AboveThresholdError, AmplitudeOutOfRangeError,
                             ProgrammingFailedError, StuckDeviceError)
 
@@ -15,19 +15,6 @@ from memxbar.errors import (AboveThresholdError, AmplitudeOutOfRangeError,
 def quiet_params(**kw):
     kw.setdefault("response_noise_sigma", 0.0)
     return DeviceParams(**kw)
-
-
-def test_read_is_ohmic():
-    cell = MemristorCell(resistance=20e3)
-    assert read_current(cell, 0.5, DeviceParams()) == pytest.approx(0.5 / 20e3)
-
-
-def test_read_refuses_disturbing_voltage():
-    cell = MemristorCell(resistance=20e3)
-    with pytest.raises(AboveThresholdError):
-        read_current(cell, 1.5, DeviceParams())
-    with pytest.raises(AboveThresholdError):
-        read_current(cell, -2.0, DeviceParams())
 
 
 def test_set_pulse_reaches_lrs():
@@ -122,8 +109,9 @@ def test_program_is_seed_deterministic():
     assert logs[0].pulses == logs[1].pulses
 
 
-def test_program_refuses_a_disturbing_read_voltage():
-    params = DeviceParams(v_read=1.5)
+@pytest.mark.parametrize("v_read", [1.5, -2.0])
+def test_program_refuses_a_disturbing_read_voltage(v_read):
+    params = DeviceParams(v_read=v_read)
     with pytest.raises(AboveThresholdError):
         program_to(MemristorCell(resistance=30e3), 30e3, params,
                    np.random.default_rng(0))
@@ -135,7 +123,7 @@ def reference_program_to(cell, target, params, rng, read=None, tolerance=None):
     reports; the default is the exact Ohmic read."""
     tol = params.program_tolerance if tolerance is None else tolerance
     if read is None:
-        read = lambda c: params.v_read / read_current(c, params.v_read, params)
+        read = lambda c: params.v_read / (params.v_read / c.resistance)
 
     def pulse(response):
         if params.response_noise_sigma:

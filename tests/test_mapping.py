@@ -64,6 +64,13 @@ def test_quantize_midpoint_prefers_smaller_magnitude():
                           [0.0])
 
 
+def test_quantize_to_one_state_maps_every_weight_to_it():
+    w = np.array([[-5.0, 0.0, 0.25], [np.nan, np.inf, -np.inf]])
+    q = quantize_weights(w, [0.75])
+    assert q.shape == w.shape
+    assert np.array_equal(q, np.full(w.shape, 0.75))
+
+
 def test_quantize_weights_matches_brute_force():
     states = np.array(symmetric_weight_states(7, R_F, RANGE))
     rng = np.random.default_rng(9)

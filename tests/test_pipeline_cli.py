@@ -20,13 +20,12 @@ from memxbar.cli import (BLAS_THREAD_VARIABLES, EXIT_CONFIG, EXIT_ENFORCE,
                          EXIT_OK, EXIT_STAGE, build_parser, load_config,
                          main)
 from memxbar.crossbar import U_SAT, CrossbarConfig
-from memxbar.dataset import default_profile
 from memxbar.device import DeviceParams
 from memxbar.errors import ConfigError
 from memxbar.mapping import ResistanceRange
 from memxbar.pipeline import RunConfig, run_pipeline
 
-from helpers import DEFAULT_SEED
+from helpers import DEFAULT_SEED, default_profile_dict
 
 
 def default_cfg(out, **kw):
@@ -363,7 +362,7 @@ def test_config_rejects_missing_profile(tmp_path):
 def test_bad_profile_exits_before_any_stage(tmp_path, capsys, edit):
     """The profile file is read when the pipeline starts; one that the
     profile type refuses is a config error, and nothing is written."""
-    profile = default_profile().to_dict()
+    profile = default_profile_dict()
     good = tmp_path / "good.json"
     good.write_text(json.dumps(profile))
     if edit == "missing class":
@@ -511,20 +510,22 @@ def test_cli_stage_failure_is_reported(tmp_path, capsys):
 
 @pytest.mark.parametrize("row, stage", [
     ("S9", "analyze"), ("S9", "sweep"), ("width", "analyze"),
-    ("width", "sweep"), ("abc", "sweep"),
+    ("width", "sweep"), ("abc", "sweep"), ("nan", "analyze"),
+    ("inf", "program"), ("1.5", "analyze"), ("-0.25", "program"),
 ])
 def test_cli_refuses_an_edited_test_set(default_run, tmp_path, capsys, row,
                                         stage):
-    """A label outside the classes, a row of the wrong width or a value
-    that is not a number stops the stage with one JSON line, instead of a
-    traceback or a silent error."""
+    """A label outside the classes, a row of the wrong width, a value that
+    is not a number or one outside [0, 1], the range the encoder writes,
+    stops the stage with one JSON line, instead of a traceback or a silent
+    error."""
     run = tmp_path / "edited"
     shutil.copytree(default_run.run_dir, run)
     path = run / "dataset" / "test.csv"
     lines = path.read_text().splitlines()
     fields = lines[5].split(",")
-    lines[5] = ",".join({"S9": fields[:-1] + ["S9"], "width": fields[1:],
-                         "abc": fields[:3] + ["abc"] + fields[4:]}[row])
+    lines[5] = ",".join({"S9": fields[:-1] + ["S9"], "width": fields[1:]}.get(
+        row, fields[:3] + [row] + fields[4:]))
     path.write_text("\n".join(lines) + "\n")
     code = main(["--out", str(run), "--seed", str(DEFAULT_SEED),
                  "--stage", stage])
@@ -533,7 +534,7 @@ def test_cli_refuses_an_edited_test_set(default_run, tmp_path, capsys, row,
     assert message["error"] == ("CountMismatchError" if row == "S9"
                                 else "ShapeMismatchError")
     assert message["stage"] == stage
-    assert "line 6" in message["message"]
+    assert "test.csv line 6" in message["message"]
 
 
 @pytest.mark.parametrize("stage", ["analyze", "program"])

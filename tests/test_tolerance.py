@@ -102,7 +102,7 @@ def test_weight_error_bounds_pool_row_pairings(r_m1, r_m2):
     if w0:
         err = err * 100.0 / abs(w0)
     own = weight_error_bounds(syn, specs, 1000, np.random.default_rng(4))
-    assert own.as_tuple() == tuple(np.percentile(err, PERCENTILE_PAIR))
+    assert (own.low, own.high) == tuple(np.percentile(err, PERCENTILE_PAIR))
     assert own.relative is bool(w0)
 
 
@@ -777,7 +777,7 @@ def test_weight_error_bounds_match_analysis_bands(
         # criterion 09's gap for percent bands; 2 % of the band otherwise
         tol = 1.0 if own.relative else 0.02 * (ref[1] - ref[0])
         for band in (report.weight_bounds["hidden"][0, j],
-                     report.weight_bounds["out"][0, j], own.as_tuple()):
+                     report.weight_bounds["out"][0, j], (own.low, own.high)):
             assert band[0] < 0 < band[1]
             assert np.abs(np.subtract(band, ref)).max() <= tol
 
