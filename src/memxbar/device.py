@@ -69,16 +69,27 @@ class DeviceParams:
 
 def check_device(params: DeviceParams) -> None:
     """Raise ValueError, naming the setting first, unless ``v_threshold``
-    is finite and > 0 (NaN would pass every bias check), ``v_read`` lies
-    in (0, v_threshold) and ``max_program_iterations`` is an int >= 1."""
-    v_t = params.v_threshold
+    is finite and > 0 (NaN would pass every bias check), ``v_set`` finite
+    and <= -v_threshold, ``v_read`` in (0, v_threshold), ``ramp_range``
+    finite with low < high, ``ramp_step`` and ``ramp_gamma`` finite and
+    > 0, ``response_noise_sigma`` finite and >= 0 and
+    ``max_program_iterations`` an int >= 1."""
+    v_t, (low, high) = params.v_threshold, params.ramp_range
+    positive = ("finite and > 0", lambda v: 0 < v < np.inf)
     rules = {
-        "v_threshold": ("finite and > 0", lambda v: 0 < v < np.inf),
+        "v_threshold": positive,
+        "v_set": (f"finite and <= -v_threshold ({v_t!r})",
+                  lambda v: -np.inf < v <= -v_t),
         "v_read": (f"in (0, v_threshold = {v_t!r})", lambda v: 0 < v < v_t),
+        "ramp_step": positive, "ramp_gamma": positive,
+        "response_noise_sigma": ("finite and >= 0", lambda v: 0 <= v < np.inf),
         "max_program_iterations": ("an int >= 1",
                                    lambda v: type(v) is int and v >= 1),
     }
     check_ranges({name: getattr(params, name) for name in rules}, rules)
+    if not -np.inf < low < high < np.inf:
+        raise ValueError(f"ramp_range must be finite with low < high, got "
+                         f"{params.ramp_range!r}")
 
 
 @dataclass

@@ -5,18 +5,18 @@ chain's at unity gain (:func:`check_unity_chain`).  Training runs full-batch
 adaptive-moment gradient descent; after every epoch the weights can be
 clamped to the realizable span, so the result stays within what the
 arrays can express.  :func:`forward_stack` is the forward pass of
-:func:`forward`.  Training runs in unit-by-pattern buffers, (units,
-patterns), that one ``train_discrete`` call allocates once: one pass
-gives the loss and the gradients.  Stacks of weight realizations, the
-hardening panel, the Monte Carlo trials, the quantized nets of the state
-sweep and the single net that :func:`evaluate` scores, run through one
-kernel, :func:`forward_stack_into`, in buffers their caller owns.  It
-adds each bias as the last term of its layer's product, which rounds as
-adding it after the product does, and writes the outputs segment-major,
-(4, T, m) per segment of m patterns.  Every error rate comes from one
-classifier, :class:`ScoreBatch`, whose segments are the classes.  The
-tests keep these passes bit-equal to :func:`forward_stack`, :func:`mse`
-and the row-major gradient formulas.
+:func:`forward`.  Every other pass runs through one kernel,
+:func:`forward_stack_into`, in buffers its caller owns: each training
+epoch, where one pass gives the loss and the gradients, and the
+hardening panel, in buffers one ``train_discrete`` call allocates once;
+the Monte Carlo trials; the quantized nets of the state sweep; and the
+single net that :func:`evaluate` scores.  It adds each bias as the last
+term of its layer's product, which rounds as adding it after the product
+does, and writes the outputs segment-major, (4, T, m) per segment of m
+patterns.  Every error rate comes from one classifier,
+:class:`ScoreBatch`, whose segments are the classes.  The tests keep
+these passes bit-equal to :func:`forward_stack`, :func:`mse` and the
+row-major gradient formulas.
 """
 
 from __future__ import annotations
@@ -339,10 +339,12 @@ def mse(y_true: np.ndarray, y_pred: np.ndarray) -> float:
 class _TrainBatch:
     """Training patterns and the work buffers of one ``train_discrete`` call.
 
-    Every pass writes into buffers allocated here, so an epoch allocates
-    no array of H elements.  The buffers are unit-by-pattern, (units, H),
-    so the elementwise loops and the sums over patterns run along
-    contiguous rows instead of rows of 8 or 4.
+    Every pass takes its outputs from :func:`forward_stack_into`, clipped
+    in place, in one pair of :func:`stack_buffers` that the epoch pass
+    and the panel score share, and one squared-error reduction gives
+    every loss.  An epoch allocates no array of H elements.  The buffers
+    are unit-by-pattern, (units, H), so the elementwise loops and the
+    sums over patterns run along contiguous rows.
 
     The results equal the row-major formulas bit for bit: the loss equals
     ``mse(y, forward(params, x))``, the weight gradients the plain
@@ -352,9 +354,7 @@ class _TrainBatch:
     ``(d2_rows.T @ a1.T).T`` round like the row-major ``x.T @ d1`` and
     ``a1.T @ d2``, while ``xT @ d1.T`` and ``a1 @ d2.T`` do not.  The
     bias gradients are numpy's pairwise sums along the contiguous rows of
-    the deltas, ``d.sum(axis=1)``: they call no BLAS, so no thread count
-    changes them, and their error bound is smaller than that of adding
-    the patterns one after another.
+    the deltas: no BLAS, so no thread count changes them.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray, panel: int = 0):
@@ -362,80 +362,64 @@ class _TrainBatch:
         self.xT = unit_by_pattern(x)
         self.yT = np.ascontiguousarray(y.T)
         h = x.shape[0]
-        units = (N_HIDDEN, N_OUTPUT)
-        # activation input z (then the derivative), activation, delta
-        self.v = tuple(np.empty((n, h)) for n in units)
-        self.a = tuple(np.empty((n, h)) for n in units)
-        self.d = tuple(np.empty((n, h)) for n in units)
-        self.err = np.empty((N_OUTPUT, h))
+        self.d = tuple(np.empty((n, h)) for n in (N_HIDDEN, N_OUTPUT))
         self.d2_rows = np.empty((h, N_OUTPUT))
-        self.loss_row = np.empty(h)
-        if panel:
-            self.panel_hidden, self.panel_out = stack_buffers(panel, h)
+        self.hidden, self.out = stack_buffers(max(panel, 1), h)
 
-    def _forward(self, params: MlpParams) -> None:
-        (v1, v2), (a1, a2) = self.v, self.a
-        np.matmul(params.w_hidden.T, self.xT[:N_INPUT], out=v1)
-        v1 += params.b_hidden[:, None]
-        np.clip(v1, -1.0, 1.0, out=a1)
-        np.matmul(params.w_out.T, a1, out=v2)
-        v2 += params.b_out[:, None]
-        np.clip(v2, -1.0, 1.0, out=a2)
+    def _outputs(self, params: MlpParams, w_hidden: np.ndarray,
+                 w_out: np.ndarray) -> np.ndarray:
+        """Clipped outputs, (4, T, H), of the stacks with the biases of
+        ``params``; the hidden activations stay in ``hidden``."""
+        out, = forward_stack_into(self.xT, w_hidden, params.b_hidden, w_out,
+                                  params.b_out, self.hidden, self.out,
+                                  [slice(0, len(self.x))])
+        return np.clip(out, -1.0, 1.0, out=out)
 
-    def _loss_from_err(self) -> float:
-        """Mean squared error from ``err = a2 - y``; squares ``err``."""
-        err, row = self.err, self.loss_row
-        err *= err
-        np.add(err[0], err[1], out=row)
-        for k in range(2, N_OUTPUT):
-            row += err[k]
-        return float(np.mean(row))
+    def _losses(self, out: np.ndarray) -> np.ndarray:
+        """Mean over patterns of the component-summed squared error of each
+        realization's clipped outputs ``out``, (4, T, H), which it
+        overwrites with the squared errors."""
+        out -= self.yT[:, None]
+        out *= out
+        total = out[0]
+        for k in range(1, N_OUTPUT):
+            total += out[k]
+        return total.mean(axis=1)
 
     def loss(self, params: MlpParams) -> float:
         """Exact-model loss, equal to ``mse(y, forward(params, x))``."""
-        self._forward(params)
-        np.subtract(self.a[1], self.yT, out=self.err)
-        return self._loss_from_err()
-
-    def _times_derivative(self, layer: int, leak: float) -> None:
-        """Multiply the layer's delta in place by the transfer's
-        derivative: 1 inside the linear region, ``leak`` where it saturates.
-
-        ``a == v`` exactly where ``-1 <= v <= 1`` (NaN is saturated), and
-        for ``0 <= leak <= 1`` the maximum of that mask and ``leak`` is 1
-        or ``leak``.  The factors overwrite ``v``, which nothing reads
-        again before the next forward pass.
-        """
-        g = self.v[layer]
-        np.equal(self.a[layer], g, out=g)
-        np.maximum(g, leak, out=g)
-        np.multiply(self.d[layer], g, out=self.d[layer])
+        return float(self._losses(self._outputs(
+            params, params.w_hidden[None], params.w_out[None]))[0])
 
     def loss_and_gradients(self, params: MlpParams,
                            leak: float) -> tuple[float, dict]:
         """Exact-model loss and the MSE gradients at the same weights.
 
-        Saturated units pass ``leak`` to the gradients; the loss never
-        depends on ``leak``.
+        A unit whose clipped activation is not in (-1, 1), NaN included,
+        passes ``leak`` to the gradients (at ``z = +-1`` too, as PyTorch's
+        ``Hardtanh`` does); the loss never depends on ``leak``.
         """
         if not 0 <= leak <= 1:
             raise ValueError(f"leak must lie in [0, 1], got {leak}")
-        self._forward(params)
-        (a1, a2), (d1, d2) = self.a, self.d
-        np.subtract(a2, self.yT, out=self.err)
-        np.multiply(self.err, 2.0, out=d2)
+        out = self._outputs(params, params.w_hidden[None], params.w_out[None])
+        a1, a2 = self.hidden[0, :N_HIDDEN], out[:, 0]
+        d1, d2 = self.d
+        g2 = _derivative(a2, leak, d1[:N_OUTPUT])   # until d1 is formed
+        np.subtract(a2, self.yT, out=d2)
+        d2 *= 2.0
         d2 /= self.x.shape[0]
-        self._times_derivative(1, leak)
-        np.matmul(params.w_out, d2, out=d1)
-        self._times_derivative(0, leak)
+        d2 *= g2
         np.copyto(self.d2_rows, d2.T)
+        w_out = (self.d2_rows.T @ a1.T).T.copy()  # a1 turns into factors
+        np.matmul(params.w_out, d2, out=d1)
+        d1 *= _derivative(a1, leak, a1)
         grads = {
             "w_hidden": self.x.T @ d1.T,
-            "w_out": (self.d2_rows.T @ a1.T).T.copy(),
+            "w_out": w_out,
             "b_hidden": d1.sum(axis=1),
             "b_out": d2.sum(axis=1),
         }
-        return self._loss_from_err(), grads
+        return float(self._losses(out)[0]), grads
 
     def panel_score(self, params: MlpParams, panel: dict,
                     cfg: TrainConfig) -> float:
@@ -443,16 +427,15 @@ class _TrainBatch:
         w1 = params.w_hidden + panel["w_hidden"] * _noise_sigma(
             params.w_hidden, cfg)
         w2 = params.w_out + panel["w_out"] * _noise_sigma(params.w_out, cfg)
-        out, = forward_stack_into(self.xT, w1, params.b_hidden, w2,
-                                  params.b_out, self.panel_hidden,
-                                  self.panel_out, [slice(0, len(self.x))])
-        np.clip(out, -1.0, 1.0, out=out)
-        out -= self.yT[:, None]
-        out *= out
-        total = out[0]
-        for k in range(1, N_OUTPUT):
-            total += out[k]
-        return float(total.mean(axis=1).max())
+        return float(self._losses(self._outputs(params, w1, w2)).max())
+
+
+def _derivative(a: np.ndarray, leak: float, out: np.ndarray) -> np.ndarray:
+    """Into ``out``, which may be ``a``: 1 where ``|a| < 1`` and ``leak``,
+    in [0, 1], elsewhere, as the maximum of that mask and ``leak``."""
+    np.abs(a, out=out)
+    np.less(out, 1.0, out=out)
+    return np.maximum(out, leak, out=out)
 
 
 def gradients(params: MlpParams, x: np.ndarray, y: np.ndarray,

@@ -1,12 +1,13 @@
-"""Guard against public code that nothing in the package calls.
+"""Guard against code that nothing in the package calls.
 
-Every public module-level function or class in ``src/memxbar`` (the
-package ``__init__`` aside) must be referenced by some other top-level
-definition or statement of the package, or be pinned here with the
-reason it stays: an acceptance criterion in ``tests/test_acceptance.py``
-or a benchmark (``perfbench``) workload or tracer that calls it by name.
-Code that only tests call is deleted, and its tests move to the code
-that survives.
+Every function, method and class defined in ``src/memxbar`` (the package
+``__init__`` aside), private and nested ones included and dunders left
+out, must be referenced by name somewhere else in the package, or be
+pinned here with the reason it stays: an acceptance criterion in
+``tests/test_acceptance.py`` or a benchmark (``perfbench``) workload or
+tracer that calls it by name.  A refactor that leaves a helper with no
+caller fails here.  Code that only tests call is deleted, and its tests
+move to the code that survives.
 """
 
 import ast
@@ -29,39 +30,75 @@ PINNED = {
     "reset_pulse": "perfbench tracer",
 }
 
-
-def _scan():
-    """Public top-level definitions as {name: module}, and every name that
-    the package's top-level nodes reference, a definition's references to
-    its own name left out."""
-    public, used = {}, set()
-    for path in sorted(Path(memxbar.__file__).parent.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
-        for node in ast.parse(path.read_text()).body:
-            own = None
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                own = node.name
-                if not own.startswith("_"):
-                    public[own] = path.stem
-            for sub in ast.walk(node):
-                name = (sub.id if isinstance(sub, ast.Name) else
-                        sub.attr if isinstance(sub, ast.Attribute) else None)
-                if name is not None and name != own:
-                    used.add(name)
-    return public, used
+_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def test_every_public_definition_is_used_or_pinned():
-    public, used = _scan()
-    unused = {f"{module}.{name}" for name, module in public.items()
-              if name not in used and name not in PINNED}
+def _scan(package=Path(memxbar.__file__).parent):
+    """Every definition, dunders aside, as {name: [qualified names]}, and
+    every name the package references, where a reference inside a
+    definition to its own name, or to that of one enclosing it, is left
+    out."""
+    defined, used = {}, set()
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, _DEFINITIONS):
+                name = child.name
+                if not (name.startswith("__") and name.endswith("__")):
+                    defined.setdefault(name, []).append(
+                        ".".join([module, *scope, name]))
+                visit(child, module, scope + [name])
+                continue
+            ref = (child.id if isinstance(child, ast.Name) else
+                   child.attr if isinstance(child, ast.Attribute) else None)
+            if ref is not None and ref not in scope:
+                used.add(ref)
+            visit(child, module, scope)
+
+    for path in sorted(package.glob("*.py")):
+        if path.name != "__init__.py":
+            visit(ast.parse(path.read_text()), path.stem, [])
+    return defined, used
+
+
+def _unused(package=Path(memxbar.__file__).parent, pinned=PINNED):
+    """Qualified names of the definitions neither referenced nor pinned."""
+    defined, used = _scan(package)
+    return sorted(qualified for name, where in defined.items()
+                  if name not in used and name not in pinned
+                  for qualified in where)
+
+
+def test_every_definition_is_used_or_pinned():
+    unused = _unused()
     assert not unused, ("referenced nowhere in the package and not pinned: "
-                        f"{sorted(unused)}")
+                        f"{unused}")
 
 
-def test_every_pin_names_a_public_definition():
-    public, _ = _scan()
+def test_every_pin_names_a_definition():
+    defined, _ = _scan()
     assert all(PINNED.values())
-    stale = set(PINNED) - set(public)
+    stale = set(PINNED) - set(defined)
     assert not stale, f"pinned but no longer defined: {sorted(stale)}"
+
+
+def test_a_helper_left_without_a_caller_is_found(tmp_path):
+    """A method that only calls itself and a nested function that nothing
+    calls are reported; a dunder, and what a statement references, are
+    not."""
+    (tmp_path / "__init__.py").write_text("")
+    (tmp_path / "model.py").write_text(
+        "class Batch:\n"
+        "    def __init__(self):\n"
+        "        self.n = 0\n"
+        "    def _forward(self):\n"
+        "        return self._forward()\n"
+        "def _outer():\n"
+        "    def inner():\n"
+        "        return 1\n"
+        "    return 2\n"
+        "def run():\n"
+        "    return Batch(), _outer()\n"
+        "ENTRY = run\n")
+    assert _unused(tmp_path, {}) == ["model.Batch._forward",
+                                     "model._outer.inner"]

@@ -27,30 +27,34 @@ def zero_params(**kw):
 
 
 def derivative(z, leak=0.0):
-    """The factors a training pass multiplies a hidden unit's deltas by,
-    where that unit's activation input is ``z``."""
-    x = np.zeros((len(z), 16))
-    x[:, 0] = z
+    """The factors a training pass multiplies a hidden unit's delta by,
+    where that unit's activation input is ``z``, read one pattern at a
+    time from the bias gradient of hidden unit 0.  Units 0 and 1 both take
+    ``z`` and feed output 0 with weights 1 and -1, which cancel: that
+    output is 0 against a target of -0.5, so its delta is 2 * 0.5 = 1."""
     params = zero_params()
-    params.w_hidden[0, 0] = 1.0
-    batch = _TrainBatch(x, np.zeros((len(z), 4)))
-    batch._forward(params)
-    batch.d[0][...] = 1.0
-    batch._times_derivative(0, leak)
-    return batch.d[0][0]
+    params.w_hidden[0, :2] = 1.0
+    params.w_out[:2, 0] = (1.0, -1.0)
+    y = np.array([[-0.5, 0.0, 0.0, 0.0]])
+    factors = []
+    for value in z:
+        x = np.zeros((1, 16))
+        x[0, 0] = value
+        factors.append(gradients(params, x, y, leak)["b_hidden"][0])
+    return np.array(factors)
 
 
 def test_activation_saturates():
     act = Activation()
-    z = np.array([-3.0, -0.5, 0.0, 0.5, 3.0])
-    assert np.array_equal(act.apply(z), [-1.0, -0.5, 0.0, 0.5, 1.0])
-    assert np.array_equal(derivative(z), [0.0, 1.0, 1.0, 1.0, 0.0])
+    z = np.array([-3.0, -1.0, -0.5, 0.0, 0.5, 1.0, 3.0])
+    assert np.array_equal(act.apply(z), [-1.0, -1.0, -0.5, 0.0, 0.5, 1.0, 1.0])
+    assert np.array_equal(derivative(z), [0.0, 0.0, 1.0, 1.0, 1.0, 0.0, 0.0])
 
 
 def test_leaked_derivative_is_leak_when_saturated():
-    z = np.array([-3.0, -0.25, 0.0, 0.25, 3.0])
+    z = np.array([-3.0, -1.0, -0.25, 0.0, 0.25, 1.0, 3.0])
     assert np.array_equal(derivative(z, leak=0.05),
-                          [0.05, 1.0, 1.0, 1.0, 0.05])
+                          [0.05, 0.05, 1.0, 1.0, 1.0, 0.05, 0.05])
 
 
 def test_params_shape_checked():
@@ -317,8 +321,8 @@ def reference_gradients(params, x, y, leak):
     a1 = f.apply(z1)
     z2 = a1 @ params.w_out + params.b_out
     a2 = f.apply(z2)
-    d2 = 2.0 * (a2 - y) / h * np.where((z2 >= -1) & (z2 <= 1), 1.0, leak)
-    d1 = (d2 @ params.w_out.T) * np.where((z1 >= -1) & (z1 <= 1), 1.0, leak)
+    d2 = 2.0 * (a2 - y) / h * np.where((z2 > -1) & (z2 < 1), 1.0, leak)
+    d1 = (d2 @ params.w_out.T) * np.where((z1 > -1) & (z1 < 1), 1.0, leak)
     return {"w_hidden": x.T @ d1,
             "b_hidden": np.ascontiguousarray(d1.T).sum(axis=1),
             "w_out": a1.T @ d2,
@@ -536,13 +540,14 @@ def test_noisy_epoch_makes_one_pass(monkeypatch):
     each panel epoch that finds a new best; no clean pass per epoch."""
     params, x, y = saturating_problem()
     passes = []
-    forward_pass = _TrainBatch._forward
+    kernel = netmodel.forward_stack_into
 
-    def counted(self, at):
-        passes.append(at)
-        forward_pass(self, at)
+    def counted(xT, w_hidden, *args):
+        if len(w_hidden) == 1:             # not a panel score
+            passes.append(w_hidden)
+        return kernel(xT, w_hidden, *args)
 
-    monkeypatch.setattr(_TrainBatch, "_forward", counted)
+    monkeypatch.setattr(netmodel, "forward_stack_into", counted)
     cfg = TrainConfig(weight_limit=0.8, max_epochs=47, mse_target=0.0,
                       weight_noise=0.05, noise_offset=1 / 3)
     train_discrete(params, x, y, cfg, np.random.default_rng(9))
@@ -569,15 +574,17 @@ def test_loss_turning_non_finite_is_refused(monkeypatch, noise, first_bad):
     the jittered ones)."""
     params, x, y = saturating_problem()
     passes = []
-    forward_pass = _TrainBatch._forward
+    kernel = netmodel.forward_stack_into
 
-    def poisoned(self, at):
-        forward_pass(self, at)
-        if len(passes) >= first_bad:
-            self.a[1][0, 5] = np.nan
-        passes.append(at)
+    def poisoned(xT, w_hidden, *args):
+        blocks = kernel(xT, w_hidden, *args)
+        if len(w_hidden) == 1:             # not a panel score
+            if len(passes) >= first_bad:
+                blocks[0][0, 0, 5] = np.nan
+            passes.append(w_hidden)
+        return blocks
 
-    monkeypatch.setattr(_TrainBatch, "_forward", poisoned)
+    monkeypatch.setattr(netmodel, "forward_stack_into", poisoned)
     cfg = TrainConfig(weight_limit=0.8, max_epochs=10, mse_target=0.0,
                       weight_noise=noise, noise_offset=1 / 3 if noise else 0.0)
     with pytest.raises(NonFiniteLossError, match="nan"):

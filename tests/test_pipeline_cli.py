@@ -12,7 +12,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import memxbar
@@ -206,6 +205,15 @@ NAN, INF = float("nan"), float("inf")
     ("device.max_program_iterations", 2.5),
     ("crossbar.adc_step", -0.0025), ("crossbar.adc_step", 0.0),
     ("crossbar.adc_range", 0.0), ("crossbar.adc_range", -5.0),
+    # values the constructor accepts that would stop the program stage
+    ("device.v_set", NAN), ("device.v_set", -INF), ("device.v_set", -1.0),
+    ("device.v_set", "-3.0"), ("device.ramp_range", [3.0, 1.5]),
+    ("device.ramp_range", [1.5, NAN]), ("device.ramp_range", [NAN, 3.0]),
+    ("device.ramp_step", NAN), ("device.ramp_step", INF),
+    ("device.ramp_gamma", "1.0"), ("device.ramp_gamma", 0.0),
+    ("device.ramp_gamma", -1.0), ("device.ramp_gamma", NAN),
+    ("device.response_noise_sigma", NAN),
+    ("device.response_noise_sigma", INF),
 ])
 def test_bad_experiment_setting_exits_before_any_stage(tmp_path, capsys,
                                                       name, value):
@@ -279,6 +287,9 @@ def test_chain_the_model_cannot_represent_exits_before_any_stage(
     ("crossbar", CrossbarConfig(u_rail=1.0)),
     ("crossbar", CrossbarConfig(u_rail=2.5, u_in_max=1.2)),
     ("crossbar", CrossbarConfig(rows=32, cols=20, r_1=47e3, r_2=47e3)),
+    # a SET pulse at the threshold, a noiseless device, a concave ramp
+    ("device", DeviceParams(v_set=-1.5, response_noise_sigma=0.0,
+                            ramp_gamma=0.5)),
 ])
 def test_usable_experiment_setting_passes_the_check(tmp_path, name, value):
     default_cfg(tmp_path, **{name: value}).check_experiment()
