@@ -21,11 +21,10 @@ import numpy as np
 
 from . import dataset as ds
 from . import reports
-from .crossbar import (Crossbar, CrossbarConfig, check_adc,
-                       check_signal_limit, program_cell, save_crossbar_csv,
-                       synapse_weights)
+from .crossbar import (Crossbar, CrossbarConfig, check_adc, program_cell,
+                       save_crossbar_csv, synapse_weights)
 from .device import DeviceParams, check_device
-from .errors import ConfigError, ShapeMismatchError
+from .errors import BiasViolationError, ConfigError, ShapeMismatchError
 from .mapping import (CompiledLayer, CompiledNet, ResistanceRange,
                       compensate_stuck, compile_network, w_max)
 from .netmodel import (MlpParams, TrainConfig, check_train_settings,
@@ -134,7 +133,10 @@ class RunConfig:
 
         The types that use these settings own their rules; this builds or
         checks them and turns their ValueError, or a profile file that
-        cannot be read, into a ConfigError that names the setting.
+        cannot be read, into a ConfigError that names the setting.  The
+        crossbar owner builds one array, which proves its signal limit and
+        its SET, READ and RESET bias maps against the device; a map that
+        would disturb a cell names ``v_set`` and ``v_threshold``.
         ``run_pipeline`` calls it before any stage runs; the constructor
         does not, because configs are built far more often than run.
         """
@@ -148,7 +150,7 @@ class RunConfig:
         owners = {
             "device": lambda: check_device(self.device),
             "crossbar": lambda: (check_unity_chain(self.crossbar),
-                                 check_signal_limit(self.crossbar, self.device),
+                                 Crossbar(self.crossbar, self.device),
                                  check_adc(self.crossbar)),
             "tolerances": lambda: tolerance_set(**self.tolerance_settings()),
             "sweep_counts": lambda: check_state_counts(self.sweep_counts),
@@ -161,6 +163,11 @@ class RunConfig:
                 check()
             except (OSError, ValueError) as exc:
                 raise ConfigError(f"{name}: {exc}") from exc
+            except BiasViolationError as exc:
+                raise ConfigError(
+                    f"{name}: device v_set {self.device.v_set!r} and "
+                    f"v_threshold {self.device.v_threshold!r} fail the bias "
+                    f"map proof: {exc}") from exc
 
     def tolerance_settings(self) -> dict:
         """``tolerances`` with the default of every setting it leaves out."""

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MissingArtifactError
+from .errors import MissingArtifactError, ShapeMismatchError
 from .svgplot import SvgFigure
 
 CURVE_CSV = "train/curve.csv"
@@ -198,24 +198,35 @@ def require_artifact(run_dir, rel: str) -> Path:
     return path
 
 
+def _read(run_dir: Path, rel: str, reader):
+    """``reader`` of the artifact ``rel``; a file it cannot parse raises
+    ShapeMismatchError, naming the file."""
+    path = require_artifact(run_dir, rel)
+    try:
+        return reader(path)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ShapeMismatchError(f"{path} is malformed: {exc!r}") from exc
+
+
 def emit_report(run_dir) -> list:
-    """Re-render every chart from its CSV source; purely a read-render pass."""
+    """Re-render every chart from its CSV source; purely a read-render pass.
+    An artifact that cannot be parsed raises ShapeMismatchError."""
     run_dir = Path(run_dir)
     written = []
-    curve = read_curve_csv(require_artifact(run_dir, CURVE_CSV))
+    curve = _read(run_dir, CURVE_CSV, read_curve_csv)
     render_learning_curve(curve, run_dir / CURVE_SVG)
     written.append(run_dir / CURVE_SVG)
-    trials = read_trials_csv(require_artifact(run_dir, TRIALS_CSV))
+    trials = _read(run_dir, TRIALS_CSV, read_trials_csv)
     if trials["overall"].size == 0:
         raise MissingArtifactError(f"{run_dir / TRIALS_CSV} holds no trials")
-    with open(require_artifact(run_dir, REPORT_JSON)) as fh:
-        x_p = float(json.load(fh)["x_p"])
+    x_p = _read(run_dir, REPORT_JSON,
+                lambda path: float(json.loads(path.read_text())["x_p"]))
     render_p_err_box(trials, x_p, run_dir / BOX_SVG)
     written.append(run_dir / BOX_SVG)
-    rows = read_bounds_csv(require_artifact(run_dir, BOUNDS_CSV))
+    rows = _read(run_dir, BOUNDS_CSV, read_bounds_csv)
     render_weight_bounds(rows, run_dir / BOUNDS_SVG)
     written.append(run_dir / BOUNDS_SVG)
-    sweep = read_sweep_csv(require_artifact(run_dir, SWEEP_CSV))
+    sweep = _read(run_dir, SWEEP_CSV, read_sweep_csv)
     render_sweep(sweep, x_p, run_dir / SWEEP_SVG)
     written.append(run_dir / SWEEP_SVG)
     return written

@@ -18,24 +18,24 @@ bit for bit, independent of chunk size, and ``z`` does not depend on any
 error limit.
 Synthesis draws ``z`` once and every probe reuses it (common random
 numbers), so probes at different limits score the same trials and the
-bisection compares limits, not noise.  A probe builds and scores its
-trials in order, one scorer block at a time, stops at its first trial
-that misses the budget, so its report covers trials 0 to k whatever the
-chunk size, and computes no weight-error bands.  Specs that perturb nothing give
-every trial the nominal weights, so such an analysis scores one
-realization and repeats its counts.
+bisection compares limits, not noise.  One scorer serves the whole
+search; a probe builds and scores its trials in order, one scorer block
+at a time, and stops at its first trial that misses the budget, so it
+covers trials 0 to k whatever the chunk size.  Specs that perturb
+nothing give every trial the nominal weights, so such a probe, the zero
+point every search starts from, scores one realization for all trials.
 
 Trials are scored serially, chunk by chunk, by the network's one
 classifier, :class:`~memxbar.netmodel.ScoreBatch`, in buffers that each
-analysis allocates once: blocks of trials small enough to stay in a
-core's cache run through the stacked forward kernel that training
+analysis or search allocates once: blocks of trials small enough to stay
+in a core's cache run through the stacked forward kernel that training
 shares, and each class's errors are counted on its own contiguous
-segment of the outputs.  A full
-analysis takes each synapse's weight-error band from the weight stacks of
-the trials it scores, so the band and the verdict share one draw and one
-error model, in which each row of a pair has its own feedback resistor.
-Per synapse it keeps only the few smallest and largest errors that the
-percentile reads, so band memory does not grow with the trial count.
+segment of the outputs.  An analysis takes each synapse's weight-error
+band from the weight stacks of the trials it scores, so the band and
+the verdict share one draw and one error model, in which each row of a
+pair has its own feedback resistor.  Per synapse it keeps only the few
+smallest and largest errors that the percentile reads, so band memory
+does not grow with the trial count.
 """
 
 from __future__ import annotations
@@ -223,7 +223,7 @@ class MonteCarloReport:
     (S1..S4) and extraneous patterns (Sr).  ``weight_bounds`` holds the
     ``PERCENTILE_PAIR`` band of every synapse's weight error over the
     same trials, in percent of the nominal weight magnitude, or absolute
-    where the nominal weight is zero; a synthesis probe leaves it empty.
+    where the nominal weight is zero.
     """
 
     trials: int
@@ -304,16 +304,8 @@ def _columns(compiled: CompiledNet, specs: dict) -> _Columns:
                     np.repeat([spec.limit_sigmas for spec in parts], sizes))
 
 
-@dataclass(frozen=True)
-class TrialDraws:
-    """Standard draws of consecutive trials and the limits they obey."""
-
-    z: np.ndarray                # (trials, parts), one row per trial
-    limit: np.ndarray            # (parts,) truncation of each column
-
-
 def trial_draws(limit: np.ndarray, seed: int, start: int,
-                count: int) -> TrialDraws:
+                count: int) -> np.ndarray:
     """Standard draws ``z`` of trials [start, start+count), one row each.
 
     Column ``j`` is truncated at ``limit[j]`` standard deviations, the
@@ -333,7 +325,7 @@ def trial_draws(limit: np.ndarray, seed: int, start: int,
         truncated_normal(substream(int(seed), _STREAM_TRIAL, b), 0.0, 1.0,
                          limit, block.shape, out=block)
     rows = z.reshape(-1, limit.size)[start % _DRAW_BLOCK:]
-    return TrialDraws(rows[:count], limit)
+    return rows[:count]
 
 
 def _perturbed_weights(compiled: CompiledNet, cols: _Columns, z: np.ndarray):
@@ -374,58 +366,33 @@ def _rates(counts: np.ndarray, sizes: np.ndarray):
 
 
 def _score_trials(net: MlpParams, compiled: CompiledNet, cols: _Columns,
-                  x: np.ndarray, codes: np.ndarray, trials: int, master: int,
-                  probe: TrialDraws | None, x_p: float):
-    """Per-class error counts, (trials scored, 5), of consecutive trials,
-    and, unless ``probe`` is given, the weight-error bands of their
-    weight stacks, layer -> (in, out, 2).
+                  x: np.ndarray, codes: np.ndarray, trials: int, master: int):
+    """Per-class error counts, (trials, 5), of consecutive trials, and the
+    weight-error bands of their weight stacks, layer -> (in, out, 2).
 
-    A probe builds its weight stacks and scores them one scorer block at
-    a time and stops at its first trial whose error rate exceeds ``x_p``;
-    a full analysis builds each chunk's stacks at once, because its bands
-    read them.  Specs that perturb nothing give every trial the nominal
-    weights (``nominal * (1 + 0 * z)`` is exact), so one realization is
-    scored and stands for all of them.  The scoring buffers live only as
-    long as this call.
+    Each chunk's stacks are built at once, because its bands read them.
+    The scoring buffers live only as long as this call.
     """
     batch = ScoreBatch(net, x, codes, min(_CHUNK, trials))
-    same = not cols.sigma.any()
-    scored = 1 if same else trials
-    counts = np.empty((scored, len(LABELS)))
-    if probe is not None:
-        for start in range(0, scored, batch.block):
-            z = probe.z[start:min(start + batch.block, scored)]
-            counts[start:start + len(z)] = rows = batch.errors(
-                *_perturbed_weights(compiled, cols, z))
-            failing = np.flatnonzero(     # the report's overall rate
-                _percent(rows.sum(axis=1), len(codes)) > x_p)
-            if failing.size:
-                return counts[:start + failing[0] + 1], {}
-        return np.repeat(counts, trials, axis=0) if same else counts, {}
+    counts = np.empty((trials, len(LABELS)))
     tails = {name: np.empty((0,) + layer.r_m1.shape)
              for name, layer in compiled.layers()}
-    for start in range(0, scored, _CHUNK):
-        count = min(_CHUNK, scored - start)
-        z = (np.zeros((1, cols.limit.size)) if same
-             else trial_draws(cols.limit, master, start, count).z)
-        stacks = _perturbed_weights(compiled, cols, z)
+    for start in range(0, trials, _CHUNK):
+        count = min(_CHUNK, trials - start)
+        stacks = _perturbed_weights(
+            compiled, cols, trial_draws(cols.limit, master, start, count))
         counts[start:start + count] = batch.errors(*stacks)
         for (name, layer), w in zip(compiled.layers(), stacks):
             err = _weight_error(w, layer.weights())
             tails[name] = _keep_tails(np.concatenate((tails[name], err)),
                                       trials)
-    if same:                     # every trial has the one realization's error
-        counts = np.repeat(counts, trials, axis=0)
-        tails = {name: np.broadcast_to(t, (trials,) + t.shape[1:])
-                 for name, t in tails.items()}
     return counts, {name: _tail_percentiles(band_tails, trials)
                     for name, band_tails in tails.items()}
 
 
 def analyze_tolerances(net: MlpParams, compiled: CompiledNet, specs: dict,
                        x_test: np.ndarray, labels_test, x_p: float,
-                       trials: int, seed: int,
-                       probe: TrialDraws | None = None) -> MonteCarloReport:
+                       trials: int, seed: int) -> MonteCarloReport:
     """Monte Carlo pass/fail of the compiled network against an error budget.
 
     Every trial perturbs all memristor and feedback resistances, rebuilds
@@ -435,29 +402,11 @@ def analyze_tolerances(net: MlpParams, compiled: CompiledNet, specs: dict,
     against ``x_p``.
     Trials are drawn per block of ``_DRAW_BLOCK`` and scored serially in
     chunks of ``_CHUNK``; the report does not depend on the chunk size.
-
-    Specs whose limits are all zero score one realization for all trials:
-    each trial's weights are then the nominal ones, so the report is the
-    one scoring every trial would give.
-
-    A synthesis probe passes ``probe``, the ``trial_draws`` of all
-    ``trials`` trials, shared by every probe of one search; they must have
-    been drawn at the truncation limits of ``specs``.  A probe stops at
-    its first trial whose error rate exceeds ``x_p``: its report covers
-    trials 0 to that one, whatever the chunk size, and has no weight-error
-    bands.
     """
     master = int(seed)
-    cols = _columns(compiled, specs)
-    if probe is not None:
-        if len(probe.z) != trials:
-            raise ValueError(f"probe has {len(probe.z)} trials, not {trials}")
-        if not np.array_equal(probe.limit, cols.limit):
-            raise ValueError("probe was drawn at other limits than specs")
     codes = label_codes(labels_test)
-    counts, bounds = _score_trials(net, compiled, cols, x_test, codes,
-                                   trials, master, probe, x_p)
-    trials = len(counts)
+    counts, bounds = _score_trials(net, compiled, _columns(compiled, specs),
+                                   x_test, codes, trials, master)
     p_err_all, per_class, p_sites, p_extraneous = _rates(
         counts, np.bincount(codes, minlength=len(LABELS)))
     low, high = PERCENTILE_PAIR
@@ -525,6 +474,29 @@ class SynthesisResult:
     probes: list        # in order: deltas, trials scored, max_p_err, passed
 
 
+def _probe(batch: ScoreBatch, compiled: CompiledNet, cols: _Columns,
+           z: np.ndarray, x_p: float) -> np.ndarray:
+    """Error rates, in percent, of the trials whose draws are ``z``, in
+    order up to the first that exceeds ``x_p``.
+
+    The trials' weight stacks are built and scored one ``batch`` block at
+    a time, so the rates do not depend on the chunk size.  Specs that
+    perturb nothing give every trial the nominal weights (``nominal * (1 +
+    0 * z)`` is exact), so one realization is scored and stands for all.
+    """
+    scored = len(z) if cols.sigma.any() else 1
+    p_err = np.empty(scored)
+    for start in range(0, scored, batch.block):
+        stop = min(start + batch.block, scored)
+        counts = batch.errors(*_perturbed_weights(compiled, cols,
+                                                  z[start:stop]))
+        p_err[start:stop] = _percent(counts.sum(axis=1), batch.patterns)
+        failing = np.flatnonzero(p_err[start:stop] > x_p)
+        if failing.size:
+            return p_err[:start + failing[0] + 1]
+    return p_err if scored == len(z) else np.repeat(p_err, len(z))
+
+
 def synthesize_tolerances(net: MlpParams, compiled: CompiledNet,
                           x_test: np.ndarray, labels_test, x_p: float,
                           plan: ExperimentPlan, seed: int) -> SynthesisResult:
@@ -533,22 +505,23 @@ def synthesize_tolerances(net: MlpParams, compiled: CompiledNet,
     Walks the schedule until the first failure, then bisects between the
     last passing and first failing vectors down to ``BISECTION_RESOLUTION``.
     Every probe scores the same ``plan.trials`` trials, drawn once from
-    ``seed``.  Raises when even unperturbed operation misses the error
-    budget.
+    ``seed``, in one scorer, and stops at its first failing trial.
+    Raises when even unperturbed operation misses the error budget.
     """
-    master = int(seed)
-    draws = trial_draws(_columns(compiled, plan.specs({})).limit, master, 0,
-                        plan.trials)
+    z = trial_draws(_columns(compiled, plan.specs({})).limit, int(seed), 0,
+                    plan.trials)
+    batch = ScoreBatch(net, x_test, label_codes(labels_test),
+                       min(_CHUNK, plan.trials))
     probes = []
 
     def passes(deltas: dict) -> bool:
-        report = analyze_tolerances(
-            net, compiled, plan.specs(deltas), x_test, labels_test, x_p,
-            plan.trials, master, probe=draws)
-        probes.append({"deltas": dict(deltas), "trials": report.trials,
-                       "max_p_err": report.max_p_err,
-                       "passed": report.passed})
-        return report.passed
+        p_err = _probe(batch, compiled,
+                       _columns(compiled, plan.specs(deltas)), z, x_p)
+        worst = float(p_err.max())
+        passed = worst <= x_p
+        probes.append({"deltas": dict(deltas), "trials": len(p_err),
+                       "max_p_err": worst, "passed": passed})
+        return passed
 
     zero = {k: 0.0 for k in plan.points[0]}
     if not passes(zero):

@@ -214,6 +214,10 @@ NAN, INF = float("nan"), float("inf")
     ("device.ramp_gamma", -1.0), ("device.ramp_gamma", NAN),
     ("device.response_noise_sigma", NAN),
     ("device.response_noise_sigma", INF),
+    # values the bias-map proof refuses: a half-selected cell of the SET map
+    # would see 2.5, 1.51 or 1.6 V
+    ("device.v_set", -4.0), ("device.v_set", -3.01),
+    ("device.v_threshold", 1.4),
 ])
 def test_bad_experiment_setting_exits_before_any_stage(tmp_path, capsys,
                                                       name, value):
@@ -565,6 +569,29 @@ def test_cli_refuses_an_empty_test_set(default_run, tmp_path, capsys, stage):
     assert message["error"] == "CountMismatchError"
     assert message["stage"] == stage
     assert "test.csv: no patterns" in message["message"]
+
+
+@pytest.mark.parametrize("artifact, row", [("trials.csv", "2,abc,0.0,0.0"),
+                                           ("weight_bounds.csv", "x,y")])
+def test_report_stage_refuses_a_malformed_csv(default_run, tmp_path, capsys,
+                                              artifact, row):
+    """A field that is no number, or a row cut short, stops the report
+    stage with one JSON line that names the file, not a traceback."""
+    run = tmp_path / "malformed"
+    shutil.copytree(default_run.run_dir, run)
+    path = run / "analyze" / artifact
+    lines = path.read_text().splitlines()
+    lines[3] = row
+    path.write_text("\n".join(lines) + "\n")
+    code = main(["--out", str(run), "--seed", str(DEFAULT_SEED),
+                 "--stage", "report"])
+    assert code == EXIT_STAGE
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    message = json.loads(lines[0])
+    assert message["error"] == "ShapeMismatchError"
+    assert message["stage"] == "report"
+    assert artifact in message["message"]
 
 
 def test_cli_enforce_flags_budget_miss(default_run, tmp_path, capsys):

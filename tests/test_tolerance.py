@@ -176,13 +176,11 @@ def test_unperturbed_analysis_scores_one_realization(monkeypatch, small_mc,
     # limits of 1e-300 perturb, but 1 + sigma * z rounds to 1.0, so every
     # trial of that analysis, scored one by one, has the nominal weights
     exact = small_mc(specs=tolerance_set(1e-300, 1e-300), trials=trials)
-    calls = scored_realizations(monkeypatch)
     zero = small_mc(specs=tolerance_set(0.0, 0.0), trials=trials)
-    assert calls == [1]
     assert np.array_equal(zero.p_err, exact.p_err)
     assert zero.to_dict() == exact.to_dict()
-    calls.clear()
-    assert probe(tolerance_set(0.0, 0.0), trials).trials == trials
+    calls = scored_realizations(monkeypatch)
+    assert np.array_equal(probe(tolerance_set(0.0, 0.0), trials), zero.p_err)
     assert calls == [1]
 
 
@@ -209,14 +207,16 @@ def limits(compiled, specs):
 
 @pytest.fixture(scope="module")
 def probe(default_net, default_compiled, default_test_split):
-    """One synthesis probe at the small_mc seed."""
+    """The error rates of one synthesis probe at the small_mc seed, in a
+    scorer of the size synthesis builds."""
     x_test, y_test = default_test_split
 
     def run(specs, trials, seed=1234):
-        draws = trial_draws(limits(default_compiled, specs), seed, 0, trials)
-        return analyze_tolerances(default_net, default_compiled, specs,
-                                  x_test, y_test, x_p=5.0, trials=trials,
-                                  seed=seed, probe=draws)
+        cols = tolerance._columns(default_compiled, specs)
+        batch = ScoreBatch(default_net, x_test, label_codes(y_test),
+                           min(tolerance._CHUNK, trials))
+        return tolerance._probe(batch, default_compiled, cols,
+                                trial_draws(cols.limit, seed, 0, trials), 5.0)
 
     return run
 
@@ -232,17 +232,16 @@ def test_probe_verdict_matches_full_analysis(small_mc, probe, r_m, passes,
     specs = tolerance_set(r_m, 0.01)
     full = small_mc(specs=specs, trials=500, seed=5)
     early = probe(specs, 500, seed=5)
-    assert full.passed is early.passed is passes
-    assert np.array_equal(early.p_err, full.p_err[:early.trials])
-    assert early.weight_bounds == {}
+    assert full.passed is bool(early.max() <= 5.0) is passes
+    assert np.array_equal(early, full.p_err[:len(early)])
     if passes:
-        assert early.trials == 500
+        assert len(early) == 500
     else:
         # stopped at the first failing trial, whichever chunk it lies in
         first = int(np.flatnonzero(full.p_err > 5.0)[0])
         assert first // tolerance._CHUNK == first_chunk
-        assert early.trials == first + 1
-        assert early.max_p_err == full.p_err[first]
+        assert len(early) == first + 1
+        assert early.max() == full.p_err[first]
 
 
 @pytest.mark.parametrize("chunk", [7, 50])
@@ -251,8 +250,7 @@ def test_probe_ignores_chunk_size(monkeypatch, probe, chunk):
     whole = probe(specs, 500)
     monkeypatch.setattr(tolerance, "_CHUNK", chunk)
     report = probe(specs, 500)
-    assert np.array_equal(report.p_err, whole.p_err)
-    assert report.to_dict() == whole.to_dict()
+    assert np.array_equal(report, whole)
 
 
 def test_probe_builds_weight_stacks_one_scorer_block_at_a_time(
@@ -269,48 +267,23 @@ def test_probe_builds_weight_stacks_one_scorer_block_at_a_time(
     monkeypatch.setattr(tolerance, "_perturbed_weights", recording)
     report = probe(tolerance_set(0.63, 0.01), 500, seed=5)
     # it stops in the first chunk, after the block of its failing trial
-    assert report.trials < tolerance._CHUNK
-    assert built == [block] * -(-report.trials // block)
+    assert len(report) < tolerance._CHUNK
+    assert built == [block] * -(-len(report) // block)
 
 
 def test_probes_at_same_deltas_are_identical(probe):
     specs = tolerance_set(0.3, 0.01)
     a, b = probe(specs, 300), probe(specs, 300)
-    assert np.array_equal(a.p_err, b.p_err)
-    assert a.to_dict() == b.to_dict()
-
-
-def test_probe_draws_must_cover_the_trials(default_net, default_compiled,
-                                           default_test_split):
-    x_test, y_test = default_test_split
-    draws = trial_draws(limits(default_compiled, tolerance_set()), 1, 0, 10)
-    with pytest.raises(ValueError):
-        analyze_tolerances(default_net, default_compiled, tolerance_set(),
-                           x_test, y_test, x_p=5.0, trials=20, seed=1,
-                           probe=draws)
-
-
-@pytest.mark.parametrize("drawn_at, specs_at", [(3.0, 2.0), (2.0, 3.0)])
-def test_probe_draws_must_match_the_specs_truncation(
-        default_net, default_compiled, default_test_split, drawn_at,
-        specs_at):
-    x_test, y_test = default_test_split
-    drawn = tolerance_set(0.2, 0.01, limit_sigmas=drawn_at)
-    draws = trial_draws(limits(default_compiled, drawn), 1, 0, 10)
-    with pytest.raises(ValueError):
-        analyze_tolerances(default_net, default_compiled,
-                           tolerance_set(0.2, 0.01, limit_sigmas=specs_at),
-                           x_test, y_test, x_p=5.0, trials=10, seed=1,
-                           probe=draws)
+    assert np.array_equal(a, b)
 
 
 def test_trial_draws_are_standard_and_truncated(default_compiled):
     limit = limits(default_compiled, tolerance_set(0.2, 0.01,
                                                    limit_sigmas=2.0))
-    z = trial_draws(limit, 5, 0, 40).z
+    z = trial_draws(limit, 5, 0, 40)
     assert z.shape == (40, 2 * (16 * 8 + 8 * 4) + 2 * (8 + 4))
     assert np.abs(z).max() <= 2.0
-    assert np.array_equal(z[10:], trial_draws(limit, 5, 10, 30).z)
+    assert np.array_equal(z[10:], trial_draws(limit, 5, 10, 30))
 
 
 def reference_trial_draws(limit, seed, start, count):
@@ -333,7 +306,7 @@ def test_trial_draws_equal_one_truncated_normal_call_per_block(start, count):
     assert tolerance._DRAW_BLOCK == 250
     # the default run's analysis master is a 64-bit seed
     for seed in (5, subseed(20260826, _STREAM["analyze"], 0)):
-        z = trial_draws(LOW_LIMIT, seed, start, count).z
+        z = trial_draws(LOW_LIMIT, seed, start, count)
         ref = reference_trial_draws(LOW_LIMIT, seed, start, count)
         assert z.shape == (count, LOW_LIMIT.size)
         assert z.tobytes() == ref.tobytes()
@@ -342,13 +315,13 @@ def test_trial_draws_equal_one_truncated_normal_call_per_block(start, count):
 
 def test_trial_draws_do_not_depend_on_the_window():
     # trials 37..536 cross the block boundaries at 250 and 500
-    whole = trial_draws(LOW_LIMIT, 5, 0, 600).z
-    assert np.array_equal(trial_draws(LOW_LIMIT, 5, 37, 500).z, whole[37:537])
+    whole = trial_draws(LOW_LIMIT, 5, 0, 600)
+    assert np.array_equal(trial_draws(LOW_LIMIT, 5, 37, 500), whole[37:537])
 
 
 @pytest.mark.parametrize("start", [0, 37, 250])
 def test_trial_draws_of_no_trials_are_empty(start):
-    assert trial_draws(LOW_LIMIT, 5, start, 0).z.shape == (0, LOW_LIMIT.size)
+    assert trial_draws(LOW_LIMIT, 5, start, 0).shape == (0, LOW_LIMIT.size)
 
 
 @pytest.mark.parametrize("seed, start, count", [(1, -1, 2), (1, 0, -1),
@@ -380,7 +353,7 @@ def test_trial_draws_turn_a_negative_zero_into_zero(monkeypatch):
     monkeypatch.setattr(tolerance, "substream",
                         lambda *key: ScriptedDraws(np.roll(script, key[-1])))
     limit = np.array([3.0, 3.0, 0.25, 3.0, 1.0])
-    z = trial_draws(limit, 0, 248, 4).z
+    z = trial_draws(limit, 0, 248, 4)
     ref = np.concatenate([truncated_normal(ScriptedDraws(np.roll(script, b)),
                                            0.0, 1.0, limit, (250, 5))
                           for b in (0, 1)])[248:252]
@@ -461,18 +434,38 @@ def test_synthesis_probes_use_configured_limit_sigmas(
                     tolerances={"r_m": 0.2, "r_f": 0.01, "limit_sigmas": 2.0})
     plan = _default_plan(cfg)
     seen = []
-    real = tolerance.analyze_tolerances
+    real = tolerance._columns
 
-    def spy(net, compiled, specs, *args, **kwargs):
+    def spy(compiled, specs):
         seen.append(specs)
-        return real(net, compiled, specs, *args, **kwargs)
+        return real(compiled, specs)
 
-    monkeypatch.setattr(tolerance, "analyze_tolerances", spy)
+    monkeypatch.setattr(tolerance, "_columns", spy)
     x_test, y_test = default_test_split
     result = synthesize_tolerances(default_net, default_compiled, x_test,
                                    y_test, x_p=5.0, plan=plan, seed=3)
-    assert len(seen) == len(result.probes) > 1
+    # the shared draws' columns, then one set per probe
+    assert len(seen) - 1 == len(result.probes) > 1
     assert {s.limit_sigmas for specs in seen for s in specs.values()} == {2.0}
+
+
+def test_synthesis_builds_one_scorer_for_its_search(
+        monkeypatch, tmp_path, default_net, default_compiled,
+        default_test_split):
+    cfg = RunConfig(seed=3, out_dir=tmp_path, plan_trials=100)
+    built, init = [], ScoreBatch.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args[-1])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ScoreBatch, "__init__", counting)
+    x_test, y_test = default_test_split
+    result = synthesize_tolerances(default_net, default_compiled, x_test,
+                                   y_test, x_p=5.0, plan=_default_plan(cfg),
+                                   seed=3)
+    assert len(result.probes) > 2
+    assert built == [100]
 
 
 def test_sweep_many_states_matches_continuous(default_run, default_test_split):
@@ -664,7 +657,7 @@ def test_fused_forward_equals_forward_stack_on_analysis_stacks(
     assert len(segments) == len(LABELS)
     cols = tolerance._columns(default_compiled, tolerance_set(r_m, 0.01))
     w1, w2 = tolerance._perturbed_weights(
-        default_compiled, cols, trial_draws(cols.limit, 3, 0, 24).z)
+        default_compiled, cols, trial_draws(cols.limit, 3, 0, 24))
     net = default_net
     hidden, out = stack_buffers(len(w1), len(x))
     with blas_threads(threads):
@@ -717,7 +710,7 @@ def trial_weight_errors(compiled, specs, seed, trials):
     -> (trials, in, out): percent of |w0|, or absolute where w0 = 0."""
     cols = tolerance._columns(compiled, specs)
     stacks = tolerance._perturbed_weights(
-        compiled, cols, trial_draws(cols.limit, seed, 0, trials).z)
+        compiled, cols, trial_draws(cols.limit, seed, 0, trials))
     errors = {}
     for (name, layer), w in zip(compiled.layers(), stacks):
         w0 = layer.weights()
