@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import dataclasses
 import json
 import os
 import sys
@@ -50,21 +51,17 @@ def _fail(stage: str, exc: Exception, code: int) -> int:
 def load_config(args) -> RunConfig:
     if args.config:
         cfg = RunConfig.from_json(args.config)
+    elif args.out is None:
+        raise ConfigError("either --config or --out is required")
+    elif args.seed is None:
+        raise ConfigError("without --config, --seed is required "
+                          "(no wall-clock seeding)")
     else:
-        if args.out is None:
-            raise ConfigError("either --config or --out is required")
-        if args.seed is None:
-            raise ConfigError("without --config, --seed is required "
-                              "(no wall-clock seeding)")
         cfg = RunConfig(seed=args.seed, out_dir=args.out)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.out is not None:
-        cfg.out_dir = Path(args.out)
-    if args.trials is not None:
-        cfg.trials = args.trials
-    cfg.check_counts()
-    return cfg
+    # the constructor checks each override again
+    overrides = {"seed": args.seed, "out_dir": args.out, "trials": args.trials}
+    return dataclasses.replace(cfg, **{name: value for name, value
+                                       in overrides.items() if value is not None})
 
 
 def openblas_function(name: str):
@@ -104,15 +101,10 @@ def limit_blas_threads(environ=os.environ) -> None:
 def main(argv=None) -> int:
     limit_blas_threads()
     args = build_parser().parse_args(argv)
-    try:
-        cfg = load_config(args)
-        cfg.check_experiment()
+    try:   # run_pipeline checks the config before any stage runs
+        summary = run_pipeline(load_config(args), args.stage)
     except ConfigError as exc:
         return _fail("config", exc, EXIT_CONFIG)
-    try:
-        summary = run_pipeline(cfg, args.stage)
-    except ConfigError as exc:
-        return _fail(args.stage, exc, EXIT_CONFIG)
     except MemxbarError as exc:
         return _fail(args.stage, exc, EXIT_STAGE)
     print(json.dumps(summary, sort_keys=True))

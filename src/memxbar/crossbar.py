@@ -11,7 +11,6 @@ the device back through the summing amplifier with a quantizing ADC.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -25,7 +24,7 @@ from .errors import (
     OddRowCountError,
     ShapeMismatchError,
 )
-from .reports import write_csv
+from .reports import read_csv_columns, write_csv
 from .stats import check_ranges, quantize_half_up
 
 U_SAT = 1.0      # activation amplifier saturation, the network model's clip
@@ -333,19 +332,20 @@ def load_crossbar_csv(path, config: CrossbarConfig, device: DeviceParams) -> Cro
     shape = (config.rows, config.cols)
     resistance, stuck = np.full(shape, np.nan), np.full(shape, np.nan)
     seen = np.zeros(shape, dtype=bool)
-    with open(path, newline="") as fh:
-        for rec in csv.DictReader(fh):
-            r, c = int(rec["row"]), int(rec["col"])
-            if not (0 <= r < config.rows and 0 <= c < config.cols):
-                raise ShapeMismatchError(
-                    f"{path}: cell ({r}, {c}) outside the "
-                    f"{config.rows}x{config.cols} array")
-            if seen[r, c]:
-                raise ShapeMismatchError(f"{path}: cell ({r}, {c}) listed twice")
-            seen[r, c] = True
-            resistance[r, c] = float(rec["resistance_ohm"])
-            if int(rec["stuck_flag"]):
-                stuck[r, c] = float(rec["stuck_ohm"])
+    cols = read_csv_columns(path, {"row": int, "col": int,
+                                   "resistance_ohm": float, "stuck_flag": int,
+                                   "stuck_ohm": str})
+    for r, c, ohm, flag, stuck_ohm in zip(*cols.values()):
+        if not (0 <= r < config.rows and 0 <= c < config.cols):
+            raise ShapeMismatchError(
+                f"{path}: cell ({r}, {c}) outside the "
+                f"{config.rows}x{config.cols} array")
+        if seen[r, c]:
+            raise ShapeMismatchError(f"{path}: cell ({r}, {c}) listed twice")
+        seen[r, c] = True
+        resistance[r, c] = ohm
+        if flag:
+            stuck[r, c] = float(stuck_ohm)
     if not seen.all():
         r, c = np.argwhere(~seen)[0]
         raise ShapeMismatchError(f"{path}: cell ({r}, {c}) missing")

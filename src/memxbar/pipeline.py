@@ -3,10 +3,11 @@ stress analysis, tolerance synthesis, state sweep.
 
 Each stage writes its artifacts, each replaced whole by ``reports.replacing``,
 into the stage-named directory that ``run_pipeline`` makes in the run
-directory; later stages reload them from disk, so any stage can be re-run
-in isolation.  All randomness derives from the master seed through fixed
-per-stage substreams; an identical configuration reproduces every artifact
-byte for byte.
+directory; later stages reload them from disk, each through
+``reports.read_artifact``, so any stage can be re-run in isolation.  All
+randomness derives from the master seed through fixed per-stage
+substreams; an identical configuration reproduces every artifact byte for
+byte.
 """
 
 from __future__ import annotations
@@ -27,10 +28,10 @@ from .device import DeviceParams, check_device
 from .errors import BiasViolationError, ConfigError, ShapeMismatchError
 from .mapping import (CompiledLayer, CompiledNet, ResistanceRange,
                       compensate_stuck, compile_network, w_max)
-from .netmodel import (MlpParams, TrainConfig, check_train_settings,
-                       check_unity_chain, evaluate, init_params,
-                       train_discrete)
-from .reports import replacing, require_artifact
+from .netmodel import (N_HIDDEN, N_INPUT, N_OUTPUT, MlpParams, TrainConfig,
+                       check_train_settings, check_unity_chain, evaluate,
+                       init_params, train_discrete)
+from .reports import read_artifact, read_json, replacing
 from .stats import is_real, subseed, substream
 from .tolerance import (TOLERANCE_DEFAULTS, ExperimentPlan, analyze_tolerances,
                         check_state_counts, discrete_state_sweep,
@@ -108,24 +109,17 @@ class RunConfig:
                                   f"and col in [0, {cols}): {spot}")
             if type(ohm) not in (int, float) or not 0 < ohm < math.inf:
                 raise ConfigError(f"stuck entry needs a positive finite ohm: {spot}")
-        self.check_counts()
+        for name, least in _INT_MINIMA.items():
+            value = getattr(self, name)
+            if type(value) is not int or value < least:
+                raise ConfigError(f"{name} must be an int >= {least}, "
+                                  f"got {value!r}")
 
     @property
     def resistance_range(self) -> ResistanceRange:
         """The compile window: the device's nominal resistance window."""
         return ResistanceRange(self.device.r_lrs_nominal,
                                self.device.r_hrs_nominal)
-
-    def check_counts(self) -> None:
-        """Raise ConfigError unless every integer setting is in range.
-
-        Also called after command-line overrides replace fields.
-        """
-        for name, least in _INT_MINIMA.items():
-            value = getattr(self, name)
-            if type(value) is not int or value < least:
-                raise ConfigError(f"{name} must be an int >= {least}, "
-                                  f"got {value!r}")
 
     def check_experiment(self) -> None:
         """Raise ConfigError unless the device, crossbar, tolerance,
@@ -218,32 +212,39 @@ class RunConfig:
 def _load_split(run_dir: Path, name: str):
     """A dataset split; a value outside [0, 1], the range ``encode``
     writes, is refused (NaN included), naming its line."""
-    path = require_artifact(run_dir, f"dataset/{name}.csv")
-    x, labels = ds.load_dataset_csv(path)
+    rel = f"dataset/{name}.csv"
+    x, labels = read_artifact(run_dir, rel, ds.load_dataset_csv)
     inside = (x >= 0) & (x <= 1)
     if not inside.all():
         i, j = np.argwhere(~inside)[0]   # a record per line after the header
-        raise ShapeMismatchError(f"{path} line {i + 2}: x{j} = "
+        raise ShapeMismatchError(f"{Path(run_dir) / rel} line {i + 2}: x{j} = "
                                  f"{float(x[i, j])!r} is outside [0, 1]")
     return x, labels
 
 
 def _load_params(run_dir: Path, name: str = "params.json") -> MlpParams:
-    path = require_artifact(run_dir, f"train/{name}")
-    with open(path) as fh:
-        return MlpParams.from_dict(json.load(fh))
+    return read_artifact(run_dir, f"train/{name}",
+                         lambda path: MlpParams.from_dict(read_json(path)))
 
 
 def _load_compiled(run_dir: Path) -> CompiledNet:
-    path = require_artifact(run_dir, "compile/compiled.json")
-    with open(path) as fh:
-        d = json.load(fh)
-    return CompiledNet(
-        hidden=CompiledLayer(np.array(d["hidden"]["r_m1"]),
-                             np.array(d["hidden"]["r_m2"]), d["r_f"]),
-        out=CompiledLayer(np.array(d["out"]["r_m1"]),
-                          np.array(d["out"]["r_m2"]), d["r_f"]),
-    )
+    """The compiled net: a numeric ``r_f`` and the r_m1 and r_m2 of each
+    layer in the 16-8-4 shapes."""
+    def read(path):
+        d = read_json(path)
+        if not is_real(d["r_f"]):
+            raise TypeError(f"r_f must be a number, got {d['r_f']!r}")
+        layers = []
+        for name, shape in (("hidden", (N_INPUT, N_HIDDEN)),
+                            ("out", (N_HIDDEN, N_OUTPUT))):
+            r_m1, r_m2 = (np.array(d[name][key], dtype=float)
+                          for key in ("r_m1", "r_m2"))
+            if r_m1.shape != shape or r_m2.shape != shape:
+                raise ValueError(f"{name} r_m1 {r_m1.shape} and r_m2 "
+                                 f"{r_m2.shape}, not {shape}")
+            layers.append(CompiledLayer(r_m1, r_m2, d["r_f"]))
+        return CompiledNet(*layers)
+    return read_artifact(run_dir, "compile/compiled.json", read)
 
 
 def stage_dataset(cfg: RunConfig, out: Path) -> None:
@@ -394,7 +395,7 @@ def stage_analyze(cfg: RunConfig, out: Path) -> None:
          "extraneous": report.p_err_extraneous},
         cfg.x_p, cfg.out_dir / reports.BOX_SVG)
     reports.render_weight_bounds(
-        reports.read_bounds_csv(out / "weight_bounds.csv"),
+        read_artifact(cfg.out_dir, reports.BOUNDS_CSV, reports.read_bounds_csv),
         cfg.out_dir / reports.BOUNDS_SVG)
 
 
@@ -435,22 +436,19 @@ def stage_sweep(cfg: RunConfig, out: Path) -> None:
 def write_summary(cfg: RunConfig) -> dict:
     summary = {"seed": cfg.seed, "config_hash": cfg.config_hash(),
                "x_p": cfg.x_p}
-    train_json = cfg.out_dir / "train" / "train.json"
-    if train_json.exists():
-        with open(train_json) as fh:
-            summary["nominal_p_err"] = json.load(fh)["test_p_err"]
-    prog_json = cfg.out_dir / "program" / "programmed.json"
-    if prog_json.exists():
-        with open(prog_json) as fh:
-            summary["programmed_p_err"] = json.load(fh)["programmed_p_err"]
-    report_json = cfg.out_dir / "analyze" / "report.json"
-    if report_json.exists():
-        with open(report_json) as fh:
-            rep = json.load(fh)
-        summary["mc_max_p_err"] = rep["max_p_err"]
-        summary["mc_subset_max"] = rep["subset_max"]
-        summary["passed"] = rep["passed"]
-        summary["subsets_passed"] = max(rep["subset_max"].values()) <= rep["x_p"]
+    readers = {   # the figures each JSON artifact written so far gives
+        "train/train.json": lambda d: {"nominal_p_err": d["test_p_err"]},
+        "program/programmed.json":
+            lambda d: {"programmed_p_err": d["programmed_p_err"]},
+        "analyze/report.json": lambda d: {
+            "mc_max_p_err": d["max_p_err"], "mc_subset_max": d["subset_max"],
+            "passed": d["passed"],
+            "subsets_passed": max(d["subset_max"].values()) <= d["x_p"]},
+    }
+    for rel, figures in readers.items():
+        if (cfg.out_dir / rel).exists():
+            summary.update(read_artifact(
+                cfg.out_dir, rel, lambda path: figures(read_json(path))))
     with replacing(cfg.out_dir / "summary.json") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
     return summary

@@ -5,7 +5,8 @@ rate distribution under perturbation, per-synapse weight-error bands, and
 the discrete-state sweep.  Every chart is rebuilt purely from its CSV
 source, so re-emission is byte-identical.
 
-Every artifact of a run, in any module, is written through :func:`replacing`.
+Every artifact of a run, in any module, is written through :func:`replacing`
+and read back through :func:`read_artifact`.
 """
 
 from __future__ import annotations
@@ -58,14 +59,33 @@ def write_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
+def read_csv_columns(path, columns: dict) -> dict:
+    """The ``columns``, ``{name: type}``, of a CSV file as lists of typed
+    fields, read as ``csv.DictReader`` would: blank lines are skipped, a
+    column the header lacks raises KeyError once there is a row, a row too
+    short to hold a column raises TypeError and a field its type cannot
+    convert raises ValueError.  A file of no rows gives empty lists.  The
+    header is looked up once."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        rows = [row for row in reader if row]
+    if not rows:
+        return {name: [] for name in columns}
+    index = {name: k for k, name in enumerate(header)}
+    cols = [index[name] for name in columns]
+    if min(map(len, rows)) <= max(cols):
+        raise TypeError(f"{path}: a row has fewer fields than the header")
+    return {name: [kind(row[k]) for row in rows]
+            for (name, kind), k in zip(columns.items(), cols)}
+
+
 def write_curve_csv(path, curve) -> None:
     write_csv(path, ["epoch", "mse"], enumerate(curve.tolist()))
 
 
 def read_curve_csv(path) -> np.ndarray:
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        return np.array([float(rec["mse"]) for rec in reader])
+    return np.array(read_csv_columns(path, {"mse": float})["mse"])
 
 
 def render_learning_curve(curve, path) -> None:
@@ -88,23 +108,9 @@ def write_trials_csv(path, p_err, sites, extraneous) -> None:
 
 def read_trials_csv(path) -> dict:
     """The error-rate columns of a trials CSV, by their ``TRIALS_COLUMNS``
-    key, as ``csv.DictReader`` would read them: blank lines are skipped,
-    a column the header lacks raises KeyError once there is a row, a row
-    too short to hold a column raises TypeError and a field that is no
-    number raises ValueError.  The header is looked up once and each field
-    is converted by one ``float()`` call."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        rows = [row for row in reader if row]
-    if not rows:
-        return {key: np.array([]) for key in TRIALS_COLUMNS}
-    index = {name: k for k, name in enumerate(header)}
-    cols = [index[name] for name in TRIALS_COLUMNS.values()]
-    if min(map(len, rows)) <= max(cols):
-        raise TypeError(f"{path}: a row has fewer fields than the header")
-    return {key: np.array([float(row[k]) for row in rows])
-            for key, k in zip(TRIALS_COLUMNS, cols)}
+    key."""
+    cols = read_csv_columns(path, dict.fromkeys(TRIALS_COLUMNS.values(), float))
+    return {key: np.array(cols[name]) for key, name in TRIALS_COLUMNS.items()}
 
 
 def render_p_err_box(trials: dict, x_p: float, path) -> None:
@@ -134,13 +140,10 @@ def write_bounds_csv(path, bounds: dict) -> None:
                for j, (low, high) in enumerate(cells)))
 
 
-def read_bounds_csv(path):
-    rows = []
-    with open(path, newline="") as fh:
-        for rec in csv.DictReader(fh):
-            rows.append((rec["layer"], int(rec["in_idx"]), int(rec["out_idx"]),
-                         float(rec["low_percent"]), float(rec["high_percent"])))
-    return rows
+def read_bounds_csv(path) -> list:
+    return list(zip(*read_csv_columns(path, {
+        "layer": str, "in_idx": int, "out_idx": int, "low_percent": float,
+        "high_percent": float}).values()))
 
 
 def render_weight_bounds(rows, path) -> None:
@@ -167,11 +170,8 @@ def write_sweep_csv(path, results: dict) -> None:
 
 
 def read_sweep_csv(path) -> dict:
-    out = {}
-    with open(path, newline="") as fh:
-        for rec in csv.DictReader(fh):
-            out[int(rec["n_states"])] = float(rec["p_err_percent"])
-    return out
+    cols = read_csv_columns(path, {"n_states": int, "p_err_percent": float})
+    return dict(zip(cols["n_states"], cols["p_err_percent"]))
 
 
 def render_sweep(results: dict, x_p: float, path) -> None:
@@ -188,45 +188,49 @@ def render_sweep(results: dict, x_p: float, path) -> None:
         fh.write(fig.render())
 
 
-def require_artifact(run_dir, rel: str) -> Path:
-    """Path of the artifact ``rel`` under ``run_dir``; raises when it is
-    missing, naming the stage that writes it (the first path component)."""
+def read_json(path) -> dict:
+    """The JSON object of ``path``; any other JSON value raises TypeError."""
+    with open(path) as fh:
+        value = json.load(fh)
+    if not isinstance(value, dict):
+        raise TypeError(f"a JSON {type(value).__name__}, not an object")
+    return value
+
+
+def read_artifact(run_dir, rel: str, reader):
+    """``reader(path)`` of the artifact ``rel`` under ``run_dir``.  A missing
+    file raises MissingArtifactError, naming the stage that writes it (the
+    first path component); one that ``reader`` cannot parse or finds
+    incomplete (ValueError, KeyError, TypeError or AttributeError) raises
+    ShapeMismatchError, naming the file."""
     path = Path(run_dir) / rel
     if not path.exists():
         stage = Path(rel).parts[0]
         raise MissingArtifactError(f"{path} (run the {stage} stage first)")
-    return path
-
-
-def _read(run_dir: Path, rel: str, reader):
-    """``reader`` of the artifact ``rel``; a file it cannot parse raises
-    ShapeMismatchError, naming the file."""
-    path = require_artifact(run_dir, rel)
     try:
         return reader(path)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise ShapeMismatchError(f"{path} is malformed: {exc!r}") from exc
 
 
 def emit_report(run_dir) -> list:
     """Re-render every chart from its CSV source; purely a read-render pass.
-    An artifact that cannot be parsed raises ShapeMismatchError."""
+    An artifact that cannot be parsed, or a CSV that holds no rows, raises
+    ShapeMismatchError before any chart is written."""
     run_dir = Path(run_dir)
-    written = []
-    curve = _read(run_dir, CURVE_CSV, read_curve_csv)
+    curve = read_artifact(run_dir, CURVE_CSV, read_curve_csv)
+    trials = read_artifact(run_dir, TRIALS_CSV, read_trials_csv)
+    rows = read_artifact(run_dir, BOUNDS_CSV, read_bounds_csv)
+    sweep = read_artifact(run_dir, SWEEP_CSV, read_sweep_csv)
+    for rel, data in ((CURVE_CSV, curve), (TRIALS_CSV, trials["overall"]),
+                      (BOUNDS_CSV, rows), (SWEEP_CSV, sweep)):
+        if len(data) == 0:
+            raise ShapeMismatchError(f"{run_dir / rel} holds no rows")
+    x_p = read_artifact(run_dir, REPORT_JSON,
+                        lambda path: float(read_json(path)["x_p"]))
     render_learning_curve(curve, run_dir / CURVE_SVG)
-    written.append(run_dir / CURVE_SVG)
-    trials = _read(run_dir, TRIALS_CSV, read_trials_csv)
-    if trials["overall"].size == 0:
-        raise MissingArtifactError(f"{run_dir / TRIALS_CSV} holds no trials")
-    x_p = _read(run_dir, REPORT_JSON,
-                lambda path: float(json.loads(path.read_text())["x_p"]))
     render_p_err_box(trials, x_p, run_dir / BOX_SVG)
-    written.append(run_dir / BOX_SVG)
-    rows = _read(run_dir, BOUNDS_CSV, read_bounds_csv)
     render_weight_bounds(rows, run_dir / BOUNDS_SVG)
-    written.append(run_dir / BOUNDS_SVG)
-    sweep = _read(run_dir, SWEEP_CSV, read_sweep_csv)
     render_sweep(sweep, x_p, run_dir / SWEEP_SVG)
-    written.append(run_dir / SWEEP_SVG)
-    return written
+    return [run_dir / name for name in (CURVE_SVG, BOX_SVG, BOUNDS_SVG,
+                                        SWEEP_SVG)]

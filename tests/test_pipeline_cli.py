@@ -18,7 +18,7 @@ import memxbar
 from memxbar.cli import (BLAS_THREAD_VARIABLES, EXIT_CONFIG, EXIT_ENFORCE,
                          EXIT_OK, EXIT_STAGE, build_parser, load_config,
                          main)
-from memxbar.crossbar import U_SAT, CrossbarConfig
+from memxbar.crossbar import U_SAT, Crossbar, CrossbarConfig
 from memxbar.device import DeviceParams
 from memxbar.errors import ConfigError
 from memxbar.mapping import ResistanceRange
@@ -592,6 +592,86 @@ def test_report_stage_refuses_a_malformed_csv(default_run, tmp_path, capsys,
     assert message["error"] == "ShapeMismatchError"
     assert message["stage"] == "report"
     assert artifact in message["message"]
+
+
+def _json_edit(change):
+    """A text edit of a JSON artifact: ``change`` the parsed object."""
+    def edit(text):
+        d = json.loads(text)
+        change(d)
+        return json.dumps(d)
+    return edit
+
+
+def _cut_in_half(text):
+    return text[:len(text) // 2]
+
+
+def _header_only(text):
+    return text.splitlines()[0] + "\n"
+
+
+@pytest.mark.parametrize("artifact, edit, stage", [
+    ("train/params.json", _cut_in_half, "compile"),
+    ("train/params.json", _json_edit(lambda d: d.pop("w_out")), "compile"),
+    ("train/params.json", lambda text: "[]", "compile"),
+    ("compile/compiled.json", _cut_in_half, "analyze"),
+    ("compile/compiled.json", _json_edit(lambda d: d.pop("r_f")), "analyze"),
+    ("compile/compiled.json", _json_edit(lambda d: d.update(r_f="x")),
+     "synthesize"),
+    ("compile/compiled.json", lambda text: "[]", "analyze"),
+    ("compile/compiled.json",
+     _json_edit(lambda d: d["hidden"].update(r_m1=[[3e4]], r_m2=[[3e4]])),
+     "analyze"),
+    ("train/curve.csv", _header_only, "report"),
+    ("analyze/weight_bounds.csv", _header_only, "report"),
+    ("sweep/sweep.csv", _header_only, "report"),
+    ("train/train.json", lambda text: "{", "sweep"),
+    ("analyze/report.json", _json_edit(lambda d: d.pop("subset_max")),
+     "sweep"),
+    ("analyze/report.json", _json_edit(lambda d: d.update(subset_max=[1.0])),
+     "sweep"),
+    ("program/programmed.json", lambda text: "", "sweep"),
+], ids=["params-cut", "params-no-w_out", "params-list", "compiled-cut",
+        "compiled-no-r_f", "compiled-text-r_f", "compiled-list",
+        "compiled-1x1", "curve-header", "bounds-header", "sweep-header",
+        "train-json-brace", "report-no-subset_max", "report-subset_max-list",
+        "programmed-empty"])
+def test_a_corrupt_or_header_only_artifact_stops_the_stage(
+        default_run, tmp_path, capsys, artifact, edit, stage):
+    """An artifact cut short, of the wrong JSON type, missing an entry or
+    with a layer of the wrong shape, or a re-rendered CSV cut to its
+    header, stops the stage that reads it, or the summary after it, with
+    one JSON line that names the file, not a traceback."""
+    run = tmp_path / "corrupt"
+    shutil.copytree(default_run.run_dir, run)
+    path = run / artifact
+    path.write_text(edit(path.read_text()))
+    code = main(["--out", str(run), "--seed", str(DEFAULT_SEED),
+                 "--stage", stage])
+    assert code == EXIT_STAGE
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    message = json.loads(lines[0])
+    assert message["error"] == "ShapeMismatchError"
+    assert message["stage"] == stage
+    assert Path(artifact).name in message["message"]
+
+
+def test_cli_checks_the_config_once(tmp_path, monkeypatch):
+    """``run_pipeline`` is the one config check of a command-line run, so
+    the config-time array that proves the bias maps is built once."""
+    built = []
+    init = Crossbar.__init__
+
+    def counting_init(self, *args, **kw):
+        built.append(self)
+        init(self, *args, **kw)
+
+    monkeypatch.setattr(Crossbar, "__init__", counting_init)
+    assert main(["--out", str(tmp_path / "run"), "--seed", "7",
+                 "--stage", "dataset"]) == EXIT_OK
+    assert len(built) == 1
 
 
 def test_cli_enforce_flags_budget_miss(default_run, tmp_path, capsys):

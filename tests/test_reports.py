@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 import memxbar
-from memxbar.errors import MissingArtifactError
+from memxbar.crossbar import Crossbar, CrossbarConfig, load_crossbar_csv
+from memxbar.device import DeviceParams
+from memxbar.errors import MissingArtifactError, ShapeMismatchError
 from memxbar.reports import (emit_report, read_bounds_csv, read_curve_csv,
                              read_sweep_csv, read_trials_csv, replacing,
                              write_bounds_csv, write_csv, write_curve_csv,
@@ -94,6 +96,113 @@ def test_trials_csv_reads_as_dict_reader_does(tmp_path, text):
     assert got.keys() == want.keys()
     for key in want:
         assert np.array_equal(got[key], want[key], equal_nan=True), key
+
+
+def dict_reader_curve(path):
+    with open(path, newline="") as fh:
+        return np.array([float(rec["mse"]) for rec in csv.DictReader(fh)])
+
+
+def dict_reader_bounds(path):
+    with open(path, newline="") as fh:
+        return [(rec["layer"], int(rec["in_idx"]), int(rec["out_idx"]),
+                 float(rec["low_percent"]), float(rec["high_percent"]))
+                for rec in csv.DictReader(fh)]
+
+
+def dict_reader_sweep(path):
+    with open(path, newline="") as fh:
+        return {int(rec["n_states"]): float(rec["p_err_percent"])
+                for rec in csv.DictReader(fh)}
+
+
+ARRAY_2X2 = CrossbarConfig(rows=2, cols=2)
+
+
+def dict_reader_array(path):
+    """Resistance and stuck values of a 2x2 array file read through
+    ``csv.DictReader``, each cell listed exactly once."""
+    resistance, stuck = np.full((2, 2), np.nan), np.full((2, 2), np.nan)
+    seen = np.zeros((2, 2), dtype=bool)
+    with open(path, newline="") as fh:
+        for rec in csv.DictReader(fh):
+            r, c = int(rec["row"]), int(rec["col"])
+            if not (0 <= r < 2 and 0 <= c < 2) or seen[r, c]:
+                raise ShapeMismatchError(f"cell ({r}, {c})")
+            seen[r, c] = True
+            resistance[r, c] = float(rec["resistance_ohm"])
+            if int(rec["stuck_flag"]):
+                stuck[r, c] = float(rec["stuck_ohm"])
+    if not seen.all():
+        raise ShapeMismatchError("a cell is missing")
+    xbar = Crossbar(ARRAY_2X2, DeviceParams(), resistance, stuck)
+    return xbar.resistance, xbar.stuck
+
+
+def read_array(path):
+    xbar = load_crossbar_csv(path, ARRAY_2X2, DeviceParams())
+    return xbar.resistance, xbar.stuck
+
+
+CURVE = "epoch,mse\n"
+BOUNDS = "layer,in_idx,out_idx,low_percent,high_percent\n"
+SWEEP = "n_states,p_err_percent\n"
+ARRAY = "row,col,resistance_ohm,stuck_flag,stuck_ohm\n"
+CELLS = "0,0,1e4,0,\n0,1,2e4,1,25000.0\n1,0,3e4,0,\n"
+
+COLUMN_CASES = {
+    "curve": (read_curve_csv, dict_reader_curve, [
+        "", CURVE, CURVE + "0,1.5\n\n1,4e-1\n2,nan\n", "mse,epoch\n2.5,0\n",
+        CURVE + "0,1.5,extra\n", CURVE + "0\n", CURVE + "0,abc\n",
+        "epoch\n0\n",
+    ]),
+    "bounds": (read_bounds_csv, dict_reader_bounds, [
+        "", BOUNDS, BOUNDS + "hidden,0,1,-4.5,6.25\n\nout,3,2,-1e-3,2\n",
+        "high_percent,layer,out_idx,in_idx,low_percent\n6.25,out,1,0,-4.5\n",
+        BOUNDS + "hidden,0,1,-4.5\n", BOUNDS + "hidden,0.5,1,-4.5,6.25\n",
+        BOUNDS + "hidden,0,1,-4.5,x\n", "layer,in_idx\nhidden,0\n",
+    ]),
+    "sweep": (read_sweep_csv, dict_reader_sweep, [
+        "", SWEEP, SWEEP + "2,51.3\n\n7,0.6\n2,9.0\n",
+        "p_err_percent,n_states\n0.1,12\n", SWEEP + "2\n", SWEEP + "3.5,1\n",
+        "n_states\n2\n",
+    ]),
+    "array": (read_array, dict_reader_array, [
+        "", ARRAY, ARRAY + CELLS + "\n1,1,4e4,0,\n",
+        "stuck_ohm,stuck_flag,resistance_ohm,col,row\n,0,1e4,0,0\n"
+        "25000.0,1,2e4,1,0\n,0,3e4,0,1\n,0,4e4,1,1\n",
+        ARRAY + CELLS, ARRAY + CELLS + "0,0,5e4,0,\n", ARRAY + CELLS + "2,1,4e4,0,\n",
+        ARRAY + CELLS + "1,1,abc,0,\n", ARRAY + CELLS + "1,1,4e4\n",
+        ARRAY + CELLS + "1,1,4e4,1,\n", "row,col\n0,0\n",
+    ]),
+}
+
+
+@pytest.mark.parametrize("kind, text", [
+    (kind, text) for kind, (_, _, texts) in COLUMN_CASES.items()
+    for text in texts])
+def test_csv_readers_read_as_dict_reader_does(tmp_path, kind, text):
+    """The curve, bounds, sweep and array readers parse through one column
+    reader and give what a ``csv.DictReader`` loop gives, or raise the
+    same type of error: empty, header-only and blank-line files, reordered
+    and extra columns, short rows, a missing column and bad fields."""
+    read, reference = COLUMN_CASES[kind][:2]
+    path = tmp_path / f"{kind}.csv"
+    path.write_text(text)
+    try:
+        want = reference(path)
+    except Exception as exc:
+        with pytest.raises(type(exc)):
+            read(path)
+        return
+    got = read(path)
+    if kind == "curve":
+        assert np.array_equal(got, want, equal_nan=True)
+    elif kind == "array":
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b, equal_nan=True)
+    else:
+        assert got == want
 
 
 def test_bounds_csv_round_trip(tmp_path):
