@@ -23,6 +23,7 @@ from .errors import (
     InputOverrangeError,
     OddRowCountError,
     ShapeMismatchError,
+    StuckDeviceError,
 )
 from .reports import read_csv_columns, write_csv
 from .stats import check_ranges, quantize_half_up
@@ -222,11 +223,17 @@ def layer_forward(xbar: Crossbar, inputs: np.ndarray,
     return _clamp(diff, U_SAT)
 
 
+def synapse_pairs(matrix: np.ndarray, n_in: int, n_out: int):
+    """The (n_in, n_out) views of the r_m1 and r_m2 entries of an array-shaped
+    ``matrix``: synapse (i, j) sits in column i, its r_m1 in row 2j and its
+    r_m2 in row 2j + 1.  Writing to a view writes to ``matrix``."""
+    return matrix[0:2 * n_out:2, :n_in].T, matrix[1:2 * n_out:2, :n_in].T
+
+
 def synapse_weights(xbar: Crossbar, n_in: int, n_out: int) -> np.ndarray:
-    """The (n_in, n_out) weights of the row pairs: synapse (i, j) sits in
-    column i, its r_m1 in row 2j and its r_m2 in row 2j + 1."""
-    g = xbar.config.r_f / xbar.resistance[:2 * n_out, :n_in]
-    return (g[0::2] - g[1::2]).T
+    """The (n_in, n_out) weights the row pairs of ``xbar`` realize."""
+    r_m1, r_m2 = synapse_pairs(xbar.resistance, n_in, n_out)
+    return xbar.config.r_f / r_m1 - xbar.config.r_f / r_m2
 
 
 def adc_quantize(u, step: float, full_scale: float):
@@ -281,19 +288,26 @@ def program_cell(xbar: Crossbar, target: tuple[int, int], target_r: float,
     The bias maps were proven when the array was built, and the verify
     step goes through the amplifier/ADC read path.  The tolerance band is
     tightened by the read-back error bound so the true resistance lands
-    inside the requested band.
+    inside the requested band.  A frozen cell takes no pulse: it succeeds
+    when its read puts it in band and raises StuckDeviceError otherwise.
     """
     cfg, dp = xbar.config, xbar.device
     r, c = target
     if not (0 <= r < cfg.rows and 0 <= c < cfg.cols):
         raise ValueError(f"target {target} outside {cfg.rows}x{cfg.cols} grid")
-    stuck = xbar.stuck[r, c]
-    cell = MemristorCell(resistance=float(xbar.resistance[r, c]),
-                         stuck=None if np.isnan(stuck) else float(stuck))
     margin = read_back_error_bound(target_r, cfg, dp) / target_r
     tol = max(dp.program_tolerance - margin, dp.program_tolerance / 2)
-    log = dev.program_to(cell, target_r, dp, rng,
-                         read_resistance=_array_read(xbar), tolerance=tol)
+    read = _array_read(xbar)
+    stuck = float(xbar.stuck[r, c])
+    if not math.isnan(stuck):
+        if abs(read(np.array([stuck]))[0] - target_r) <= tol * target_r:
+            return ProgramLog(attempts=0, pulses=0, final_resistance=stuck,
+                              success=True, target=target_r)
+        raise StuckDeviceError(f"stuck at {stuck:.4g} ohm, target "
+                               f"{target_r:.4g} ohm outside +/-{tol:.0%}")
+    cell = MemristorCell(float(xbar.resistance[r, c]))
+    log = dev.program_to(cell, target_r, dp, rng, read_resistance=read,
+                         tolerance=tol)
     xbar.resistance[r, c] = cell.resistance
     return log
 

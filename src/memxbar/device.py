@@ -19,7 +19,6 @@ from .errors import (
     AboveThresholdError,
     AmplitudeOutOfRangeError,
     ProgrammingFailedError,
-    StuckDeviceError,
 )
 from .stats import check_ranges
 
@@ -94,14 +93,9 @@ def check_device(params: DeviceParams) -> None:
 
 @dataclass
 class MemristorCell:
-    """One device: current resistance plus an optional stuck-at value."""
+    """One device: its current resistance."""
 
     resistance: float
-    stuck: float | None = None
-
-    def __post_init__(self):
-        if self.stuck is not None:
-            self.resistance = self.stuck
 
 
 @dataclass
@@ -133,8 +127,7 @@ def _spread(params: DeviceParams, rng: np.random.Generator, size=None):
 
 
 def _settle(cell: MemristorCell, value, params: DeviceParams) -> MemristorCell:
-    cell.resistance = (cell.stuck if cell.stuck is not None
-                       else float(_clamped(value, params)))
+    cell.resistance = float(_clamped(value, params))
     return cell
 
 
@@ -220,18 +213,6 @@ def program_to(
         def read_resistance(r):  # the exact Ohmic read: v over the current
             return v / (v / r)
 
-    def in_band(r):
-        return np.abs(r - target) <= tol * target
-
-    if cell.stuck is not None:
-        if in_band(read_resistance(np.array([cell.resistance])))[0]:
-            return ProgramLog(attempts=0, pulses=0, final_resistance=cell.resistance,
-                              success=True, target=target)
-        raise StuckDeviceError(
-            f"stuck at {cell.resistance:.4g} ohm, target {target:.4g} ohm "
-            f"outside +/-{tol:.0%}"
-        )
-
     # pulse 0 is the SET, pulse i the RESET at the i-th ramp amplitude
     response = np.concatenate(([params.r_lrs_nominal],
                                ramp_response(ramp_amplitudes(params), params)))
@@ -241,7 +222,7 @@ def program_to(
         state = rng.bit_generator.state
         outcomes = _clamped(response * _spread(params, rng, response.size), params)
         measured = read_resistance(outcomes)
-        hit = in_band(measured)
+        hit = np.abs(measured - target) <= tol * target
         stop = hit | (measured > target * (1 + tol))
         stop[0] = hit[0]  # a SET read above the band still goes on to the ramp
         last = int(stop.argmax()) if stop.any() else response.size - 1

@@ -183,26 +183,23 @@ def compile_network(w_hidden: np.ndarray, w_out: np.ndarray, r_f: float,
     )
 
 
-def compensate_stuck(
-    stuck_m1: float | None,
-    stuck_m2: float | None,
-    target_w: float,
-    r_f: float,
-    rng: ResistanceRange,
-) -> SynapseNominals:
-    """Best-effort synapse realization when one or both devices are frozen.
+def compensate_stuck(layer: CompiledLayer, stuck_m1: np.ndarray,
+                     stuck_m2: np.ndarray, rng: ResistanceRange) -> CompiledLayer:
+    """``layer`` as far as the frozen branches ``stuck_m1`` and ``stuck_m2``
+    (NaN where free) allow: a frozen branch keeps its value, and a free one
+    opposite it is solved from the weight equation and clamped to the
+    range, so the pair realizes the nearest weight it can."""
+    w, r_f = layer.weights(), layer.r_f
+    free1, free2 = np.isnan(stuck_m1), np.isnan(stuck_m2)
 
-    With one device stuck the free one is solved from the weight equation
-    and clamped to the programmable range, so the pair realizes the
-    nearest weight it can.  With both stuck the pair is what it is: no
-    programming can change its weight.
-    """
-    if stuck_m1 is not None and stuck_m2 is not None:
-        return SynapseNominals(r_f=r_f, r_m1=stuck_m1, r_m2=stuck_m2)
-    # w = r_f/r_m1 - r_f/r_m2, so the free device is r_f / (±w + r_f/stuck)
-    stuck, sign = (stuck_m2, 1.0) if stuck_m2 is not None else (stuck_m1, -1.0)
-    denom = sign * target_w + r_f / stuck
-    free = r_f / denom if denom > 0 else rng.r_max
-    free = min(max(free, rng.r_min), rng.r_max)
-    return (SynapseNominals(r_f=r_f, r_m1=free, r_m2=stuck) if sign > 0
-            else SynapseNominals(r_f=r_f, r_m1=stuck, r_m2=free))
+    def solve(denom):
+        # w = r_f/r_m1 - r_f/r_m2, so the free device is r_f / (±w + r_f/stuck)
+        with np.errstate(divide="ignore"):
+            free = np.where(denom > 0, r_f / denom, rng.r_max)
+        return np.minimum(np.maximum(free, rng.r_min), rng.r_max)
+
+    r_m1 = np.where(free1, np.where(free2, layer.r_m1, solve(w + r_f / stuck_m2)),
+                    stuck_m1)
+    r_m2 = np.where(free2, np.where(free1, layer.r_m2, solve(-w + r_f / stuck_m1)),
+                    stuck_m2)
+    return CompiledLayer(r_m1=r_m1, r_m2=r_m2, r_f=r_f)

@@ -23,7 +23,7 @@ import numpy as np
 from . import dataset as ds
 from . import reports
 from .crossbar import (Crossbar, CrossbarConfig, check_adc, program_cell,
-                       save_crossbar_csv, synapse_weights)
+                       save_crossbar_csv, synapse_pairs, synapse_weights)
 from .device import DeviceParams, check_device
 from .errors import BiasViolationError, ConfigError, ShapeMismatchError
 from .mapping import (CompiledLayer, CompiledNet, ResistanceRange,
@@ -324,33 +324,24 @@ def stage_compile(cfg: RunConfig, out: Path) -> None:
 
 def _program_array(cfg: RunConfig, name: str, layer: CompiledLayer,
                    rng: np.random.Generator, log_rows: list) -> Crossbar:
-    """Program one layer's synapse pairs into a crossbar, compensating
-    stuck devices by re-solving the opposing resistance."""
+    """Program one layer's synapse pairs into a crossbar: a stuck device
+    keeps its value and its partner is re-solved against it."""
     stuck = np.full((cfg.crossbar.rows, cfg.crossbar.cols), np.nan)
     for spot in cfg.stuck:
         if spot["array"] == name:
             stuck[spot["row"], spot["col"]] = spot["ohm"]
     xbar = Crossbar(cfg.crossbar, cfg.device, stuck=stuck)
     n_in, n_out = layer.r_m1.shape
-    weights = layer.weights()
+    target = compensate_stuck(layer, *synapse_pairs(stuck, n_in, n_out),
+                              cfg.resistance_range)
+    free = np.isnan(stuck)
     for j in range(n_out):
         for i in range(n_in):
-            row1, row2 = 2 * j, 2 * j + 1
-            s1, s2 = (None if np.isnan(s) else float(s)
-                      for s in stuck[row1:row2 + 1, i])
-            if s1 is None and s2 is None:
-                targets = ((row1, layer.r_m1[i, j]), (row2, layer.r_m2[i, j]))
-            else:
-                syn = compensate_stuck(s1, s2, float(weights[i, j]), layer.r_f,
-                                       cfg.resistance_range)
-                targets = tuple(
-                    (row, r) for row, r, frozen in
-                    ((row1, syn.r_m1, s1 is not None),
-                     (row2, syn.r_m2, s2 is not None))
-                    if not frozen)
-            for row, target_r in targets:
-                log = program_cell(xbar, (row, i), float(target_r), rng)
-                log_rows.append((name, row, i) + log.csv_row())
+            for row, target_r in ((2 * j, target.r_m1[i, j]),
+                                  (2 * j + 1, target.r_m2[i, j])):
+                if free[row, i]:
+                    log = program_cell(xbar, (row, i), float(target_r), rng)
+                    log_rows.append((name, row, i) + log.csv_row())
     return xbar
 
 
@@ -433,6 +424,19 @@ def stage_sweep(cfg: RunConfig, out: Path) -> None:
     reports.render_sweep(results, cfg.x_p, cfg.out_dir / reports.SWEEP_SVG)
 
 
+def _verdict(report: dict) -> dict:
+    """The summary figures of ``analyze/report.json``; ``passed`` must be a
+    bool, and ``x_p`` and every ``subset_max`` value numbers."""
+    passed, x_p, subsets = report["passed"], report["x_p"], report["subset_max"]
+    if type(passed) is not bool:
+        raise TypeError(f"passed must be a bool, got {passed!r}")
+    if not all(map(is_real, [x_p, *subsets.values()])):
+        raise TypeError(f"x_p and the subset_max values must be numbers, got "
+                        f"{x_p!r} and {subsets!r}")
+    return {"mc_max_p_err": report["max_p_err"], "mc_subset_max": subsets,
+            "passed": passed, "subsets_passed": max(subsets.values()) <= x_p}
+
+
 def write_summary(cfg: RunConfig) -> dict:
     summary = {"seed": cfg.seed, "config_hash": cfg.config_hash(),
                "x_p": cfg.x_p}
@@ -440,10 +444,7 @@ def write_summary(cfg: RunConfig) -> dict:
         "train/train.json": lambda d: {"nominal_p_err": d["test_p_err"]},
         "program/programmed.json":
             lambda d: {"programmed_p_err": d["programmed_p_err"]},
-        "analyze/report.json": lambda d: {
-            "mc_max_p_err": d["max_p_err"], "mc_subset_max": d["subset_max"],
-            "passed": d["passed"],
-            "subsets_passed": max(d["subset_max"].values()) <= d["x_p"]},
+        "analyze/report.json": _verdict,
     }
     for rel, figures in readers.items():
         if (cfg.out_dir / rel).exists():

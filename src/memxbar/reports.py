@@ -201,7 +201,8 @@ def read_artifact(run_dir, rel: str, reader):
     """``reader(path)`` of the artifact ``rel`` under ``run_dir``.  A missing
     file raises MissingArtifactError, naming the stage that writes it (the
     first path component); one that ``reader`` cannot parse or finds
-    incomplete (ValueError, KeyError, TypeError or AttributeError) raises
+    incomplete (ValueError, KeyError, TypeError, AttributeError or a
+    ShapeMismatchError that does not name the file) raises
     ShapeMismatchError, naming the file."""
     path = Path(run_dir) / rel
     if not path.exists():
@@ -209,7 +210,10 @@ def read_artifact(run_dir, rel: str, reader):
         raise MissingArtifactError(f"{path} (run the {stage} stage first)")
     try:
         return reader(path)
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError,
+            ShapeMismatchError) as exc:
+        if isinstance(exc, ShapeMismatchError) and str(path) in str(exc):
+            raise   # the dataset reader names the file and the line itself
         raise ShapeMismatchError(f"{path} is malformed: {exc!r}") from exc
 
 

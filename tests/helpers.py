@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from memxbar.cli import openblas_function
-from memxbar.crossbar import Crossbar
+from memxbar.crossbar import Crossbar, synapse_pairs
 from memxbar.mapping import compile_network
 from memxbar.netmodel import LABELS, forward_stack
 
@@ -28,9 +28,8 @@ def ideal_crossbars(w_hidden, w_out, config, device, rrange):
     for _, layer in net.layers():
         n_in, n_out = layer.r_m1.shape
         m = np.full((config.rows, config.cols), device.r_hrs_nominal)
-        for j in range(n_out):
-            m[2 * j, :n_in] = layer.r_m1[:, j]
-            m[2 * j + 1, :n_in] = layer.r_m2[:, j]
+        r_m1, r_m2 = synapse_pairs(m, n_in, n_out)
+        r_m1[...], r_m2[...] = layer.r_m1, layer.r_m2
         xbars.append(Crossbar(config, device, m))
     return xbars
 

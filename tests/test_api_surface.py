@@ -7,7 +7,8 @@ pinned here with the reason it stays: an acceptance criterion in
 ``tests/test_acceptance.py`` or a benchmark (``perfbench``) workload or
 tracer that calls it by name.  A refactor that leaves a helper with no
 caller fails here.  Code that only tests call is deleted, and its tests
-move to the code that survives.
+move to the code that survives.  Likewise every name a module imports
+must be referenced in that module.
 """
 
 import ast
@@ -69,10 +70,59 @@ def _unused(package=Path(memxbar.__file__).parent, pinned=PINNED):
                   for qualified in where)
 
 
+def _unused_imports(package=Path(memxbar.__file__).parent):
+    """``module.name`` of every name a module (the package ``__init__``,
+    which re-exports, aside) imports and never references; ``__future__``
+    imports are not names."""
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported, used = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(alias.asname or alias.name.partition(".")[0]
+                                for alias in node.names)
+            elif (isinstance(node, ast.ImportFrom)
+                  and node.module != "__future__"):
+                imported.update(alias.asname or alias.name
+                                for alias in node.names)
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+        unused += [f"{path.stem}.{name}" for name in sorted(imported - used)]
+    return unused
+
+
 def test_every_definition_is_used_or_pinned():
     unused = _unused()
     assert not unused, ("referenced nowhere in the package and not pinned: "
                         f"{unused}")
+
+
+def test_every_import_is_used():
+    unused = _unused_imports()
+    assert not unused, f"imported but never referenced: {unused}"
+
+
+def test_an_unused_import_is_found(tmp_path):
+    """A plain, a dotted, an aliased and a from-import left without a use
+    are reported; one used through an attribute, in an annotation or
+    inside a function, and the package ``__init__``, are not."""
+    (tmp_path / "__init__.py").write_text("import os\n")
+    (tmp_path / "model.py").write_text(
+        "from __future__ import annotations\n"
+        "import json\n"
+        "import os.path\n"
+        "import numpy as np\n"
+        "from .errors import ShapeMismatchError, StuckDeviceError as Stuck\n"
+        "from .stats import is_real\n"
+        "def run(x: is_real) -> None:\n"
+        "    import math\n"
+        "    return json.dumps(math.pi)\n")
+    assert _unused_imports(tmp_path) == ["model.ShapeMismatchError",
+                                         "model.Stuck", "model.np",
+                                         "model.os"]
 
 
 def test_every_pin_names_a_definition():

@@ -7,11 +7,12 @@ from memxbar.crossbar import (Crossbar, CrossbarConfig, adc_quantize,
                               bias_assignment, check_bias, inferred_resistance,
                               layer_forward, load_crossbar_csv, program_cell,
                               row_summed_voltage, row_summed_voltage_for_read,
-                              save_crossbar_csv, synapse_weights,
-                              two_layer_forward)
+                              save_crossbar_csv, synapse_pairs,
+                              synapse_weights, two_layer_forward)
 from memxbar.device import DeviceParams, ramp_amplitudes
 from memxbar.errors import (BiasViolationError, InputOverrangeError,
-                            OddRowCountError, ShapeMismatchError)
+                            OddRowCountError, ShapeMismatchError,
+                            StuckDeviceError)
 from memxbar.mapping import ResistanceRange, compile_network
 from memxbar.netmodel import MlpParams, forward
 
@@ -217,8 +218,22 @@ def test_stuck_cell_holds_its_value():
     xbar = Crossbar(CrossbarConfig(), DeviceParams(), stuck=stuck)
     assert xbar.resistance[4, 9] == 40e3
     log = program_cell(xbar, (4, 9), 38e3, np.random.default_rng(2))
-    assert (log.attempts, log.pulses) == (0, 0)
+    assert log.success and (log.attempts, log.pulses) == (0, 0)
     assert xbar.resistance[4, 9] == 40e3
+
+
+def test_stuck_cell_out_of_band_raises():
+    """A frozen cell whose read misses the band is refused, untouched and
+    without a draw."""
+    stuck = np.full((16, 16), np.nan)
+    stuck[4, 9] = 55e3
+    xbar = Crossbar(CrossbarConfig(), DeviceParams(), stuck=stuck)
+    rng = np.random.default_rng(2)
+    state = rng.bit_generator.state
+    with pytest.raises(StuckDeviceError, match="stuck at 5.5e\\+04 ohm"):
+        program_cell(xbar, (4, 9), 12e3, rng)
+    assert xbar.resistance[4, 9] == 55e3
+    assert rng.bit_generator.state == state
 
 
 def test_bias_maps_are_proven_when_the_array_is_built():
@@ -276,6 +291,18 @@ def test_synapse_weights_read_the_row_pairs():
     for i in range(5):
         for j in range(3):
             assert w[i, j] == 100e3 / m[2 * j, i] - 100e3 / m[2 * j + 1, i]
+
+
+def test_synapse_pairs_are_views_of_the_row_pairs():
+    m = np.arange(16.0 * 16).reshape(16, 16)
+    r_m1, r_m2 = synapse_pairs(m, 5, 3)
+    assert r_m1.shape == r_m2.shape == (5, 3)
+    for i in range(5):
+        for j in range(3):
+            assert (r_m1[i, j], r_m2[i, j]) == (m[2 * j, i], m[2 * j + 1, i])
+    r_m1[...], r_m2[...] = -1.0, -2.0
+    assert (m == -1.0).sum() == (m == -2.0).sum() == 15
+    assert m[4, 4] == -1.0 and m[5, 4] == -2.0 and m[6, 0] == 6 * 16
 
 
 def test_crossbar_csv_round_trip(tmp_path):

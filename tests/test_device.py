@@ -76,20 +76,6 @@ def test_program_rejects_out_of_window_target():
         program_to(cell, 5e3, params, np.random.default_rng(0))
 
 
-def test_program_stuck_in_band_is_free():
-    params = DeviceParams()
-    cell = MemristorCell(resistance=30e3, stuck=30e3)
-    log = program_to(cell, 31e3, params, np.random.default_rng(0))
-    assert log.success and log.pulses == 0
-
-
-def test_program_stuck_out_of_band_raises():
-    params = DeviceParams()
-    cell = MemristorCell(resistance=55e3, stuck=55e3)
-    with pytest.raises(StuckDeviceError):
-        program_to(cell, 12e3, params, np.random.default_rng(0))
-
-
 def test_program_gives_up_eventually():
     # a huge response spread makes the band unreachable often enough
     params = DeviceParams(response_noise_sigma=0.8, max_program_iterations=2)
@@ -134,10 +120,6 @@ def reference_program_to(cell, target, params, rng, read=None, tolerance=None):
     def in_band(r):
         return abs(r - target) <= tol * target
 
-    if cell.stuck is not None:
-        if in_band(read(cell)):
-            return ProgramLog(0, 0, cell.resistance, True, target)
-        raise StuckDeviceError("stuck out of band")
     pulses = 0
     for attempt in range(1, params.max_program_iterations + 1):
         pulse(params.r_lrs_nominal)
@@ -160,7 +142,7 @@ def _outcome(program, cell, *args, **kw):
     rng = args[2]
     try:
         result = program(cell, *args, **kw)
-    except (ProgrammingFailedError, StuckDeviceError) as exc:
+    except ProgrammingFailedError as exc:
         result = type(exc)
     return result, cell.resistance, rng.bit_generator.state
 
@@ -239,15 +221,21 @@ def reference_array_read(cfg, dp):
 
 
 def reference_program_cell(xbar, target, target_r, rng):
+    """A frozen cell takes no pulse: free when its read is in band, refused
+    otherwise; any other cell runs the pulse-by-pulse loop."""
     cfg, dp = xbar.config, xbar.device
     r, c = target
-    stuck = xbar.stuck[r, c]
-    cell = MemristorCell(float(xbar.resistance[r, c]),
-                         None if np.isnan(stuck) else float(stuck))
     margin = read_back_error_bound(target_r, cfg, dp) / target_r
     tol = max(dp.program_tolerance - margin, dp.program_tolerance / 2)
-    log = reference_program_to(cell, target_r, dp, rng,
-                               read=reference_array_read(cfg, dp), tolerance=tol)
+    read = reference_array_read(cfg, dp)
+    if not np.isnan(xbar.stuck[r, c]):
+        cell = MemristorCell(float(xbar.stuck[r, c]))
+        if abs(read(cell) - target_r) <= tol * target_r:
+            return ProgramLog(0, 0, cell.resistance, True, target_r)
+        raise StuckDeviceError("stuck out of band")
+    cell = MemristorCell(float(xbar.resistance[r, c]))
+    log = reference_program_to(cell, target_r, dp, rng, read=read,
+                               tolerance=tol)
     xbar.resistance[r, c] = cell.resistance
     return log
 

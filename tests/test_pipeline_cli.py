@@ -432,16 +432,25 @@ def test_pipeline_is_deterministic(default_run, tmp_path):
 
 
 def test_program_stage_keeps_stuck_cells(default_run, tmp_path):
-    """Stuck cells on a hidden and an out synapse row are not programmed;
-    one on an unused out row is only recorded."""
+    """Stuck cells on synapse rows are not programmed: r_m2 alone and r_m1
+    alone in the hidden array, both branches of one hidden pair, and r_m1
+    alone and r_m2 alone in the out array; one on an unused out row is
+    only recorded.  Six of the 320 synapse cells are left out of the log."""
     run = tmp_path / "stuck"
     shutil.copytree(default_run.run_dir, run)
     stuck = [{"array": "hidden", "row": 3, "col": 5, "ohm": 40e3},
+             {"array": "hidden", "row": 6, "col": 2, "ohm": 150e3},
+             {"array": "hidden", "row": 8, "col": 9, "ohm": 20e3},
+             {"array": "hidden", "row": 9, "col": 9, "ohm": 90e3},
              {"array": "out", "row": 2, "col": 1, "ohm": 120e3},
+             {"array": "out", "row": 5, "col": 7, "ohm": 11e3},
              {"array": "out", "row": 12, "col": 0, "ohm": 25e3}]
     run_pipeline(default_cfg(run, stuck=stuck), "program")
     with open(run / "program" / "program_log.csv", newline="") as fh:
-        assert len(list(csv.DictReader(fh))) == 318
+        logged = [(r["array"], int(r["row"]), int(r["col"]))
+                  for r in csv.DictReader(fh)]
+    assert len(logged) == 314
+    assert not set(logged) & {(s["array"], s["row"], s["col"]) for s in stuck}
     for spot in stuck:
         with open(run / "program" / f"{spot['array']}.csv", newline="") as fh:
             rec = next(r for r in csv.DictReader(fh)
@@ -615,6 +624,8 @@ def _header_only(text):
     ("train/params.json", _cut_in_half, "compile"),
     ("train/params.json", _json_edit(lambda d: d.pop("w_out")), "compile"),
     ("train/params.json", lambda text: "[]", "compile"),
+    ("train/params.json", _json_edit(lambda d: d.update(w_hidden=[1.0, 2.0])),
+     "compile"),
     ("compile/compiled.json", _cut_in_half, "analyze"),
     ("compile/compiled.json", _json_edit(lambda d: d.pop("r_f")), "analyze"),
     ("compile/compiled.json", _json_edit(lambda d: d.update(r_f="x")),
@@ -631,31 +642,40 @@ def _header_only(text):
      "sweep"),
     ("analyze/report.json", _json_edit(lambda d: d.update(subset_max=[1.0])),
      "sweep"),
+    ("analyze/report.json", _json_edit(lambda d: d.update(passed="no")),
+     "report"),
+    ("analyze/report.json", _json_edit(lambda d: d.update(x_p="5")), "sweep"),
+    ("analyze/report.json",
+     _json_edit(lambda d: d["subset_max"].update(sites=None)), "sweep"),
     ("program/programmed.json", lambda text: "", "sweep"),
-], ids=["params-cut", "params-no-w_out", "params-list", "compiled-cut",
-        "compiled-no-r_f", "compiled-text-r_f", "compiled-list",
-        "compiled-1x1", "curve-header", "bounds-header", "sweep-header",
-        "train-json-brace", "report-no-subset_max", "report-subset_max-list",
+], ids=["params-cut", "params-no-w_out", "params-list",
+        "params-w_hidden-shape", "compiled-cut", "compiled-no-r_f",
+        "compiled-text-r_f", "compiled-list", "compiled-1x1", "curve-header",
+        "bounds-header", "sweep-header", "train-json-brace",
+        "report-no-subset_max", "report-subset_max-list",
+        "report-passed-text", "report-x_p-text", "report-subset-null",
         "programmed-empty"])
 def test_a_corrupt_or_header_only_artifact_stops_the_stage(
         default_run, tmp_path, capsys, artifact, edit, stage):
-    """An artifact cut short, of the wrong JSON type, missing an entry or
-    with a layer of the wrong shape, or a re-rendered CSV cut to its
-    header, stops the stage that reads it, or the summary after it, with
-    one JSON line that names the file, not a traceback."""
+    """An artifact cut short, of the wrong JSON type, missing an entry,
+    with an array of the wrong shape or a verdict entry of the wrong type
+    (a ``passed`` that ``--enforce`` could not see as a failure), or a
+    re-rendered CSV cut to its header, stops the stage that reads it, or
+    the summary after it, with one JSON line that names the file, not a
+    traceback or exit 0."""
     run = tmp_path / "corrupt"
     shutil.copytree(default_run.run_dir, run)
     path = run / artifact
     path.write_text(edit(path.read_text()))
     code = main(["--out", str(run), "--seed", str(DEFAULT_SEED),
-                 "--stage", stage])
+                 "--stage", stage, "--enforce"])
     assert code == EXIT_STAGE
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1
     message = json.loads(lines[0])
     assert message["error"] == "ShapeMismatchError"
     assert message["stage"] == stage
-    assert Path(artifact).name in message["message"]
+    assert str(path) in message["message"]
 
 
 def test_cli_checks_the_config_once(tmp_path, monkeypatch):
