@@ -238,8 +238,8 @@ class ScoreBatch:
     Neither rule can tell an output below -1 from -1, nor the Sr rule one
     above 1 from 1, so only the S1..S4 outputs are clipped, and only at
     1, where two outputs above it tie.  ``np.maximum`` propagates NaN and
-    every comparison with NaN is false, so a NaN output rejects, as it
-    did under the running-argmax rule.
+    every comparison with NaN is false, so a NaN output rejects.  Every
+    rate is ``100.0 * wrong / patterns``, rounded once: the product is exact.
     """
 
     def __init__(self, net: MlpParams, x: np.ndarray, codes: np.ndarray,
@@ -253,7 +253,7 @@ class ScoreBatch:
         self.net = net
         self.patterns = len(codes)
         self.xT = unit_by_pattern(x[np.argsort(codes, kind="stable")])
-        sizes = np.bincount(codes, minlength=len(LABELS)).tolist()
+        self.sizes = sizes = np.bincount(codes, minlength=len(LABELS)).tolist()
         stops = np.cumsum(sizes).tolist()
         self.classes = [c for c, size in enumerate(sizes) if size]
         self.columns = [slice(stops[c] - sizes[c], stops[c])
@@ -277,7 +277,23 @@ class ScoreBatch:
 
     def error_rates(self, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
         """Share of misclassified patterns per realization, in percent."""
-        return 100.0 * self.errors(w1, w2).sum(axis=1) / self.patterns
+        return _percent(self.errors(w1, w2).sum(axis=1), self.patterns)
+
+    def rates(self, counts: np.ndarray):
+        """Overall, per-class, sites (S1..S4 pooled) and extraneous (Sr)
+        error rates in percent of the per-class error counts ``counts``,
+        (T, 5), of realizations of this batch.  Per-class rates cover the
+        classes present; a pooled rate of no patterns is 0."""
+        def pooled(classes: slice) -> np.ndarray:
+            size = sum(self.sizes[classes])
+            if not size:
+                return np.zeros(len(counts))
+            return _percent(counts[:, classes].sum(axis=1), size)
+
+        per_class = {LABELS[c]: _percent(counts[:, c], self.sizes[c])
+                     for c in self.classes}
+        return (pooled(slice(None)), per_class, pooled(slice(None, N_OUTPUT)),
+                pooled(slice(N_OUTPUT, None)))
 
     def _score_block(self, w1: np.ndarray, w2: np.ndarray,
                      counts: np.ndarray) -> None:
@@ -301,6 +317,11 @@ class ScoreBatch:
                 right &= np.greater_equal(o[c], later, out=mask)
             counts[:, c] = size - np.count_nonzero(right.reshape(n, size),
                                                    axis=1)
+
+
+def _percent(wrong: np.ndarray, patterns) -> np.ndarray:
+    """``wrong`` of ``patterns`` patterns, in percent, rounded once."""
+    return 100.0 * wrong / patterns
 
 
 def _maximum(o: np.ndarray, rows: slice, best: np.ndarray,

@@ -31,7 +31,7 @@ from .mapping import (CompiledLayer, CompiledNet, ResistanceRange,
 from .netmodel import (N_HIDDEN, N_INPUT, N_OUTPUT, MlpParams, TrainConfig,
                        check_train_settings, check_unity_chain, evaluate,
                        init_params, train_discrete)
-from .reports import read_artifact, read_json, replacing
+from .reports import read_artifact, read_json, write_json
 from .stats import is_real, subseed, substream
 from .tolerance import (TOLERANCE_DEFAULTS, ExperimentPlan, analyze_tolerances,
                         check_state_counts, discrete_state_sweep,
@@ -99,6 +99,7 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError(f"train.{exc}") from exc
         rows, cols = self.crossbar.rows, self.crossbar.cols
+        cells = set()
         for spot in self.stuck:
             if not isinstance(spot, dict) or spot.get("array") not in ("hidden", "out"):
                 raise ConfigError(f"stuck entry needs array hidden|out: {spot}")
@@ -109,6 +110,10 @@ class RunConfig:
                                   f"and col in [0, {cols}): {spot}")
             if type(ohm) not in (int, float) or not 0 < ohm < math.inf:
                 raise ConfigError(f"stuck entry needs a positive finite ohm: {spot}")
+            cell = (spot["array"], row, col)
+            if cell in cells:
+                raise ConfigError(f"stuck {spot['array']} cell ({row}, {col}) named twice")
+            cells.add(cell)
         for name, least in _INT_MINIMA.items():
             value = getattr(self, name)
             if type(value) is not int or value < least:
@@ -256,8 +261,7 @@ def stage_dataset(cfg: RunConfig, out: Path) -> None:
     ds.save_dataset_csv(out / "test.csv", x_test, y_test)
     counts = {"train": {lb: y_train.count(lb) for lb in ds.LABELS},
               "test": {lb: y_test.count(lb) for lb in ds.LABELS}}
-    with replacing(out / "split.json") as fh:
-        json.dump({"seed": cfg.seed, **counts}, fh, indent=2, sort_keys=True)
+    write_json(out / "split.json", {"seed": cfg.seed, **counts})
 
 
 def _train_config(cfg: RunConfig, harden: bool) -> TrainConfig:
@@ -291,8 +295,7 @@ def stage_train(cfg: RunConfig, out: Path) -> None:
                                 _train_config(cfg, harden=True), rng)
         phases.append(("harden", result))
     for name, kept in (("params.json", result), ("params_continuous.json", cont)):
-        with replacing(out / name) as fh:
-            json.dump(kept.params.to_dict(), fh, indent=2, sort_keys=True)
+        write_json(out / name, kept.params.to_dict())
     curve = np.concatenate([cont.curve] + [r.curve[1:] for _, r in phases[1:]])
     reports.write_curve_csv(out / "curve.csv", curve)
     reports.render_learning_curve(curve, cfg.out_dir / reports.CURVE_SVG)
@@ -304,8 +307,7 @@ def stage_train(cfg: RunConfig, out: Path) -> None:
             "epochs": int(sum(r.epochs for _, r in phases)),
             "converged": result.converged,
             "phases": scored}
-    with replacing(out / "train.json") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
+    write_json(out / "train.json", meta)
 
 
 def stage_compile(cfg: RunConfig, out: Path) -> None:
@@ -318,8 +320,7 @@ def stage_compile(cfg: RunConfig, out: Path) -> None:
                    "r_m2": net.hidden.r_m2.tolist()},
         "out": {"r_m1": net.out.r_m1.tolist(), "r_m2": net.out.r_m2.tolist()},
     }
-    with replacing(out / "compiled.json") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+    write_json(out / "compiled.json", payload)
 
 
 def _program_array(cfg: RunConfig, name: str, layer: CompiledLayer,
@@ -366,8 +367,7 @@ def stage_program(cfg: RunConfig, out: Path) -> None:
                "cells_programmed": len(log_rows),
                "total_pulses": int(sum(r[6] for r in log_rows)),
                "achieved": achieved.to_dict()}
-    with replacing(out / "programmed.json") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+    write_json(out / "programmed.json", payload)
 
 
 def stage_analyze(cfg: RunConfig, out: Path) -> None:
@@ -378,7 +378,7 @@ def stage_analyze(cfg: RunConfig, out: Path) -> None:
     report = analyze_tolerances(params, compiled, specs, x_test, y_test,
                                 cfg.x_p, cfg.trials,
                                 subseed(cfg.seed, _STREAM["analyze"], 0))
-    report.save_json(out / "report.json")
+    write_json(out / "report.json", report.to_dict())
     report.save_trials_csv(out / "trials.csv")
     reports.write_bounds_csv(out / "weight_bounds.csv", report.weight_bounds)
     reports.render_p_err_box(
@@ -411,8 +411,7 @@ def stage_synthesize(cfg: RunConfig, out: Path) -> None:
     payload = {"delta_star": result.delta_star, "x_p": cfg.x_p,
                "plan_trials": plan.trials, "plan_points": plan.points,
                "probes": result.probes}
-    with replacing(out / "result.json") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+    write_json(out / "result.json", payload)
 
 
 def stage_sweep(cfg: RunConfig, out: Path) -> None:
@@ -450,8 +449,7 @@ def write_summary(cfg: RunConfig) -> dict:
         if (cfg.out_dir / rel).exists():
             summary.update(read_artifact(
                 cfg.out_dir, rel, lambda path: figures(read_json(path))))
-    with replacing(cfg.out_dir / "summary.json") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+    write_json(cfg.out_dir / "summary.json", summary)
     return summary
 
 
@@ -478,9 +476,8 @@ def run_pipeline(cfg: RunConfig, stage: str = "all") -> dict:
         raise ConfigError(f"unknown stage {sorted(unknown)}; "
                           f"choose from {', '.join(STAGES + ('report', 'all'))}")
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    with replacing(cfg.out_dir / "manifest.json") as fh:
-        json.dump({"config": cfg.to_dict(), "hash": cfg.config_hash()}, fh,
-                  indent=2, sort_keys=True)
+    write_json(cfg.out_dir / "manifest.json",
+               {"config": cfg.to_dict(), "hash": cfg.config_hash()})
     for name in names:
         (cfg.out_dir / name).mkdir(exist_ok=True)
         _STAGE_FUNCS[name](cfg, cfg.out_dir / name)

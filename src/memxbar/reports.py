@@ -6,7 +6,8 @@ the discrete-state sweep.  Every chart is rebuilt purely from its CSV
 source, so re-emission is byte-identical.
 
 Every artifact of a run, in any module, is written through :func:`replacing`
-and read back through :func:`read_artifact`.
+(every JSON artifact through :func:`write_json`) and read back through
+:func:`read_artifact`.
 """
 
 from __future__ import annotations
@@ -49,6 +50,13 @@ def replacing(path, newline=None):
     except BaseException:
         part.unlink(missing_ok=True)
         raise
+
+
+def write_json(path, value) -> None:
+    """``value`` as JSON, indented by 2 with its keys sorted: the format
+    of every JSON artifact."""
+    with replacing(path) as fh:
+        json.dump(value, fh, indent=2, sort_keys=True)
 
 
 def write_csv(path, header, rows) -> None:

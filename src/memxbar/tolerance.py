@@ -40,7 +40,6 @@ does not grow with the trial count.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -51,7 +50,7 @@ from .errors import NoPassingPointError
 from .mapping import (CompiledNet, ResistanceRange, SynapseNominals,
                       quantize_weights, symmetric_weight_states)
 from .netmodel import LABELS, MlpParams, ScoreBatch, label_codes
-from .reports import replacing, write_trials_csv
+from .reports import write_trials_csv
 from .stats import (clopper_pearson_upper, is_real, substream,
                     truncated_normal)
 
@@ -267,10 +266,6 @@ class MonteCarloReport:
             "p_fail_upper95": clopper_pearson_upper(self.failures, self.trials),
         }
 
-    def save_json(self, path) -> None:
-        with replacing(path) as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-
     def save_trials_csv(self, path) -> None:
         write_trials_csv(path, self.p_err, self.p_err_sites,
                          self.p_err_extraneous)
@@ -345,35 +340,14 @@ def _perturbed_weights(compiled: CompiledNet, cols: _Columns, z: np.ndarray):
     return stacks
 
 
-def _percent(count: np.ndarray, size: int) -> np.ndarray:
-    return count / size * 100.0
-
-
-def _rates(counts: np.ndarray, sizes: np.ndarray):
-    """Overall, per-class, sites (S1..S4 pooled) and extraneous error
-    rates in percent, from the per-class error counts, (trials, 5), and
-    the class sizes.  Per-class rates cover the classes present."""
-    def pooled(classes: slice) -> np.ndarray:
-        size = sizes[classes].sum()
-        if not size:
-            return np.zeros(len(counts))
-        return _percent(counts[:, classes].sum(axis=1), size)
-
-    per_class = {label: _percent(counts[:, k], sizes[k])
-                 for k, label in enumerate(LABELS) if sizes[k]}
-    return (pooled(slice(None)), per_class, pooled(slice(None, -1)),
-            pooled(slice(-1, None)))
-
-
-def _score_trials(net: MlpParams, compiled: CompiledNet, cols: _Columns,
-                  x: np.ndarray, codes: np.ndarray, trials: int, master: int):
-    """Per-class error counts, (trials, 5), of consecutive trials, and the
-    weight-error bands of their weight stacks, layer -> (in, out, 2).
+def _score_trials(batch: ScoreBatch, compiled: CompiledNet, cols: _Columns,
+                  trials: int, master: int):
+    """Per-class error counts, (trials, 5), of consecutive trials scored
+    by ``batch``, and the weight-error bands of their weight stacks,
+    layer -> (in, out, 2).
 
     Each chunk's stacks are built at once, because its bands read them.
-    The scoring buffers live only as long as this call.
     """
-    batch = ScoreBatch(net, x, codes, min(_CHUNK, trials))
     counts = np.empty((trials, len(LABELS)))
     tails = {name: np.empty((0,) + layer.r_m1.shape)
              for name, layer in compiled.layers()}
@@ -404,11 +378,11 @@ def analyze_tolerances(net: MlpParams, compiled: CompiledNet, specs: dict,
     chunks of ``_CHUNK``; the report does not depend on the chunk size.
     """
     master = int(seed)
-    codes = label_codes(labels_test)
-    counts, bounds = _score_trials(net, compiled, _columns(compiled, specs),
-                                   x_test, codes, trials, master)
-    p_err_all, per_class, p_sites, p_extraneous = _rates(
-        counts, np.bincount(codes, minlength=len(LABELS)))
+    batch = ScoreBatch(net, x_test, label_codes(labels_test),
+                       min(_CHUNK, trials))
+    counts, bounds = _score_trials(batch, compiled, _columns(compiled, specs),
+                                   trials, master)
+    p_err_all, per_class, p_sites, p_extraneous = batch.rates(counts)
     low, high = PERCENTILE_PAIR
     lo, mid, hi = np.percentile(p_err_all, (low, 50.0, high))
     return MonteCarloReport(
@@ -488,9 +462,8 @@ def _probe(batch: ScoreBatch, compiled: CompiledNet, cols: _Columns,
     p_err = np.empty(scored)
     for start in range(0, scored, batch.block):
         stop = min(start + batch.block, scored)
-        counts = batch.errors(*_perturbed_weights(compiled, cols,
-                                                  z[start:stop]))
-        p_err[start:stop] = _percent(counts.sum(axis=1), batch.patterns)
+        p_err[start:stop] = batch.error_rates(
+            *_perturbed_weights(compiled, cols, z[start:stop]))
         failing = np.flatnonzero(p_err[start:stop] > x_p)
         if failing.size:
             return p_err[:start + failing[0] + 1]

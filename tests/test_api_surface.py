@@ -8,7 +8,8 @@ pinned here with the reason it stays: an acceptance criterion in
 tracer that calls it by name.  A refactor that leaves a helper with no
 caller fails here.  Code that only tests call is deleted, and its tests
 move to the code that survives.  Likewise every name a module imports
-must be referenced in that module.
+must be referenced in that module, and only ``reports`` may reference
+``json.dump``: every JSON artifact is written by ``reports.write_json``.
 """
 
 import ast
@@ -92,6 +93,40 @@ def _unused_imports(package=Path(memxbar.__file__).parent):
                 used.add(node.id)
         unused += [f"{path.stem}.{name}" for name in sorted(imported - used)]
     return unused
+
+
+def _json_dumps(package=Path(memxbar.__file__).parent):
+    """``module:line`` of every reference to ``json.dump`` in a module
+    other than ``reports``."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "reports.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if ((isinstance(node, ast.Attribute) and node.attr == "dump"
+                 and isinstance(node.value, ast.Name) and node.value.id == "json")
+                    or (isinstance(node, ast.ImportFrom) and node.module == "json"
+                        and any(a.name == "dump" for a in node.names))):
+                found.append(f"{path.stem}:{node.lineno}")
+    return found
+
+
+def test_only_reports_writes_json():
+    found = _json_dumps()
+    assert not found, f"json.dump outside reports.write_json: {found}"
+
+
+def test_a_json_dump_outside_reports_is_found(tmp_path):
+    """A call, a bare reference and a from-import are reported; a
+    ``json.dumps`` and anything in ``reports`` are not."""
+    (tmp_path / "reports.py").write_text("import json\njson.dump(1, None)\n")
+    (tmp_path / "model.py").write_text(
+        "import json\n"
+        "from json import dump, load\n"
+        "def save(value, fh):\n"
+        "    json.dump(value, fh)\n"
+        "    return json.dumps(value), json.dump\n")
+    assert _json_dumps(tmp_path) == ["model:2", "model:4", "model:5"]
 
 
 def test_every_definition_is_used_or_pinned():

@@ -365,6 +365,22 @@ def test_config_rejects_stuck_entry_outside_array(tmp_path, change):
         default_cfg(tmp_path, stuck=[spot])
 
 
+def test_config_rejects_a_stuck_cell_named_twice(tmp_path):
+    """Two entries for one cell would leave only the last one's value;
+    the same row and column of the other array is another cell."""
+    stuck = [{"array": "out", "row": 3, "col": 5, "ohm": 20e3},
+             {"array": "hidden", "row": 3, "col": 5, "ohm": 20e3},
+             {"array": "out", "row": 3, "col": 5, "ohm": 40e3}]
+    default_cfg(tmp_path, stuck=stuck[:2])
+    with pytest.raises(ConfigError, match=r"out cell \(3, 5\) named twice"):
+        default_cfg(tmp_path, stuck=stuck)
+    run = tmp_path / "run"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**default_cfg(run).to_dict(), "stuck": stuck}))
+    assert main(["--config", str(path), "--stage", "program"]) == EXIT_CONFIG
+    assert not run.exists()
+
+
 def test_config_rejects_missing_profile(tmp_path):
     with pytest.raises(ConfigError):
         default_cfg(tmp_path, profile_path=str(tmp_path / "absent.json"))

@@ -2,6 +2,7 @@
 
 import ast
 import csv
+import json
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -339,3 +340,16 @@ def test_only_the_atomic_writer_opens_files_for_writing():
         if lines:
             offenders[module.name] = lines
     assert offenders == {}
+
+
+def test_every_json_artifact_is_indented_with_sorted_keys(default_run):
+    """All ten JSON artifacts of a run share ``write_json``'s format."""
+    names = {"split.json", "params.json", "params_continuous.json",
+             "train.json", "compiled.json", "programmed.json", "report.json",
+             "result.json", "summary.json", "manifest.json"}
+    paths = [p for p in default_run.run_dir.rglob("*.json") if p.name in names]
+    assert {p.name for p in paths} == names and len(paths) == len(names)
+    for path in paths:
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), indent=2,
+                                  sort_keys=True), path.name

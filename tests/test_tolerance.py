@@ -8,12 +8,13 @@ import pytest
 from memxbar import tolerance
 from memxbar.errors import EmptyBatchError, NoPassingPointError
 from memxbar.mapping import (CompiledLayer, CompiledNet, ResistanceRange,
-                             SynapseNominals, quantize_weights,
-                             symmetric_weight_states)
+                             SynapseNominals, compile_network,
+                             quantize_weights, symmetric_weight_states)
 from memxbar.netmodel import (LABELS, MlpParams, ScoreBatch, evaluate,
                               forward_stack, forward_stack_into, init_params,
                               label_codes, stack_buffers, unit_by_pattern)
 from memxbar.pipeline import _STREAM, RunConfig, _default_plan, _load_params
+from memxbar.reports import write_json
 from memxbar.stats import (clopper_pearson_upper, subseed, substream,
                            truncated_normal)
 from memxbar.tolerance import (PERCENTILE_PAIR, ExperimentPlan, ToleranceSpec,
@@ -364,7 +365,7 @@ def test_trial_draws_turn_a_negative_zero_into_zero(monkeypatch):
 
 def test_report_round_trip(small_mc, tmp_path):
     report = small_mc(trials=50)
-    report.save_json(tmp_path / "report.json")
+    write_json(tmp_path / "report.json", report.to_dict())
     report.save_trials_csv(tmp_path / "trials.csv")
     import json
     loaded = json.loads((tmp_path / "report.json").read_text())
@@ -528,17 +529,20 @@ def test_an_empty_batch_is_refused_by_evaluate_and_the_sweep():
 
 def reference_rates(net, w1, w2, x, codes):
     """Error rates by argmax over ``forward_stack``, reject where the
-    maximum output is <= 0, and masked means over the patterns."""
+    maximum output is <= 0: overall, per class present, S1..S4 and Sr, as
+    ``100.0 * wrong / n`` of the n patterns each covers."""
     out = forward_stack(x, w1, net.b_hidden, w2, net.b_out)
     best = out.argmax(axis=2)
     pred = np.where(out.max(axis=2) > 0, best, len(LABELS) - 1)
     wrong = pred != codes[None, :]
-    per_class = {label: wrong[:, codes == k].mean(axis=1) * 100.0
+
+    def rate(mask):
+        return 100.0 * wrong[:, mask].sum(axis=1) / mask.sum()
+
+    per_class = {label: rate(codes == k)
                  for k, label in enumerate(LABELS) if (codes == k).any()}
     site_mask = codes < len(LABELS) - 1
-    return (wrong.mean(axis=1) * 100.0, per_class,
-            wrong[:, site_mask].mean(axis=1) * 100.0,
-            wrong[:, ~site_mask].mean(axis=1) * 100.0)
+    return (rate(codes >= 0), per_class, rate(site_mask), rate(~site_mask))
 
 
 def scorer_problem(patterns=60, trials=7):
@@ -605,8 +609,7 @@ def test_scorer_equals_forward_stack_classification(block, patterns, trials):
     step = 3 if len(w1) == 7 else len(w1)
     counts = np.concatenate([batch.errors(w1[s:s + step], w2[s:s + step])
                              for s in range(0, len(w1), step)])
-    overall, per_class, sites, extraneous = tolerance._rates(
-        counts, np.bincount(codes, minlength=len(LABELS)))
+    overall, per_class, sites, extraneous = batch.rates(counts)
     ref = reference_rates(net, w1, w2, x, codes)
     assert np.array_equal(overall, ref[0])
     assert per_class.keys() == ref[1].keys() == {"S1", "S2", "S4", "Sr"}
@@ -615,6 +618,54 @@ def test_scorer_equals_forward_stack_classification(block, patterns, trials):
     assert np.array_equal(sites, ref[2])
     assert np.array_equal(extraneous, ref[3])
     assert np.array_equal(counts, reference_counts(net, w1, w2, x, codes))
+
+
+def test_every_rate_is_its_count_rounded_once():
+    """At the default test split's sizes, every count of every rate reads
+    as ``100 * c / n`` rounded once, as Python's exact integer division
+    rounds it; ``c / n * 100.0`` rounds twice and misses 492 of the
+    2 001 overall rates."""
+    sizes = [265, 240, 276, 246, 973]
+    codes = np.repeat(np.arange(len(LABELS)), sizes)
+    batch = ScoreBatch(init_params(np.random.default_rng(0)),
+                       np.zeros((len(codes), 16)), codes, 1)
+    # row c: c wrong patterns, filling the classes in order
+    starts = np.cumsum(sizes) - sizes
+    counts = np.clip(np.arange(len(codes) + 1)[:, None] - starts, 0, sizes)
+    overall, per_class, sites, extraneous = batch.rates(counts.astype(float))
+    cases = [(overall, counts.sum(axis=1), 2000),
+             (sites, counts[:, :4].sum(axis=1), 1027),
+             (extraneous, counts[:, 4], 973)]
+    cases += [(per_class[label], counts[:, k], size)
+              for k, (label, size) in enumerate(zip(LABELS, sizes))]
+    for rates, wrong, n in cases:
+        assert set(wrong.tolist()) == set(range(n + 1))
+        assert rates.tolist() == [100 * c / n for c in wrong.tolist()], n
+    assert np.count_nonzero(overall != np.arange(2001) / 2000 * 100.0) == 492
+
+
+def test_an_analysis_at_its_budget_passes():
+    """7 wrong of 2 000 patterns is 0.35 %, which an ``x_p`` of 0.35
+    allows.  The patterns are ones a random compiled net classifies with
+    a clear margin, labelled as it classifies them but for 7."""
+    rng = np.random.default_rng(12)
+    net = init_params(rng)
+    compiled = compile_network(net.w_hidden, net.w_out, 100e3,
+                               ResistanceRange(10e3, 300e3))
+    x = rng.uniform(0.0, 1.0, (4000, 16))
+    out = forward_stack(x, compiled.hidden.weights(), net.b_hidden,
+                        compiled.out.weights(), net.b_out)
+    top2 = np.sort(out, axis=1)[:, -2:]
+    clear = (top2[:, 1] - top2[:, 0] > 1e-6) & (np.abs(top2[:, 1]) > 1e-6)
+    assert clear.sum() >= 2000
+    x, out = x[clear][:2000], out[clear][:2000]
+    codes = np.where(out.max(axis=1) > 0, out.argmax(axis=1), 4)
+    codes[:7] = (codes[:7] + 1) % len(LABELS)
+    report = analyze_tolerances(net, compiled, tolerance_set(0.0, 0.0), x,
+                                [LABELS[c] for c in codes], 0.35, 16, 0)
+    assert report.p_err.tolist() == [0.35] * 16
+    assert report.max_p_err == 0.35
+    assert report.passed and report.failures == 0
 
 
 @pytest.mark.parametrize("block, patterns, trials", SCORER_CASES)
