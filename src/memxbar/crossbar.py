@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import device as dev
-from .device import DeviceParams, MemristorCell, ProgramLog
+from .device import DeviceParams, MemristorCell, ProgramLog, check_device
 from .errors import (
     BiasViolationError,
     InputOverrangeError,
@@ -33,7 +33,8 @@ U_SAT = 1.0      # activation amplifier saturation, the network model's clip
 
 @dataclass
 class CrossbarConfig:
-    """Array geometry and amplifier-chain nominals."""
+    """Array geometry and amplifier-chain nominals: plain data, whose
+    rules :func:`check_crossbar` and ``netmodel.check_unity_chain`` state."""
 
     rows: int = 16
     cols: int = 16
@@ -44,21 +45,6 @@ class CrossbarConfig:
     u_in_max: float = 1.0
     adc_step: float = 0.0025
     adc_range: float = 5.0
-
-    def __post_init__(self):
-        # one sum is finite when every value is; configs are built often
-        if not math.isfinite(self.r_f + self.r_1 + self.r_2 + self.u_rail
-                             + self.u_in_max + self.adc_step + self.adc_range):
-            for name in ("r_f", "r_1", "r_2", "u_rail", "u_in_max",
-                         "adc_step", "adc_range"):
-                if not math.isfinite(getattr(self, name)):
-                    raise ValueError(f"{name} must be finite, "
-                                     f"got {getattr(self, name)!r}")
-        if min(self.r_f, self.r_1, self.r_2) <= 0:
-            raise ValueError("amplifier resistors must be positive")
-        if self.u_in_max <= 0 or self.u_rail < U_SAT:
-            raise ValueError(f"need u_rail >= {U_SAT} (the activation "
-                             "saturation) and u_in_max > 0")
 
     @property
     def k_diff(self) -> float:
@@ -74,7 +60,8 @@ class Crossbar:
                  stuck: np.ndarray | None = None):
         self.config = config
         self.device = device
-        check_signal_limit(config, device)
+        check_device(device)
+        check_crossbar(config, device)
         shape = (config.rows, config.cols)
         self.resistance = (np.full(shape, device.r_hrs_nominal)
                            if resistance is None
@@ -95,20 +82,22 @@ class Crossbar:
                        device.v_threshold)
 
 
-def check_signal_limit(config: CrossbarConfig, device: DeviceParams) -> None:
-    """Raise ValueError unless the data-signal limit stays below the device
-    threshold, so no data voltage can switch a cell."""
-    if config.u_in_max >= device.v_threshold:
-        raise ValueError(f"u_in_max must be below the device threshold "
-                         f"{device.v_threshold!r}, got {config.u_in_max!r}")
-
-
-def check_adc(config: CrossbarConfig) -> None:
-    """Raise ValueError unless the read-back ADC's step and range are > 0
-    (the constructor has refused non-finite ones)."""
-    rule = ("> 0", lambda v: v > 0)
-    check_ranges({"adc_step": config.adc_step, "adc_range": config.adc_range},
-                 {"adc_step": rule, "adc_range": rule})
+def check_crossbar(config: CrossbarConfig, device: DeviceParams) -> None:
+    """Raise ValueError, naming the setting first, unless the amplifier and
+    ADC fields keep their rules below; a data-signal limit ``u_in_max``
+    below the threshold of ``device``, which passed ``check_device``,
+    lets no data voltage switch a cell."""
+    v_t = device.v_threshold
+    positive = ("finite and > 0", lambda v: 0 < v < math.inf)
+    rules = {
+        "r_f": positive, "r_1": positive, "r_2": positive,
+        "u_rail": (f"finite and >= U_SAT ({U_SAT})",
+                   lambda v: U_SAT <= v < math.inf),
+        "u_in_max": (f"> 0 and below the device threshold {v_t!r}",
+                     lambda v: 0 < v < v_t),
+        "adc_step": positive, "adc_range": positive,
+    }
+    check_ranges({name: getattr(config, name) for name in rules}, rules)
 
 
 @dataclass

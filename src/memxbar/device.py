@@ -20,14 +20,16 @@ from .errors import (
     AmplitudeOutOfRangeError,
     ProgrammingFailedError,
 )
-from .stats import check_ranges
+from .stats import check_ranges, is_real
 
 MAX_PROGRAM_AMPLITUDE = 3.0
 
 
 @dataclass
 class DeviceParams:
-    """Electrical and programming parameters of one memristive device."""
+    """Electrical and programming parameters of one memristive device:
+    plain data, whose rules :func:`check_device` states; the constructor
+    only fills in the default ``ramp_step``, 1/32 of a (low, high) ramp."""
 
     r_lrs_nominal: float = 10e3
     r_hrs_nominal: float = 60e3
@@ -42,23 +44,10 @@ class DeviceParams:
     max_program_iterations: int = 50
 
     def __post_init__(self):
-        if not (0 < self.r_lrs_nominal < self.r_hrs_nominal):
-            raise ValueError("need 0 < r_lrs_nominal < r_hrs_nominal")
-        a_min, a_max = self.ramp_range
-        if a_min < self.v_threshold:
-            raise ValueError("ramp lower bound must be >= v_threshold")
-        if a_max > MAX_PROGRAM_AMPLITUDE:
-            raise ValueError(f"ramp upper bound must be <= {MAX_PROGRAM_AMPLITUDE} V")
-        if not 0 < self.program_tolerance < 1:
-            raise ValueError("program_tolerance must be in (0, 1)")
-        if self.response_noise_sigma < 0:
-            raise ValueError("response_noise_sigma must be >= 0")
-        if self.max_program_iterations < 1:
-            raise ValueError("max_program_iterations must be >= 1")
-        if self.ramp_step is None:
-            self.ramp_step = (a_max - a_min) / 32
-        if self.ramp_step <= 0:
-            raise ValueError("ramp_step must be > 0")
+        pair = self.ramp_range
+        if (self.ramp_step is None and type(pair) is tuple and len(pair) == 2
+                and all(map(is_real, pair))):
+            self.ramp_step = (pair[1] - pair[0]) / 32
 
     @property
     def r_floor(self) -> float:
@@ -67,28 +56,30 @@ class DeviceParams:
 
 
 def check_device(params: DeviceParams) -> None:
-    """Raise ValueError, naming the setting first, unless ``v_threshold``
-    is finite and > 0 (NaN would pass every bias check), ``v_set`` finite
-    and <= -v_threshold, ``v_read`` in (0, v_threshold), ``ramp_range``
-    finite with low < high, ``ramp_step`` and ``ramp_gamma`` finite and
-    > 0, ``response_noise_sigma`` finite and >= 0 and
-    ``max_program_iterations`` an int >= 1."""
-    v_t, (low, high) = params.v_threshold, params.ramp_range
+    """Raise ValueError, naming the setting first, unless every field keeps
+    its rule below (a NaN ``v_threshold`` or ``v_set`` would pass every
+    bias check); each rule reads only fields checked before it."""
+    r_lrs, v_t = params.r_lrs_nominal, params.v_threshold
     positive = ("finite and > 0", lambda v: 0 < v < np.inf)
     rules = {
+        "r_lrs_nominal": positive,
+        "r_hrs_nominal": (f"finite and > r_lrs_nominal ({r_lrs!r})",
+                          lambda v: r_lrs < v < np.inf),
         "v_threshold": positive,
         "v_set": (f"finite and <= -v_threshold ({v_t!r})",
                   lambda v: -np.inf < v <= -v_t),
-        "v_read": (f"in (0, v_threshold = {v_t!r})", lambda v: 0 < v < v_t),
+        "ramp_range": (f"a (low, high) tuple with v_threshold ({v_t!r}) <= "
+                       f"low < high <= {MAX_PROGRAM_AMPLITUDE}",
+                       lambda v: type(v) is tuple and len(v) == 2
+                       and v_t <= v[0] < v[1] <= MAX_PROGRAM_AMPLITUDE),
         "ramp_step": positive, "ramp_gamma": positive,
+        "v_read": (f"in (0, v_threshold = {v_t!r})", lambda v: 0 < v < v_t),
+        "program_tolerance": ("in (0, 1)", lambda v: 0 < v < 1),
         "response_noise_sigma": ("finite and >= 0", lambda v: 0 <= v < np.inf),
         "max_program_iterations": ("an int >= 1",
                                    lambda v: type(v) is int and v >= 1),
     }
     check_ranges({name: getattr(params, name) for name in rules}, rules)
-    if not -np.inf < low < high < np.inf:
-        raise ValueError(f"ramp_range must be finite with low < high, got "
-                         f"{params.ramp_range!r}")
 
 
 @dataclass

@@ -22,8 +22,9 @@ import numpy as np
 
 from . import dataset as ds
 from . import reports
-from .crossbar import (Crossbar, CrossbarConfig, check_adc, program_cell,
-                       save_crossbar_csv, synapse_pairs, synapse_weights)
+from .crossbar import (Crossbar, CrossbarConfig, check_crossbar,
+                       program_cell, save_crossbar_csv, synapse_pairs,
+                       synapse_weights)
 from .device import DeviceParams, check_device
 from .errors import BiasViolationError, ConfigError, ShapeMismatchError
 from .mapping import (CompiledLayer, CompiledNet, ResistanceRange,
@@ -32,7 +33,7 @@ from .netmodel import (N_HIDDEN, N_INPUT, N_OUTPUT, MlpParams, TrainConfig,
                        check_train_settings, check_unity_chain, evaluate,
                        init_params, train_discrete)
 from .reports import read_artifact, read_json, write_json
-from .stats import is_real, subseed, substream
+from .stats import check_ranges, is_real, subseed, substream
 from .tolerance import (TOLERANCE_DEFAULTS, ExperimentPlan, analyze_tolerances,
                         check_state_counts, discrete_state_sweep,
                         synthesize_tolerances, tolerance_set)
@@ -84,12 +85,6 @@ class RunConfig:
     def __post_init__(self):
         if not isinstance(self.out_dir, Path):   # re-parsing one is slow
             self.out_dir = Path(self.out_dir)
-        sr, dp = self.sweep_range, self.device
-        if sr.r_min < dp.r_lrs_nominal or sr.r_max > dp.r_hrs_nominal:
-            raise ConfigError(
-                "sweep range must lie inside the device window "
-                f"[{dp.r_lrs_nominal}, {dp.r_hrs_nominal}]"
-            )
         if self.profile_path is not None and not Path(self.profile_path).exists():
             raise ConfigError(f"profile file not found: {self.profile_path}")
         if not isinstance(self.train, dict):
@@ -133,7 +128,7 @@ class RunConfig:
         The types that use these settings own their rules; this builds or
         checks them and turns their ValueError, or a profile file that
         cannot be read, into a ConfigError that names the setting.  The
-        crossbar owner builds one array, which proves its signal limit and
+        crossbar owner checks the chain and builds one array, which proves
         its SET, READ and RESET bias maps against the device; a map that
         would disturb a cell names ``v_set`` and ``v_threshold``.
         ``run_pipeline`` calls it before any stage runs; the constructor
@@ -146,11 +141,17 @@ class RunConfig:
         if not (is_real(self.x_p) and 0 < self.x_p <= 100):
             raise ConfigError(f"x_p must be a percentage in (0, 100], "
                               f"got {self.x_p!r}")
-        owners = {
-            "device": lambda: check_device(self.device),
-            "crossbar": lambda: (check_unity_chain(self.crossbar),
-                                 Crossbar(self.crossbar, self.device),
-                                 check_adc(self.crossbar)),
+        dp = self.device
+        inside = (f"inside the device window [{dp.r_lrs_nominal!r}, "
+                  f"{dp.r_hrs_nominal!r}]",
+                  lambda v: dp.r_lrs_nominal <= v <= dp.r_hrs_nominal)
+        owners = {   # in order: the sweep window reads the device window
+            "device": lambda: check_device(dp),
+            "sweep_range": lambda: check_ranges(asdict(self.sweep_range), {
+                "r_min": inside, "r_max": inside}),
+            "crossbar": lambda: (check_crossbar(self.crossbar, self.device),
+                                 check_unity_chain(self.crossbar),
+                                 Crossbar(self.crossbar, self.device)),
             "tolerances": lambda: tolerance_set(**self.tolerance_settings()),
             "sweep_counts": lambda: check_state_counts(self.sweep_counts),
             "plan_points": lambda: _default_plan(self),
@@ -181,7 +182,7 @@ class RunConfig:
         try:
             if "device" in d:
                 device = dict(d["device"])
-                if "ramp_range" in device:
+                if isinstance(device.get("ramp_range"), list):
                     device["ramp_range"] = tuple(device["ramp_range"])
                 d["device"] = DeviceParams(**device)
             if "crossbar" in d:
@@ -228,17 +229,27 @@ def _load_split(run_dir: Path, name: str):
 
 
 def _load_params(run_dir: Path, name: str = "params.json") -> MlpParams:
-    return read_artifact(run_dir, f"train/{name}",
-                         lambda path: MlpParams.from_dict(read_json(path)))
+    """Trained weights and biases; a value that is not finite is refused."""
+    def read(path):
+        params = MlpParams.from_dict(read_json(path))
+        for key, values in vars(params).items():
+            if not np.isfinite(values).all():
+                raise ValueError(f"{key} holds a value that is not finite")
+        return params
+    return read_artifact(run_dir, f"train/{name}", read)
 
 
-def _load_compiled(run_dir: Path) -> CompiledNet:
-    """The compiled net: a numeric ``r_f`` and the r_m1 and r_m2 of each
-    layer in the 16-8-4 shapes."""
+def _load_compiled(cfg: RunConfig) -> CompiledNet:
+    """The compiled net: a finite ``r_f`` > 0 and the r_m1 and r_m2 of
+    each layer in the 16-8-4 shapes, each inside the compile window
+    ``cfg.resistance_range``, to which compile clips."""
+    low, high = cfg.device.r_lrs_nominal, cfg.device.r_hrs_nominal
+
     def read(path):
         d = read_json(path)
-        if not is_real(d["r_f"]):
-            raise TypeError(f"r_f must be a number, got {d['r_f']!r}")
+        r_f = d["r_f"]
+        if not (is_real(r_f) and 0 < r_f < math.inf):
+            raise ValueError(f"r_f must be finite and > 0, got {r_f!r}")
         layers = []
         for name, shape in (("hidden", (N_INPUT, N_HIDDEN)),
                             ("out", (N_HIDDEN, N_OUTPUT))):
@@ -247,9 +258,15 @@ def _load_compiled(run_dir: Path) -> CompiledNet:
             if r_m1.shape != shape or r_m2.shape != shape:
                 raise ValueError(f"{name} r_m1 {r_m1.shape} and r_m2 "
                                  f"{r_m2.shape}, not {shape}")
-            layers.append(CompiledLayer(r_m1, r_m2, d["r_f"]))
+            for key, r in (("r_m1", r_m1), ("r_m2", r_m2)):
+                outside = np.argwhere(~((low <= r) & (r <= high)))
+                if len(outside):
+                    i, j = outside[0]
+                    raise ValueError(f"{name} {key}[{i}][{j}] = {r[i, j]} is "
+                                     f"outside the compile window [{low}, {high}]")
+            layers.append(CompiledLayer(r_m1, r_m2, r_f))
         return CompiledNet(*layers)
-    return read_artifact(run_dir, "compile/compiled.json", read)
+    return read_artifact(cfg.out_dir, "compile/compiled.json", read)
 
 
 def stage_dataset(cfg: RunConfig, out: Path) -> None:
@@ -347,7 +364,7 @@ def _program_array(cfg: RunConfig, name: str, layer: CompiledLayer,
 
 
 def stage_program(cfg: RunConfig, out: Path) -> None:
-    compiled = _load_compiled(cfg.out_dir)
+    compiled = _load_compiled(cfg)
     params = _load_params(cfg.out_dir)
     x_test, y_test = _load_split(cfg.out_dir, "test")
     rng = substream(cfg.seed, _STREAM["program"], 0)
@@ -372,7 +389,7 @@ def stage_program(cfg: RunConfig, out: Path) -> None:
 
 def stage_analyze(cfg: RunConfig, out: Path) -> None:
     params = _load_params(cfg.out_dir)
-    compiled = _load_compiled(cfg.out_dir)
+    compiled = _load_compiled(cfg)
     x_test, y_test = _load_split(cfg.out_dir, "test")
     specs = tolerance_set(**cfg.tolerance_settings())
     report = analyze_tolerances(params, compiled, specs, x_test, y_test,
@@ -402,7 +419,7 @@ def _default_plan(cfg: RunConfig) -> ExperimentPlan:
 
 def stage_synthesize(cfg: RunConfig, out: Path) -> None:
     params = _load_params(cfg.out_dir)
-    compiled = _load_compiled(cfg.out_dir)
+    compiled = _load_compiled(cfg)
     x_test, y_test = _load_split(cfg.out_dir, "test")
     plan = _default_plan(cfg)
     seed = subseed(cfg.seed, _STREAM["synthesize"], 0)

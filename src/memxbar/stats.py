@@ -31,10 +31,12 @@ def is_real(value) -> bool:
 
 def check_ranges(values: dict, ranges: dict) -> None:
     """Raise ValueError, naming the setting first, unless each entry of
-    ``values`` is a number that ``ranges[name] = (rule, accepts)`` accepts."""
+    ``values`` is a number, or a tuple of numbers, that
+    ``ranges[name] = (rule, accepts)`` accepts."""
     for name, value in values.items():
         rule, accepts = ranges[name]
-        if not (is_real(value) and accepts(value)):
+        numbers = value if type(value) is tuple else (value,)
+        if not (all(map(is_real, numbers)) and accepts(value)):
             raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 

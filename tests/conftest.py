@@ -38,7 +38,7 @@ def default_net(default_run):
 
 @pytest.fixture(scope="session")
 def default_compiled(default_run):
-    return _load_compiled(default_run.run_dir)
+    return _load_compiled(default_run.cfg)
 
 
 @pytest.fixture(scope="session")

@@ -10,6 +10,9 @@ caller fails here.  Code that only tests call is deleted, and its tests
 move to the code that survives.  Likewise every name a module imports
 must be referenced in that module, and only ``reports`` may reference
 ``json.dump``: every JSON artifact is written by ``reports.write_json``.
+The constructors of the device and crossbar settings raise nothing:
+``RunConfig`` builds both on every construction, and their rules are
+checked once, by ``check_device`` and ``check_crossbar``.
 """
 
 import ast
@@ -109,6 +112,47 @@ def _json_dumps(package=Path(memxbar.__file__).parent):
                         and any(a.name == "dump" for a in node.names))):
                 found.append(f"{path.stem}:{node.lineno}")
     return found
+
+
+PLAIN_DATA = ("DeviceParams", "CrossbarConfig")
+
+
+def _raising_post_inits(package=Path(memxbar.__file__).parent,
+                        classes=PLAIN_DATA):
+    """``module:line`` of every ``raise`` in the ``__post_init__`` of a
+    class named in ``classes``."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and node.name in classes:
+                found += [f"{path.stem}:{raised.lineno}"
+                          for method in node.body
+                          if isinstance(method, ast.FunctionDef)
+                          and method.name == "__post_init__"
+                          for raised in ast.walk(method)
+                          if isinstance(raised, ast.Raise)]
+    return found
+
+
+def test_the_settings_constructors_raise_nothing():
+    found = _raising_post_inits()
+    assert not found, f"a settings constructor checks a rule: {found}"
+
+
+def test_a_raising_settings_constructor_is_found(tmp_path):
+    """A raise in the ``__post_init__`` of a named class is reported, a
+    nested one too; one in another method or another class is not."""
+    (tmp_path / "model.py").write_text(
+        "class DeviceParams:\n"
+        "    def __post_init__(self):\n"
+        "        if self.x:\n"
+        "            raise ValueError\n"
+        "    def check(self):\n"
+        "        raise ValueError\n"
+        "class Other:\n"
+        "    def __post_init__(self):\n"
+        "        raise ValueError\n")
+    assert _raising_post_inits(tmp_path) == ["model:4"]
 
 
 def test_only_reports_writes_json():

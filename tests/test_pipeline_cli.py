@@ -119,7 +119,7 @@ def test_non_finite_amplifier_value_exits_with_config_error(
     path.write_text(json.dumps(config))
     assert main(["--config", str(path), "--stage", "compile"]) == EXIT_CONFIG
     message = json.loads(capsys.readouterr().out)["message"]
-    assert message.startswith(f"{name} must be finite")
+    assert message.startswith(f"crossbar: {name} must be finite")
 
 
 # keys older configs set, with the values they set, and a misspelt one
@@ -205,7 +205,7 @@ NAN, INF = float("nan"), float("inf")
     ("device.max_program_iterations", 2.5),
     ("crossbar.adc_step", -0.0025), ("crossbar.adc_step", 0.0),
     ("crossbar.adc_range", 0.0), ("crossbar.adc_range", -5.0),
-    # values the constructor accepts that would stop the program stage
+    # values that would only stop the program stage, or pass its checks
     ("device.v_set", NAN), ("device.v_set", -INF), ("device.v_set", -1.0),
     ("device.v_set", "-3.0"), ("device.ramp_range", [3.0, 1.5]),
     ("device.ramp_range", [1.5, NAN]), ("device.ramp_range", [NAN, 3.0]),
@@ -238,6 +238,86 @@ def test_bad_experiment_setting_exits_before_any_stage(tmp_path, capsys,
         assert message["error"] == "ConfigError"
         assert message["stage"] == "config"
         assert key in message["message"]
+    assert not out.exists()
+
+
+# Numbers out of range for each device and crossbar field, each refused
+# naming that field; the bad-field test adds a bool, the default as a
+# string, null (for ramp_step the default step) and the default in a
+# one-element list.
+_BAD_FIELD_VALUES = {
+    "device": {
+        "r_lrs_nominal": [NAN, INF, -INF, -1.0, 0.0],
+        "r_hrs_nominal": [NAN, INF, -1.0, 0.0, 5e3, 10e3],
+        "v_threshold": [NAN, INF, -INF, -1.5, 0.0],
+        "v_set": [NAN, INF, -INF, -1.0, 0.0, 3.0],
+        "ramp_range": [2.0, [], [1.5], [3.0, 1.5], [1.5, 1.5], [1.5, NAN],
+                       [NAN, 3.0], [-INF, 3.0], [1.5, INF], [1.0, 3.0],
+                       [1.5, 3.5], [1.5, 2.0, 3.0], ["1.5", 3.0],
+                       [True, 3.0]],
+        "ramp_step": [NAN, INF, -1.0, 0.0],
+        "ramp_gamma": [NAN, INF, -1.0, 0.0],
+        "v_read": [NAN, INF, -0.5, 0.0, 1.5, 2.0],
+        "program_tolerance": [NAN, INF, -0.1, 0.0, 1.0, 1.5],
+        "response_noise_sigma": [NAN, INF, -0.01],
+        "max_program_iterations": [NAN, INF, -1, 0, 2.5, 50.0],
+    },
+    "crossbar": {
+        "rows": [NAN, INF, -1, 0, 8, 17, 16.0],
+        "cols": [NAN, INF, -1, 0, 15, 16.0],
+        "r_f": [NAN, INF, -INF, -1.0, 0.0],
+        "r_1": [NAN, INF, -1.0, 0.0],
+        "r_2": [NAN, INF, -1.0, 0.0, 200e3],
+        "u_rail": [NAN, INF, -1.0, 0.0, 0.5],
+        "u_in_max": [NAN, INF, -1.0, 0.0, 0.9, 1.5],
+        "adc_step": [NAN, INF, -INF, -0.0025, 0.0],
+        "adc_range": [NAN, INF, -5.0, 0.0],
+    },
+}
+_NO_ENTRY = "no entry in _BAD_FIELD_VALUES"
+
+
+def _bad_field_cases():
+    """A case for each bad value of every device and crossbar field, and
+    one that fails for a field that has no entry."""
+    defaults = default_cfg(Path("run")).to_dict()
+    for section, kind in (("device", DeviceParams),
+                          ("crossbar", CrossbarConfig)):
+        for name in (f.name for f in dataclasses.fields(kind)):
+            if name not in _BAD_FIELD_VALUES[section]:
+                yield pytest.param(section, name, _NO_ENTRY,
+                                   id=f"{section}.{name}-{_NO_ENTRY}")
+                continue
+            default = defaults[section][name]
+            typed = [True, str(default), [default]]
+            if name != "ramp_step":
+                typed.append(None)
+            for value in _BAD_FIELD_VALUES[section][name] + typed:
+                yield pytest.param(section, name, value,
+                                   id=f"{section}.{name}={value!r}")
+
+
+@pytest.mark.parametrize("section, name, value", _bad_field_cases())
+def test_every_device_and_crossbar_field_refuses_a_bad_value(
+        tmp_path, capsys, section, name, value):
+    """The settings are plain data, checked once when the pipeline starts:
+    a value of the wrong type or out of range exits 2 from the library and
+    the command alike, naming the section and the field, and nothing is
+    written."""
+    assert value != _NO_ENTRY, f"{section}.{name}: {_NO_ENTRY}"
+    out = tmp_path / "run"
+    config = default_cfg(out).to_dict()
+    config[section][name] = value
+    refusal = f"{section}: {name} must be "
+    with pytest.raises(ConfigError) as refused:
+        run_pipeline(RunConfig.from_dict(config), "all")
+    assert str(refused.value).startswith(refusal)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main(["--config", str(path), "--stage", "all"]) == EXIT_CONFIG
+    message = json.loads(capsys.readouterr().out)
+    assert message["stage"] == "config"
+    assert message["message"].startswith(refusal)
     assert not out.exists()
 
 
@@ -332,8 +412,16 @@ def test_config_rejects_window_mismatch(tmp_path):
 
 
 def test_config_rejects_sweep_outside_window(tmp_path):
-    with pytest.raises(ConfigError):
-        default_cfg(tmp_path, sweep_range=ResistanceRange(5e3, 60e3))
+    """Checked when the pipeline starts, once the device settings have
+    passed: the constructor compares no device value."""
+    for sweep, refusal in (
+            (ResistanceRange(5e3, 60e3), r"r_min must be inside the device "
+                                         r"window \[10000.0, 300000.0\], "
+                                         r"got 5000.0"),
+            (ResistanceRange(10e3, 400e3), "r_max must be inside")):
+        cfg = default_cfg(tmp_path, sweep_range=sweep)
+        with pytest.raises(ConfigError, match=f"^sweep_range: {refusal}"):
+            cfg.check_experiment()
 
 
 def test_config_rejects_unknown_train_key(tmp_path):
@@ -636,6 +724,14 @@ def _header_only(text):
     return text.splitlines()[0] + "\n"
 
 
+def _set_entry(*keys, value):
+    """A JSON edit that sets the entry at ``keys`` to ``value``."""
+    def change(d):
+        *head, last = keys
+        functools.reduce(lambda node, key: node[key], head, d)[last] = value
+    return _json_edit(change)
+
+
 @pytest.mark.parametrize("artifact, edit, stage", [
     ("train/params.json", _cut_in_half, "compile"),
     ("train/params.json", _json_edit(lambda d: d.pop("w_out")), "compile"),
@@ -650,6 +746,21 @@ def _header_only(text):
     ("compile/compiled.json",
      _json_edit(lambda d: d["hidden"].update(r_m1=[[3e4]], r_m2=[[3e4]])),
      "analyze"),
+    # values compile, which clips to the compile window and writes the
+    # crossbar's r_f, and training cannot have written
+    ("compile/compiled.json", _set_entry("hidden", "r_m1", 0, 0, value=-5),
+     "program"),
+    ("compile/compiled.json", _set_entry("hidden", "r_m1", 0, 0, value=-5),
+     "analyze"),
+    ("compile/compiled.json", _set_entry("out", "r_m2", 7, 3, value=301e3),
+     "synthesize"),
+    ("compile/compiled.json", _set_entry("r_f", value=NAN), "analyze"),
+    ("compile/compiled.json", _set_entry("r_f", value=-1e5), "analyze"),
+    ("train/params.json", _set_entry("b_out", 0, value=NAN), "compile"),
+    ("train/params.json", _set_entry("w_hidden", 3, 5, value=-INF),
+     "analyze"),
+    ("train/params_continuous.json", _set_entry("b_hidden", 2, value=INF),
+     "sweep"),
     ("train/curve.csv", _header_only, "report"),
     ("analyze/weight_bounds.csv", _header_only, "report"),
     ("sweep/sweep.csv", _header_only, "report"),
@@ -666,7 +777,11 @@ def _header_only(text):
     ("program/programmed.json", lambda text: "", "sweep"),
 ], ids=["params-cut", "params-no-w_out", "params-list",
         "params-w_hidden-shape", "compiled-cut", "compiled-no-r_f",
-        "compiled-text-r_f", "compiled-list", "compiled-1x1", "curve-header",
+        "compiled-text-r_f", "compiled-list", "compiled-1x1",
+        "compiled-r_m1-negative-program", "compiled-r_m1-negative-analyze",
+        "compiled-r_m2-above-window", "compiled-r_f-nan",
+        "compiled-r_f-negative", "params-b_out-nan", "params-w_hidden-inf",
+        "params-continuous-b_hidden-inf", "curve-header",
         "bounds-header", "sweep-header", "train-json-brace",
         "report-no-subset_max", "report-subset_max-list",
         "report-passed-text", "report-x_p-text", "report-subset-null",
@@ -674,7 +789,8 @@ def _header_only(text):
 def test_a_corrupt_or_header_only_artifact_stops_the_stage(
         default_run, tmp_path, capsys, artifact, edit, stage):
     """An artifact cut short, of the wrong JSON type, missing an entry,
-    with an array of the wrong shape or a verdict entry of the wrong type
+    with an array of the wrong shape, a value the config cannot have
+    written, or a verdict entry of the wrong type
     (a ``passed`` that ``--enforce`` could not see as a failure), or a
     re-rendered CSV cut to its header, stops the stage that reads it, or
     the summary after it, with one JSON line that names the file, not a
