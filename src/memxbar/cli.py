@@ -58,7 +58,7 @@ def load_config(args) -> RunConfig:
                           "(no wall-clock seeding)")
     else:
         cfg = RunConfig(seed=args.seed, out_dir=args.out)
-    # the constructor checks each override again
+    # run_pipeline checks the overrides with the rest of the config
     overrides = {"seed": args.seed, "out_dir": args.out, "trials": args.trials}
     return dataclasses.replace(cfg, **{name: value for name, value
                                        in overrides.items() if value is not None})

@@ -19,14 +19,12 @@ from .errors import ShapeMismatchError, WeightOutOfRangeError
 
 @dataclass(frozen=True)
 class ResistanceRange:
-    """Programmable resistance window of the devices."""
+    """Programmable resistance window of the devices, 0 < r_min < r_max:
+    plain data, whose rule ``check_device`` states for the device window
+    and ``RunConfig.check_experiment`` for the sweep window."""
 
     r_min: float
     r_max: float
-
-    def __post_init__(self):
-        if not (0 < self.r_min < self.r_max):
-            raise ValueError(f"need 0 < r_min < r_max, got {self.r_min}, {self.r_max}")
 
 
 @dataclass(frozen=True)

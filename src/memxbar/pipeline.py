@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -44,11 +44,34 @@ STAGES = ("dataset", "train", "compile", "program", "analyze", "synthesize",
 _STREAM = {"dataset": 10, "train": 11, "program": 13, "analyze": 14,
            "synthesize": 15}
 
-# Smallest accepted value of each integer setting.
-_INT_MINIMA = {"seed": 0, "trials": 1, "plan_trials": 1, "harden_epochs": 0}
-
 # Hardening jitter per unit of the combined component sigma.
 HARDEN_BOOST = 1.3
+
+
+def _count(least: int) -> tuple:
+    return (f"an int >= {least}", lambda v: type(v) is int and v >= least)
+
+
+# The rule of each top-level setting; ``check_experiment`` checks what an
+# object or a list holds with the type or function that uses it.
+_SETTING_RULES = {
+    "seed": _count(0), "trials": _count(1), "plan_trials": _count(1),
+    "harden_epochs": _count(0),
+    "x_p": ("a percentage in (0, 100]", lambda v: 0 < v <= 100),
+    "out_dir": ("a path", lambda v: isinstance(v, Path)),
+    "profile_path": ("null or a path",
+                     lambda v: v is None or isinstance(v, str)),
+    "train": ("an object", lambda v: isinstance(v, dict)),
+    "tolerances": (f"an object of some of {list(TOLERANCE_DEFAULTS)}",
+                   lambda v: isinstance(v, dict)
+                   and set(v) <= set(TOLERANCE_DEFAULTS)),
+    "stuck": ("a list", lambda v: isinstance(v, list)),
+}
+
+
+# The settings a config gives as an object of that type's fields.
+_SECTIONS = {"device": DeviceParams, "crossbar": CrossbarConfig,
+             "sweep_range": ResistanceRange}
 
 
 @dataclass
@@ -61,7 +84,9 @@ class RunConfig:
     Weights compile into that window, :attr:`resistance_range`.  Training
     runs one recipe: a clean fit from one start, then, unless
     ``harden_epochs`` is 0, ``harden_epochs`` of noise injection at
-    ``HARDEN_BOOST`` times the component sigma.
+    ``HARDEN_BOOST`` times the component sigma.  Plain data: the
+    constructor only makes a string ``out_dir`` a Path, and
+    :meth:`check_experiment` runs every rule.
     """
 
     seed: int
@@ -83,37 +108,8 @@ class RunConfig:
     harden_epochs: int = 3000
 
     def __post_init__(self):
-        if not isinstance(self.out_dir, Path):   # re-parsing one is slow
+        if isinstance(self.out_dir, str):
             self.out_dir = Path(self.out_dir)
-        if self.profile_path is not None and not Path(self.profile_path).exists():
-            raise ConfigError(f"profile file not found: {self.profile_path}")
-        if not isinstance(self.train, dict):
-            raise ConfigError(f"train must map settings to values: {self.train!r}")
-        try:            # only the keys given: configs are built often
-            check_train_settings(self.train)
-        except ValueError as exc:
-            raise ConfigError(f"train.{exc}") from exc
-        rows, cols = self.crossbar.rows, self.crossbar.cols
-        cells = set()
-        for spot in self.stuck:
-            if not isinstance(spot, dict) or spot.get("array") not in ("hidden", "out"):
-                raise ConfigError(f"stuck entry needs array hidden|out: {spot}")
-            row, col, ohm = spot.get("row"), spot.get("col"), spot.get("ohm")
-            if not (type(row) is int and 0 <= row < rows
-                    and type(col) is int and 0 <= col < cols):
-                raise ConfigError(f"stuck entry needs an int row in [0, {rows}) "
-                                  f"and col in [0, {cols}): {spot}")
-            if type(ohm) not in (int, float) or not 0 < ohm < math.inf:
-                raise ConfigError(f"stuck entry needs a positive finite ohm: {spot}")
-            cell = (spot["array"], row, col)
-            if cell in cells:
-                raise ConfigError(f"stuck {spot['array']} cell ({row}, {col}) named twice")
-            cells.add(cell)
-        for name, least in _INT_MINIMA.items():
-            value = getattr(self, name)
-            if type(value) is not int or value < least:
-                raise ConfigError(f"{name} must be an int >= {least}, "
-                                  f"got {value!r}")
 
     @property
     def resistance_range(self) -> ResistanceRange:
@@ -122,52 +118,50 @@ class RunConfig:
                                self.device.r_hrs_nominal)
 
     def check_experiment(self) -> None:
-        """Raise ConfigError unless the device, crossbar, tolerance,
-        error-budget, sweep, plan and profile settings are usable.
+        """Raise ConfigError, naming the setting, unless every setting is
+        usable: the one place a config rule runs, before any stage.
 
-        The types that use these settings own their rules; this builds or
-        checks them and turns their ValueError, or a profile file that
-        cannot be read, into a ConfigError that names the setting.  The
-        crossbar owner checks the chain and builds one array, which proves
-        its SET, READ and RESET bias maps against the device; a map that
-        would disturb a cell names ``v_set`` and ``v_threshold``.
-        ``run_pipeline`` calls it before any stage runs; the constructor
-        does not, because configs are built far more often than run.
+        After ``_SETTING_RULES``, the types and functions that use the
+        settings check them in order, each reading only settings checked
+        before it; their ValueError, or a profile file that cannot be read,
+        becomes the ConfigError.  The crossbar owner also builds one array,
+        which proves its SET, READ and RESET bias maps against the device;
+        a map that would disturb a cell names ``v_set`` and ``v_threshold``.
         """
-        tol = self.tolerances
-        if not isinstance(tol, dict) or set(tol) - set(TOLERANCE_DEFAULTS):
-            raise ConfigError("tolerances must map some of "
-                              f"{list(TOLERANCE_DEFAULTS)} to values: {tol!r}")
-        if not (is_real(self.x_p) and 0 < self.x_p <= 100):
-            raise ConfigError(f"x_p must be a percentage in (0, 100], "
-                              f"got {self.x_p!r}")
-        dp = self.device
-        inside = (f"inside the device window [{dp.r_lrs_nominal!r}, "
-                  f"{dp.r_hrs_nominal!r}]",
-                  lambda v: dp.r_lrs_nominal <= v <= dp.r_hrs_nominal)
-        owners = {   # in order: the sweep window reads the device window
-            "device": lambda: check_device(dp),
-            "sweep_range": lambda: check_ranges(asdict(self.sweep_range), {
-                "r_min": inside, "r_max": inside}),
-            "crossbar": lambda: (check_crossbar(self.crossbar, self.device),
-                                 check_unity_chain(self.crossbar),
-                                 Crossbar(self.crossbar, self.device)),
-            "tolerances": lambda: tolerance_set(**self.tolerance_settings()),
-            "sweep_counts": lambda: check_state_counts(self.sweep_counts),
-            "plan_points": lambda: _default_plan(self),
-            "profile_path": lambda: (self.profile_path
-                                     and ds.load_profile(self.profile_path)),
+        dp, sweep = self.device, self.sweep_range
+        window = (f"inside the device window [{dp.r_lrs_nominal!r}, "
+                  f"{dp.r_hrs_nominal!r}]")
+        inside = lambda v: dp.r_lrs_nominal <= v <= dp.r_hrs_nominal
+        owners = {   # in order, keyed by the prefix of their refusals
+            "": lambda: check_ranges({name: getattr(self, name)
+                                     for name in _SETTING_RULES},
+                                    _SETTING_RULES),
+            "train.": lambda: check_train_settings(self.train),
+            "device: ": lambda: check_device(dp),
+            "sweep_range: ": lambda: check_ranges(asdict(sweep), {
+                "r_min": (window, inside),
+                "r_max": (f"{window} and > r_min ({sweep.r_min!r})",
+                          lambda v: inside(v) and v > sweep.r_min)}),
+            "crossbar: ": lambda: (check_crossbar(self.crossbar, dp),
+                                   check_unity_chain(self.crossbar),
+                                   Crossbar(self.crossbar, dp)),
+            "stuck: ": lambda: _stuck_cells(self),
+            "tolerances: ": lambda: tolerance_set(**self.tolerance_settings()),
+            "sweep_counts: ": lambda: check_state_counts(self.sweep_counts),
+            "plan_points: ": lambda: _default_plan(self),
+            "profile_path: ": lambda: (self.profile_path is not None
+                                       and ds.load_profile(self.profile_path)),
         }
-        for name, check in owners.items():
+        for prefix, check in owners.items():
             try:
                 check()
             except (OSError, ValueError) as exc:
-                raise ConfigError(f"{name}: {exc}") from exc
+                raise ConfigError(f"{prefix}{exc}") from exc
             except BiasViolationError as exc:
                 raise ConfigError(
-                    f"{name}: device v_set {self.device.v_set!r} and "
-                    f"v_threshold {self.device.v_threshold!r} fail the bias "
-                    f"map proof: {exc}") from exc
+                    f"{prefix}device v_set {dp.v_set!r} and v_threshold "
+                    f"{dp.v_threshold!r} fail the bias map proof: {exc}"
+                ) from exc
 
     def tolerance_settings(self) -> dict:
         """``tolerances`` with the default of every setting it leaves out."""
@@ -178,33 +172,19 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        d = dict(d)
-        try:
-            if "device" in d:
-                device = dict(d["device"])
-                if isinstance(device.get("ramp_range"), list):
-                    device["ramp_range"] = tuple(device["ramp_range"])
-                d["device"] = DeviceParams(**device)
-            if "crossbar" in d:
-                d["crossbar"] = CrossbarConfig(**d["crossbar"])
-            if "sweep_range" in d:
-                d["sweep_range"] = ResistanceRange(**d["sweep_range"])
-            if "sweep_counts" in d:
-                d["sweep_counts"] = tuple(d["sweep_counts"])
-            return cls(**d)
-        except (TypeError, KeyError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
+        """The config a parsed JSON object gives; see :func:`_build`."""
+        if isinstance(d, dict):
+            d = {**d, **{name: _build(kind, d[name], name)
+                         for name, kind in _SECTIONS.items() if name in d}}
+        return _build(cls, d)
 
     @classmethod
     def from_json(cls, path) -> "RunConfig":
-        path = Path(path)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
         try:
             with open(path) as fh:
                 return cls.from_dict(json.load(fh))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        except (OSError, ValueError) as exc:   # JSONDecodeError included
+            raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
     def config_hash(self) -> str:
         """Digest of every setting that can change the results: all but
@@ -213,6 +193,49 @@ class RunConfig:
         del d["out_dir"]
         blob = json.dumps(d, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
+
+
+def _build(kind, values, section: str = "config"):
+    """The ``kind`` that the JSON object ``values``, the config or its
+    ``section``, gives, a list as a tuple where the field's default is one;
+    anything but an object, or an unknown or missing key, is refused,
+    naming the section.  ``check_experiment`` checks the values."""
+    if not isinstance(values, dict):
+        raise ConfigError(f"{section} must be an object, got {values!r}")
+    tuples = {f.name for f in fields(kind) if isinstance(f.default, tuple)}
+    try:
+        return kind(**{key: tuple(value) if key in tuples
+                       and isinstance(value, list) else value
+                       for key, value in values.items()})
+    except TypeError as exc:   # an unknown or a missing key
+        raise ConfigError(f"{section}: {exc}") from exc
+
+
+def _stuck_cells(cfg: RunConfig) -> dict:
+    """The stuck matrix of each array, the value of each cell an entry of
+    ``cfg.stuck`` names and NaN elsewhere; ValueError unless each entry
+    maps just ``array`` (hidden or out), an int ``row`` and ``col`` inside
+    the array and a finite ``ohm`` > 0, and no cell is named twice."""
+    rows, cols = cfg.crossbar.rows, cfg.crossbar.cols
+    rules = {
+        "array": ("hidden or out", lambda v: v in ("hidden", "out")),
+        "row": (f"an int in [0, {rows})",
+                lambda v: type(v) is int and 0 <= v < rows),
+        "col": (f"an int in [0, {cols})",
+                lambda v: type(v) is int and 0 <= v < cols),
+        "ohm": ("finite and > 0", lambda v: 0 < v < math.inf),
+    }
+    cells = {name: np.full((rows, cols), np.nan) for name in ("hidden", "out")}
+    for spot in cfg.stuck:
+        if not isinstance(spot, dict) or set(spot) != set(rules):
+            raise ValueError(f"each entry must map {', '.join(rules)} to "
+                             f"values, got {spot!r}")
+        check_ranges(spot, rules)
+        matrix, cell = cells[spot["array"]], (spot["row"], spot["col"])
+        if not np.isnan(matrix[cell]):
+            raise ValueError(f"{spot['array']} cell {cell} named twice")
+        matrix[cell] = spot["ohm"]
+    return cells
 
 
 def _load_split(run_dir: Path, name: str):
@@ -270,8 +293,8 @@ def _load_compiled(cfg: RunConfig) -> CompiledNet:
 
 
 def stage_dataset(cfg: RunConfig, out: Path) -> None:
-    profile = (ds.load_profile(cfg.profile_path) if cfg.profile_path
-               else ds.default_profile())
+    profile = (ds.load_profile(cfg.profile_path)
+               if cfg.profile_path is not None else ds.default_profile())
     rng = substream(cfg.seed, _STREAM["dataset"], 0)
     (x_train, y_train), (x_test, y_test) = ds.default_splits(rng, profile)
     ds.save_dataset_csv(out / "train.csv", x_train, y_train)
@@ -344,10 +367,7 @@ def _program_array(cfg: RunConfig, name: str, layer: CompiledLayer,
                    rng: np.random.Generator, log_rows: list) -> Crossbar:
     """Program one layer's synapse pairs into a crossbar: a stuck device
     keeps its value and its partner is re-solved against it."""
-    stuck = np.full((cfg.crossbar.rows, cfg.crossbar.cols), np.nan)
-    for spot in cfg.stuck:
-        if spot["array"] == name:
-            stuck[spot["row"], spot["col"]] = spot["ohm"]
+    stuck = _stuck_cells(cfg)[name]
     xbar = Crossbar(cfg.crossbar, cfg.device, stuck=stuck)
     n_in, n_out = layer.r_m1.shape
     target = compensate_stuck(layer, *synapse_pairs(stuck, n_in, n_out),

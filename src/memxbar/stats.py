@@ -30,14 +30,20 @@ def is_real(value) -> bool:
 
 
 def check_ranges(values: dict, ranges: dict) -> None:
-    """Raise ValueError, naming the setting first, unless each entry of
-    ``values`` is a number, or a tuple of numbers, that
-    ``ranges[name] = (rule, accepts)`` accepts."""
+    """Raise ValueError, naming the setting first, unless
+    ``ranges[name] = (rule, accepts)`` accepts each entry of ``values``, in
+    order.  A bool, alone or in a tuple, is no number, and a value that
+    makes ``accepts`` raise TypeError (a string, null or a tuple compared
+    with a number, say) is refused too."""
     for name, value in values.items():
         rule, accepts = ranges[name]
-        numbers = value if type(value) is tuple else (value,)
-        if not (all(map(is_real, numbers)) and accepts(value)):
-            raise ValueError(f"{name} must be {rule}, got {value!r}")
+        parts = value if type(value) is tuple else (value,)
+        try:
+            if all(type(v) is not bool for v in parts) and accepts(value):
+                continue
+        except TypeError:
+            pass
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
 def _at(values: np.ndarray, mask: np.ndarray) -> np.ndarray:

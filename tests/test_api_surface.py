@@ -10,9 +10,10 @@ caller fails here.  Code that only tests call is deleted, and its tests
 move to the code that survives.  Likewise every name a module imports
 must be referenced in that module, and only ``reports`` may reference
 ``json.dump``: every JSON artifact is written by ``reports.write_json``.
-The constructors of the device and crossbar settings raise nothing:
-``RunConfig`` builds both on every construction, and their rules are
-checked once, by ``check_device`` and ``check_crossbar``.
+The constructors of the run settings raise nothing: their rules are
+checked once, by ``RunConfig.check_experiment``, which runs
+``check_device`` and ``check_crossbar`` on the device and crossbar
+settings.
 """
 
 import ast
@@ -114,7 +115,8 @@ def _json_dumps(package=Path(memxbar.__file__).parent):
     return found
 
 
-PLAIN_DATA = ("DeviceParams", "CrossbarConfig")
+PLAIN_DATA = ("DeviceParams", "CrossbarConfig", "RunConfig",
+              "ResistanceRange")
 
 
 def _raising_post_inits(package=Path(memxbar.__file__).parent,

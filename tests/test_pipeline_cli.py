@@ -22,7 +22,8 @@ from memxbar.crossbar import U_SAT, Crossbar, CrossbarConfig
 from memxbar.device import DeviceParams
 from memxbar.errors import ConfigError
 from memxbar.mapping import ResistanceRange
-from memxbar.pipeline import RunConfig, run_pipeline
+from memxbar.pipeline import RunConfig, run_pipeline, stage_dataset
+from memxbar.tolerance import TOLERANCE_DEFAULTS
 
 from helpers import DEFAULT_SEED, default_profile_dict
 
@@ -90,10 +91,11 @@ def test_config_hash_ignores_out_dir(tmp_path):
     ("seed", 7.0),
 ])
 def test_bad_count_setting_exits_with_config_error(tmp_path, name, value):
-    """Checked in the constructor, in a config file and after a flag,
+    """Checked by the config check, in a config file and after a flag,
     before anything is written."""
     with pytest.raises(ConfigError, match=name):
-        RunConfig(**{"seed": DEFAULT_SEED, "out_dir": tmp_path, name: value})
+        RunConfig(**{"seed": DEFAULT_SEED, "out_dir": tmp_path, name: value}
+                  ).check_experiment()
     run = tmp_path / "run"
     config = default_cfg(run).to_dict()
     config[name] = value
@@ -166,9 +168,9 @@ def test_removed_bounds_trials_setting_exits_with_config_error(tmp_path,
     ("beta2", True),
 ])
 def test_bad_train_setting_exits_with_config_error(tmp_path, name, value):
-    """Checked in the constructor and in a config file."""
+    """Checked by the config check and in a config file."""
     with pytest.raises(ConfigError, match=f"train.{name}"):
-        default_cfg(tmp_path, train={name: value})
+        default_cfg(tmp_path, train={name: value}).check_experiment()
     config = default_cfg(tmp_path / "run").to_dict()
     config["train"] = {name: value}
     path = tmp_path / "cfg.json"
@@ -274,7 +276,7 @@ _BAD_FIELD_VALUES = {
         "adc_range": [NAN, INF, -5.0, 0.0],
     },
 }
-_NO_ENTRY = "no entry in _BAD_FIELD_VALUES"
+_NO_ENTRY = "no bad value listed"
 
 
 def _bad_field_cases():
@@ -321,6 +323,121 @@ def test_every_device_and_crossbar_field_refuses_a_bad_value(
     assert not out.exists()
 
 
+# Bad values of each run setting, and of each key of the sweep window, of a
+# stuck entry and of the tolerances.  Every case starts from the default
+# config with one stuck entry, so a stuck entry is compared with the array
+# only once the crossbar settings have passed.
+_STUCK_ENTRY = {"array": "hidden", "row": 3, "col": 5, "ohm": 20e3}
+_BAD_CONFIG_VALUES = {
+    "seed": [True, "7", None, [7], {}, -1, 7.0, NAN],
+    "out_dir": [True, None, 5, ["run"], {}],
+    "device": [True, "device", None, [], 5, {"v_sat": 1.0}],
+    "crossbar": [True, "crossbar", None, [], 5, {"u_sat": 1.0},
+                 {"rows": NAN}, {"rows": "16"}],
+    "train": [True, "step", None, [], 5, {"step": 0.02}, {"max_epochs": -1}],
+    "tolerances": [True, "r_m", None, [0.2], 5, {"rm": 0.2}],
+    "profile_path": [True, 5, [], {}, "", "absent.json"],
+    "stuck": [True, "stuck", None, 5, {}, [5], [None], [{}],
+              [{**_STUCK_ENTRY, "extra": 1}], [_STUCK_ENTRY, _STUCK_ENTRY]],
+    "x_p": [True, "5", None, [5.0], {}, 0, -1.0, 100.5, NAN, INF],
+    "trials": [True, "10", None, [10], {}, 0, -1, 2.5, 10.0],
+    "sweep_counts": [True, "ab", None, 5, {}, [], [1], [2, 2.5], ["3"],
+                     [True, 3]],
+    "sweep_range": [True, "sweep", None, [], 5, {}, {"r_min": 1e4},
+                    {"r_min": 1e4, "r_max": 6e4, "n_states": 7},
+                    {"r_min": 5e4, "r_max": 2e4}],
+    "plan_points": [True, "r_m1", [], 5, {}, [0.1], [{}], [{"r_m1": 1.0}]],
+    "plan_trials": [True, "1000", None, [1000], {}, 0, -1, 2.5],
+    "harden_epochs": [True, "3000", None, [3000], {}, -1, 2.5],
+    "sweep_range.r_min": [True, "1e4", None, [1e4], {}, NAN, -INF, 0.0,
+                          5e3],
+    "sweep_range.r_max": [True, "6e4", None, [6e4], {}, NAN, INF, 5e3, 10e3,
+                          400e3],
+    "stuck.array": [True, "middle", None, ["hidden"], {}, 5],
+    "stuck.row": [True, "3", None, [3], {}, -1, 16, 3.0, NAN],
+    "stuck.col": [True, "5", None, [5], {}, -1, 16, 5.0, NAN],
+    "stuck.ohm": [True, "2e4", None, [2e4], {}, 0.0, -2e4, NAN, INF],
+    "tolerances.r_m": [True, "0.2", None, [0.2], {}, -0.1, 1.0, NAN, INF],
+    "tolerances.r_f": [True, "0.01", None, [0.01], {}, -0.1, 1.0, NAN],
+    "tolerances.limit_sigmas": [True, "3", None, [3.0], {}, 0.0, -1.0, NAN,
+                                INF],
+}
+
+
+def _bad_config_cases():
+    """A case for each bad value of every run setting and of every key of
+    the sweep window, a stuck entry and the tolerances, and one that fails
+    for a setting or key that has no entry."""
+    keys = [f.name for f in dataclasses.fields(RunConfig)]
+    keys += [f"sweep_range.{f.name}"
+             for f in dataclasses.fields(ResistanceRange)]
+    keys += [f"stuck.{key}" for key in _STUCK_ENTRY]
+    keys += [f"tolerances.{key}" for key in TOLERANCE_DEFAULTS]
+    for key in keys:
+        if key not in _BAD_CONFIG_VALUES:
+            yield pytest.param(key, _NO_ENTRY, id=f"{key}-{_NO_ENTRY}")
+            continue
+        for value in _BAD_CONFIG_VALUES[key]:
+            yield pytest.param(key, value, id=f"{key}={value!r}")
+
+
+@pytest.mark.parametrize("key, value", _bad_config_cases())
+def test_every_config_field_refuses_a_bad_value(tmp_path, monkeypatch, capsys,
+                                                key, value):
+    """A run config is plain data, checked once when the pipeline starts: a
+    value of the wrong type or out of range exits 2 from the library and
+    the command alike, naming the setting first (``section: key`` for a
+    key of a section), and nothing is written."""
+    assert value != _NO_ENTRY, f"{key}: {_NO_ENTRY}"
+    monkeypatch.chdir(tmp_path)
+    config = default_cfg(Path("run"), stuck=[_STUCK_ENTRY]).to_dict()
+    section, _, name = key.partition(".")
+    if name:
+        entry = config[section][0] if section == "stuck" else config[section]
+        entry[name] = value
+        refusal = f"{section}: {name}"
+    else:
+        config[section] = value
+        refusal = section
+    with pytest.raises(ConfigError) as refused:
+        run_pipeline(RunConfig.from_dict(config), "all")
+    assert str(refused.value).startswith(refusal)
+    Path("cfg.json").write_text(json.dumps(config))
+    assert main(["--config", "cfg.json", "--stage", "all"]) == EXIT_CONFIG
+    message = json.loads(capsys.readouterr().out)
+    assert message["stage"] == "config"
+    assert message["message"].startswith(refusal)
+    assert os.listdir() == ["cfg.json"]
+
+
+@pytest.mark.parametrize("section, value, name", [
+    ("crossbar", CrossbarConfig(r_f=(1e5, 2e5)), "r_f"),
+    ("device", DeviceParams(v_read=(0.5, 0.6)), "v_read"),
+    ("device", DeviceParams(ramp_step=(0.1, 0.2)), "ramp_step"),
+])
+def test_a_tuple_in_a_scalar_setting_is_refused_naming_it(tmp_path, section,
+                                                         value, name):
+    """Only a Python caller can put a tuple in a scalar field; the rule
+    that compares it with a number refuses it like any other bad value."""
+    with pytest.raises(ConfigError, match=f"^{section}: {name} must be "):
+        default_cfg(tmp_path, **{section: value}).check_experiment()
+
+
+def test_an_empty_profile_path_is_refused(tmp_path, monkeypatch, capsys):
+    """An empty path names no file: it is refused like any profile that
+    cannot be read, not taken for the packaged default."""
+    monkeypatch.chdir(tmp_path)
+    cfg = default_cfg(Path("run"), profile_path="")
+    with pytest.raises(ConfigError, match="^profile_path: "):
+        run_pipeline(cfg, "dataset")
+    with pytest.raises(OSError):
+        stage_dataset(cfg, tmp_path)
+    Path("cfg.json").write_text(json.dumps(cfg.to_dict()))
+    assert main(["--config", "cfg.json", "--stage", "dataset"]) == EXIT_CONFIG
+    assert json.loads(capsys.readouterr().out)["stage"] == "config"
+    assert os.listdir() == ["cfg.json"]
+
+
 @pytest.mark.parametrize("name, value", [
     ("r_2", 200e3), ("u_sat", 0.5), ("u_sat", 2.0), ("u_in_max", 0.9),
     ("rows", 8), ("rows", 16.0), ("rows", 17), ("cols", 15),
@@ -343,10 +460,11 @@ def test_chain_the_model_cannot_represent_exits_before_any_stage(
                         ).check_experiment()
     else:
         assert value != U_SAT
-        refusal = ("CrossbarConfig.__init__() got an unexpected keyword "
+        unknown = ("CrossbarConfig.__init__() got an unexpected keyword "
                    f"argument '{name}'")
-        with pytest.raises(TypeError, match=re.escape(refusal)):
+        with pytest.raises(TypeError, match=re.escape(unknown)):
             CrossbarConfig(**{name: value})
+        refusal = f"crossbar: {unknown}"
     config = default_cfg(out).to_dict()
     config["crossbar"][name] = value
     path = tmp_path / "cfg.json"
@@ -426,19 +544,20 @@ def test_config_rejects_sweep_outside_window(tmp_path):
 
 def test_config_rejects_unknown_train_key(tmp_path):
     with pytest.raises(ConfigError):
-        default_cfg(tmp_path, train={"learning_rate": 0.1})
+        default_cfg(tmp_path, train={"learning_rate": 0.1}).check_experiment()
 
 
 @pytest.mark.parametrize("train", [[], "step", None])
 def test_config_rejects_train_settings_that_are_not_a_mapping(tmp_path, train):
     with pytest.raises(ConfigError):
-        default_cfg(tmp_path, train=train)
+        default_cfg(tmp_path, train=train).check_experiment()
 
 
 def test_config_rejects_bad_stuck_entry(tmp_path):
     with pytest.raises(ConfigError):
         default_cfg(tmp_path, stuck=[{"array": "nowhere", "row": 0,
-                                      "col": 0, "ohm": 20e3}])
+                                      "col": 0, "ohm": 20e3}]
+                    ).check_experiment()
 
 
 @pytest.mark.parametrize("change", [
@@ -450,7 +569,7 @@ def test_config_rejects_stuck_entry_outside_array(tmp_path, change):
     spot = {"array": "hidden", "row": 3, "col": 5, "ohm": 20e3, **change}
     spot = {k: v for k, v in spot.items() if v is not None}
     with pytest.raises(ConfigError):
-        default_cfg(tmp_path, stuck=[spot])
+        default_cfg(tmp_path, stuck=[spot]).check_experiment()
 
 
 def test_config_rejects_a_stuck_cell_named_twice(tmp_path):
@@ -459,9 +578,9 @@ def test_config_rejects_a_stuck_cell_named_twice(tmp_path):
     stuck = [{"array": "out", "row": 3, "col": 5, "ohm": 20e3},
              {"array": "hidden", "row": 3, "col": 5, "ohm": 20e3},
              {"array": "out", "row": 3, "col": 5, "ohm": 40e3}]
-    default_cfg(tmp_path, stuck=stuck[:2])
+    default_cfg(tmp_path, stuck=stuck[:2]).check_experiment()
     with pytest.raises(ConfigError, match=r"out cell \(3, 5\) named twice"):
-        default_cfg(tmp_path, stuck=stuck)
+        default_cfg(tmp_path, stuck=stuck).check_experiment()
     run = tmp_path / "run"
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({**default_cfg(run).to_dict(), "stuck": stuck}))
@@ -471,7 +590,8 @@ def test_config_rejects_a_stuck_cell_named_twice(tmp_path):
 
 def test_config_rejects_missing_profile(tmp_path):
     with pytest.raises(ConfigError):
-        default_cfg(tmp_path, profile_path=str(tmp_path / "absent.json"))
+        default_cfg(tmp_path, profile_path=str(tmp_path / "absent.json")
+                    ).check_experiment()
 
 
 @pytest.mark.parametrize("edit", [
@@ -514,8 +634,14 @@ def test_bad_profile_exits_before_any_stage(tmp_path, capsys, edit):
 def test_config_from_json_errors(tmp_path):
     with pytest.raises(ConfigError):
         RunConfig.from_json(tmp_path / "missing.json")
+    with pytest.raises(ConfigError):
+        RunConfig.from_json(tmp_path)      # a directory
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
+    for text in ("{not json", "[]", "5"):
+        bad.write_text(text)
+        with pytest.raises(ConfigError):
+            RunConfig.from_json(bad)
+    bad.write_bytes(b"\xff\xfe")
     with pytest.raises(ConfigError):
         RunConfig.from_json(bad)
 

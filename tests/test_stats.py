@@ -1,5 +1,6 @@
 """Sampling and confidence-bound helpers."""
 
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +10,8 @@ import numpy as np
 import pytest
 
 import memxbar
-from memxbar.stats import clopper_pearson_upper, truncated_normal
+from memxbar.stats import (check_ranges, clopper_pearson_upper,
+                           truncated_normal)
 
 
 def test_clopper_pearson_zero_failures_is_closed_form():
@@ -34,6 +36,22 @@ def test_clopper_pearson_rejects_impossible_counts():
     for k, n in ((-1, 10), (11, 10), (0, 0)):
         with pytest.raises(ValueError):
             clopper_pearson_upper(k, n)
+
+
+def test_a_value_a_rule_cannot_compare_is_refused():
+    """A rule that raises TypeError on a value (a tuple or a string
+    compared with a number) refuses it with the ValueError that names the
+    setting; a bool, alone or in a tuple, is no number."""
+    rules = {"x": ("finite and > 0", lambda v: 0 < v < math.inf)}
+    with pytest.raises(ValueError,
+                       match=r"^x must be finite and > 0, got \(1, 2\)$"):
+        check_ranges({"x": (1, 2)}, rules)
+    with pytest.raises(ValueError, match="^x must be finite and > 0, got '1'"):
+        check_ranges({"x": "1"}, rules)
+    for value in (True, (1, False)):
+        with pytest.raises(ValueError, match="^x must be"):
+            check_ranges({"x": value}, {"x": ("anything", lambda v: True)})
+    check_ranges({"x": 1}, rules)
 
 
 def reference_truncated_normal(rng, mean, sigma, limit_sigmas, size):
