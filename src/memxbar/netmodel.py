@@ -14,9 +14,13 @@ single net that :func:`evaluate` scores.  It adds each bias as the last
 term of its layer's product, which rounds as adding it after the product
 does, and writes the outputs segment-major, (4, T, m) per segment of m
 patterns.  Every error rate comes from one classifier,
-:class:`ScoreBatch`, whose segments are the classes.  The tests hold
-these passes to :func:`forward_stack`, :func:`mse` and the row-major
-gradient formulas: bit for bit at the pipeline's pattern counts.
+:class:`ScoreBatch`, whose segments are the classes.  It runs the kernel
+in float32, all else in float64, and decides each pattern by one
+sign-exact margin; a realization with a margin inside its float32
+rounding bound is scored again in float64, so the counts are float64's.
+The tests hold these passes to :func:`forward_stack`, :func:`mse` and
+the row-major gradient formulas: bit for bit at the pipeline's pattern
+counts.
 """
 
 from __future__ import annotations
@@ -40,6 +44,22 @@ OUTPUT_LABELS = LABELS[:N_OUTPUT]
 REJECT_LABEL = LABELS[-1]
 
 _SCORE_BYTES = 2 << 20           # hidden layer of one block of scored stacks
+
+# The float32 scorer's proof (ScoreBatch._tolerances): unit roundoffs, the
+# allowance each layer adds for underflow, the size past which a float32
+# value could overflow, and the gamma factors of each layer's dot products.
+_U32, _U64 = 2.0 ** -24, 2.0 ** -53
+_UNDERFLOW = 2.0 ** -120
+_OVERFLOW = 2.0 ** 100
+
+
+def _gamma(n: int, u: float) -> float:
+    """Higham's ``gamma_n = n u / (1 - n u)``."""
+    return n * u / (1 - n * u)
+
+
+_HIDDEN_GAMMA = _gamma(N_INPUT + 3, _U32) + _gamma(N_INPUT + 1, _U64)
+_OUTPUT_GAMMA = _gamma(N_HIDDEN + 2, _U32) + _gamma(N_HIDDEN + 1, _U64)
 
 # The one training recipe: Adam's step, moment decays and guard, and the
 # derivative saturated units pass to the gradients (see TrainConfig).
@@ -165,11 +185,11 @@ def stack_buffers(trials: int, h: int) -> tuple[np.ndarray, np.ndarray]:
     return hidden, np.empty(N_OUTPUT * trials * h)
 
 
-def _with_bias(w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The stack ``w``, (T, n_in, n_out), as (T, n_out, n_in + 1): each
-    realization transposed, with ``b`` as its last column."""
+def _with_bias(w: np.ndarray, b: np.ndarray, dtype) -> np.ndarray:
+    """The stack ``w``, (T, n_in, n_out), as (T, n_out, n_in + 1) in
+    ``dtype``: each realization transposed, with ``b`` as its last column."""
     n, n_in, n_out = w.shape
-    wb = np.empty((n, n_out, n_in + 1))
+    wb = np.empty((n, n_out, n_in + 1), dtype)
     wb[:, :, :n_in] = w.transpose(0, 2, 1)
     wb[:, :, n_in] = b
     return wb
@@ -187,13 +207,16 @@ def forward_stack_into(xT: np.ndarray,
     and the weights are stacks (T, 16, 8) and (T, 8, 4).  ``hidden`` and
     ``out`` are work buffers from :func:`stack_buffers` for at least T
     realizations; ``segments`` are slices that tile the H patterns in
-    order.  The result is each segment's output, (4, T, m) for its m
+    order.  The pass runs in the buffers' precision: ``xT`` shares it,
+    and the weights and biases are rounded to it as they are laid out, so
+    no product casts.  The scorer passes float32 buffers, everything else
+    float64.  The result is each segment's output, (4, T, m) for its m
     patterns, a contiguous view of ``out`` after the one before, so an
     output of a segment's patterns in every realization is one row.  Each
     bias is the last term of its layer's product: (T, 8, 17) @ (17, H)
     against the ones row of ``xT``, and per segment (T, 4, 9) @ (T, 9, m)
     against the ones row of each hidden block.  Added last, it rounds as
-    ``product + bias`` does; clipped, the outputs equal those of
+    ``product + bias`` does; clipped, the float64 outputs equal those of
     :func:`forward_stack` bit for bit at 2 000 and 6 000 patterns, and
     with one realization and one OpenBLAS thread differ by up to 2e-15 at
     the H <= 65 with H mod 8 in 1-4.  The hidden clip acts in place.
@@ -201,9 +224,9 @@ def forward_stack_into(xT: np.ndarray,
     n = len(w_hidden)
     hidden = hidden[:n]
     a1 = hidden[:, :N_HIDDEN]
-    np.matmul(_with_bias(w_hidden, b_hidden), xT, out=a1)
+    np.matmul(_with_bias(w_hidden, b_hidden, hidden.dtype), xT, out=a1)
     np.clip(a1, -1.0, 1.0, out=a1)
-    w2b = _with_bias(w_out, b_out)
+    w2b = _with_bias(w_out, b_out, hidden.dtype)
     blocks = []
     for cols in segments:
         block = out[N_OUTPUT * n * cols.start:N_OUTPUT * n * cols.stop]
@@ -224,22 +247,36 @@ class ScoreBatch:
     every network the toolkit scores.
 
     A stack of T weight realizations is scored in blocks of at most
-    ``trials`` realizations whose hidden layer, about ``_SCORE_BYTES``
-    (16 realizations of 2 000 patterns), stays in a core's cache: each
-    block runs through :func:`forward_stack_into` into buffers allocated
-    once, here, so scoring allocates no array of T * H elements.
+    ``trials`` realizations whose float32 hidden layer, about
+    ``_SCORE_BYTES`` (32 realizations of 2 000 patterns), stays in a
+    core's cache: each block runs through :func:`forward_stack_into` into
+    buffers allocated once, here, so scoring allocates no array of T * H
+    elements.
 
     The prediction is the first maximal output, or the reject class where
     that maximum is not positive.  The patterns are sorted by class once,
     so each class is one segment, and its rule runs on the segment's
-    contiguous output rows of T * m values: a pattern of class c < 4 is
-    right where ``out_c > max(0, out_k, k < c)`` and ``out_c >=
-    max(out_k, k > c)``; an Sr pattern is wrong where ``max(out_k) > 0``.
-    Neither rule can tell an output below -1 from -1, nor the Sr rule one
-    above 1 from 1, so only the S1..S4 outputs are clipped, and only at
-    1, where two outputs above it tie.  ``np.maximum`` propagates NaN and
-    every comparison with NaN is false, so a NaN output rejects.  Every
-    rate is ``100.0 * wrong / patterns``, rounded once: the product is exact.
+    contiguous output rows of T * m values as one sign-exact margin per
+    pattern (:func:`_margin`), positive exactly where the pattern is
+    classified right, and a trial's right patterns are one
+    ``np.add.reduce`` of that sign along its row.  No rule can tell an
+    output below -1 from -1, nor the Sr rule one above 1 from 1, so only
+    the S1..S4 outputs are clipped, and only at 1, where two outputs above
+    it tie.  A NaN output rejects.
+
+    The counts are those of float64, the precision of :func:`forward_stack`,
+    bit for bit.  Each block is scored in float32, and a realization's
+    float32 decisions are kept where every margin exceeds its tolerance
+    (:meth:`_tolerances`), which bounds how far each float32 margin can lie
+    from the float64 one.  The realizations with a margin at or inside it,
+    NaN included, are scored again in float64, at most ``wide`` at a time.
+    A realization's float64 product does not depend on which others share
+    its stack, so they count as a float64 pass of every block would.  The
+    float32 buffers are views of the float64 ones, so each block sets its
+    ones rows, and once the outputs are in, its spent hidden layer holds
+    the rule's rivals and margins; ``_rechecked`` counts the realizations
+    scored again.  Every rate is ``100.0 * wrong / patterns``, rounded
+    once: the product is exact.
     """
 
     def __init__(self, net: MlpParams, x: np.ndarray, codes: np.ndarray,
@@ -252,7 +289,7 @@ class ScoreBatch:
             raise EmptyBatchError("the batch to score holds no patterns")
         self.net = net
         self.patterns = len(codes)
-        self.xT = unit_by_pattern(x[np.argsort(codes, kind="stable")])
+        self.x_max = float(np.abs(x).max())
         self.sizes = sizes = np.bincount(codes, minlength=len(LABELS)).tolist()
         stops = np.cumsum(sizes).tolist()
         self.classes = [c for c, size in enumerate(sizes) if size]
@@ -260,19 +297,36 @@ class ScoreBatch:
                         for c in self.classes]
         self.sites = stops[N_OUTPUT - 1]         # patterns of S1..S4
         h = len(x)
-        fit = _SCORE_BYTES // (N_HIDDEN * h * x.itemsize)
+        fit = _SCORE_BYTES // (N_HIDDEN * h * np.float32().itemsize)
         b = self.block = max(1, min(trials, fit))
-        self.hidden, self.out = stack_buffers(b, h)
-        self.best = np.empty(b * max(sizes))     # maximum of the rivals
-        self.mask = np.empty(len(self.best), dtype=bool)   # one condition
-        self.right = np.empty(len(self.best), dtype=bool)  # classified right
+        self.wide = -(-b // 2)                   # float64 realizations
+        hidden, out = stack_buffers(self.wide, h)
+        xT = unit_by_pattern(x[np.argsort(codes, kind="stable")])
+        narrow = hidden.reshape(-1).view(np.float32)
+        self.views = {
+            np.float64: (xT, hidden, out),
+            np.float32: (xT.astype(np.float32),
+                         narrow.reshape(-1, N_HIDDEN + 1, h),
+                         out.view(np.float32)),
+        }
+        self.mask = np.empty(b * max(sizes), dtype=bool)   # classified right
+        self._rechecked = 0
 
     def errors(self, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
         """Misclassified patterns per realization and class, (T, 5)."""
         counts = np.zeros((len(w1), len(LABELS)))
+        tolerance = self._tolerances(w1, w2)
         for start in range(0, len(w1), self.block):
             rows = slice(start, start + self.block)
-            self._score_block(w1[rows], w2[rows], counts[rows])
+            closest = self._score_block(w1[rows], w2[rows], counts[rows],
+                                        np.float32)
+            unsure = start + np.flatnonzero(~(closest > tolerance[rows]))
+            for first in range(0, len(unsure), self.wide):
+                again = unsure[first:first + self.wide]
+                redo = counts[again]             # a copy
+                self._score_block(w1[again], w2[again], redo, np.float64)
+                counts[again] = redo
+                self._rechecked += len(again)
         return counts
 
     def error_rates(self, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
@@ -295,28 +349,65 @@ class ScoreBatch:
         return (pooled(slice(None)), per_class, pooled(slice(None, N_OUTPUT)),
                 pooled(slice(N_OUTPUT, None)))
 
+    def _tolerances(self, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
+        """Per realization, the margin beyond which a float32 decision is
+        the float64 one: twice a bound on ``|o32 - o64|``, or inf.
+
+        A sum of n products, in any order and with or without fused
+        multiply-adds, lies within ``gamma_n = n u / (1 - n u)`` times the
+        sum of the products' magnitudes of its exact value (Higham,
+        *Accuracy and Stability of Numerical Algorithms*, 2002, ch. 3; u
+        is 2^-24 in float32, 2^-53 in float64).  A hidden unit's 17 terms,
+        with the float32 rounding of its weights and inputs, so lie within
+        ``gamma32(19) + gamma64(17)`` times ``max|x| sum|w| + |b|`` of each
+        other, plus ``2^-120 (1 + max|x|)(1 + sum|w| + |b|)`` for
+        underflow; the clip is 1-Lipschitz.  An output's 9 terms, whose
+        hidden values lie in [-1, 1], add ``gamma32(10) + gamma64(9)``
+        times ``sum|w| + |b|``, its weights' magnitudes times the hidden
+        bounds, and 2^-120.  A margin compares two outputs, or one with 0,
+        so twice the largest output bound, grown by 8 u32 for the margin's
+        own float32 rounding, the subnormal it may add and the bound's
+        float64 rounding, decides it.  Where a float32 value could
+        overflow -- an input, a hidden weight row sum or the bound at
+        2^100 or more, or not finite -- the tolerance is inf; so is that
+        of every realization whose float32 outputs can hold NaN.
+        """
+        net, x_max = self.net, self.x_max
+        rows = np.ones(N_INPUT) @ np.abs(w1)              # (T, 8)
+        b1 = np.abs(net.b_hidden)
+        hidden = (_HIDDEN_GAMMA * (x_max * rows + b1)
+                  + _UNDERFLOW * (1 + x_max) * (1 + rows + b1))
+        outputs = ((hidden + _OUTPUT_GAMMA)[:, None] @ np.abs(w2))[:, 0]
+        bound = (outputs + _OUTPUT_GAMMA * np.abs(net.b_out)
+                 + _UNDERFLOW).max(axis=1)
+        safe = ((bound < _OVERFLOW) & (rows.max(axis=1) < _OVERFLOW)
+                & (x_max < _OVERFLOW))
+        return np.where(safe, 2 * (1 + 8 * _U32) * bound, np.inf)
+
     def _score_block(self, w1: np.ndarray, w2: np.ndarray,
-                     counts: np.ndarray) -> None:
+                     counts: np.ndarray, dtype) -> np.ndarray:
+        """Per-class error counts of the realizations ``w1`` and ``w2``,
+        scored in ``dtype``, into ``counts``; returns each realization's
+        smallest ``|margin|``."""
         n, net = len(w1), self.net
-        blocks = forward_stack_into(self.xT, w1, net.b_hidden, w2, net.b_out,
-                                    self.hidden, self.out, self.columns)
-        sites = self.out[:N_OUTPUT * n * self.sites]   # Sr's come last
+        xT, hidden, out = self.views[dtype]
+        hidden[:n, N_HIDDEN] = 1.0
+        blocks = forward_stack_into(xT, w1, net.b_hidden, w2, net.b_out,
+                                    hidden, out, self.columns)
+        sites = out[:N_OUTPUT * n * self.sites]     # Sr's come last
         np.minimum(sites, 1.0, out=sites)
-        for c, block in zip(self.classes, blocks):
-            size, o = block.shape[2], block.reshape(N_OUTPUT, -1)
-            k = o.shape[1]
-            best, mask, right = self.best[:k], self.mask[:k], self.right[:k]
-            if c == N_OUTPUT:                    # Sr: some output above 0
-                np.greater(_maximum(o, slice(None), best), 0.0, out=mask)
-                counts[:, c] = np.count_nonzero(mask.reshape(n, size), axis=1)
-                continue
-            # above 0 and every earlier output, at least every later one
-            np.greater(o[c], _maximum(o, slice(c), best, 0.0), out=right)
-            if c < N_OUTPUT - 1:
-                later = _maximum(o, slice(c + 1, None), best)
-                right &= np.greater_equal(o[c], later, out=mask)
-            counts[:, c] = size - np.count_nonzero(right.reshape(n, size),
-                                                   axis=1)
+        spent = hidden.reshape(-1)
+        closest = np.full(n, np.inf, dtype)
+        for c, o in zip(self.classes, blocks):
+            size = o.shape[2]
+            best, e, right = (part[:n * size].reshape(n, size) for part in
+                              (spent, spent[n * size:], self.mask))
+            _margin(o, c, best, e)
+            np.greater(e, 0.0, out=right)
+            counts[:, c] = size - np.add.reduce(right, axis=1, dtype=np.intp)
+            np.minimum(closest, np.minimum.reduce(np.abs(e, out=e), axis=1),
+                       out=closest)
+        return closest
 
 
 def _percent(wrong: np.ndarray, patterns) -> np.ndarray:
@@ -333,6 +424,37 @@ def _maximum(o: np.ndarray, rows: slice, best: np.ndarray,
         return floor
     top = part[0] if len(part) == 1 else np.maximum.reduce(part, out=best)
     return top if floor is None else np.maximum(top, floor, out=best)
+
+
+def _margin(o: np.ndarray, c: int, best: np.ndarray,
+            e: np.ndarray) -> np.ndarray:
+    """Into ``e``: the decision margin of each output of ``o``, (4, T, m),
+    of patterns of class ``c``, (T, m), positive exactly where the first
+    maximal output, or Sr where no output is positive, is ``c``.
+
+    For c < 4 it is ``min(o_c - max(0, o_k<c), (o_c - max(o_k>c)) + t)``,
+    for Sr ``t - max(o_k)``, where t is the smallest subnormal.  A
+    floating difference has the sign of the exact one, with gradual
+    underflow (Goldberg, ACM Computing Surveys 23(1), 1991), so each
+    ``>`` is the sign of a difference.  Every float is a multiple of t,
+    so adding t lifts a zero difference, and only a zero one, above 0,
+    as ``nextafter(d, +inf)`` would at a tenth of its cost: it turns the
+    ``>=`` against a later rival, and the Sr maximum's ``<= 0``, into a
+    sign.  ``np.maximum`` propagates NaN and a NaN output rejects, so it
+    gives a site pattern a NaN margin and an Sr pattern, through
+    ``np.fmin``, a margin of +inf.
+    """
+    t = np.finfo(e.dtype).smallest_subnormal
+    if c == N_OUTPUT:
+        np.subtract(t, _maximum(o, slice(None), best), out=e)
+        return np.fmin(e, np.inf, out=e)
+    np.subtract(o[c], _maximum(o, slice(c), best, 0.0), out=e)
+    if c < N_OUTPUT - 1:
+        later = np.subtract(o[c], _maximum(o, slice(c + 1, None), best),
+                            out=best)
+        later += t
+        np.minimum(e, later, out=e)
+    return e
 
 
 def forward(params: MlpParams, x: np.ndarray) -> np.ndarray:

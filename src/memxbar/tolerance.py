@@ -29,8 +29,10 @@ Trials are scored serially, chunk by chunk, by the network's one
 classifier, :class:`~memxbar.netmodel.ScoreBatch`, in buffers that each
 analysis or search allocates once: blocks of trials small enough to stay
 in a core's cache run through the stacked forward kernel that training
-shares, and each class's errors are counted on its own contiguous
-segment of the outputs.  An analysis takes each synapse's weight-error
+shares, in float32, and each class's errors are counted on its own
+contiguous segment of the outputs; the few trials whose decisions
+float32 cannot certify are scored again in float64, so every count is
+float64's.  An analysis takes each synapse's weight-error
 band from the weight stacks of the trials it scores, so the band and
 the verdict share one draw and one error model, in which each row of a
 pair has its own feedback resistor.  Per synapse it keeps only the few
@@ -41,7 +43,7 @@ does not grow with the trial count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -112,10 +114,12 @@ def tolerance_set(r_m: float = TOLERANCE_DEFAULTS["r_m"],
                   r_f: float = TOLERANCE_DEFAULTS["r_f"],
                   limit_sigmas: float = TOLERANCE_DEFAULTS["limit_sigmas"]
                   ) -> dict:
-    """The usual spec bundle: common memristor limit, feedback-resistor limit."""
+    """The usual spec bundle: common memristor limit, feedback-resistor
+    limit.  A bad limit is refused naming its setting, ``r_m`` or ``r_f``."""
+    memristor = ToleranceSpec("r_m", r_m, limit_sigmas)
     return {
-        "r_m1": ToleranceSpec("r_m1", r_m, limit_sigmas),
-        "r_m2": ToleranceSpec("r_m2", r_m, limit_sigmas),
+        "r_m1": replace(memristor, component="r_m1"),
+        "r_m2": replace(memristor, component="r_m2"),
         "r_f": ToleranceSpec("r_f", r_f, limit_sigmas),
     }
 

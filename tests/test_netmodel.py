@@ -142,6 +142,109 @@ def test_scorer_clips_only_where_a_decision_can_change():
     assert np.array_equal(counts, [[0.0, 0.0, 1.0, 0.0, 1.0]])
 
 
+def exact_outputs(trials=6, patterns=400):
+    """A net, weight stacks and labelled patterns whose outputs both
+    precisions compute exactly: twice four of the eight clipped inputs, a
+    different four in each trial, on a grid of 1/8 (so ties abound), or
+    any float32.  Trial 0 takes its outputs from the same inputs, so they
+    all tie, at +2 (+1 after the clip) in 50 patterns; trial 1 puts 0 and
+    -0 in every output of 50 patterns, and its maximum at 0 in 50 more;
+    trial 2 gives output 3 the value of output 1, a later rival equal to
+    it; trial 3 has a NaN output weight, for output 2, and 20 patterns
+    have a NaN input, which makes every output NaN."""
+    rng = np.random.default_rng(14)
+    x = np.zeros((patterns, 16))
+    grid = rng.integers(-8, 9, (patterns, 8)) / 8
+    x[:, :8] = np.where(rng.random((patterns, 1)) < 0.5, grid,
+                        rng.uniform(-1, 1, (patterns, 8)).astype(np.float32))
+    x[:50, 0] = 1.0
+    x[:50, 1:5] = (0.0, -0.0, 0.0, -0.0)
+    x[50:100, 1:5] = (-0.25, 0.0, -0.5, 0.0)
+    x[-20:, 5] = np.nan
+    w1 = np.broadcast_to(np.eye(16, 8), (trials, 16, 8)).copy()
+    w2 = np.zeros((trials, 8, 4))
+    for t in range(trials):
+        w2[t, rng.permutation(8)[:4], range(4)] = 2.0
+    w2[0] = 0.0
+    w2[0, 0] = 2.0
+    w2[1] = 2.0 * np.eye(8, 4, k=-1)                   # inputs 1-4
+    w2[2, :, 3] = w2[2, :, 1]
+    w2[3, 6, 2] = np.nan
+    net = MlpParams(np.eye(16, 8), np.zeros(8), 2.0 * np.eye(8, 4),
+                    np.zeros(4))
+    return net, x, rng.integers(0, 5, patterns), w1, w2
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_margins_are_positive_exactly_where_the_rule_says_right(dtype):
+    """In either precision, on outputs it holds exactly, ties at +1, at
+    0 and -0 and with a later rival, and NaN included."""
+    net, x, codes, w1, w2 = exact_outputs()
+    out = forward_stack(x, w1, net.b_hidden, w2, net.b_out)
+    top = out.max(axis=2)
+    assert (top[0, :50] == 1.0).all() and (top[1, :100] == 0.0).all()
+    assert np.isnan(out[:, -20:]).all() and np.isnan(out[3, :, 2]).all()
+    assert (out[2, :-20, 3] == out[2, :-20, 1]).all()
+    batch = ScoreBatch(net, x, codes, 2 * len(w1))   # float64 views hold T
+    counts = np.zeros((len(w1), 5))
+    batch._score_block(w1, w2, counts, dtype)
+    assert np.array_equal(counts, reference_counts(net, w1, w2, x, codes))
+
+
+def float32_outputs(net, x, w1, w2):
+    """Unclipped outputs, (4, T, H), of the kernel in float32."""
+    hidden = np.ones((len(w1), 9, len(x)), np.float32)
+    out = np.empty(4 * len(w1) * len(x), np.float32)
+    got, = forward_stack_into(unit_by_pattern(x).astype(np.float32), w1,
+                              net.b_hidden, w2, net.b_out, hidden, out,
+                              [slice(0, len(x))])
+    return got.astype(float)
+
+
+@pytest.mark.parametrize("x_top", [1.0, 3.0])
+def test_float32_outputs_lie_within_the_bound(x_top):
+    """With weights up to the default weight limit, 9.67, inputs in
+    [0, 1] or up to 3, and biases up to 2, every output of the float32
+    kernel lies within half the scorer's tolerance of the float64 one."""
+    rng = np.random.default_rng(int(x_top))
+    limit, trials = 9.67, 40
+    x = rng.uniform(0.0, x_top, (500, 16))
+    x[:100] = np.round(x[:100] / 0.0025) * 0.0025      # the DAC grid
+    net = MlpParams(np.zeros((16, 8)), rng.uniform(-2, 2, 8),
+                    np.zeros((8, 4)), rng.uniform(-2, 2, 4))
+    scale = rng.uniform(0.05, 1.0, (trials, 1, 1))      # some unsaturated
+    w1 = scale * rng.uniform(-limit, limit, (trials, 16, 8))
+    w2 = rng.uniform(-limit, limit, (trials, 8, 4))
+    hidden, out = stack_buffers(trials, len(x))
+    wide, = forward_stack_into(unit_by_pattern(x), w1, net.b_hidden, w2,
+                               net.b_out, hidden, out, [slice(0, len(x))])
+    gap = np.abs(float32_outputs(net, x, w1, w2) - wide).max(axis=(0, 2))
+    tolerance = ScoreBatch(net, x, np.zeros(len(x), int),
+                           trials)._tolerances(w1, w2)
+    assert gap.min() > 0
+    assert (2 * gap <= tolerance).all()
+
+
+def test_a_near_tie_float32_decides_wrong_is_rechecked():
+    """Output S2 exceeds S1 by 1e-9, which float32 rounds away: alone it
+    would call an S2 pattern S1, and the recheck in float64 scores it
+    right."""
+    net = MlpParams(np.eye(16, 8), np.zeros(8), np.eye(8, 4), np.zeros(4))
+    x = np.zeros((3, 16))
+    x[:, :2] = [[0.3, 0.3 + 1e-9], [0.6, 0.1], [0.2, 0.7]]
+    assert np.float32(x[0, 0]) == np.float32(x[0, 1])
+    codes = label_codes(["S2", "S1", "S2"])
+    one = (net.w_hidden[None], net.w_out[None])
+    batch = ScoreBatch(net, x, codes, 1)
+    alone = np.zeros((1, 5))
+    batch._score_block(*one, alone, np.float32)
+    assert alone.tolist() == [[0.0, 1.0, 0.0, 0.0, 0.0]]
+    counts = batch.errors(*one)
+    assert batch._rechecked == 1
+    assert np.array_equal(counts, reference_counts(net, *one, x, codes))
+    assert not counts.any()
+
+
 def test_scoring_rejects_a_label_count_mismatch():
     net, x = passthrough([[0.5, 0.0, 0.0, 0.0], [0.0, 0.5, 0.0, 0.0]])
     with pytest.raises(ShapeMismatchError):

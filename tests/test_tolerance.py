@@ -134,14 +134,28 @@ def test_analysis_is_seed_deterministic(small_mc):
     assert a.to_dict() == b.to_dict()
 
 
-def test_analysis_is_thread_invariant(small_mc):
-    with blas_threads(1):
-        serial = small_mc(trials=500)
-    with blas_threads(2):
-        threaded = small_mc(trials=500)
-    assert np.array_equal(serial.p_err, threaded.p_err)
-    assert np.array_equal(serial.p_err_sites, threaded.p_err_sites)
-    assert serial.to_dict() == threaded.to_dict()
+def test_analysis_is_thread_invariant(monkeypatch, small_mc):
+    """At seed 1234 float32 certifies every trial; seed 0 holds trials it
+    leaves uncertain, so both precisions are compared."""
+    built, init = [], ScoreBatch.__init__
+
+    def recording(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(ScoreBatch, "__init__", recording)
+    for seed in (1234, 0):
+        built.clear()
+        with blas_threads(1):
+            serial = small_mc(trials=500, seed=seed)
+        with blas_threads(2):
+            threaded = small_mc(trials=500, seed=seed)
+        assert len(built) == 2
+        if seed == 0:
+            assert all(batch._rechecked for batch in built)
+        assert np.array_equal(serial.p_err, threaded.p_err)
+        assert np.array_equal(serial.p_err_sites, threaded.p_err_sites)
+        assert serial.to_dict() == threaded.to_dict()
 
 
 def test_analysis_is_chunk_invariant(small_mc):
@@ -574,8 +588,8 @@ def scorer_problem(patterns=60, trials=7):
 
 
 # block, patterns, trials: blocks of 1, 2 and 64 trials on 60 patterns;
-# and the default block, 16 trials of 2 000 patterns, under 37 trials:
-# blocks of 16, 16 and 5
+# and the default block, 32 trials of 2 000 patterns, under 37 trials:
+# blocks of 32 and 5
 SCORER_CASES = [pytest.param(1, 60, 7, id="1"), pytest.param(2, 60, 7, id="2"),
                 pytest.param(64, 60, 7, id="64"),
                 pytest.param(tolerance._CHUNK, 2000, 37, id="default")]
@@ -586,7 +600,7 @@ def scorer_batch(block, patterns, trials):
     at most ``block`` trials."""
     net, x, codes, w1, w2 = problem = scorer_problem(patterns, trials)
     batch = ScoreBatch(net, x, codes, block)
-    assert batch.block == (16 if patterns == 2000 else block)
+    assert batch.block == (32 if patterns == 2000 else block)
     return batch, problem
 
 
