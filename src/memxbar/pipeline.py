@@ -4,7 +4,9 @@ stress analysis, tolerance synthesis, state sweep.
 Each stage writes its artifacts, each replaced whole by ``reports.replacing``,
 into the stage-named directory that ``run_pipeline`` makes in the run
 directory; later stages reload them from disk, each through
-``reports.read_artifact``, so any stage can be re-run in isolation.  All
+``reports.read_artifact`` (a dataset split from its binary copy where
+``split.json``'s digests show it current), so any stage can be re-run in
+isolation.  All
 randomness derives from the master seed through fixed per-stage
 substreams; an identical configuration reproduces every artifact byte for
 byte.
@@ -13,6 +15,7 @@ byte.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
@@ -31,7 +34,7 @@ from .mapping import (CompiledLayer, CompiledNet, ResistanceRange,
                       compensate_stuck, compile_network, w_max)
 from .netmodel import (N_HIDDEN, N_INPUT, N_OUTPUT, MlpParams, TrainConfig,
                        check_train_settings, check_unity_chain, evaluate,
-                       init_params, train_discrete)
+                       init_params, label_codes, train_discrete)
 from .reports import read_artifact, read_json, write_json
 from .stats import check_ranges, is_real, subseed, substream
 from .tolerance import (TOLERANCE_DEFAULTS, ExperimentPlan, analyze_tolerances,
@@ -238,11 +241,58 @@ def _stuck_cells(cfg: RunConfig) -> dict:
     return cells
 
 
+def _sha256(path: Path) -> str:
+    """The sha256 of the bytes of ``path``, read in blocks."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 16), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
+def _split_copy(run_dir: Path, name: str):
+    """The patterns and labels of the binary copy ``dataset/<name>.npy``,
+    or None unless ``split.json`` holds the sha256 of the CSV and of the
+    copy as they are now, and the copy holds one float row per counted
+    pattern: its 16 values, then its label's index in ``LABELS``."""
+    folder = Path(run_dir) / "dataset"
+    try:
+        record = read_json(folder / "split.json")
+        shape = (sum(record[name].values()), N_INPUT + 1)
+        digests = record["sha256"]
+        blob = (folder / f"{name}.npy").read_bytes()   # used as hashed
+        if (hashlib.sha256(blob).hexdigest() != digests[f"{name}.npy"]
+                or _sha256(folder / f"{name}.csv") != digests[f"{name}.csv"]):
+            return None
+        # np.save's format 1.0, read in place: np.load of a stream would
+        # copy it through transient blocks that raise the peak RSS
+        stream = io.BytesIO(blob)
+        if np.lib.format.read_magic(stream) != (1, 0):
+            return None
+        header = np.lib.format.read_array_header_1_0(stream)
+        a = np.frombuffer(blob, np.float64, offset=stream.tell())
+    except (OSError, EOFError, ValueError, KeyError, TypeError,
+            AttributeError):
+        return None
+    if header != (shape, False, np.float64) or a.size != math.prod(shape):
+        return None
+    a = a.reshape(shape)
+    codes = a[:, N_INPUT]
+    if not np.isin(codes, np.arange(len(ds.LABELS))).all():
+        return None
+    labels = [ds.LABELS[k] for k in codes.astype(np.intp).tolist()]
+    return np.ascontiguousarray(a[:, :N_INPUT]), labels
+
+
 def _load_split(run_dir: Path, name: str):
-    """A dataset split; a value outside [0, 1], the range ``encode``
-    writes, is refused (NaN included), naming its line."""
+    """A dataset split: the binary copy where ``_split_copy`` finds it
+    current, else the parse of ``dataset/<name>.csv``, which refuses a
+    malformed file naming its line.  The copy holds the CSV's values bit
+    for bit, so both give the same split.  A value outside [0, 1], the
+    range ``encode`` writes, is refused (NaN included), naming its line."""
     rel = f"dataset/{name}.csv"
-    x, labels = read_artifact(run_dir, rel, ds.load_dataset_csv)
+    x, labels = (_split_copy(run_dir, name)
+                 or read_artifact(run_dir, rel, ds.load_dataset_csv))
     inside = (x >= 0) & (x <= 1)
     if not inside.all():
         i, j = np.argwhere(~inside)[0]   # a record per line after the header
@@ -296,12 +346,16 @@ def stage_dataset(cfg: RunConfig, out: Path) -> None:
     profile = (ds.load_profile(cfg.profile_path)
                if cfg.profile_path is not None else ds.default_profile())
     rng = substream(cfg.seed, _STREAM["dataset"], 0)
-    (x_train, y_train), (x_test, y_test) = ds.default_splits(rng, profile)
-    ds.save_dataset_csv(out / "train.csv", x_train, y_train)
-    ds.save_dataset_csv(out / "test.csv", x_test, y_test)
-    counts = {"train": {lb: y_train.count(lb) for lb in ds.LABELS},
-              "test": {lb: y_test.count(lb) for lb in ds.LABELS}}
-    write_json(out / "split.json", {"seed": cfg.seed, **counts})
+    splits = dict(zip(("train", "test"), ds.default_splits(rng, profile)))
+    record = {"seed": cfg.seed, "sha256": {}}
+    for name, (x, labels) in splits.items():
+        ds.save_dataset_csv(out / f"{name}.csv", x, labels)
+        with reports.replacing(out / f"{name}.npy", mode="wb") as fh:
+            np.save(fh, np.column_stack([x, label_codes(labels)]))
+        record[name] = {lb: labels.count(lb) for lb in ds.LABELS}
+        for file in (f"{name}.csv", f"{name}.npy"):
+            record["sha256"][file] = _sha256(out / file)
+    write_json(out / "split.json", record)
 
 
 def _train_config(cfg: RunConfig, harden: bool) -> TrainConfig:

@@ -7,7 +7,8 @@ source, so re-emission is byte-identical.
 
 Every artifact of a run, in any module, is written through :func:`replacing`
 (every JSON artifact through :func:`write_json`) and read back through
-:func:`read_artifact`.
+:func:`read_artifact`, except a dataset split's binary copy, which the
+pipeline reads only where its recorded digest matches.
 """
 
 from __future__ import annotations
@@ -39,12 +40,13 @@ TRIALS_COLUMNS = {"overall": "p_err_percent", "sites": "p_err_sites_percent",
 
 
 @contextlib.contextmanager
-def replacing(path, newline=None):
-    """Text file written as ``<path>.part`` that replaces ``path`` whole when
-    the block completes; on an error ``path`` keeps its old bytes."""
+def replacing(path, newline=None, mode="w"):
+    """File, text or with ``mode="wb"`` bytes, written as ``<path>.part``
+    that replaces ``path`` whole when the block completes; on an error
+    ``path`` keeps its old bytes."""
     part = Path(f"{path}.part")
     try:
-        with open(part, "w", newline=newline) as fh:
+        with open(part, mode, newline=newline) as fh:
             yield fh
         os.replace(part, path)
     except BaseException:

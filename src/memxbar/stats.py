@@ -67,6 +67,7 @@ def truncated_normal(rng: np.random.Generator, mean, sigma, limit_sigmas: float,
     forms ``rng.normal(mean, sigma)`` as ``mean + sigma * g`` from one
     standard normal ``g`` per entry, in order, so the draws equal
     ``rng.normal`` bit for bit, with only the rejected entries redrawn.
+    After the first pass only the entries just redrawn are tested again.
     Given ``out``, a float array of shape ``size``, the draws fill it.
     """
     mean = np.asarray(mean, dtype=float)
@@ -76,12 +77,17 @@ def truncated_normal(rng: np.random.Generator, mean, sigma, limit_sigmas: float,
     out += mean
     bound = limit_sigmas * sigma
     bad = _outside(out, mean, bound)
-    while bad.any():
-        redraw = rng.standard_normal(np.count_nonzero(bad))
-        redraw *= _at(sigma, bad)
-        redraw += _at(mean, bad)
-        out[bad] = redraw
-        bad = _outside(out, mean, bound)
+    where = np.flatnonzero(bad)          # in the order of ``out[bad]``
+    mean, sigma, bound = (_at(v, bad) for v in (mean, sigma, bound))
+    flat = out.reshape(-1)               # a view: ``out`` is contiguous
+    while where.size:
+        redraw = rng.standard_normal(where.size)
+        redraw *= sigma
+        redraw += mean
+        flat[where] = redraw
+        bad = _outside(redraw, mean, bound)
+        where = where[bad]
+        mean, sigma, bound = (_at(v, bad) for v in (mean, sigma, bound))
     return out
 
 

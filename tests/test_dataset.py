@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from memxbar import pipeline
 from memxbar.dataset import (TEST_COUNTS, TRAIN_COUNTS, StimulusProfile,
                              default_profile, default_splits, encode,
                              load_dataset_csv, load_profile, make_split,
@@ -221,6 +222,34 @@ def test_dataset_csv_round_trip_is_exact(tmp_path):
     assert x2.shape == x.shape
     assert np.array_equal(x2.view(np.uint64), x.view(np.uint64))
     assert labels2 == labels
+
+
+def test_the_binary_copy_of_each_split_holds_the_csv_bits(tmp_path,
+                                                         monkeypatch):
+    """The dataset stage writes each split as CSV and as binary copy; the
+    copy reads back as the CSV's parse bit for bit, awkward values
+    included, and a value outside [0, 1] is refused, naming its line, from
+    either one."""
+    splits = (awkward_dataset(), awkward_dataset(rows=700, seed=4))
+    monkeypatch.setattr(pipeline.ds, "default_splits",
+                        lambda rng, profile: splits)
+    pipeline.run_pipeline(pipeline.RunConfig(seed=1, out_dir=tmp_path),
+                          "dataset")
+    for name in ("train", "test"):
+        csv_path = tmp_path / "dataset" / f"{name}.csv"
+        x, labels = pipeline._split_copy(tmp_path, name)
+        want, want_labels = load_dataset_csv(csv_path)
+        assert x.shape == want.shape and x.flags.c_contiguous
+        assert np.array_equal(x.view(np.uint64), want.view(np.uint64))
+        assert labels == want_labels
+        messages = []
+        for _ in range(2):   # from the copy, then from the CSV alone
+            with pytest.raises(ShapeMismatchError) as refused:
+                pipeline._load_split(tmp_path, name)
+            messages.append(str(refused.value))
+            (tmp_path / "dataset" / f"{name}.npy").unlink(missing_ok=True)
+        assert messages[0] == messages[1]
+        assert f"{csv_path} line " in messages[0]
 
 
 def test_dataset_csv_passes_hold_no_whole_file_buffer(tmp_path):

@@ -4,6 +4,8 @@ import copy
 import csv
 import dataclasses
 import functools
+import hashlib
+import io
 import json
 import os
 import re
@@ -12,6 +14,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import memxbar
@@ -19,10 +22,13 @@ from memxbar.cli import (BLAS_THREAD_VARIABLES, EXIT_CONFIG, EXIT_ENFORCE,
                          EXIT_OK, EXIT_STAGE, build_parser, load_config,
                          main)
 from memxbar.crossbar import U_SAT, Crossbar, CrossbarConfig
+from memxbar.dataset import load_dataset_csv
 from memxbar.device import DeviceParams
 from memxbar.errors import ConfigError
 from memxbar.mapping import ResistanceRange
-from memxbar.pipeline import RunConfig, run_pipeline, stage_dataset
+from memxbar.pipeline import (RunConfig, _load_split, run_pipeline,
+                              stage_dataset)
+from memxbar.reports import write_json
 from memxbar.tolerance import TOLERANCE_DEFAULTS
 
 from helpers import DEFAULT_SEED, default_profile_dict
@@ -657,9 +663,152 @@ def test_pipeline_is_deterministic(default_run, tmp_path):
     out = tmp_path / "again"
     summary = run_pipeline(default_cfg(out), "all")
     assert summary == default_run.summary
-    for rel in ("train/params.json", "analyze/trials.csv", "sweep/sweep.csv"):
+    for rel in ("dataset/split.json", "dataset/train.npy", "dataset/test.npy",
+                "train/params.json", "analyze/trials.csv", "sweep/sweep.csv"):
         assert (out / rel).read_bytes() == \
             (default_run.run_dir / rel).read_bytes()
+
+
+@pytest.fixture
+def csv_parses(monkeypatch):
+    """The names of the files ``dataset.load_dataset_csv`` parses while the
+    test runs."""
+    parsed, parse = [], memxbar.dataset.load_dataset_csv
+
+    def spy(path):
+        parsed.append(Path(path).name)
+        return parse(path)
+    monkeypatch.setattr(memxbar.dataset, "load_dataset_csv", spy)
+    return parsed
+
+
+def _same_split(got, want):
+    """Two (patterns, labels) pairs hold the same bits and labels."""
+    assert got[0].shape == want[0].shape and got[0].flags.c_contiguous
+    assert np.array_equal(got[0].view(np.uint64), want[0].view(np.uint64))
+    assert got[1] == want[1]
+
+
+def test_a_split_is_read_from_its_binary_copy(default_run, csv_parses):
+    """Where ``split.json`` holds the digests of the CSV and of the copy as
+    they are, a stage reads the copy, and it is the CSV's parse bit for
+    bit."""
+    folder = default_run.run_dir / "dataset"
+    digests = json.loads((folder / "split.json").read_text())["sha256"]
+    assert sorted(digests) == ["test.csv", "test.npy", "train.csv", "train.npy"]
+    for name in ("train", "test"):
+        got = _load_split(default_run.run_dir, name)
+        assert csv_parses == []
+        _same_split(got, load_dataset_csv(folder / f"{name}.csv"))
+
+
+def _record(change):
+    """An edit of ``split.json``: ``change`` the parsed object."""
+    def edit(folder):
+        record = json.loads((folder / "split.json").read_text())
+        change(record)
+        write_json(folder / "split.json", record)
+    return edit
+
+
+def _rewritten(content):
+    """``test.npy`` replaced by the bytes ``content`` makes of its path, its
+    new digest recorded: only the check of the copy's content can refuse
+    it."""
+    def edit(folder):
+        path = folder / "test.npy"
+        path.write_bytes(content(path))
+        _record(lambda d: d["sha256"].update(
+            {"test.npy": hashlib.sha256(path.read_bytes()).hexdigest()}))(folder)
+    return edit
+
+
+def _resaved(change):
+    """``test.npy`` saved again as ``change`` of its array."""
+    def content(path):
+        buf = io.BytesIO()
+        np.save(buf, change(np.load(path)))
+        return buf.getvalue()
+    return _rewritten(content)
+
+
+def _nudged(folder):
+    """One value of ``test.npy`` one ulp up, its digest left as it was."""
+    path = folder / "test.npy"
+    a = np.load(path)
+    a[5, 3] = np.nextafter(a[5, 3], 2.0)
+    np.save(path, a)
+
+
+def _set(row, col, value):
+    def change(a):
+        a[row, col] = value
+        return a
+    return change
+
+
+def _made_a_directory(folder):
+    (folder / "test.npy").unlink()
+    (folder / "test.npy").mkdir()
+
+
+@pytest.mark.parametrize("edit", [
+    _nudged,
+    lambda f: (f / "test.npy").write_bytes((f / "test.npy").read_bytes()[:999]),
+    _record(lambda d: d["sha256"].update({"test.csv": "0" * 64})),
+    _record(lambda d: d.pop("sha256")),
+    _record(lambda d: d["sha256"].pop("test.npy")),
+    _record(lambda d: d["test"].update(Sr=d["test"]["Sr"] + 1)),
+    lambda f: (f / "test.npy").unlink(),
+    _made_a_directory,
+    _resaved(lambda a: a[:-1]),
+    _resaved(lambda a: a[:, :16]),
+    _resaved(lambda a: a.astype(np.float32)),
+    _resaved(lambda a: a.astype(">f8")),
+    _resaved(np.asfortranarray),
+    _rewritten(lambda path: path.read_bytes() + bytes(8)),
+    _resaved(_set(7, 16, 5.0)),
+    _resaved(_set(7, 16, 0.5)),
+    _resaved(_set(7, 16, -1.0)),
+    _resaved(_set(7, 16, np.nan)),
+], ids=["value-nudged", "truncated", "csv-digest-edited", "no-digests",
+        "no-copy-digest", "count-edited", "copy-missing", "copy-a-directory",
+        "row-dropped", "no-label-column", "float32", "big-endian",
+        "fortran-order", "value-appended", "label-5", "label-half",
+        "label-negative", "label-nan"])
+def test_a_copy_that_is_not_current_gives_the_csv_parse(default_run, tmp_path,
+                                                        csv_parses, edit):
+    """An edited, cut, missing or unreadable copy, a digest that does not
+    match, a run that recorded none, or a copy of the wrong shape, type or
+    label index: the stage parses the CSV, as a run without copies does."""
+    run = tmp_path / "run"
+    shutil.copytree(default_run.run_dir / "dataset", run / "dataset")
+    want = load_dataset_csv(run / "dataset" / "test.csv")
+    edit(run / "dataset")
+    got = _load_split(run, "test")
+    assert csv_parses == ["test.csv"]
+    _same_split(got, want)
+
+
+def test_a_run_without_binary_copies_scores_to_the_same_bytes(
+        default_run, tmp_path, csv_parses):
+    """A run directory as written before the copies, with no ``.npy`` file
+    and no ``sha256`` entry, is scored from the CSVs, to the same bytes."""
+    run = tmp_path / "csv-only"
+    shutil.copytree(default_run.run_dir, run)
+    for name in ("train", "test"):
+        (run / "dataset" / f"{name}.npy").unlink()
+    _record(lambda d: d.pop("sha256"))(run / "dataset")
+    stages = ("program", "analyze", "synthesize", "sweep")
+    for stage in stages:
+        run_pipeline(dataclasses.replace(default_run.cfg, out_dir=run), stage)
+    assert csv_parses == ["test.csv"] * len(stages)
+    written = [p.relative_to(run) for stage in stages
+               for p in sorted((run / stage).iterdir())]
+    assert len(written) >= 10
+    for rel in written + [Path("summary.json")]:
+        assert (run / rel).read_bytes() == \
+            (default_run.run_dir / rel).read_bytes(), rel
 
 
 def test_program_stage_keeps_stuck_cells(default_run, tmp_path):
