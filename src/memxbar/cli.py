@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from .errors import ConfigError, MemxbarError
-from .pipeline import STAGES, RunConfig, run_pipeline
+from .pipeline import STAGE_CHOICES, RunConfig, run_pipeline
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -31,7 +31,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="run configuration JSON")
     parser.add_argument("--seed", type=int, help="master seed override")
     parser.add_argument("--stage", default="all",
-                        choices=list(STAGES) + ["report", "all"],
+                        choices=STAGE_CHOICES,
                         help="pipeline stage to execute")
     parser.add_argument("--trials", type=int,
                         help="Monte Carlo trial count override")

@@ -43,6 +43,10 @@ LABELS = ("S1", "S2", "S3", "S4", "Sr")
 OUTPUT_LABELS = LABELS[:N_OUTPUT]
 REJECT_LABEL = LABELS[-1]
 
+# Each error budget, in report order, and the classes whose patterns it pools.
+BUDGETS = {"overall": LABELS, "sites": OUTPUT_LABELS,
+           "extraneous": (REJECT_LABEL,)}
+
 _SCORE_BYTES = 2 << 20           # hidden layer of one block of scored stacks
 
 # The float32 scorer's proof (ScoreBatch._tolerances): unit roundoffs, the
@@ -334,20 +338,19 @@ class ScoreBatch:
         return _percent(self.errors(w1, w2).sum(axis=1), self.patterns)
 
     def rates(self, counts: np.ndarray):
-        """Overall, per-class, sites (S1..S4 pooled) and extraneous (Sr)
-        error rates in percent of the per-class error counts ``counts``,
-        (T, 5), of realizations of this batch.  Per-class rates cover the
-        classes present; a pooled rate of no patterns is 0."""
-        def pooled(classes: slice) -> np.ndarray:
-            size = sum(self.sizes[classes])
+        """Error rates in percent, by ``BUDGETS`` entry and by class present,
+        of the per-class error counts ``counts``, (T, 5), of realizations
+        of this batch; a budget of no patterns is 0."""
+        def pooled(labels: tuple) -> np.ndarray:
+            classes = [LABELS.index(lb) for lb in labels]
+            size = sum(self.sizes[c] for c in classes)
             if not size:
                 return np.zeros(len(counts))
             return _percent(counts[:, classes].sum(axis=1), size)
 
-        per_class = {LABELS[c]: _percent(counts[:, c], self.sizes[c])
-                     for c in self.classes}
-        return (pooled(slice(None)), per_class, pooled(slice(None, N_OUTPUT)),
-                pooled(slice(N_OUTPUT, None)))
+        return ({name: pooled(labels) for name, labels in BUDGETS.items()},
+                {LABELS[c]: _percent(counts[:, c], self.sizes[c])
+                 for c in self.classes})
 
     def _tolerances(self, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
         """Per realization, the margin beyond which a float32 decision is

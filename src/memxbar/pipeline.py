@@ -41,12 +41,6 @@ from .tolerance import (TOLERANCE_DEFAULTS, ExperimentPlan, analyze_tolerances,
                         check_state_counts, discrete_state_sweep,
                         synthesize_tolerances, tolerance_set)
 
-STAGES = ("dataset", "train", "compile", "program", "analyze", "synthesize",
-          "sweep")
-
-_STREAM = {"dataset": 10, "train": 11, "program": 13, "analyze": 14,
-           "synthesize": 15}
-
 # Hardening jitter per unit of the combined component sigma.
 HARDEN_BOOST = 1.3
 
@@ -342,10 +336,11 @@ def _load_compiled(cfg: RunConfig) -> CompiledNet:
     return read_artifact(cfg.out_dir, "compile/compiled.json", read)
 
 
-def stage_dataset(cfg: RunConfig, out: Path) -> None:
+def stage_dataset(cfg: RunConfig, stream: int) -> None:
     profile = (ds.load_profile(cfg.profile_path)
                if cfg.profile_path is not None else ds.default_profile())
-    rng = substream(cfg.seed, _STREAM["dataset"], 0)
+    out = cfg.out_dir / "dataset"
+    rng = substream(cfg.seed, stream, 0)
     splits = dict(zip(("train", "test"), ds.default_splits(rng, profile)))
     record = {"seed": cfg.seed, "sha256": {}}
     for name, (x, labels) in splits.items():
@@ -375,11 +370,11 @@ def _train_config(cfg: RunConfig, harden: bool) -> TrainConfig:
     return TrainConfig(weight_limit=w_max(cfg.crossbar.r_f, window), **opts)
 
 
-def stage_train(cfg: RunConfig, out: Path) -> None:
+def stage_train(cfg: RunConfig, stream: int) -> None:
     x_train, y_train = _load_split(cfg.out_dir, "train")
     x_test, y_test = _load_split(cfg.out_dir, "test")
     y_target = ds.target_matrix(y_train)
-    rng = substream(cfg.seed, _STREAM["train"], 0)
+    rng = substream(cfg.seed, stream, 0)
     cont = train_discrete(init_params(rng), x_train, y_target,
                           _train_config(cfg, harden=False))
     phases = [("continuous", cont)]
@@ -388,10 +383,11 @@ def stage_train(cfg: RunConfig, out: Path) -> None:
         result = train_discrete(cont.params, x_train, y_target,
                                 _train_config(cfg, harden=True), rng)
         phases.append(("harden", result))
+    out = cfg.out_dir / "train"
     for name, kept in (("params.json", result), ("params_continuous.json", cont)):
         write_json(out / name, kept.params.to_dict())
     curve = np.concatenate([cont.curve] + [r.curve[1:] for _, r in phases[1:]])
-    reports.write_curve_csv(out / "curve.csv", curve)
+    reports.write_curve_csv(cfg.out_dir / reports.CURVE_CSV, curve)
     reports.render_learning_curve(curve, cfg.out_dir / reports.CURVE_SVG)
     scored = {name: {"epochs": r.epochs, "mse": r.final_mse,
                      "test_p_err": evaluate(r.params, x_test, y_test)}
@@ -404,7 +400,7 @@ def stage_train(cfg: RunConfig, out: Path) -> None:
     write_json(out / "train.json", meta)
 
 
-def stage_compile(cfg: RunConfig, out: Path) -> None:
+def stage_compile(cfg: RunConfig) -> None:
     params = _load_params(cfg.out_dir)
     net = compile_network(params.w_hidden, params.w_out, cfg.crossbar.r_f,
                           cfg.resistance_range)
@@ -414,7 +410,7 @@ def stage_compile(cfg: RunConfig, out: Path) -> None:
                    "r_m2": net.hidden.r_m2.tolist()},
         "out": {"r_m1": net.out.r_m1.tolist(), "r_m2": net.out.r_m2.tolist()},
     }
-    write_json(out / "compiled.json", payload)
+    write_json(cfg.out_dir / "compile/compiled.json", payload)
 
 
 def _program_array(cfg: RunConfig, name: str, layer: CompiledLayer,
@@ -437,14 +433,15 @@ def _program_array(cfg: RunConfig, name: str, layer: CompiledLayer,
     return xbar
 
 
-def stage_program(cfg: RunConfig, out: Path) -> None:
+def stage_program(cfg: RunConfig, stream: int) -> None:
     compiled = _load_compiled(cfg)
     params = _load_params(cfg.out_dir)
     x_test, y_test = _load_split(cfg.out_dir, "test")
-    rng = substream(cfg.seed, _STREAM["program"], 0)
+    rng = substream(cfg.seed, stream, 0)
     log_rows: list = []
     xbar_h = _program_array(cfg, "hidden", compiled.hidden, rng, log_rows)
     xbar_o = _program_array(cfg, "out", compiled.out, rng, log_rows)
+    out = cfg.out_dir / "program"
     save_crossbar_csv(xbar_h, out / "hidden.csv")
     save_crossbar_csv(xbar_o, out / "out.csv")
     reports.write_csv(out / "program_log.csv",
@@ -461,24 +458,21 @@ def stage_program(cfg: RunConfig, out: Path) -> None:
     write_json(out / "programmed.json", payload)
 
 
-def stage_analyze(cfg: RunConfig, out: Path) -> None:
+def stage_analyze(cfg: RunConfig, stream: int) -> None:
     params = _load_params(cfg.out_dir)
     compiled = _load_compiled(cfg)
     x_test, y_test = _load_split(cfg.out_dir, "test")
     specs = tolerance_set(**cfg.tolerance_settings())
     report = analyze_tolerances(params, compiled, specs, x_test, y_test,
                                 cfg.x_p, cfg.trials,
-                                subseed(cfg.seed, _STREAM["analyze"], 0))
-    write_json(out / "report.json", report.to_dict())
-    report.save_trials_csv(out / "trials.csv")
-    reports.write_bounds_csv(out / "weight_bounds.csv", report.weight_bounds)
-    reports.render_p_err_box(
-        {"overall": report.p_err, "sites": report.p_err_sites,
-         "extraneous": report.p_err_extraneous},
-        cfg.x_p, cfg.out_dir / reports.BOX_SVG)
-    reports.render_weight_bounds(
-        read_artifact(cfg.out_dir, reports.BOUNDS_CSV, reports.read_bounds_csv),
-        cfg.out_dir / reports.BOUNDS_SVG)
+                                subseed(cfg.seed, stream, 0))
+    run = cfg.out_dir
+    write_json(run / reports.REPORT_JSON, report.to_dict())
+    report.save_trials_csv(run / reports.TRIALS_CSV)
+    rows = reports.write_bounds_csv(run / reports.BOUNDS_CSV,
+                                    report.weight_bounds)
+    reports.render_p_err_box(report.rates, cfg.x_p, run / reports.BOX_SVG)
+    reports.render_weight_bounds(rows, run / reports.BOUNDS_SVG)
 
 
 def _default_plan(cfg: RunConfig) -> ExperimentPlan:
@@ -491,26 +485,26 @@ def _default_plan(cfg: RunConfig) -> ExperimentPlan:
                           limit_sigmas=tol["limit_sigmas"])
 
 
-def stage_synthesize(cfg: RunConfig, out: Path) -> None:
+def stage_synthesize(cfg: RunConfig, stream: int) -> None:
     params = _load_params(cfg.out_dir)
     compiled = _load_compiled(cfg)
     x_test, y_test = _load_split(cfg.out_dir, "test")
     plan = _default_plan(cfg)
-    seed = subseed(cfg.seed, _STREAM["synthesize"], 0)
+    seed = subseed(cfg.seed, stream, 0)
     result = synthesize_tolerances(params, compiled, x_test, y_test, cfg.x_p,
                                    plan, seed)
     payload = {"delta_star": result.delta_star, "x_p": cfg.x_p,
                "plan_trials": plan.trials, "plan_points": plan.points,
                "probes": result.probes}
-    write_json(out / "result.json", payload)
+    write_json(cfg.out_dir / "synthesize/result.json", payload)
 
 
-def stage_sweep(cfg: RunConfig, out: Path) -> None:
+def stage_sweep(cfg: RunConfig) -> None:
     params = _load_params(cfg.out_dir, "params_continuous.json")
     x_test, y_test = _load_split(cfg.out_dir, "test")
     results = discrete_state_sweep(params, x_test, y_test, cfg.sweep_counts,
                                    cfg.sweep_range, cfg.crossbar.r_f)
-    reports.write_sweep_csv(out / "sweep.csv", results)
+    reports.write_sweep_csv(cfg.out_dir / reports.SWEEP_CSV, results)
     reports.render_sweep(results, cfg.x_p, cfg.out_dir / reports.SWEEP_SVG)
 
 
@@ -534,7 +528,7 @@ def write_summary(cfg: RunConfig) -> dict:
         "train/train.json": lambda d: {"nominal_p_err": d["test_p_err"]},
         "program/programmed.json":
             lambda d: {"programmed_p_err": d["programmed_p_err"]},
-        "analyze/report.json": _verdict,
+        reports.REPORT_JSON: _verdict,
     }
     for rel, figures in readers.items():
         if (cfg.out_dir / rel).exists():
@@ -544,32 +538,36 @@ def write_summary(cfg: RunConfig) -> dict:
     return summary
 
 
-_STAGE_FUNCS = {
-    "dataset": stage_dataset,
-    "train": stage_train,
-    "compile": stage_compile,
-    "program": stage_program,
-    "analyze": stage_analyze,
-    "synthesize": stage_synthesize,
-    "sweep": stage_sweep,
+# Each stage in run order, writing into the directory of its name: its
+# function and, for a stage that draws, the id of its stream, its argument.
+_STAGES = {
+    "dataset": (stage_dataset, 10),
+    "train": (stage_train, 11),
+    "compile": (stage_compile,),
+    "program": (stage_program, 13),
+    "analyze": (stage_analyze, 14),
+    "synthesize": (stage_synthesize, 15),
+    "sweep": (stage_sweep,),
 }
+STAGES = tuple(_STAGES)
+# What ``run_pipeline`` and the command line accept as a stage.
+STAGE_CHOICES = (*STAGES, "report", "all")
 
 
 def run_pipeline(cfg: RunConfig, stage: str = "all") -> dict:
     """Execute one stage, or the whole chain, and refresh the summary."""
     cfg.check_experiment()
+    if stage not in STAGE_CHOICES:
+        raise ConfigError(f"unknown stage {stage!r}; "
+                          f"choose from {', '.join(STAGE_CHOICES)}")
     if stage == "report":
         reports.emit_report(cfg.out_dir)
         return write_summary(cfg)
-    names = STAGES if stage == "all" else (stage,)
-    unknown = set(names) - set(_STAGE_FUNCS)
-    if unknown:
-        raise ConfigError(f"unknown stage {sorted(unknown)}; "
-                          f"choose from {', '.join(STAGES + ('report', 'all'))}")
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     write_json(cfg.out_dir / "manifest.json",
                {"config": cfg.to_dict(), "hash": cfg.config_hash()})
-    for name in names:
+    for name in STAGES if stage == "all" else (stage,):
         (cfg.out_dir / name).mkdir(exist_ok=True)
-        _STAGE_FUNCS[name](cfg, cfg.out_dir / name)
+        run, *stream = _STAGES[name]
+        run(cfg, *stream)
     return write_summary(cfg)

@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import MissingArtifactError, ShapeMismatchError
+from .netmodel import BUDGETS
 from .svgplot import SvgFigure
 
 CURVE_CSV = "train/curve.csv"
@@ -34,9 +35,11 @@ BOUNDS_SVG = "analyze/weight_bounds.svg"
 SWEEP_CSV = "sweep/sweep.csv"
 SWEEP_SVG = "sweep/sweep.svg"
 
-# error-rate columns of TRIALS_CSV, after its "trial" column
+# Per error budget (netmodel.BUDGETS): its column of TRIALS_CSV, after the
+# "trial" column, and its label in the box chart.
 TRIALS_COLUMNS = {"overall": "p_err_percent", "sites": "p_err_sites_percent",
                   "extraneous": "p_err_extraneous_percent"}
+BOX_LABELS = {"overall": "all", "sites": "S1-S4", "extraneous": "Sr"}
 
 
 @contextlib.contextmanager
@@ -110,10 +113,11 @@ def render_learning_curve(curve, path) -> None:
         fh.write(fig.render())
 
 
-def write_trials_csv(path, p_err, sites, extraneous) -> None:
-    write_csv(path, ["trial", *TRIALS_COLUMNS.values()],
-              zip(range(len(p_err)), p_err.tolist(), sites.tolist(),
-                  extraneous.tolist()))
+def write_trials_csv(path, rates: dict) -> None:
+    """Each trial's error rate on every budget, ``rates[budget]``."""
+    columns = [rates[name].tolist() for name in BUDGETS]
+    write_csv(path, ["trial", *(TRIALS_COLUMNS[name] for name in BUDGETS)],
+              ((k, *row) for k, row in enumerate(zip(*columns))))
 
 
 def read_trials_csv(path) -> dict:
@@ -124,9 +128,8 @@ def read_trials_csv(path) -> dict:
 
 
 def render_p_err_box(trials: dict, x_p: float, path) -> None:
-    """Box chart of the trial error rates: overall, sites subset, Sr subset."""
-    series = [("all", trials["overall"]), ("S1-S4", trials["sites"]),
-              ("Sr", trials["extraneous"])]
+    """Box chart of the trial error rates ``trials`` of each budget."""
+    series = [(BOX_LABELS[name], trials[name]) for name in BUDGETS]
     top = max(max(float(np.max(v)) for _, v in series), x_p) * 1.15 + 1e-6
     fig = SvgFigure(title="Error rate under perturbation", xlabel="",
                     ylabel="P_err, %")
@@ -142,12 +145,14 @@ def render_p_err_box(trials: dict, x_p: float, path) -> None:
         fh.write(fig.render())
 
 
-def write_bounds_csv(path, bounds: dict) -> None:
+def write_bounds_csv(path, bounds: dict) -> list:
+    """The rows written, as :func:`read_bounds_csv` reads them back."""
+    rows = [(layer, i, j, low, high) for layer, band in bounds.items()
+            for i, cells in enumerate(band.tolist())
+            for j, (low, high) in enumerate(cells)]
     write_csv(path, ["layer", "in_idx", "out_idx", "low_percent",
-                     "high_percent"],
-              ((layer, i, j, low, high) for layer, band in bounds.items()
-               for i, cells in enumerate(band.tolist())
-               for j, (low, high) in enumerate(cells)))
+                     "high_percent"], rows)
+    return rows
 
 
 def read_bounds_csv(path) -> list:

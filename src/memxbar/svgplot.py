@@ -14,21 +14,21 @@ _MARGIN_L = 64
 _MARGIN_R = 16
 _MARGIN_T = 34
 _MARGIN_B = 46
+_WIDTH, _HEIGHT = 640, 420
+_TICKS = 6                       # most ticks an axis gets
 
 
 def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
-    span = hi - lo
-    if span <= 0:
-        return [lo]
-    raw = span / target
+def _nice_ticks(lo: float, hi: float) -> list[float]:
+    span = hi - lo                   # > 0: set_limits refuses less
+    raw = span / _TICKS
     mag = 10 ** math.floor(math.log10(raw))
     for mult in (1, 2, 5, 10):
         step = mult * mag
-        if span / step <= target:
+        if span / step <= _TICKS:
             break
     first = math.ceil(lo / step) * step
     ticks = []
@@ -48,10 +48,8 @@ def _tick_label(v: float) -> str:
 class SvgFigure:
     """One chart: configure ranges, add glyphs, render."""
 
-    def __init__(self, width: int = 640, height: int = 420, title: str = "",
-                 xlabel: str = "", ylabel: str = "", y_log: bool = False):
-        self.width = width
-        self.height = height
+    def __init__(self, title: str, xlabel: str, ylabel: str,
+                 y_log: bool = False):
         self.title = title
         self.xlabel = xlabel
         self.ylabel = ylabel
@@ -71,7 +69,7 @@ class SvgFigure:
     def _tx(self, v: float) -> float:
         x0, x1 = self._xlim
         frac = (v - x0) / (x1 - x0)
-        return _MARGIN_L + frac * (self.width - _MARGIN_L - _MARGIN_R)
+        return _MARGIN_L + frac * (_WIDTH - _MARGIN_L - _MARGIN_R)
 
     def _ty(self, v: float) -> float:
         y0, y1 = self._ylim
@@ -79,7 +77,7 @@ class SvgFigure:
             frac = (math.log10(v) - math.log10(y0)) / (math.log10(y1) - math.log10(y0))
         else:
             frac = (v - y0) / (y1 - y0)
-        return self.height - _MARGIN_B - frac * (self.height - _MARGIN_T - _MARGIN_B)
+        return _HEIGHT - _MARGIN_B - frac * (_HEIGHT - _MARGIN_T - _MARGIN_B)
 
     def polyline(self, xs, ys, color: str = "#1f6fb2", width: float = 1.5):
         pts = " ".join(f"{_fmt(self._tx(x))},{_fmt(self._ty(y))}"
@@ -89,25 +87,24 @@ class SvgFigure:
             f'stroke-width="{width:g}"/>'
         )
 
-    def band(self, xs, lows, highs, color: str = "#9ecae9"):
+    def band(self, xs, lows, highs):
         fwd = [f"{_fmt(self._tx(x))},{_fmt(self._ty(y))}" for x, y in zip(xs, highs)]
         back = [f"{_fmt(self._tx(x))},{_fmt(self._ty(y))}"
                 for x, y in zip(reversed(list(xs)), reversed(list(lows)))]
         pts = " ".join(fwd + back)
-        self._elements.append(f'<polygon points="{pts}" fill="{color}" stroke="none"/>')
+        self._elements.append(f'<polygon points="{pts}" fill="#9ecae9" stroke="none"/>')
 
-    def markers(self, xs, ys, color: str = "#1f6fb2", radius: float = 3.0):
+    def markers(self, xs, ys):
         for x, y in zip(xs, ys):
             self._elements.append(
                 f'<circle cx="{_fmt(self._tx(x))}" cy="{_fmt(self._ty(y))}" '
-                f'r="{radius:g}" fill="{color}"/>'
+                'r="3" fill="#1f6fb2"/>'
             )
 
-    def label(self, x: float, y: float, text: str, color: str = "#333333",
-              size: int = 12):
+    def label(self, x: float, y: float, text: str):
         self._elements.append(
             f'<text x="{_fmt(self._tx(x))}" y="{_fmt(self._ty(y))}" '
-            f'font-size="{size}" fill="{color}" text-anchor="middle" '
+            'font-size="12" fill="#333333" text-anchor="middle" '
             f'font-family="sans-serif">{text}</text>'
         )
 
@@ -119,8 +116,7 @@ class SvgFigure:
         )
 
     def box(self, x: float, whisker_lo: float, q1: float, median: float,
-            q3: float, whisker_hi: float, half_width: float,
-            color: str = "#1f6fb2"):
+            q3: float, whisker_hi: float, half_width: float):
         xl, xr = self._tx(x - half_width), self._tx(x + half_width)
         xc = self._tx(x)
         y_lo, y_q1 = self._ty(whisker_lo), self._ty(q1)
@@ -128,17 +124,17 @@ class SvgFigure:
         y_hi = self._ty(whisker_hi)
         e = self._elements
         e.append(f'<line x1="{_fmt(xc)}" y1="{_fmt(y_lo)}" x2="{_fmt(xc)}" '
-                 f'y2="{_fmt(y_q1)}" stroke="{color}" stroke-width="1.2"/>')
+                 f'y2="{_fmt(y_q1)}" stroke="#1f6fb2" stroke-width="1.2"/>')
         e.append(f'<line x1="{_fmt(xc)}" y1="{_fmt(y_q3)}" x2="{_fmt(xc)}" '
-                 f'y2="{_fmt(y_hi)}" stroke="{color}" stroke-width="1.2"/>')
+                 f'y2="{_fmt(y_hi)}" stroke="#1f6fb2" stroke-width="1.2"/>')
         for y in (y_lo, y_hi):
             e.append(f'<line x1="{_fmt(xl)}" y1="{_fmt(y)}" x2="{_fmt(xr)}" '
-                     f'y2="{_fmt(y)}" stroke="{color}" stroke-width="1.2"/>')
+                     f'y2="{_fmt(y)}" stroke="#1f6fb2" stroke-width="1.2"/>')
         e.append(f'<rect x="{_fmt(xl)}" y="{_fmt(y_q3)}" '
                  f'width="{_fmt(xr - xl)}" height="{_fmt(y_q1 - y_q3)}" '
-                 f'fill="#d8e8f5" stroke="{color}" stroke-width="1.2"/>')
+                 f'fill="#d8e8f5" stroke="#1f6fb2" stroke-width="1.2"/>')
         e.append(f'<line x1="{_fmt(xl)}" y1="{_fmt(y_med)}" x2="{_fmt(xr)}" '
-                 f'y2="{_fmt(y_med)}" stroke="{color}" stroke-width="1.8"/>')
+                 f'y2="{_fmt(y_med)}" stroke="#1f6fb2" stroke-width="1.8"/>')
 
     def _y_ticks(self) -> list[float]:
         if not self.y_log:
@@ -148,8 +144,8 @@ class SvgFigure:
         return [10.0 ** k for k in range(lo, hi + 1)]
 
     def _axes(self) -> list[str]:
-        x0, y0 = _MARGIN_L, self.height - _MARGIN_B
-        x1, y1 = self.width - _MARGIN_R, _MARGIN_T
+        x0, y0 = _MARGIN_L, _HEIGHT - _MARGIN_B
+        x1, y1 = _WIDTH - _MARGIN_R, _MARGIN_T
         parts = [f'<rect x="{x0}" y="{y1}" width="{x1 - x0}" height="{y0 - y1}" '
                  f'fill="none" stroke="#444444" stroke-width="1"/>']
         for t in _nice_ticks(*self._xlim):
@@ -164,26 +160,24 @@ class SvgFigure:
                          f'y2="{_fmt(py)}" stroke="#444444" stroke-width="1"/>')
             parts.append(f'<text x="{x0 - 7}" y="{_fmt(py + 4)}" font-size="11" '
                          f'text-anchor="end" fill="#222222">{_tick_label(t)}</text>')
-        if self.title:
-            parts.append(f'<text x="{(x0 + x1) // 2}" y="{_MARGIN_T - 12}" '
-                         f'font-size="13" text-anchor="middle" '
-                         f'fill="#111111">{self.title}</text>')
+        parts.append(f'<text x="{(x0 + x1) // 2}" y="{_MARGIN_T - 12}" '
+                     f'font-size="13" text-anchor="middle" '
+                     f'fill="#111111">{self.title}</text>')
         if self.xlabel:
-            parts.append(f'<text x="{(x0 + x1) // 2}" y="{self.height - 10}" '
+            parts.append(f'<text x="{(x0 + x1) // 2}" y="{_HEIGHT - 10}" '
                          f'font-size="12" text-anchor="middle" '
                          f'fill="#111111">{self.xlabel}</text>')
-        if self.ylabel:
-            cy = (y0 + y1) // 2
-            parts.append(f'<text x="16" y="{cy}" font-size="12" '
-                         f'text-anchor="middle" fill="#111111" '
-                         f'transform="rotate(-90 16 {cy})">{self.ylabel}</text>')
+        cy = (y0 + y1) // 2
+        parts.append(f'<text x="16" y="{cy}" font-size="12" '
+                     f'text-anchor="middle" fill="#111111" '
+                     f'transform="rotate(-90 16 {cy})">{self.ylabel}</text>')
         return parts
 
     def render(self) -> str:
         body = "\n".join(self._axes() + self._elements)
         return (
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.width}" '
-            f'height="{self.height}" viewBox="0 0 {self.width} {self.height}">\n'
-            f'<rect width="{self.width}" height="{self.height}" fill="#ffffff"/>\n'
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+            f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">\n'
+            f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>\n'
             f"{body}\n</svg>\n"
         )

@@ -125,13 +125,10 @@ def tolerance_set(r_m: float = TOLERANCE_DEFAULTS["r_m"],
 
 
 def sample_perturbed(nominal, spec: ToleranceSpec, rng: np.random.Generator):
-    """nominal * (1 + e) with e truncated normal inside +/- delta."""
+    """nominal * (1 + e), one e per entry truncated normal inside +/- delta."""
     nominal = np.asarray(nominal, dtype=float)
-    if spec.delta == 0:
-        return nominal.copy() if nominal.ndim else float(nominal)
-    e = truncated_normal(rng, 0.0, spec.sigma, spec.limit_sigmas, nominal.shape)
-    out = nominal * (1.0 + e)
-    return out if nominal.ndim else float(out)
+    e = truncated_normal(rng, 0.0, spec.sigma, spec.limit_sigmas, nominal.size)
+    return nominal * (1.0 + e.reshape(nominal.shape))
 
 
 @dataclass
@@ -221,9 +218,8 @@ def weight_error_bounds(syn: SynapseNominals, specs: dict, trials: int,
 class MonteCarloReport:
     """Distribution of the error rate over perturbation trials.
 
-    Besides the overall rate, every trial is also scored on the two halves
-    of the test set separately: patterns that follow a target stimulus
-    (S1..S4) and extraneous patterns (Sr).  ``weight_bounds`` holds the
+    ``rates`` maps each budget of ``netmodel.BUDGETS`` to every trial's
+    error rate on the classes it pools.  ``weight_bounds`` holds the
     ``PERCENTILE_PAIR`` band of every synapse's weight error over the
     same trials, in percent of the nominal weight magnitude, or absolute
     where the nominal weight is zero.
@@ -232,13 +228,16 @@ class MonteCarloReport:
     trials: int
     x_p: float
     master_seed: int
-    p_err: np.ndarray                       # per trial, percent
-    p_err_sites: np.ndarray                 # S1..S4 subset, per trial
-    p_err_extraneous: np.ndarray            # Sr subset, per trial
+    rates: dict                             # budget -> per trial, percent
     percentiles: dict                       # "p0.05" / "p50" / "p99.95"
     per_class_max: dict                     # label -> worst trial, percent
     weight_bounds: dict                     # layer -> (in, out, 2) bands
     passed: bool
+
+    @property
+    def p_err(self) -> np.ndarray:
+        """Per trial, the error rate over all test patterns, percent."""
+        return self.rates["overall"]
 
     @property
     def max_p_err(self) -> float:
@@ -251,8 +250,9 @@ class MonteCarloReport:
 
     @property
     def subset_max(self) -> dict:
-        return {"sites": float(self.p_err_sites.max()),
-                "extraneous": float(self.p_err_extraneous.max())}
+        """The worst trial of each budget but the overall one."""
+        return {name: float(rates.max()) for name, rates in self.rates.items()
+                if name != "overall"}
 
     def to_dict(self) -> dict:
         return {
@@ -271,8 +271,7 @@ class MonteCarloReport:
         }
 
     def save_trials_csv(self, path) -> None:
-        write_trials_csv(path, self.p_err, self.p_err_sites,
-                         self.p_err_extraneous)
+        write_trials_csv(path, self.rates)
 
 
 class _Columns(NamedTuple):
@@ -386,18 +385,16 @@ def analyze_tolerances(net: MlpParams, compiled: CompiledNet, specs: dict,
                        min(_CHUNK, trials))
     counts, bounds = _score_trials(batch, compiled, _columns(compiled, specs),
                                    trials, master)
-    p_err_all, per_class, p_sites, p_extraneous = batch.rates(counts)
+    rates, per_class = batch.rates(counts)
     low, high = PERCENTILE_PAIR
-    lo, mid, hi = np.percentile(p_err_all, (low, 50.0, high))
+    lo, mid, hi = np.percentile(rates["overall"], (low, 50.0, high))
     return MonteCarloReport(
-        trials=trials, x_p=x_p, master_seed=master, p_err=p_err_all,
-        p_err_sites=p_sites, p_err_extraneous=p_extraneous,
+        trials=trials, x_p=x_p, master_seed=master, rates=rates,
         percentiles={f"p{low:g}": float(lo), "p50": float(mid),
                      f"p{high:g}": float(hi)},
-        per_class_max={label: float(rates.max())
-                       for label, rates in per_class.items()},
+        per_class_max={label: float(p.max()) for label, p in per_class.items()},
         weight_bounds=bounds,
-        passed=bool(p_err_all.max() <= x_p),
+        passed=bool(rates["overall"].max() <= x_p),
     )
 
 

@@ -26,9 +26,10 @@ from memxbar.dataset import load_dataset_csv
 from memxbar.device import DeviceParams
 from memxbar.errors import ConfigError
 from memxbar.mapping import ResistanceRange
-from memxbar.pipeline import (RunConfig, _load_split, run_pipeline,
-                              stage_dataset)
-from memxbar.reports import write_json
+from memxbar.pipeline import (_STAGES, STAGE_CHOICES, STAGES, RunConfig,
+                              _load_split, run_pipeline, stage_dataset)
+from memxbar.reports import (BOUNDS_SVG, BOX_SVG, CURVE_SVG, SWEEP_SVG,
+                             emit_report, write_json)
 from memxbar.tolerance import TOLERANCE_DEFAULTS
 
 from helpers import DEFAULT_SEED, default_profile_dict
@@ -438,7 +439,7 @@ def test_an_empty_profile_path_is_refused(tmp_path, monkeypatch, capsys):
     with pytest.raises(ConfigError, match="^profile_path: "):
         run_pipeline(cfg, "dataset")
     with pytest.raises(OSError):
-        stage_dataset(cfg, tmp_path)
+        stage_dataset(cfg, _STAGES["dataset"][1])
     Path("cfg.json").write_text(json.dumps(cfg.to_dict()))
     assert main(["--config", "cfg.json", "--stage", "dataset"]) == EXIT_CONFIG
     assert json.loads(capsys.readouterr().out)["stage"] == "config"
@@ -658,6 +659,26 @@ def test_unknown_stage_rejected(tmp_path):
         run_pipeline(default_cfg(tmp_path / "r"), "polish")
 
 
+def test_stage_names_come_from_the_stage_table():
+    """``STAGES`` is the table's stages in run order, each a function
+    ``stage_<name>``; only the stages that draw hold a stream, each its
+    own.  The command line offers, and ``run_pipeline`` accepts, the same
+    choices."""
+    assert STAGES == tuple(_STAGES) == ("dataset", "train", "compile",
+                                        "program", "analyze", "synthesize",
+                                        "sweep")
+    streams = {name: stream for name, (run, *stream) in _STAGES.items()
+               if stream}
+    assert list(streams) == ["dataset", "train", "program", "analyze",
+                             "synthesize"]
+    assert len(set(map(tuple, streams.values()))) == len(streams)
+    for name, (run, *_) in _STAGES.items():
+        assert run.__name__ == f"stage_{name}"
+    assert STAGE_CHOICES == STAGES + ("report", "all")
+    stage = next(a for a in build_parser()._actions if a.dest == "stage")
+    assert tuple(stage.choices) == STAGE_CHOICES
+
+
 def test_pipeline_is_deterministic(default_run, tmp_path):
     """Same seed and settings in a fresh directory: identical outputs."""
     out = tmp_path / "again"
@@ -667,6 +688,10 @@ def test_pipeline_is_deterministic(default_run, tmp_path):
                 "train/params.json", "analyze/trials.csv", "sweep/sweep.csv"):
         assert (out / rel).read_bytes() == \
             (default_run.run_dir / rel).read_bytes()
+    # the charts the stages drew are those emit_report redraws from the CSVs
+    drawn = [(out / rel).read_bytes()
+             for rel in (CURVE_SVG, BOX_SVG, BOUNDS_SVG, SWEEP_SVG)]
+    assert [path.read_bytes() for path in emit_report(out)] == drawn
 
 
 @pytest.fixture

@@ -13,8 +13,10 @@ import memxbar
 from memxbar.crossbar import Crossbar, CrossbarConfig, load_crossbar_csv
 from memxbar.device import DeviceParams
 from memxbar.errors import MissingArtifactError, ShapeMismatchError
-from memxbar.reports import (emit_report, read_bounds_csv, read_curve_csv,
-                             read_sweep_csv, read_trials_csv, replacing,
+from memxbar.netmodel import BUDGETS
+from memxbar.reports import (BOX_LABELS, TRIALS_COLUMNS, emit_report,
+                             read_bounds_csv, read_curve_csv, read_sweep_csv,
+                             read_trials_csv, render_p_err_box, replacing,
                              write_bounds_csv, write_csv, write_curve_csv,
                              write_sweep_csv, write_trials_csv)
 
@@ -32,7 +34,8 @@ def test_trials_csv_round_trip(tmp_path):
     sites = rng.uniform(0, 5, 30)
     extraneous = rng.uniform(0, 5, 30)
     path = tmp_path / "trials.csv"
-    write_trials_csv(path, overall, sites, extraneous)
+    write_trials_csv(path, {"overall": overall, "sites": sites,
+                            "extraneous": extraneous})
     back = read_trials_csv(path)
     assert np.array_equal(back["overall"], overall)
     assert np.array_equal(back["sites"], sites)
@@ -48,13 +51,30 @@ def test_trials_csv_round_trip_keeps_every_bit(tmp_path):
     overall = np.concatenate((awkward, rng.uniform(0, 100, 50)))
     sites, extraneous = rng.permutation(overall), overall[::-1].copy()
     path = tmp_path / "trials.csv"
-    write_trials_csv(path, overall, sites, extraneous)
+    write_trials_csv(path, {"overall": overall, "sites": sites,
+                            "extraneous": extraneous})
     back = read_trials_csv(path)
     for key, sent in (("overall", overall), ("sites", sites),
                       ("extraneous", extraneous)):
         assert back[key].dtype == np.float64
         assert np.array_equal(back[key].view(np.uint64),
                               sent.view(np.uint64)), key
+
+
+def test_trials_columns_and_box_series_follow_the_budgets(tmp_path):
+    """One column of the trials CSV and one box of the chart per budget,
+    named and ordered as ``netmodel.BUDGETS``."""
+    assert list(TRIALS_COLUMNS) == list(BOX_LABELS) == list(BUDGETS)
+    rates = {name: np.full(4, 1.0 + k) for k, name in enumerate(BUDGETS)}
+    path = tmp_path / "trials.csv"
+    write_trials_csv(path, rates)
+    header = path.read_text().splitlines()[0].split(",")
+    assert header == ["trial"] + [TRIALS_COLUMNS[name] for name in BUDGETS]
+    render_p_err_box(rates, 5.0, tmp_path / "box.svg")
+    texts = [el.text for el in ET.parse(tmp_path / "box.svg").getroot()
+             if el.tag.endswith("text")]
+    boxes = [text for text in texts if text in BOX_LABELS.values()]
+    assert boxes == [BOX_LABELS[name] for name in BUDGETS]
 
 
 def dict_reader_trials(path) -> dict:
@@ -209,8 +229,9 @@ def test_csv_readers_read_as_dict_reader_does(tmp_path, kind, text):
 def test_bounds_csv_round_trip(tmp_path):
     band = np.stack([np.full((3, 2), -4.5), np.full((3, 2), 6.25)], axis=-1)
     path = tmp_path / "bounds.csv"
-    write_bounds_csv(path, {"hidden": band})
+    written = write_bounds_csv(path, {"hidden": band})
     rows = read_bounds_csv(path)
+    assert written == rows
     assert len(rows) == 6
     assert rows[0] == ("hidden", 0, 0, -4.5, 6.25)
 

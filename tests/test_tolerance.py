@@ -10,10 +10,10 @@ from memxbar.errors import EmptyBatchError, NoPassingPointError
 from memxbar.mapping import (CompiledLayer, CompiledNet, ResistanceRange,
                              SynapseNominals, compile_network,
                              quantize_weights, symmetric_weight_states)
-from memxbar.netmodel import (LABELS, MlpParams, ScoreBatch, evaluate,
+from memxbar.netmodel import (BUDGETS, LABELS, MlpParams, ScoreBatch, evaluate,
                               forward_stack, forward_stack_into, init_params,
                               label_codes, stack_buffers, unit_by_pattern)
-from memxbar.pipeline import _STREAM, RunConfig, _default_plan, _load_params
+from memxbar.pipeline import _STAGES, RunConfig, _default_plan, _load_params
 from memxbar.reports import write_json
 from memxbar.stats import (clopper_pearson_upper, subseed, substream,
                            truncated_normal)
@@ -154,7 +154,7 @@ def test_analysis_is_thread_invariant(monkeypatch, small_mc):
         if seed == 0:
             assert all(batch._rechecked for batch in built)
         assert np.array_equal(serial.p_err, threaded.p_err)
-        assert np.array_equal(serial.p_err_sites, threaded.p_err_sites)
+        assert np.array_equal(serial.rates["sites"], threaded.rates["sites"])
         assert serial.to_dict() == threaded.to_dict()
 
 
@@ -201,7 +201,7 @@ def test_unperturbed_analysis_scores_one_realization(monkeypatch, small_mc,
 
 def test_analysis_rates_are_percentages(small_mc):
     report = small_mc()
-    for arr in (report.p_err, report.p_err_sites, report.p_err_extraneous):
+    for arr in report.rates.values():
         assert arr.min() >= 0.0 and arr.max() <= 100.0
     assert report.trials == 200
 
@@ -320,7 +320,7 @@ LOW_LIMIT = np.repeat([3.0, 0.25, 1.0, 2.0], [160, 40, 100, 44])
 def test_trial_draws_equal_one_truncated_normal_call_per_block(start, count):
     assert tolerance._DRAW_BLOCK == 250
     # the default run's analysis master is a 64-bit seed
-    for seed in (5, subseed(20260826, _STREAM["analyze"], 0)):
+    for seed in (5, subseed(20260826, _STAGES["analyze"][1], 0)):
         z = trial_draws(LOW_LIMIT, seed, start, count)
         ref = reference_trial_draws(LOW_LIMIT, seed, start, count)
         assert z.shape == (count, LOW_LIMIT.size)
@@ -375,6 +375,19 @@ def test_trial_draws_turn_a_negative_zero_into_zero(monkeypatch):
     assert z.tobytes() == ref.tobytes()
     assert (z == 0).any()
     assert not np.signbit(z[z == 0]).any()
+
+
+def test_report_keeps_one_rate_per_budget(small_mc):
+    """The report's rates, and its subset maxima in report.json, follow
+    ``netmodel.BUDGETS`` in name and order: every budget but the overall
+    one is a subset, and ``p_err`` is the overall budget's rates."""
+    report = small_mc(trials=50)
+    assert list(report.rates) == list(BUDGETS)
+    assert report.p_err is report.rates["overall"]
+    assert list(report.subset_max) == list(BUDGETS)[1:]
+    for name, worst in report.subset_max.items():
+        assert worst == report.rates[name].max(), name
+    assert report.to_dict()["subset_max"] == report.subset_max
 
 
 def test_report_round_trip(small_mc, tmp_path):
@@ -623,14 +636,14 @@ def test_scorer_equals_forward_stack_classification(block, patterns, trials):
     step = 3 if len(w1) == 7 else len(w1)
     counts = np.concatenate([batch.errors(w1[s:s + step], w2[s:s + step])
                              for s in range(0, len(w1), step)])
-    overall, per_class, sites, extraneous = batch.rates(counts)
+    budgets, per_class = batch.rates(counts)
     ref = reference_rates(net, w1, w2, x, codes)
-    assert np.array_equal(overall, ref[0])
+    assert np.array_equal(budgets["overall"], ref[0])
     assert per_class.keys() == ref[1].keys() == {"S1", "S2", "S4", "Sr"}
     for label in per_class:
         assert np.array_equal(per_class[label], ref[1][label]), label
-    assert np.array_equal(sites, ref[2])
-    assert np.array_equal(extraneous, ref[3])
+    assert np.array_equal(budgets["sites"], ref[2])
+    assert np.array_equal(budgets["extraneous"], ref[3])
     assert np.array_equal(counts, reference_counts(net, w1, w2, x, codes))
 
 
@@ -646,10 +659,11 @@ def test_every_rate_is_its_count_rounded_once():
     # row c: c wrong patterns, filling the classes in order
     starts = np.cumsum(sizes) - sizes
     counts = np.clip(np.arange(len(codes) + 1)[:, None] - starts, 0, sizes)
-    overall, per_class, sites, extraneous = batch.rates(counts.astype(float))
+    budgets, per_class = batch.rates(counts.astype(float))
+    overall = budgets["overall"]
     cases = [(overall, counts.sum(axis=1), 2000),
-             (sites, counts[:, :4].sum(axis=1), 1027),
-             (extraneous, counts[:, 4], 973)]
+             (budgets["sites"], counts[:, :4].sum(axis=1), 1027),
+             (budgets["extraneous"], counts[:, 4], 973)]
     cases += [(per_class[label], counts[:, k], size)
               for k, (label, size) in enumerate(zip(LABELS, sizes))]
     for rates, wrong, n in cases:
