@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeMismatchError, WeightOutOfRangeError
+from .netmodel import LAYERS
 
 
 @dataclass(frozen=True)
@@ -148,7 +149,8 @@ class CompiledNet:
     out: CompiledLayer
 
     def layers(self):
-        return (("hidden", self.hidden), ("out", self.out))
+        """(name, layer) of each of ``netmodel.LAYERS``, in order."""
+        return tuple((name, getattr(self, name)) for name in LAYERS)
 
 
 def compile_weight_matrix(w: np.ndarray, r_f: float,
@@ -166,10 +168,19 @@ def compile_weight_matrix(w: np.ndarray, r_f: float,
     worst = np.abs(w).max() if w.size else 0.0
     if worst > cap * (1 + 1e-12):
         raise WeightOutOfRangeError(f"|w|={worst:.4g} exceeds {cap:.4g}")
-    r_prog = np.clip(r_f / (np.abs(w) + r_f / ref), rng.r_min, rng.r_max)
+    r_prog = _free_branch(np.abs(w), r_f, ref, rng)
     r_m1 = np.where(w >= 0, r_prog, ref)
     r_m2 = np.where(w >= 0, ref, r_prog)
     return CompiledLayer(r_m1=r_m1, r_m2=r_m2, r_f=r_f)
+
+
+def _free_branch(w: np.ndarray, r_f: float, fixed, rng: ResistanceRange):
+    """The branch realizing ``w = r_f/free - r_f/fixed``, clamped to the
+    range; ``r_max`` where no resistance > 0 does."""
+    denom = w + r_f / fixed
+    with np.errstate(divide="ignore"):
+        free = np.where(denom > 0, r_f / denom, rng.r_max)
+    return np.minimum(np.maximum(free, rng.r_min), rng.r_max)
 
 
 def compile_network(w_hidden: np.ndarray, w_out: np.ndarray, r_f: float,
@@ -189,15 +200,7 @@ def compensate_stuck(layer: CompiledLayer, stuck_m1: np.ndarray,
     range, so the pair realizes the nearest weight it can."""
     w, r_f = layer.weights(), layer.r_f
     free1, free2 = np.isnan(stuck_m1), np.isnan(stuck_m2)
-
-    def solve(denom):
-        # w = r_f/r_m1 - r_f/r_m2, so the free device is r_f / (±w + r_f/stuck)
-        with np.errstate(divide="ignore"):
-            free = np.where(denom > 0, r_f / denom, rng.r_max)
-        return np.minimum(np.maximum(free, rng.r_min), rng.r_max)
-
-    r_m1 = np.where(free1, np.where(free2, layer.r_m1, solve(w + r_f / stuck_m2)),
-                    stuck_m1)
-    r_m2 = np.where(free2, np.where(free1, layer.r_m2, solve(-w + r_f / stuck_m1)),
-                    stuck_m2)
-    return CompiledLayer(r_m1=r_m1, r_m2=r_m2, r_f=r_f)
+    r_m1 = np.where(free2, layer.r_m1, _free_branch(w, r_f, stuck_m2, rng))
+    r_m2 = np.where(free1, layer.r_m2, _free_branch(-w, r_f, stuck_m1, rng))
+    return CompiledLayer(r_m1=np.where(free1, r_m1, stuck_m1),
+                         r_m2=np.where(free2, r_m2, stuck_m2), r_f=r_f)

@@ -31,13 +31,19 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import (EmptyBatchError, MemxbarError, NonFiniteLossError,
-                     ShapeMismatchError)
+from .errors import EmptyBatchError, NonFiniteLossError, ShapeMismatchError
 from .stats import check_ranges, truncated_normal
 
 N_INPUT = 16
 N_HIDDEN = 8
 N_OUTPUT = 4
+
+# Each layer, in order, and the shape of its weights.  Its parameters are
+# ``w_<layer>`` and ``b_<layer>``, one bias per output; ``_PARAMS`` holds
+# every parameter's shape, in the order of the flat training vector.
+LAYERS = {"hidden": (N_INPUT, N_HIDDEN), "out": (N_HIDDEN, N_OUTPUT)}
+_PARAMS = {f"{kind}_{layer}": shape[1:] if kind == "b" else shape
+           for layer, shape in LAYERS.items() for kind in "wb"}
 
 LABELS = ("S1", "S2", "S3", "S4", "Sr")
 OUTPUT_LABELS = LABELS[:N_OUTPUT]
@@ -84,7 +90,8 @@ _UNITY_ENTRY = {"slope": 1.0, "lower": -1.0, "upper": 1.0}
 
 @dataclass
 class MlpParams:
-    """Weights and biases of the 16-8-4 network."""
+    """Weights and biases of the 16-8-4 network, one field per ``_PARAMS``
+    entry, in its order."""
 
     w_hidden: np.ndarray
     b_hidden: np.ndarray
@@ -93,39 +100,29 @@ class MlpParams:
     activation: ClassVar[Activation] = Activation()
 
     def __post_init__(self):
-        self.w_hidden = np.asarray(self.w_hidden, dtype=float)
-        self.b_hidden = np.asarray(self.b_hidden, dtype=float)
-        self.w_out = np.asarray(self.w_out, dtype=float)
-        self.b_out = np.asarray(self.b_out, dtype=float)
-        expected = {
-            "w_hidden": (N_INPUT, N_HIDDEN), "b_hidden": (N_HIDDEN,),
-            "w_out": (N_HIDDEN, N_OUTPUT), "b_out": (N_OUTPUT,),
-        }
-        for name, shape in expected.items():
+        for name in _PARAMS:
+            setattr(self, name, np.asarray(getattr(self, name), dtype=float))
+        for name, shape in _PARAMS.items():
             got = getattr(self, name).shape
             if got != shape:
                 raise ShapeMismatchError(f"{name}: expected {shape}, got {got}")
 
     def copy(self) -> "MlpParams":
-        return MlpParams(self.w_hidden.copy(), self.b_hidden.copy(),
-                         self.w_out.copy(), self.b_out.copy())
+        return MlpParams(**{name: getattr(self, name).copy()
+                            for name in _PARAMS})
 
     def to_dict(self) -> dict:
-        return {
-            "w_hidden": self.w_hidden.tolist(),
-            "b_hidden": self.b_hidden.tolist(),
-            "w_out": self.w_out.tolist(),
-            "b_out": self.b_out.tolist(),
-        }
+        return {name: getattr(self, name).tolist() for name in _PARAMS}
 
     @classmethod
     def from_dict(cls, d: dict) -> "MlpParams":
+        """The params of a parsed ``params.json``; ValueError unless its
+        ``activation`` entry, if any, is the unity transfer's."""
         act = d.get("activation", _UNITY_ENTRY)
         if act != _UNITY_ENTRY:
-            raise MemxbarError(f"activation must be {_UNITY_ENTRY}, the "
-                               f"transfer of the network model, got {act!r}")
-        return cls(np.array(d["w_hidden"]), np.array(d["b_hidden"]),
-                   np.array(d["w_out"]), np.array(d["b_out"]))
+            raise ValueError(f"activation must be {_UNITY_ENTRY}, the "
+                             f"transfer of the network model, got {act!r}")
+        return cls(**{name: np.array(d[name]) for name in _PARAMS})
 
 
 def check_unity_chain(chain) -> None:
@@ -149,12 +146,9 @@ def check_unity_chain(chain) -> None:
 
 def init_params(rng: np.random.Generator) -> MlpParams:
     """Uniform weights in [-0.5, 0.5], biases at zero."""
-    return MlpParams(
-        w_hidden=rng.uniform(-0.5, 0.5, size=(N_INPUT, N_HIDDEN)),
-        b_hidden=np.zeros(N_HIDDEN),
-        w_out=rng.uniform(-0.5, 0.5, size=(N_HIDDEN, N_OUTPUT)),
-        b_out=np.zeros(N_OUTPUT),
-    )
+    return MlpParams(**{name: np.zeros(shape) if len(shape) == 1
+                        else rng.uniform(-0.5, 0.5, size=shape)
+                        for name, shape in _PARAMS.items()})
 
 
 def forward_stack(x: np.ndarray, w_hidden: np.ndarray, b_hidden: np.ndarray,
@@ -508,7 +502,7 @@ class _TrainBatch:
         self.xT = unit_by_pattern(x)
         self.yT = np.ascontiguousarray(y.T)
         h = x.shape[0]
-        self.d = tuple(np.empty((n, h)) for n in (N_HIDDEN, N_OUTPUT))
+        self.d = tuple(np.empty((n, h)) for _, n in LAYERS.values())
         self.d2_rows = np.empty((h, N_OUTPUT))
         self.hidden, self.out = stack_buffers(max(panel, 1), h)
 
@@ -680,10 +674,7 @@ def _project(params: MlpParams, cfg: TrainConfig) -> None:
                 out=params.w_out)
 
 
-_PARAM_KEYS = ("w_hidden", "b_hidden", "w_out", "b_out")
-_PARAM_SHAPES = ((N_INPUT, N_HIDDEN), (N_HIDDEN,), (N_HIDDEN, N_OUTPUT),
-                 (N_OUTPUT,))
-_PARAM_ENDS = tuple(np.cumsum([math.prod(s) for s in _PARAM_SHAPES]))
+_PARAM_ENDS = tuple(np.cumsum([math.prod(s) for s in _PARAMS.values()]))
 _PANEL = 8                       # perturbations in the hardening panel
 _PANEL_STRIDE = 10               # epochs between two panel scores
 
@@ -691,7 +682,8 @@ _PANEL_STRIDE = 10               # epochs between two panel scores
 def _unflatten(flat: np.ndarray) -> MlpParams:
     """Params whose four arrays are views into ``flat``."""
     parts = np.split(flat, _PARAM_ENDS[:-1])
-    return MlpParams(*(p.reshape(s) for p, s in zip(parts, _PARAM_SHAPES)))
+    return MlpParams(**{name: p.reshape(shape)
+                        for p, (name, shape) in zip(parts, _PARAMS.items())})
 
 
 class _Adam:
@@ -711,7 +703,7 @@ class _Adam:
 
     def step(self, flat: np.ndarray, grads: dict, epoch: int) -> None:
         m, v, g, t, d = self.m, self.v, self.g, self.t, self.d
-        np.concatenate([grads[k].ravel() for k in _PARAM_KEYS], out=g)
+        np.concatenate([grads[k].ravel() for k in _PARAMS], out=g)
         m *= ADAM_BETA1
         np.multiply(g, 1 - ADAM_BETA1, out=t)
         m += t                                   # m
@@ -771,7 +763,7 @@ def train_discrete(params: MlpParams, x: np.ndarray, y: np.ndarray,
     if noisy and rng is None:
         raise ValueError("weight_noise > 0 requires an rng")
     batch = _TrainBatch(x, y, _PANEL if noisy else 0)
-    flat = np.concatenate([getattr(params, k).ravel() for k in _PARAM_KEYS])
+    flat = np.concatenate([getattr(params, k).ravel() for k in _PARAMS])
     work = _unflatten(flat)
     _project(work, cfg)
     if noisy:

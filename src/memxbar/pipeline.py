@@ -32,7 +32,7 @@ from .device import DeviceParams, check_device
 from .errors import BiasViolationError, ConfigError, ShapeMismatchError
 from .mapping import (CompiledLayer, CompiledNet, ResistanceRange,
                       compensate_stuck, compile_network, w_max)
-from .netmodel import (N_HIDDEN, N_INPUT, N_OUTPUT, MlpParams, TrainConfig,
+from .netmodel import (LAYERS, N_INPUT, MlpParams, TrainConfig,
                        check_train_settings, check_unity_chain, evaluate,
                        init_params, label_codes, train_discrete)
 from .reports import read_artifact, read_json, write_json
@@ -211,18 +211,18 @@ def _build(kind, values, section: str = "config"):
 def _stuck_cells(cfg: RunConfig) -> dict:
     """The stuck matrix of each array, the value of each cell an entry of
     ``cfg.stuck`` names and NaN elsewhere; ValueError unless each entry
-    maps just ``array`` (hidden or out), an int ``row`` and ``col`` inside
-    the array and a finite ``ohm`` > 0, and no cell is named twice."""
+    maps just ``array`` (one of ``LAYERS``), an int ``row`` and ``col``
+    inside the array and a finite ``ohm`` > 0, and no cell is named twice."""
     rows, cols = cfg.crossbar.rows, cfg.crossbar.cols
     rules = {
-        "array": ("hidden or out", lambda v: v in ("hidden", "out")),
+        "array": (" or ".join(LAYERS), lambda v: v in LAYERS),
         "row": (f"an int in [0, {rows})",
                 lambda v: type(v) is int and 0 <= v < rows),
         "col": (f"an int in [0, {cols})",
                 lambda v: type(v) is int and 0 <= v < cols),
         "ohm": ("finite and > 0", lambda v: 0 < v < math.inf),
     }
-    cells = {name: np.full((rows, cols), np.nan) for name in ("hidden", "out")}
+    cells = {name: np.full((rows, cols), np.nan) for name in LAYERS}
     for spot in cfg.stuck:
         if not isinstance(spot, dict) or set(spot) != set(rules):
             raise ValueError(f"each entry must map {', '.join(rules)} to "
@@ -317,9 +317,8 @@ def _load_compiled(cfg: RunConfig) -> CompiledNet:
         r_f = d["r_f"]
         if not (is_real(r_f) and 0 < r_f < math.inf):
             raise ValueError(f"r_f must be finite and > 0, got {r_f!r}")
-        layers = []
-        for name, shape in (("hidden", (N_INPUT, N_HIDDEN)),
-                            ("out", (N_HIDDEN, N_OUTPUT))):
+        layers = {}
+        for name, shape in LAYERS.items():
             r_m1, r_m2 = (np.array(d[name][key], dtype=float)
                           for key in ("r_m1", "r_m2"))
             if r_m1.shape != shape or r_m2.shape != shape:
@@ -331,8 +330,8 @@ def _load_compiled(cfg: RunConfig) -> CompiledNet:
                     i, j = outside[0]
                     raise ValueError(f"{name} {key}[{i}][{j}] = {r[i, j]} is "
                                      f"outside the compile window [{low}, {high}]")
-            layers.append(CompiledLayer(r_m1, r_m2, r_f))
-        return CompiledNet(*layers)
+            layers[name] = CompiledLayer(r_m1, r_m2, r_f)
+        return CompiledNet(**layers)
     return read_artifact(cfg.out_dir, "compile/compiled.json", read)
 
 
@@ -404,20 +403,18 @@ def stage_compile(cfg: RunConfig) -> None:
     params = _load_params(cfg.out_dir)
     net = compile_network(params.w_hidden, params.w_out, cfg.crossbar.r_f,
                           cfg.resistance_range)
-    payload = {
-        "r_f": cfg.crossbar.r_f,
-        "hidden": {"r_m1": net.hidden.r_m1.tolist(),
-                   "r_m2": net.hidden.r_m2.tolist()},
-        "out": {"r_m1": net.out.r_m1.tolist(), "r_m2": net.out.r_m2.tolist()},
-    }
+    payload = {"r_f": cfg.crossbar.r_f}
+    for name, layer in net.layers():
+        payload[name] = {"r_m1": layer.r_m1.tolist(),
+                         "r_m2": layer.r_m2.tolist()}
     write_json(cfg.out_dir / "compile/compiled.json", payload)
 
 
 def _program_array(cfg: RunConfig, name: str, layer: CompiledLayer,
-                   rng: np.random.Generator, log_rows: list) -> Crossbar:
-    """Program one layer's synapse pairs into a crossbar: a stuck device
-    keeps its value and its partner is re-solved against it."""
-    stuck = _stuck_cells(cfg)[name]
+                   stuck: np.ndarray, rng: np.random.Generator,
+                   log_rows: list) -> Crossbar:
+    """Program one layer's synapse pairs into a crossbar with the stuck
+    cells ``stuck``: each keeps its value and its partner is re-solved."""
     xbar = Crossbar(cfg.crossbar, cfg.device, stuck=stuck)
     n_in, n_out = layer.r_m1.shape
     target = compensate_stuck(layer, *synapse_pairs(stuck, n_in, n_out),
@@ -438,18 +435,18 @@ def stage_program(cfg: RunConfig, stream: int) -> None:
     params = _load_params(cfg.out_dir)
     x_test, y_test = _load_split(cfg.out_dir, "test")
     rng = substream(cfg.seed, stream, 0)
+    stuck = _stuck_cells(cfg)
     log_rows: list = []
-    xbar_h = _program_array(cfg, "hidden", compiled.hidden, rng, log_rows)
-    xbar_o = _program_array(cfg, "out", compiled.out, rng, log_rows)
+    xbars = {name: _program_array(cfg, name, layer, stuck[name], rng, log_rows)
+             for name, layer in compiled.layers()}
     out = cfg.out_dir / "program"
-    save_crossbar_csv(xbar_h, out / "hidden.csv")
-    save_crossbar_csv(xbar_o, out / "out.csv")
+    achieved = params.copy()
+    for name, xbar in xbars.items():
+        save_crossbar_csv(xbar, out / f"{name}.csv")
+        setattr(achieved, f"w_{name}", synapse_weights(xbar, *LAYERS[name]))
     reports.write_csv(out / "program_log.csv",
                       ["array", "row", "col", "target_ohm", "final_ohm",
                        "attempts", "pulses", "success"], log_rows)
-    achieved = params.copy()
-    achieved.w_hidden = synapse_weights(xbar_h, *compiled.hidden.r_m1.shape)
-    achieved.w_out = synapse_weights(xbar_o, *compiled.out.r_m1.shape)
     p = evaluate(achieved, x_test, y_test)
     payload = {"programmed_p_err": p,
                "cells_programmed": len(log_rows),

@@ -50,7 +50,8 @@ import numpy as np
 
 from .errors import NoPassingPointError
 from .mapping import (CompiledNet, ResistanceRange, SynapseNominals,
-                      quantize_weights, symmetric_weight_states)
+                      quantize_weights, symmetric_weight_states,
+                      weight_from_resistances)
 from .netmodel import LABELS, MlpParams, ScoreBatch, label_codes
 from .reports import write_trials_csv
 from .stats import (clopper_pearson_upper, is_real, substream,
@@ -72,6 +73,10 @@ _STREAM_TRIAL = 0
 _DRAW_BLOCK = 250                # trials keyed by one draw substream
 _CHUNK = 250                     # trials drawn and scored at a time
 _PAIRINGS = 16                   # row pairings per draw in weight_error_bounds
+
+# A row pair's perturbed parts in draw order: its memristors, one per
+# synapse, then its inverting and its non-inverting row's feedback resistor.
+_PAIR_PARTS = ("r_m1", "r_m2", "r_f", "r_f")
 
 
 @dataclass(frozen=True)
@@ -200,10 +205,9 @@ def weight_error_bounds(syn: SynapseNominals, specs: dict, trials: int,
         raise ValueError(f"trials must be >= {MIN_BAND_TRIALS} for a stable "
                          "percentile")
     r_m1, r_m2, r_f_inv, r_f_non = (
-        sample_perturbed(np.full(trials, value), specs[comp], rng)
-        for comp, value in (("r_m1", syn.r_m1), ("r_m2", syn.r_m2),
-                            ("r_f", syn.r_f), ("r_f", syn.r_f)))
-    w0 = syn.r_f / syn.r_m1 - syn.r_f / syn.r_m2
+        sample_perturbed(np.full(trials, getattr(syn, comp)), specs[comp], rng)
+        for comp in _PAIR_PARTS)
+    w0 = weight_from_resistances(syn)
     g1, g2 = r_f_inv / r_m1, r_f_non / r_m2
     pairs = _PAIRINGS * trials
     tails = np.empty(0)
@@ -275,31 +279,34 @@ class MonteCarloReport:
 
 
 class _Columns(NamedTuple):
-    """Nominal value, sigma and truncation limit of every perturbed part."""
+    """Nominal value, sigma and truncation limit of every perturbed part,
+    and where each block of ``_columns`` but the first starts."""
 
     nominal: np.ndarray
     sigma: np.ndarray
     limit: np.ndarray            # in standard deviations
+    splits: np.ndarray
 
 
 def _columns(compiled: CompiledNet, specs: dict) -> _Columns:
     """Per-part values, one column per perturbed part.
 
-    Column order per layer: the r_m1 cells and the r_m2 cells (row-major),
-    then one feedback resistor per summing amplifier, i.e. per row, for
-    the inverting and for the non-inverting rows of the pairs.
+    Per layer, a block per ``_PAIR_PARTS`` entry: the r_m1 cells and the
+    r_m2 cells (row-major), then one feedback resistor per summing
+    amplifier, i.e. per row, for the inverting and the non-inverting rows.
     """
     blocks = []
     for _, layer in compiled.layers():
         n_out = layer.r_m1.shape[1]
-        blocks += [("r_m1", layer.r_m1.ravel()), ("r_m2", layer.r_m2.ravel()),
-                   ("r_f", np.full(n_out, layer.r_f)),
-                   ("r_f", np.full(n_out, layer.r_f))]
-    parts = [specs[comp] for comp, _ in blocks]
+        for comp in _PAIR_PARTS:
+            value = getattr(layer, comp)           # r_f: one for every row
+            blocks.append((specs[comp], np.ravel(value) if np.ndim(value)
+                           else np.full(n_out, value)))
     sizes = [values.size for _, values in blocks]
     return _Columns(np.concatenate([values for _, values in blocks]),
-                    np.repeat([spec.sigma for spec in parts], sizes),
-                    np.repeat([spec.limit_sigmas for spec in parts], sizes))
+                    np.repeat([spec.sigma for spec, _ in blocks], sizes),
+                    np.repeat([spec.limit_sigmas for spec, _ in blocks], sizes),
+                    np.cumsum(sizes)[:-1])
 
 
 def trial_draws(limit: np.ndarray, seed: int, start: int,
@@ -329,17 +336,13 @@ def trial_draws(limit: np.ndarray, seed: int, start: int,
 def _perturbed_weights(compiled: CompiledNet, cols: _Columns, z: np.ndarray):
     """Hidden and output weight stacks of the trials whose draws are ``z``."""
     r = cols.nominal * (1.0 + cols.sigma * z)
-    stacks, col = [], 0
+    blocks = iter(np.split(r, cols.splits, axis=1))
+    stacks = []
     for _, layer in compiled.layers():
-        n_in, n_out = layer.r_m1.shape
-        cells = n_in * n_out
-        r_m1, r_m2, r_f_inv, r_f_non = np.split(
-            r[:, col:col + 2 * (cells + n_out)],
-            [cells, 2 * cells, 2 * cells + n_out], axis=1)
-        col += 2 * (cells + n_out)
-        shape = (len(z), n_in, n_out)
-        stacks.append(r_f_inv[:, None, :] / r_m1.reshape(shape)
-                      - r_f_non[:, None, :] / r_m2.reshape(shape))
+        n_out = layer.r_m1.shape[1]            # a row's r_f: (T, 1, n_out)
+        r_m1, r_m2, r_f_inv, r_f_non = (
+            next(blocks).reshape(len(z), -1, n_out) for _ in _PAIR_PARTS)
+        stacks.append(r_f_inv / r_m1 - r_f_non / r_m2)
     return stacks
 
 

@@ -10,6 +10,8 @@ caller fails here.  Code that only tests call is deleted, and its tests
 move to the code that survives.  Likewise every name a module imports
 must be referenced in that module, and only ``reports`` may reference
 ``json.dump``: every JSON artifact is written by ``reports.write_json``.
+Only ``netmodel`` writes a layer name: every other module reads the
+layers from ``netmodel.LAYERS``.
 The constructors of the run settings raise nothing: their rules are
 checked once, by ``RunConfig.check_experiment``, which runs
 ``check_device`` and ``check_crossbar`` on the device and crossbar
@@ -20,6 +22,7 @@ import ast
 from pathlib import Path
 
 import memxbar
+from memxbar.netmodel import LAYERS
 
 PINNED = {
     "discrete_weight_table": "acceptance criterion 05",
@@ -113,6 +116,36 @@ def _json_dumps(package=Path(memxbar.__file__).parent):
                         and any(a.name == "dump" for a in node.names))):
                 found.append(f"{path.stem}:{node.lineno}")
     return found
+
+
+def _layer_names(package=Path(memxbar.__file__).parent):
+    """``module:line`` of every string constant that is a name of
+    ``LAYERS`` in a module other than ``netmodel``."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "netmodel.py":
+            continue
+        found += [f"{path.stem}:{node.lineno}"
+                  for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.Constant) and node.value in LAYERS]
+    return found
+
+
+def test_only_netmodel_names_the_layers():
+    found = _layer_names()
+    assert not found, f"a layer name outside netmodel.LAYERS: {found}"
+
+
+def test_a_layer_name_outside_netmodel_is_found(tmp_path):
+    """A layer name as a string, a dict key or a tuple member is reported;
+    one inside a longer string, an attribute of that name and anything
+    in ``netmodel`` are not."""
+    (tmp_path / "netmodel.py").write_text('LAYERS = {"hidden": 1, "out": 2}\n')
+    (tmp_path / "model.py").write_text(
+        "def save(net):\n"
+        "    names = ('hidden', 'out')\n"
+        "    return {'out': net.out, 'path': 'out.csv'}, names\n")
+    assert _layer_names(tmp_path) == ["model:2", "model:2", "model:3"]
 
 
 PLAIN_DATA = ("DeviceParams", "CrossbarConfig", "RunConfig",

@@ -204,3 +204,24 @@ def test_compensate_stuck_matches_the_scalar_formula(seed):
         denominator = sign * w[alone] + R_F / stuck[alone]
         assert (denominator < 0).any() and (denominator == 0).any()
         assert (solved[alone] == RANGE.r_min).any()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_compile_is_compensation_against_r_max(seed):
+    """Compiling a layer's weights gives, bit for bit, what
+    ``compensate_stuck`` gives that layer with each synapse's opposite
+    branch frozen at ``r_max``: one free-branch solve serves both, at
+    positive, negative and zero weights."""
+    gen = np.random.default_rng(seed)
+    r_m1, r_m2 = np.exp(gen.uniform(np.log(RANGE.r_min), np.log(RANGE.r_max),
+                                    (2, 16, 8)))
+    r_m2[0] = r_m1[0]
+    layer = CompiledLayer(r_m1, r_m2, R_F)
+    w = layer.weights()
+    assert (w == 0).any() and (w > 0).any() and (w < 0).any()
+    frozen = np.full(w.shape, RANGE.r_max)
+    got = compensate_stuck(layer, np.where(w >= 0, np.nan, frozen),
+                           np.where(w >= 0, frozen, np.nan), RANGE)
+    compiled = compile_weight_matrix(w, R_F, RANGE)
+    assert compiled.r_m1.tobytes() == got.r_m1.tobytes()
+    assert compiled.r_m2.tobytes() == got.r_m2.tobytes()

@@ -26,8 +26,10 @@ from memxbar.dataset import load_dataset_csv
 from memxbar.device import DeviceParams
 from memxbar.errors import ConfigError
 from memxbar.mapping import ResistanceRange
+from memxbar.netmodel import LAYERS, MlpParams
 from memxbar.pipeline import (_STAGES, STAGE_CHOICES, STAGES, RunConfig,
-                              _load_split, run_pipeline, stage_dataset)
+                              _load_compiled, _load_params, _load_split,
+                              run_pipeline, stage_dataset)
 from memxbar.reports import (BOUNDS_SVG, BOX_SVG, CURVE_SVG, SWEEP_SVG,
                              emit_report, write_json)
 from memxbar.tolerance import TOLERANCE_DEFAULTS
@@ -679,15 +681,47 @@ def test_stage_names_come_from_the_stage_table():
     assert tuple(stage.choices) == STAGE_CHOICES
 
 
+def test_layer_names_and_shapes_come_from_the_layer_table(default_run,
+                                                          tmp_path):
+    """``LAYERS`` names each layer, in order, with its weight shape: the
+    params and their shapes, the compiled net and ``compiled.json``, the
+    arrays the program stage writes and the stuck-cell refusal follow
+    it."""
+    assert LAYERS == {"hidden": (16, 8), "out": (8, 4)}
+    shapes = {"w_hidden": (16, 8), "b_hidden": (8,), "w_out": (8, 4),
+              "b_out": (4,)}
+    assert [f.name for f in dataclasses.fields(MlpParams)] == list(shapes)
+    params = _load_params(default_run.run_dir)
+    assert {k: np.shape(v) for k, v in params.to_dict().items()} == shapes
+    assert list(params.to_dict()) == list(shapes)
+    compiled = json.loads(
+        (default_run.run_dir / "compile" / "compiled.json").read_text())
+    assert set(compiled) == {"r_f", *LAYERS}
+    for name, shape in LAYERS.items():
+        assert np.shape(compiled[name]["r_m1"]) == shape
+        assert np.shape(compiled[name]["r_m2"]) == shape
+    net = _load_compiled(default_run.cfg)
+    assert [name for name, _ in net.layers()] == list(LAYERS)
+    program = default_run.run_dir / "program"
+    assert sorted(p.name for p in program.glob("*.csv")) == \
+        sorted([f"{name}.csv" for name in LAYERS] + ["program_log.csv"])
+    spot = {"array": "input", "row": 0, "col": 0, "ohm": 20e3}
+    with pytest.raises(ConfigError, match="array must be hidden or out"):
+        default_cfg(tmp_path, stuck=[spot]).check_experiment()
+
+
 def test_pipeline_is_deterministic(default_run, tmp_path):
-    """Same seed and settings in a fresh directory: identical outputs."""
+    """Same seed and settings in a fresh directory: identical outputs,
+    every file but ``manifest.json``, which names the directory."""
     out = tmp_path / "again"
     summary = run_pipeline(default_cfg(out), "all")
     assert summary == default_run.summary
-    for rel in ("dataset/split.json", "dataset/train.npy", "dataset/test.npy",
-                "train/params.json", "analyze/trials.csv", "sweep/sweep.csv"):
-        assert (out / rel).read_bytes() == \
-            (default_run.run_dir / rel).read_bytes()
+    written = sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file())
+    assert Path("program/hidden.csv") in written and len(written) > 20
+    for rel in written:
+        if rel != Path("manifest.json"):
+            assert (out / rel).read_bytes() == \
+                (default_run.run_dir / rel).read_bytes(), rel
     # the charts the stages drew are those emit_report redraws from the CSVs
     drawn = [(out / rel).read_bytes()
              for rel in (CURVE_SVG, BOX_SVG, BOUNDS_SVG, SWEEP_SVG)]
@@ -1171,7 +1205,7 @@ def test_params_file_must_hold_the_unity_transfer(default_run, tmp_path,
                                                  capsys, activation, code):
     """Params written with the unity activation entry, as older runs wrote
     them, still load; any other transfer stops the stage with one JSON
-    line."""
+    line that names the file."""
     run = tmp_path / "params"
     shutil.copytree(default_run.run_dir, run)
     path = run / "train" / "params.json"
@@ -1184,9 +1218,10 @@ def test_params_file_must_hold_the_unity_transfer(default_run, tmp_path,
                  "--stage", "compile"]) == code
     message = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     if code == EXIT_STAGE:
-        assert message["error"] == "MemxbarError"
+        assert message["error"] == "ShapeMismatchError"
         assert message["stage"] == "compile"
         assert "activation" in message["message"]
+        assert str(path) in message["message"]
     else:
         assert (run / "compile" / "compiled.json").read_bytes() == \
             (default_run.run_dir / "compile" / "compiled.json").read_bytes()
